@@ -7,7 +7,14 @@ moments accountant, and small-MLP training loops.
 
 from .tensor import Dtype, RING_MODULUS, Tensor
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
-from .dp import MomentLedger, PrivacySpec, calibrate_sigma, epsilon_for, log_moment
+from .dp import (
+    MomentLedger,
+    PrivacySpec,
+    calibrate_sigma,
+    epsilon_for,
+    log_moment,
+    log_moments,
+)
 from .workers import (
     Federation,
     TransportTap,
@@ -30,6 +37,7 @@ __all__ = [
     "PrivacySpec",
     "MomentLedger",
     "log_moment",
+    "log_moments",
     "epsilon_for",
     "calibrate_sigma",
     "WorkerCore",

@@ -136,11 +136,14 @@ def cmd_worker(args) -> int:
     peers = {name: workers._LazySocketPeer(h, p)
              for name, (h, p) in _parse_endpoints(args.peers).items()}
     core = workers.WorkerCore(args.id, seed, peers)
-    print(f"worker {args.id} listening on {host}:{port}", flush=True)
-    try:
-        workers.serve(host, port, core)
-    except KeyboardInterrupt:
-        pass
+    with workers.make_server(host, port, core) as server:
+        bound_host, bound_port = server.server_address[:2]
+        # announced only once bound, so a reader may connect at once
+        print(f"worker {args.id} listening on {bound_host}:{bound_port}", flush=True)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
     return EXIT_OK
 
 

@@ -117,14 +117,15 @@ def _trunc_share(ctx, args, kwargs):
     one ulp with high probability.
     """
     share = _want_tensor(args[0], 0)
-    p = int(kwargs["frac_bits"])
+    p = np.uint64(int(kwargs["frac_bits"]))
     role = int(kwargs["role"])
-    vals = share.data.astype(np.object_)  # exact big-int arithmetic
+    v = share.data  # shares are < Q = 2^62, so Q - v and its shift fit in uint64
     if role == 0:
-        out = np.array([int(v) >> p for v in vals.ravel()], dtype=np.uint64)
+        out = v >> p
     else:
-        out = np.array([(Q - ((Q - int(v)) >> p)) % Q for v in vals.ravel()], dtype=np.uint64)
-    return Tensor(out.reshape(share.shape), Dtype.RING64)
+        q = np.uint64(Q)
+        out = (q - ((q - v) >> p)) & np.uint64(Q - 1)
+    return Tensor(out, Dtype.RING64)
 
 
 def _random_ring(rng, shape):

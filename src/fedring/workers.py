@@ -467,18 +467,13 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
 
 
 def make_server(host: str, port: int, core: WorkerCore) -> _WorkerServer:
+    """Bound, not yet serving; raises BindError if the port is taken."""
     try:
         server = _WorkerServer((host, port), _WorkerHandler)
     except OSError as e:
         raise BindError(f"bind {host}:{port}: {e}") from None
     server.worker_core = core
     return server
-
-
-def serve(host: str, port: int, core: WorkerCore):
-    """Serve until interrupted; raises BindError if the port is taken."""
-    with make_server(host, port, core) as server:
-        server.serve_forever()
 
 
 # ---------------------------------------------------------------------------

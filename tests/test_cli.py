@@ -160,6 +160,28 @@ class TestWorkerProcess:
             code = proc.wait(timeout=10)
         assert code == 0
 
+    def test_listening_line_means_bound(self):
+        """Once "listening" is printed, one connect with no retry succeeds;
+        with port 0 the line names the port actually bound."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fedring.cli", "worker", "--id", "w1",
+             "--listen", "127.0.0.1:0", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on 127.0.0.1:" in line
+            port = int(line.rsplit(":", 1)[1])
+            assert port > 0
+            client = SocketClient("127.0.0.1", port)
+            client.store(1, b"ready")
+            assert client.fetch(1) == b"ready"
+            client.close()
+        finally:
+            proc.send_signal(signal.SIGINT)
+            code = proc.wait(timeout=10)
+        assert code == 0
+
     def test_occupied_port_exits_two(self):
         holder = socket.socket()
         holder.bind(("127.0.0.1", 0))

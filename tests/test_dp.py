@@ -1,43 +1,55 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from fedring.dp import (
+    DEFAULT_ORDERS,
     MomentLedger,
     PrivacySpec,
     calibrate_sigma,
-    clip_gradient,
     compose_eps,
     epsilon_for,
     log_moment,
+    log_moments,
     sanitize_lot,
 )
 from fedring.errors import ConfigError, EmptyLedger, EmptyLot, Unachievable
+from fedring.nn import clip_rows
+
+
+def clip_one(g, clip_norm):
+    return clip_rows(np.asarray(g, dtype=np.float64)[None, :], clip_norm)[0]
 
 
 class TestClip:
     def test_short_vector_untouched(self):
         g = np.array([0.3, 0.4])  # norm 0.5
-        assert np.array_equal(clip_gradient(g, 1.0), g)
+        assert np.array_equal(clip_one(g, 1.0), g)
 
     def test_long_vector_scaled_to_c(self):
         g = np.array([3.0, 4.0])  # norm 5
-        out = clip_gradient(g, 1.0)
+        out = clip_one(g, 1.0)
         assert np.isclose(np.linalg.norm(out), 1.0)
         assert np.allclose(out, g / 5.0)  # direction preserved
 
     def test_boundary(self):
         g = np.array([1.0, 0.0])
-        assert np.array_equal(clip_gradient(g, 1.0), g)
+        assert np.array_equal(clip_one(g, 1.0), g)
 
     def test_never_increases_norm(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            g = rng.normal(size=10) * rng.uniform(0, 5)
-            assert np.linalg.norm(clip_gradient(g, 1.0)) <= 1.0 + 1e-12
+        G = rng.normal(size=(50, 10)) * rng.uniform(0, 5, size=(50, 1))
+        out = clip_rows(G, 1.0)
+        assert np.all(np.linalg.norm(out, axis=1) <= 1.0 + 1e-12)
+        assert np.all(np.linalg.norm(out, axis=1) <= np.linalg.norm(G, axis=1) + 1e-12)
 
     def test_bad_clip_norm(self):
         with pytest.raises(ConfigError):
-            clip_gradient(np.ones(2), 0.0)
+            clip_rows(np.ones((1, 2)), 0.0)
+        with pytest.raises(ConfigError):
+            sanitize_lot([np.ones(2)], -1.0, 1.0, np.random.default_rng(0))
 
 
 class TestSanitize:
@@ -45,6 +57,16 @@ class TestSanitize:
         grads = [np.array([3.0, 4.0]), np.array([0.3, 0.4])]
         out = sanitize_lot(grads, 1.0, 0.0, np.random.default_rng(1))
         assert np.allclose(out, np.array([0.6, 0.8]) + np.array([0.3, 0.4]))
+
+    def test_matches_row_loop(self):
+        """The vectorised clip-and-sum equals clipping row by row and
+        summing in a loop, up to float64 rounding."""
+        rng = np.random.default_rng(4)
+        G = rng.normal(size=(32, 50)) * rng.uniform(0, 0.4, size=(32, 1))
+        want = np.zeros(50)
+        for g in G:
+            want += g * min(1.0, 1.0 / np.linalg.norm(g))
+        assert np.allclose(sanitize_lot(G, 1.0, 0.0, rng), want, rtol=1e-13, atol=1e-13)
 
     def test_noise_statistics(self):
         """Monte Carlo: noise added to a zero lot is N(0, (sigma C)^2) iid."""
@@ -109,6 +131,82 @@ class TestLogMoment:
             log_moment(0.0, 2.0, 1)
         with pytest.raises(ConfigError):
             log_moment(0.01, 0.0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def quadrature(q, sigma):
+    """log_moment at orders 1..32: the windowed quadrature reference."""
+    return np.array([log_moment(q, sigma, lam) for lam in DEFAULT_ORDERS])
+
+
+def binomial_moment(q, sigma, lam):
+    """Direct linear-space binomial sum; exact enough where e^((k^2-k)/2s^2)
+    fits in a float."""
+    n = lam + 1
+    return math.log(math.fsum(
+        math.comb(n, k) * (1 - q) ** (n - k) * q**k * math.exp((k * k - k) / (2 * sigma * sigma))
+        for k in range(n + 1)
+    ))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("q", [1e-3, 1e-2, 1e-1])
+    def test_matches_quadrature(self, q):
+        """Where the window is adequate the closed form and the quadrature
+        agree to 1e-9 relative, down to the alpha ~ 1e-10 corner."""
+        for sigma in (4.0, 8.0, 12.7, 64.0):
+            got = log_moments(q, sigma, DEFAULT_ORDERS)
+            ref = quadrature(q, sigma)
+            assert np.all(np.abs(got - ref) <= 1e-9 * ref), (q, sigma)
+
+    @pytest.mark.parametrize("q", [1e-3, 1e-2, 1e-1])
+    def test_never_below_quadrature(self, q):
+        """On criterion 6's grid the closed form never under-reports against
+        the quadrature (it exceeds it where the window truncates)."""
+        for sigma in (1.0, 2.0, 4.0, 8.0):
+            got = log_moments(q, sigma, DEFAULT_ORDERS)
+            assert np.all(got >= quadrature(q, sigma) * (1.0 - 1e-9)), (q, sigma)
+
+    def test_large_order_small_sigma_pinned(self):
+        """At q=1e-3, sigma=1, lambda=32 the quadrature window [-20, 21]
+        cuts off the integrand and reports 224.6; the ledger must carry the
+        exact moment."""
+        led = MomentLedger(orders=(32,))
+        led.record(1e-3, 1.0)
+        assert led.totals[0] == pytest.approx(300.044, abs=1e-3)
+        assert led.totals[0] == pytest.approx(binomial_moment(1e-3, 1.0, 32), rel=1e-12)
+        assert log_moment(1e-3, 1.0, 32) < 225.0
+
+    def test_matches_direct_sum(self):
+        for q, sigma in ((0.052, 2.0), (0.3, 1.0), (0.9, 4.0)):
+            want = [binomial_moment(q, sigma, lam) for lam in DEFAULT_ORDERS]
+            assert np.allclose(log_moments(q, sigma, DEFAULT_ORDERS), want, rtol=1e-12)
+
+    def test_large_exponent_finite(self):
+        """At sigma=0.5, lambda=32 the exponent reaches ~2100."""
+        alphas = log_moments(0.3, 0.5, DEFAULT_ORDERS)
+        assert np.all(np.isfinite(alphas))
+        assert np.all(np.diff(alphas) > 0)
+
+    def test_q_equals_one(self):
+        sigma = 2.0
+        lams = np.array(DEFAULT_ORDERS, dtype=float)
+        assert np.array_equal(log_moments(1.0, sigma, DEFAULT_ORDERS),
+                              lams * (lams + 1) / (2.0 * sigma * sigma))
+
+    def test_non_integer_orders(self):
+        with pytest.raises(ConfigError):
+            log_moments(0.01, 2.0, (1, 2.5))
+        with pytest.raises(ConfigError):
+            MomentLedger(orders=(1.5,)).record(0.01, 2.0)
+        with pytest.raises(ConfigError):
+            log_moments(0.01, 2.0, (0,))
+
+    def test_validation(self):
+        with pytest.raises(ConfigError):
+            log_moments(0.0, 2.0, DEFAULT_ORDERS)
+        with pytest.raises(ConfigError):
+            log_moments(0.01, 0.0, DEFAULT_ORDERS)
 
 
 class TestLedger:

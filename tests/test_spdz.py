@@ -300,6 +300,29 @@ class TestTruncation:
         assert np.all(np.abs(got - want) <= 1)
 
 
+class TestTruncShareCommand:
+    def test_matches_big_int_formula(self):
+        """The uint64 shift equals the exact big-int formula bit for bit,
+        for both roles, at 0, Q-1 and random shares."""
+        from fedring.commands import lookup
+
+        trunc = lookup("trunc_share")[0]
+        rng = np.random.default_rng(21)
+        vals = np.concatenate([
+            np.array([0, 1, (1 << 16) - 1, 1 << 16, Q - (1 << 16), Q - 2, Q - 1], dtype=np.uint64),
+            rng.integers(0, Q, size=4998, dtype=np.uint64),
+        ]).reshape(-1, 7)
+        for p in (1, 16, 40):
+            for role in (0, 1, 2):
+                got = trunc(None, (r64(vals),), {"frac_bits": p, "role": role}).data
+                if role == 0:
+                    want = [int(v) >> p for v in vals.ravel()]
+                else:
+                    want = [(Q - ((Q - int(v)) >> p)) % Q for v in vals.ravel()]
+                assert got.shape == vals.shape
+                assert got.ravel().tolist() == want
+
+
 class TestShareDistribution:
     def test_single_share_looks_uniform(self, fed):
         """Chi-square on one party's share of a constant secret: 16 equal
