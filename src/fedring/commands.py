@@ -13,8 +13,8 @@ import numpy as np
 from . import nn
 from . import tensor as tc
 from .dp import sanitize_lot
-from .errors import ConfigError, EmptyLot, ShapeMismatch, UnknownCommand
-from .fixedpoint import FixedPointConfig, Q
+from .errors import ConfigError, EmptyLot, MalformedPayload, ShapeMismatch, UnknownCommand
+from .fixedpoint import Q, truncate_share
 from .protocol import serialize_chain
 from .tensor import Dtype, Tensor
 
@@ -92,53 +92,50 @@ def _avg_pool(ctx, args, kwargs):
     return tc.avg_pool2d(_want_tensor(args[0], 0), int(kwargs["k"]))
 
 
-@register("fp_encode", preserve_prefix=False)
-def _fp_encode(ctx, args, kwargs):
-    from . import fixedpoint
-
-    cfg = FixedPointConfig(frac_bits=int(kwargs.get("frac_bits", 16)))
-    return fixedpoint.encode(_want_tensor(args[0], 0), cfg)
-
-
-@register("fp_decode", preserve_prefix=False)
-def _fp_decode(ctx, args, kwargs):
-    from . import fixedpoint
-
-    cfg = FixedPointConfig(frac_bits=int(kwargs.get("frac_bits", 16)))
-    return fixedpoint.decode(_want_tensor(args[0], 0), cfg)
+# eval_expr opcodes, each followed by its integer operands:
+#   ref i (push leaf i) | add | sub | neg | scale c | offset c | trunc p role
+_REF, _ADD, _SUB, _NEG, _SCALE, _OFFSET, _TRUNC = range(7)
+EXPR_OPCODES = {"ref": _REF, "add": _ADD, "sub": _SUB, "neg": _NEG,
+                "scale": _SCALE, "offset": _OFFSET, "trunc": _TRUNC}
 
 
-@register("trunc_share")
-def _trunc_share(ctx, args, kwargs):
-    """Local truncation of one additive share by 2**frac_bits.
-
-    role 0 shifts the share down; every other role shifts the ring
-    complement, so the reconstruction equals the truncated secret up to
-    one ulp with high probability.
-    """
-    share = _want_tensor(args[0], 0)
-    p = np.uint64(int(kwargs["frac_bits"]))
-    role = int(kwargs["role"])
-    v = share.data  # shares are < Q = 2^62, so Q - v and its shift fit in uint64
-    if role == 0:
-        out = v >> p
-    else:
-        q = np.uint64(Q)
-        out = (q - ((q - v) >> p)) & np.uint64(Q - 1)
-    return Tensor(out, Dtype.RING64)
-
-
-def _random_ring(rng, shape):
-    return rng.integers(0, Q, size=shape, dtype=np.uint64)
-
-
-def _split_shares(rng, secret: np.ndarray, n: int):
-    shares = [_random_ring(rng, secret.shape) for _ in range(n - 1)]
-    total = np.zeros_like(secret)
-    for s in shares:
-        total = (total + s) & np.uint64(Q - 1)
-    last = (secret - total) & np.uint64(Q - 1)
-    return shares + [last]
+@register("eval_expr")
+def _eval_expr(ctx, args, kwargs):
+    """Evaluate a postfix program of share arithmetic over the leaf tensors
+    in args. One value left on the stack is the result; several are
+    flattened and concatenated in stack order."""
+    prog = kwargs["prog"]
+    stack = []
+    pos = 0
+    try:
+        while pos < len(prog):
+            op = prog[pos]
+            if op == _REF:
+                stack.append(_want_tensor(args[prog[pos + 1]], prog[pos + 1]))
+                pos += 2
+            elif op in (_ADD, _SUB):
+                b, a = stack.pop(), stack.pop()
+                stack.append(tc.add(a, b) if op == _ADD else tc.sub(a, b))
+                pos += 1
+            elif op == _NEG:
+                stack.append(tc.neg(stack.pop()))
+                pos += 1
+            elif op in (_SCALE, _OFFSET):
+                kernel = tc.scale if op == _SCALE else tc.offset
+                stack.append(kernel(stack.pop(), prog[pos + 1]))
+                pos += 2
+            elif op == _TRUNC:
+                stack.append(truncate_share(stack.pop(), prog[pos + 1], prog[pos + 2]))
+                pos += 3
+            else:
+                raise MalformedPayload(f"unknown eval_expr opcode {op}")
+    except IndexError:
+        raise MalformedPayload(f"eval_expr program is malformed at {pos}") from None
+    if not stack:
+        raise MalformedPayload("eval_expr program leaves no value")
+    if len(stack) == 1:
+        return stack[0]
+    return Tensor(np.concatenate([t.data.ravel() for t in stack]), Dtype.RING64)
 
 
 def _push_share(ctx, party: str, arr: np.ndarray) -> int:
@@ -158,7 +155,7 @@ def _make_shares(ctx, args, kwargs):
         raise ConfigError("need at least 2 parties")
     if x.dtype is not Dtype.RING64:
         raise ShapeMismatch("make_shares expects a Ring64 tensor (fix precision first)")
-    shares = _split_shares(ctx.rng, x.data, len(parties))
+    shares = tc.split_shares(ctx.rng, x.data, len(parties))
     oids = [_push_share(ctx, party, s) for party, s in zip(parties, shares)]
     return Tensor(np.array(oids, dtype=np.uint64), Dtype.RING64)
 
@@ -180,17 +177,17 @@ def _gen_triples(ctx, args, kwargs):
     for t in range(count):
         if kind == "matmul":
             m, k, n = shape
-            a = _random_ring(ctx.rng, (m, k))
-            b = _random_ring(ctx.rng, (k, n))
+            a = tc.random_ring(ctx.rng, (m, k))
+            b = tc.random_ring(ctx.rng, (k, n))
             c = (a @ b) & mask
         elif kind == "elementwise":
-            a = _random_ring(ctx.rng, tuple(shape))
-            b = _random_ring(ctx.rng, tuple(shape))
+            a = tc.random_ring(ctx.rng, tuple(shape))
+            b = tc.random_ring(ctx.rng, tuple(shape))
             c = (a * b) & mask
         else:
             raise ConfigError(f"unknown triple kind {kind!r}")
         for j, part in enumerate((a, b, c)):
-            shares = _split_shares(ctx.rng, part, len(parties))
+            shares = tc.split_shares(ctx.rng, part, len(parties))
             for i, party in enumerate(parties):
                 ids[t, i, j] = _push_share(ctx, party, shares[i])
     return Tensor(ids, Dtype.RING64)
@@ -198,8 +195,9 @@ def _gen_triples(ctx, args, kwargs):
 
 @register("beaver_combine")
 def _beaver_combine(ctx, args, kwargs):
-    """One party's share of the Beaver product from its triple shares and
-    the opened differences eps = x - a, delta = y - b."""
+    """One party's share of the Beaver product from its triple shares
+    (taken: the worker deletes them once this succeeds) and the opened
+    differences eps = x - a, delta = y - b, passed inline."""
     c, a, b, eps, delta = (_want_tensor(v, i) for i, v in enumerate(args))
     kind = str(kwargs["kind"])
     lead = bool(kwargs.get("lead", 0))

@@ -49,6 +49,10 @@ class MalformedPayload(FedringError):
     pass
 
 
+class BadMagic(MalformedPayload):
+    """A frame header that does not start with the protocol magic."""
+
+
 class ConfigError(FedringError):
     pass
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverflowRangeError
+from .errors import ConfigError, OverflowRangeError
 from .tensor import Dtype, RING_MODULUS, Tensor
 
 Q = RING_MODULUS
@@ -71,3 +71,23 @@ def truncate(r: Tensor, cfg: FixedPointConfig = DEFAULT_CONFIG) -> Tensor:
     signed = to_signed(r)
     shifted = signed >> cfg.frac_bits  # arithmetic shift == floor division
     return Tensor(shifted % Q, Dtype.RING64)
+
+
+def truncate_share(share: Tensor, frac_bits: int, role: int) -> Tensor:
+    """One party's half of two-party local truncation by 2**frac_bits.
+
+    Role 0 shifts its share down; role 1 shifts the ring complement of its
+    share. The two results reconstruct to the truncated secret within one
+    ulp, except with probability ~2**(l+1-62) for an l-bit secret (SecureML,
+    Mohassel & Zhang 2017). With three or more parties the wrap of the share
+    sum is no longer a single carry, so errors reach 2**46 on ordinary
+    inputs; any other role is rejected.
+    """
+    if role not in (0, 1):
+        raise ConfigError(f"local share truncation is sound for two parties only (role {role})")
+    p = np.uint64(frac_bits)
+    v = share.data  # shares are < Q = 2^62, so Q - v and its shift fit in uint64
+    if role == 0:
+        return Tensor(v >> p, Dtype.RING64)
+    q = np.uint64(Q)
+    return Tensor((q - ((q - v) >> p)) & np.uint64(Q - 1), Dtype.RING64)

@@ -6,8 +6,12 @@ Frame layout (little-endian throughout):
     version  u8       1
     msg_type u8       1=STORE 2=GET 3=DELETE 4=EXECUTE 5=RESULT 6=ERROR
     request_id  u64
-    payload_len u64
+    payload_len u64     at most MAX_PAYLOAD
     payload     payload_len bytes
+
+Request payloads: STORE oid u64 then a chain; GET oid u64 then a delete
+flag u8; DELETE one or more oids, u64 each; EXECUTE a command. An EXECUTE
+RESULT carries the new object's oid u64, a GET RESULT the chain.
 
 Tensor payload: dtype u8 (0=Float64, 1=Ring64), ndim u8, dims u32 each,
 elements 8 bytes each (Float64 as IEEE-754 bits, Ring64 as u64).
@@ -24,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .fixedpoint import FixedPointConfig
 from .tensor import Dtype, Tensor
 
 MAGIC = b"FTNS"
 VERSION = 1
 HEADER_LEN = 22
+MAX_PAYLOAD = 1 << 28
 
 MSG_STORE = 1
 MSG_GET = 2
@@ -58,6 +62,7 @@ _EXC_TO_CODE = {
     errors.DuplicateObject: ERR_DUPLICATE,
     errors.UnknownCommand: ERR_UNKNOWN_COMMAND,
     errors.MalformedPayload: ERR_MALFORMED,
+    errors.BadMagic: ERR_MALFORMED,
 }
 
 
@@ -71,6 +76,8 @@ class Message:
 def encode_frame(m: Message) -> bytes:
     if m.msg_type not in _VALID_TYPES:
         raise errors.MalformedPayload(f"bad msg_type {m.msg_type}")
+    if len(m.payload) > MAX_PAYLOAD:
+        raise errors.MalformedPayload(f"payload of {len(m.payload)} bytes exceeds {MAX_PAYLOAD}")
     return (
         MAGIC
         + struct.pack("<BBQQ", VERSION, m.msg_type, m.request_id, len(m.payload))
@@ -78,17 +85,26 @@ def encode_frame(m: Message) -> bytes:
     )
 
 
-def decode_frame(buf: bytes) -> tuple[Message, int]:
-    """Decode one frame from the head of buf; returns (message, bytes consumed)."""
+def decode_header(buf: bytes) -> tuple[int, int, int]:
+    """Validate the frame header at the head of buf; returns (msg_type,
+    request_id, payload_len). Raises before any payload byte is needed."""
     if len(buf) < HEADER_LEN:
         raise errors.MalformedPayload("short header")
     if buf[:4] != MAGIC:
-        raise errors.MalformedPayload("bad magic")
-    version, msg_type, request_id, payload_len = struct.unpack("<BBQQ", buf[4:HEADER_LEN])
+        raise errors.BadMagic("bad magic")
+    version, msg_type, request_id, payload_len = struct.unpack_from("<BBQQ", buf, 4)
     if version != VERSION:
         raise errors.MalformedPayload(f"unsupported version {version}")
     if msg_type not in _VALID_TYPES:
         raise errors.MalformedPayload(f"unknown msg_type {msg_type}")
+    if payload_len > MAX_PAYLOAD:
+        raise errors.MalformedPayload(f"payload_len {payload_len} exceeds {MAX_PAYLOAD}")
+    return msg_type, request_id, payload_len
+
+
+def decode_frame(buf: bytes) -> tuple[Message, int]:
+    """Decode one frame from the head of buf; returns (message, bytes consumed)."""
+    msg_type, request_id, payload_len = decode_header(buf)
     end = HEADER_LEN + payload_len
     if len(buf) < end:
         raise errors.MalformedPayload("short payload")
@@ -233,16 +249,14 @@ def deserialize_chain(buf: bytes) -> list:
     return nodes
 
 
-def chain_config(frac_bits: int) -> FixedPointConfig:
-    return FixedPointConfig(frac_bits=frac_bits)
-
-
 # ---------------------------------------------------------------------------
 # command codec
 
 ARG_OBJECT = 0
 ARG_FLOAT = 1
 ARG_INT = 2
+ARG_TENSOR = 3
+ARG_TAKE = 4
 
 KW_FLOAT = 1
 KW_INT = 2
@@ -253,10 +267,12 @@ KW_FLOAT_LIST = 5
 
 @dataclass(frozen=True)
 class Command:
-    """A named operation over worker-resident objects and literal scalars."""
+    """A named operation over worker-resident objects, inline tensors and
+    literal scalars. A ('take', oid) argument is read like ('obj', oid) and
+    deleted by the worker once the command has succeeded."""
 
     name: str
-    args: tuple = ()  # each: ('obj', oid) | ('float', x) | ('int', n)
+    args: tuple = ()  # each: ('obj'|'take', oid) | ('tensor', Tensor) | ('float', x) | ('int', n)
     kwargs: dict = field(default_factory=dict)
 
     @staticmethod
@@ -274,6 +290,11 @@ def serialize_command(cmd: Command) -> bytes:
             out.append(struct.pack("<Bd", ARG_FLOAT, val))
         elif tag == "int":
             out.append(struct.pack("<Bq", ARG_INT, val))
+        elif tag == "tensor":
+            out.append(struct.pack("<B", ARG_TENSOR))
+            out.append(serialize_tensor(val))
+        elif tag == "take":
+            out.append(struct.pack("<BQ", ARG_TAKE, val))
         else:
             raise errors.MalformedPayload(f"bad arg tag {tag!r}")
     out.append(struct.pack("<H", len(cmd.kwargs)))
@@ -327,6 +348,13 @@ def deserialize_command(buf: bytes) -> Command:
                 (v,) = struct.unpack_from("<q", buf, pos)
                 pos += 8
                 args.append(("int", v))
+            elif tag == ARG_TENSOR:
+                t, pos = deserialize_tensor(buf, pos)
+                args.append(("tensor", t))
+            elif tag == ARG_TAKE:
+                (v,) = struct.unpack_from("<Q", buf, pos)
+                pos += 8
+                args.append(("take", v))
             else:
                 raise errors.MalformedPayload(f"bad arg tag {tag}")
         (nkw,) = struct.unpack_from("<H", buf, pos)

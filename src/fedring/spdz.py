@@ -1,12 +1,19 @@
 """SPDZ-style additive secret sharing over Z_Q, orchestrated by the leader.
 
 Shares live on the workers; the leader holds only per-party references. The
-linear layer (add/sub/neg, public scale and offset) is evaluated lazily: each
-party's share is a small expression tree over object ids, collapsed to a
-single remote object only when a multiplication opening, truncation or
-reconstruction forces it. Linear operations therefore cross zero transport
-messages, and every Beaver multiplication opens exactly two values (eps,
-delta) regardless of operand size.
+linear layer (add/sub/neg, public scale and offset) and local truncation are
+lazy: each party's share is a small expression tree over object ids, and the
+command that next consumes it (an opening, a reconstruction, `materialize`)
+carries the party's whole tree as one `eval_expr` postfix program. Linear
+operations and truncations therefore cross zero transport messages of their
+own; a truncation is folded into the next command.
+
+A Beaver multiplication is one open round plus one combine per party. In the
+open round each party runs one command that evaluates its shares of both
+x - a and y - b, and the leader fetches and sums them: exactly two openings
+(eps, delta) regardless of operand size. Each party then runs one
+`beaver_combine` that receives eps and delta inline and consumes its triple
+shares. With two parties that is six messages per multiplication.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import protocol
+from .commands import EXPR_OPCODES
 from .errors import (
     ConfigError,
     InsufficientTriples,
@@ -26,13 +34,13 @@ from .errors import (
 )
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig, Q
 from .protocol import Command
-from .tensor import Dtype, Tensor
+from .tensor import Dtype, Tensor, split_shares
 from .workers import Federation
 
 _MASK = np.uint64(Q - 1)
 
 # share expressions: ('ref', oid) | ('add'|'sub', a, b) | ('neg', a)
-#                  | ('scale', a, c) | ('offset', a, c)   with c a ring residue
+#   | ('scale'|'offset', a, c) with c a ring residue | ('trunc', a, frac_bits, role)
 
 
 def _local_chain(t: Tensor) -> bytes:
@@ -76,8 +84,11 @@ def _check_parties(xs: ShareVector, ys: ShareVector):
         raise ShapeMismatch(f"{xs.shape} vs {ys.shape}")
 
 
-def random_ring(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.integers(0, Q, size=shape, dtype=np.uint64)
+def require_two_parties(parties):
+    """Local share truncation is sound for exactly two parties."""
+    if len(parties) != 2:
+        raise ConfigError(f"local share truncation is sound for two parties only, "
+                          f"not {len(parties)}")
 
 
 def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> ShareVector:
@@ -87,13 +98,8 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> Shar
         raise ConfigError("need at least 2 parties")
     if x.dtype is not Dtype.RING64:
         raise ConfigError("share expects a Ring64 tensor")
-    shares = [random_ring(rng, x.shape) for _ in range(len(parties) - 1)]
-    total = np.zeros(x.shape, dtype=np.uint64)
-    for s in shares:
-        total = (total + s) & _MASK
-    shares.append((x.data - total) & _MASK)
     exprs = []
-    for party, s in zip(parties, shares):
+    for party, s in zip(parties, split_shares(rng, x.data, len(parties))):
         oid = fed.allocate_id()
         fed.worker(party).store(oid, _local_chain(Tensor(s, Dtype.RING64)))
         exprs.append(("ref", oid))
@@ -114,41 +120,62 @@ def share_remote(owner: str, oid: int, parties, fed: Federation, shape) -> Share
     return ShareVector(parties, exprs, tuple(shape))
 
 
+def _compile(exprs) -> Command:
+    """One party's expression trees as one eval_expr command: each distinct
+    leaf object becomes one argument, the trees one postfix program whose
+    values are left on the stack in order."""
+    leaves: dict = {}
+    prog: list = []
+
+    def emit(expr):
+        op = expr[0]
+        if op not in EXPR_OPCODES:
+            raise ConfigError(f"unknown share expression {op!r}")
+        if op == "ref":
+            prog.extend((EXPR_OPCODES["ref"], leaves.setdefault(expr[1], len(leaves))))
+            return
+        for operand in expr[1:]:
+            if isinstance(operand, tuple):
+                emit(operand)
+        prog.append(EXPR_OPCODES[op])
+        prog.extend(int(v) for v in expr[1:] if not isinstance(v, tuple))
+
+    for expr in exprs:
+        emit(expr)
+    return Command("eval_expr", tuple(Command.obj(oid) for oid in leaves), {"prog": prog})
+
+
 def materialize(sv: ShareVector, fed: Federation) -> ShareVector:
-    """Collapse each party's expression to a single stored object."""
-    exprs = []
-    for party, expr in zip(sv.parties, sv.exprs):
-        exprs.append(("ref", _eval_expr(fed, party, expr)))
-    return replace(sv, exprs=tuple(exprs))
-
-
-def _eval_expr(fed: Federation, party: str, expr) -> int:
-    op = expr[0]
-    if op == "ref":
-        return expr[1]
-    handle = fed.worker(party)
-    if op in ("add", "sub"):
-        a = _eval_expr(fed, party, expr[1])
-        b = _eval_expr(fed, party, expr[2])
-        return handle.execute(Command(op, (Command.obj(a), Command.obj(b))))
-    if op == "neg":
-        a = _eval_expr(fed, party, expr[1])
-        return handle.execute(Command("neg", (Command.obj(a),)))
-    if op in ("scale", "offset"):
-        a = _eval_expr(fed, party, expr[1])
-        return handle.execute(Command(op, (Command.obj(a), ("int", int(expr[2])))))
-    raise ConfigError(f"unknown share expression {op!r}")
+    """Collapse each party's expression to a single stored object: one
+    eval_expr command per party whose share is not one already."""
+    exprs = tuple(
+        expr if expr[0] == "ref" else ("ref", fed.worker(party).execute(_compile([expr])))
+        for party, expr in zip(sv.parties, sv.exprs)
+    )
+    return replace(sv, exprs=exprs)
 
 
 def reconstruct(sv: ShareVector, fed: Federation, delete: bool = False) -> Tensor:
-    sv = materialize(sv, fed)
+    """Fetch and sum the shares. An object made here to collapse a lazy
+    share is always deleted by its fetch; a stored share only on `delete`."""
     total = np.zeros(sv.shape, dtype=np.uint64)
-    for party, oid in sv.pointers():
-        t = _fetch_tensor(fed, party, oid, delete)
+    for (party, oid), expr in zip(materialize(sv, fed).pointers(), sv.exprs):
+        t = _fetch_tensor(fed, party, oid, delete or expr[0] != "ref")
         if t.shape != sv.shape:
             raise ShapeMismatch(f"share shape {t.shape} != {sv.shape}")
         total = (total + t.data) & _MASK
     return Tensor(total, Dtype.RING64)
+
+
+def free(svs, fed: Federation):
+    """Delete the stored shares of materialized share vectors: one delete
+    frame per party."""
+    oids: dict = {}
+    for sv in svs:
+        for party, oid in sv.pointers():
+            oids.setdefault(party, []).append(oid)
+    for party, ids in oids.items():
+        fed.worker(party).delete(*ids)
 
 
 # -- linear layer (no communication) ----------------------------------------
@@ -245,24 +272,23 @@ def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, cou
     return triples
 
 
-def _open(sv: ShareVector, fed: Federation) -> Tensor:
-    """Open a masked value through the leader (star topology) and note the
-    opening on the tap."""
-    value = reconstruct(sv, fed, delete=True)
+def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
+                 fed: Federation):
+    """Open eps = x - a and delta = y - b through the leader (star topology):
+    one command and one fetch per party, two openings noted on the tap."""
+    nx = int(np.prod(xs.shape))
+    total = np.zeros(nx + int(np.prod(ys.shape)), dtype=np.uint64)
+    for i, party in enumerate(xs.parties):
+        cmd = _compile([("sub", xs.exprs[i], triple.a.exprs[i]),
+                        ("sub", ys.exprs[i], triple.b.exprs[i])])
+        t = _fetch_tensor(fed, party, fed.worker(party).execute(cmd), delete=True)
+        if t.shape != total.shape:
+            raise ShapeMismatch(f"masked shares {t.shape} != {total.shape}")
+        total = (total + t.data) & _MASK
     if fed.tap is not None:
-        fed.tap.note_opening()
-    return value
-
-
-def _broadcast(fed: Federation, parties, t: Tensor):
-    """Store one public tensor on every party; returns per-party oids."""
-    oids = {}
-    payload = _local_chain(t)
-    for party in parties:
-        oid = fed.allocate_id()
-        fed.worker(party).store(oid, payload)
-        oids[party] = oid
-    return oids
+        fed.tap.note_opening(2)
+    return (Tensor(total[:nx].reshape(xs.shape), Dtype.RING64),
+            Tensor(total[nx:].reshape(ys.shape), Dtype.RING64))
 
 
 def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federation,
@@ -278,24 +304,13 @@ def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federat
     if xs.parties != triple.a.parties:
         raise PartyMismatch("triple parties differ from operand parties")
     triple.consumed = True
-    xs = materialize(xs, fed)
-    ys = materialize(ys, fed)
-    a, b, c = (materialize(v, fed) for v in (triple.a, triple.b, triple.c))
-    eps = _open(sub_shared(xs, a), fed)
-    delta = _open(sub_shared(ys, b), fed)
-    eps_ids = _broadcast(fed, xs.parties, eps)
-    delta_ids = _broadcast(fed, xs.parties, delta)
+    eps, delta = _open_masked(xs, ys, triple, fed)
     exprs = []
-    for i, party in enumerate(xs.parties):
+    for i, (party, a, b, c) in enumerate(zip(xs.parties, triple.a.exprs, triple.b.exprs,
+                                             triple.c.exprs)):
         cmd = Command(
             "beaver_combine",
-            (
-                Command.obj(c.exprs[i][1]),
-                Command.obj(a.exprs[i][1]),
-                Command.obj(b.exprs[i][1]),
-                Command.obj(eps_ids[party]),
-                Command.obj(delta_ids[party]),
-            ),
+            (("take", c[1]), ("take", a[1]), ("take", b[1]), ("tensor", eps), ("tensor", delta)),
             {"kind": kind, "lead": int(i == 0)},
         )
         exprs.append(("ref", fed.worker(party).execute(cmd)))
@@ -319,16 +334,15 @@ def matmul_shared(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
 
 def trunc_shared(sv: ShareVector, fed: Federation,
                  cfg: FixedPointConfig = DEFAULT_CONFIG) -> ShareVector:
-    """Local truncation: party 0 shifts its share, the others shift the ring
-    complement. Exact up to +-1 ulp except with probability ~2^(l+1-62) for
-    l-significant-bit secrets; n>2 parties compound that error."""
-    sv = materialize(sv, fed)
-    exprs = []
-    for role, (party, oid) in enumerate(sv.pointers()):
-        cmd = Command(
-            "trunc_share",
-            (Command.obj(oid),),
-            {"frac_bits": cfg.frac_bits, "role": role},
-        )
-        exprs.append(("ref", fed.worker(party).execute(cmd)))
-    return replace(sv, exprs=tuple(exprs))
+    """Two-party local truncation by 2**frac_bits: party 0 shifts its share,
+    party 1 the ring complement of its share (fixedpoint.truncate_share).
+    Within one ulp except with probability ~2^(l+1-62) for an l-bit secret.
+    With any other party count the result is wrong, not merely less exact
+    (3 parties: errors up to 2^46 on encoded values in [-100, 100]), so it is
+    rejected with ConfigError.
+
+    Lazy like the linear layer: the shift runs inside the command that next
+    consumes the value, so this sends nothing and `fed` is not used."""
+    require_two_parties(sv.parties)
+    exprs = tuple(("trunc", e, cfg.frac_bits, role) for role, e in enumerate(sv.exprs))
+    return replace(sv, exprs=exprs)

@@ -147,6 +147,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _reduce(out, a.dtype)
 
 
+def random_ring(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform residues in [0, Q) as uint64."""
+    return rng.integers(0, RING_MODULUS, size=shape, dtype=np.uint64)
+
+
+def split_shares(rng: np.random.Generator, secret: np.ndarray, n: int) -> list:
+    """n additive shares of a Ring64 array: n-1 uniform draws, taken from rng
+    in party order, then the residue that completes the sum."""
+    shares = [random_ring(rng, secret.shape) for _ in range(n - 1)]
+    total = np.zeros(secret.shape, dtype=np.uint64)
+    for s in shares:
+        total = (total + s) & _RING_MASK
+    return shares + [(secret - total) & _RING_MASK]
+
+
 def avg_pool2d(t: Tensor, k: int) -> Tensor:
     """Non-overlapping k x k window means over a [batch, ch, h, w] tensor."""
     if t.dtype is not Dtype.FLOAT64:

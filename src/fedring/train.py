@@ -262,11 +262,9 @@ def fixed_forward(model: Model, X: np.ndarray,
     return np.asarray(fixedpoint.decode(z2, cfg).data)[:, 0]
 
 
-def _shared_sigmoid(sv, fed: Federation, pool: spdz.TriplePool,
-                    cfg: FixedPointConfig):
-    shape = sv.shape
-    x2 = spdz.trunc_shared(spdz.beaver_mul(sv, sv, pool.take("elementwise", shape), fed), fed, cfg)
-    x3 = spdz.trunc_shared(spdz.beaver_mul(x2, sv, pool.take("elementwise", shape), fed), fed, cfg)
+def _shared_sigmoid(sv, fed: Federation, mul_trunc, cfg: FixedPointConfig):
+    x2 = mul_trunc("elementwise", sv, sv)
+    x3 = mul_trunc("elementwise", x2, sv)
 
     def enc_const(x):
         return int(fixedpoint.encode(Tensor(np.array(x), Dtype.FLOAT64), cfg).data)
@@ -291,6 +289,7 @@ def mpc_triple_requirements(dims, batch: int, task: str):
 
 def provision_triples(fed: Federation, dealer: str, parties, dims, batch: int,
                       task: str, passes: int = 1) -> spdz.TriplePool:
+    spdz.require_two_parties(tuple(parties))
     pool = spdz.TriplePool()
     for kind, shape, count in mpc_triple_requirements(dims, batch, task):
         for t in spdz.dealer_generate(fed, dealer, kind, shape, parties, count * passes):
@@ -302,8 +301,12 @@ def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
                 pool: spdz.TriplePool, rng: np.random.Generator,
                 cfg: FixedPointConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Forward pass on secret-shared weights and inputs; reconstruction plus
-    decode matches fixed_forward within accumulated truncation error."""
+    decode matches fixed_forward within accumulated truncation error. Every
+    object the pass stores or consumes on the parties is deleted by the end:
+    the triple shares by beaver_combine, the input shares and products by
+    one delete frame per party."""
     parties = tuple(parties)
+    spdz.require_two_parties(parties)
     w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)
     B = X.shape[0]
 
@@ -311,21 +314,22 @@ def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
         t = fixedpoint.encode(Tensor(np.asarray(a, dtype=np.float64), Dtype.FLOAT64), cfg)
         return spdz.share(t, parties, fed, rng)
 
-    xs = enc_share(X)
-    z1 = spdz.add_shared(
-        spdz.trunc_shared(
-            spdz.matmul_shared(xs, enc_share(w1), pool.take("matmul", (B, model.dims[0], model.dims[1])), fed),
-            fed, cfg),
-        enc_share(np.tile(b1, (B, 1))),
-    )
-    a1 = _shared_sigmoid(z1, fed, pool, cfg)
-    z2 = spdz.add_shared(
-        spdz.trunc_shared(
-            spdz.matmul_shared(a1, enc_share(w2), pool.take("matmul", (B, model.dims[1], 1)), fed),
-            fed, cfg),
-        enc_share(np.tile(b2, (B, 1))),
-    )
+    made = [enc_share(a) for a in (X, w1, np.tile(b1, (B, 1)), w2, np.tile(b2, (B, 1)))]
+    xs, w1s, b1s, w2s, b2s = made
+
+    def mul_trunc(kind, x, y):
+        if kind == "matmul":
+            prod = spdz.matmul_shared(x, y, pool.take(kind, x.shape + y.shape[1:]), fed)
+        else:
+            prod = spdz.beaver_mul(x, y, pool.take(kind, x.shape), fed)
+        made.append(prod)
+        return spdz.trunc_shared(prod, fed, cfg)
+
+    z1 = spdz.add_shared(mul_trunc("matmul", xs, w1s), b1s)
+    a1 = _shared_sigmoid(z1, fed, mul_trunc, cfg)
+    z2 = spdz.add_shared(mul_trunc("matmul", a1, w2s), b2s)
     if model.task == TASK_BINARY:
-        z2 = _shared_sigmoid(z2, fed, pool, cfg)
-    out = spdz.reconstruct(z2, fed, delete=True)
+        z2 = _shared_sigmoid(z2, fed, mul_trunc, cfg)
+    out = spdz.reconstruct(z2, fed)
+    spdz.free(made, fed)
     return np.asarray(fixedpoint.decode(out, cfg).data)[:, 0]

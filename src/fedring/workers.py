@@ -26,6 +26,7 @@ import numpy as np
 from . import protocol
 from .commands import lookup
 from .errors import (
+    BadMagic,
     BindError,
     DuplicateObject,
     KindMismatch,
@@ -71,15 +72,19 @@ class TransportTap:
         self.events: list[TapEvent] = []
         self.openings = 0
 
-    def record(self, op: str, worker: str, oid: int = 0, chain_bytes: bytes = b""):
-        shapes = ()
+    def record(self, op: str, worker: str, oid: int = 0, chain_bytes: bytes = b"",
+               tensors=()):
+        """One message; `tensors` are the inline tensor arguments of an
+        execute, counted like the chain payload of a store or fetch."""
+        shapes = tuple(t.shape for t in tensors)
+        nbytes = len(chain_bytes) + sum(len(protocol.serialize_tensor(t)) for t in tensors)
         if chain_bytes:
             try:
                 nodes = protocol.deserialize_chain(chain_bytes)
-                shapes = tuple(n[1].shape for n in nodes if n[0] == "local")
+                shapes += tuple(n[1].shape for n in nodes if n[0] == "local")
             except Exception:
                 pass
-        self.events.append(TapEvent(op, worker, oid, len(chain_bytes), shapes))
+        self.events.append(TapEvent(op, worker, oid, nbytes, shapes))
 
     def note_opening(self, count: int = 1):
         self.openings += count
@@ -97,6 +102,10 @@ class TransportTap:
         for e in self.events:
             out.extend(e.shapes)
         return out
+
+
+def _inline_tensors(cmd: Command):
+    return [val for tag, val in cmd.args if tag == "tensor"]
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +150,16 @@ class WorkerCore:
                 return self._objects.pop(oid)
             return self._objects[oid]
 
-    def delete_object(self, oid: int):
+    def delete_object(self, *oids: int):
+        """Delete every listed object, or none if one is missing."""
+        if not oids:
+            raise MalformedPayload("delete needs at least one object id")
         with self._lock:
-            if oid not in self._objects:
-                raise ObjectNotFound(f"object {oid} not on {self.name}")
-            del self._objects[oid]
+            missing = [oid for oid in oids if oid not in self._objects]
+            if missing:
+                raise ObjectNotFound(f"objects {missing} not on {self.name}")
+            for oid in oids:
+                self._objects.pop(oid, None)
 
     def object_count(self) -> int:
         with self._lock:
@@ -177,13 +191,16 @@ class WorkerCore:
     def execute(self, cmd: Command) -> int:
         fn, preserve = lookup(cmd.name)
         resolved = []
+        taken = []
         first_frac = None
         for tag, val in cmd.args:
-            if tag == "obj":
+            if tag in ("obj", "take"):
                 t, frac = self._resolve(val)
                 if first_frac is None and frac is not None and not resolved:
                     first_frac = frac
                 resolved.append(t)
+                if tag == "take":
+                    taken.append(val)
             else:
                 resolved.append(val)
         result = fn(self, tuple(resolved), cmd.kwargs)
@@ -193,6 +210,8 @@ class WorkerCore:
         nodes.append(("local", result))
         oid = self.allocate_id()
         self.store_object(oid, protocol.serialize_chain(nodes))
+        if taken:
+            self.delete_object(*taken)
         return oid
 
 
@@ -258,14 +277,14 @@ class VirtualHandle:
             self.tap.record("fetch", self.name, oid, payload)
         return payload
 
-    def delete(self, oid: int):
+    def delete(self, *oids: int):
         if self.tap is not None:
-            self.tap.record("delete", self.name, oid)
-        self.core.delete_object(oid)
+            self.tap.record("delete", self.name, oids[0] if oids else 0)
+        self.core.delete_object(*oids)
 
     def execute(self, cmd: Command) -> int:
         if self.tap is not None:
-            self.tap.record("execute", self.name)
+            self.tap.record("execute", self.name, tensors=_inline_tensors(cmd))
         return self.core.execute(cmd)
 
     def close(self):
@@ -275,10 +294,15 @@ class VirtualHandle:
 # ---------------------------------------------------------------------------
 # socket transport
 
+_RECV_CHUNK = 1 << 20
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    # recv(n) allocates n bytes up front; bounded chunks make memory follow
+    # the bytes that actually arrive
     chunks = []
     while n > 0:
-        chunk = sock.recv(n)
+        chunk = sock.recv(min(n, _RECV_CHUNK))
         if not chunk:
             raise ConnectionError("peer closed")
         chunks.append(chunk)
@@ -287,15 +311,12 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def _read_frame(sock: socket.socket) -> Message:
-    head = _recv_exact(sock, protocol.HEADER_LEN)
-    if head[:4] != protocol.MAGIC:
-        raise MalformedPayload("bad magic")
-    version, msg_type, request_id, payload_len = struct.unpack("<BBQQ", head[4:])
-    if version != protocol.VERSION:
-        raise MalformedPayload(f"unsupported version {version}")
+    """Read one frame; a bad header raises MalformedPayload (BadMagic for a
+    wrong magic) before any payload byte is read."""
+    msg_type, request_id, payload_len = protocol.decode_header(
+        _recv_exact(sock, protocol.HEADER_LEN))
     payload = _recv_exact(sock, payload_len) if payload_len else b""
-    msg, _ = protocol.decode_frame(head + payload)
-    return msg
+    return Message(msg_type, request_id, payload)
 
 
 class SocketClient:
@@ -334,8 +355,8 @@ class SocketClient:
         reply = self.request(protocol.MSG_GET, struct.pack("<QB", oid, int(delete)))
         return reply.payload
 
-    def delete(self, oid: int):
-        self.request(protocol.MSG_DELETE, struct.pack("<Q", oid))
+    def delete(self, *oids: int):
+        self.request(protocol.MSG_DELETE, struct.pack(f"<{len(oids)}Q", *oids))
 
     def execute(self, cmd: Command) -> int:
         reply = self.request(protocol.MSG_EXECUTE, protocol.serialize_command(cmd))
@@ -370,14 +391,14 @@ class SocketHandle:
             self.tap.record("fetch", self.name, oid, payload)
         return payload
 
-    def delete(self, oid: int):
+    def delete(self, *oids: int):
         if self.tap is not None:
-            self.tap.record("delete", self.name, oid)
-        self.client.delete(oid)
+            self.tap.record("delete", self.name, oids[0] if oids else 0)
+        self.client.delete(*oids)
 
     def execute(self, cmd: Command) -> int:
         if self.tap is not None:
-            self.tap.record("execute", self.name)
+            self.tap.record("execute", self.name, tensors=_inline_tensors(cmd))
         return self.client.execute(cmd)
 
     def close(self):
@@ -410,25 +431,22 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         core: WorkerCore = self.server.worker_core
         while True:
             try:
-                head = _recv_exact(self.request, protocol.HEADER_LEN)
+                msg = _read_frame(self.request)
             except (ConnectionError, OSError):
                 return
-            if head[:4] != protocol.MAGIC:
-                # reply in-band and keep the connection; the client resyncs
-                # on the next well-formed frame
-                self._reply(Message(protocol.MSG_ERROR, 0,
-                                    protocol.encode_error(MalformedPayload("bad magic"))))
-                continue
-            version, msg_type, request_id, payload_len = struct.unpack("<BBQQ", head[4:])
-            try:
-                payload = _recv_exact(self.request, payload_len) if payload_len else b""
-            except (ConnectionError, OSError):
+            except MalformedPayload as e:
+                # Replied in-band. After bad magic exactly one header was
+                # consumed and the client resyncs on its next frame; after
+                # any other bad header the payload length cannot be trusted
+                # (nor skipped), so the connection closes.
+                reply = Message(protocol.MSG_ERROR, 0, protocol.encode_error(e))
+                if self._reply(reply) and isinstance(e, BadMagic):
+                    continue
                 return
             try:
-                msg, _ = protocol.decode_frame(head + payload)
                 reply = self._dispatch(core, msg)
             except Exception as e:  # replied in-band, never crashes the server
-                reply = Message(protocol.MSG_ERROR, request_id, protocol.encode_error(e))
+                reply = Message(protocol.MSG_ERROR, msg.request_id, protocol.encode_error(e))
             if not self._reply(reply):
                 return
 
@@ -454,10 +472,10 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             return Message(protocol.MSG_RESULT, msg.request_id,
                            core.fetch_object(oid, bool(delete)))
         if msg.msg_type == protocol.MSG_DELETE:
-            if len(msg.payload) != 8:
-                raise MalformedPayload("bad delete payload")
-            (oid,) = struct.unpack("<Q", msg.payload)
-            core.delete_object(oid)
+            k, ragged = divmod(len(msg.payload), 8)
+            if k == 0 or ragged:
+                raise MalformedPayload("delete payload must be one or more u64 ids")
+            core.delete_object(*struct.unpack(f"<{k}Q", msg.payload))
             return Message(protocol.MSG_RESULT, msg.request_id)
         if msg.msg_type == protocol.MSG_EXECUTE:
             cmd = protocol.deserialize_command(msg.payload)

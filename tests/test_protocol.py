@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fedring.protocol import (
     Command,
     Message,
     decode_frame,
+    decode_header,
     deserialize_chain,
     deserialize_command,
     deserialize_tensor,
@@ -65,6 +68,23 @@ class TestFrames:
         frame = encode_frame(Message(1, 1, b"abcd"))
         with pytest.raises(errors.MalformedPayload):
             decode_frame(frame[:-1])
+
+    def test_payload_bound(self, monkeypatch):
+        """A header claiming more than MAX_PAYLOAD is rejected from the header
+        alone; the encoder refuses to build such a frame."""
+        head = protocol.MAGIC + struct.pack("<BBQQ", 1, protocol.MSG_STORE, 3, 1 << 40)
+        with pytest.raises(errors.MalformedPayload, match="exceeds"):
+            decode_header(head)
+        assert decode_header(encode_frame(Message(1, 3, b"ab"))) == (1, 3, 2)
+        monkeypatch.setattr(protocol, "MAX_PAYLOAD", 8)
+        with pytest.raises(errors.MalformedPayload):
+            encode_frame(Message(protocol.MSG_STORE, 1, b"x" * 9))
+        encode_frame(Message(protocol.MSG_STORE, 1, b"x" * 8))
+
+    def test_bad_magic_is_its_own_kind(self):
+        with pytest.raises(errors.BadMagic):
+            decode_header(b"JUNK" + b"\x00" * 18)
+        assert encode_error(errors.BadMagic("x"))[0] == protocol.ERR_MALFORMED
 
 
 class TestTensorCodec:
@@ -139,6 +159,35 @@ class TestCommandCodec:
         raw = serialize_command(Command("add", (Command.obj(1), Command.obj(2))))
         with pytest.raises(errors.MalformedPayload):
             deserialize_command(raw[:-1])
+
+    def test_inline_tensor_and_take_roundtrip(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            t = rand_tensor(rng)
+            cmd = Command("beaver_combine", (("take", 1 << 40), ("tensor", t), Command.obj(2)),
+                          {"prog": []})
+            back = deserialize_command(serialize_command(cmd))
+            assert back.args[0] == ("take", 1 << 40)
+            assert back.args[1][0] == "tensor" and back.args[1][1] == t
+            assert back.args[2] == ("obj", 2)
+            assert back.kwargs == {"prog": []}
+
+    def test_inline_tensor_malformed(self):
+        t = Tensor(np.arange(6, dtype=np.uint64).reshape(2, 3), Dtype.RING64)
+        raw = serialize_command(Command("x", (("tensor", t),)))
+        tag_at = 1 + 1 + 1  # name length, name, arg count
+        assert raw[tag_at] == protocol.ARG_TENSOR
+        for bad in (raw[:-1], raw[: tag_at + 1],
+                    raw[: tag_at + 1] + bytes([9]) + raw[tag_at + 2:]):  # unknown dtype
+            with pytest.raises(errors.MalformedPayload):
+                deserialize_command(bad)
+        # a dims header claiming ~2^64 elements with no data behind it
+        huge = raw[: tag_at + 1] + struct.pack("<BBII", 1, 2, 0xFFFFFFFF, 0xFFFFFFFF) + raw[-2:]
+        with pytest.raises(errors.MalformedPayload):
+            deserialize_command(huge)
+        raw = serialize_command(Command("x", (("take", 5),)))
+        with pytest.raises(errors.MalformedPayload):
+            deserialize_command(raw[:-3])
 
 
 class TestErrorCodec:

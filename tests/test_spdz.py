@@ -11,7 +11,7 @@ from fedring.errors import (
     TripleReused,
     TripleShapeMismatch,
 )
-from fedring.fixedpoint import DEFAULT_CONFIG, Q, decode, encode, to_signed
+from fedring.fixedpoint import DEFAULT_CONFIG, Q, decode, encode, to_signed, truncate_share
 from fedring.spdz import (
     BeaverTriple,
     TriplePool,
@@ -213,6 +213,26 @@ class TestBeaver:
         with pytest.raises(TripleShapeMismatch):
             matmul_shared(m, n, one_triple(fed, "elementwise", (2,)), fed)
 
+    def test_one_round_consumes_triple(self):
+        """One multiplication: an open command and a fetch per party, then a
+        combine per party with eps/delta inline; the triple shares are gone."""
+        tap = TransportTap()
+        fed, registry = virtual_federation(["alice", "bob", "dealer"], seed=7, tap=tap)
+        rng = np.random.default_rng(22)
+        xs = share(r64([2, 3, 10]), PARTIES, fed, rng)
+        ys = share(r64([5, 7, 11]), PARTIES, fed, rng)
+        triple = one_triple(fed, "elementwise", (3,))
+        counts = {p: registry.get(p).object_count() for p in PARTIES}
+        before = len(tap.events)
+        zs = beaver_mul(add_shared(xs, xs), ys, triple, fed)
+        ops = [e.op for e in tap.events[before:]]
+        assert ops.count("execute") == 4 and ops.count("fetch") == 2 and len(ops) == 6
+        combines = [e for e in tap.events[before:] if e.op == "execute" and e.shapes]
+        assert [e.shapes for e in combines] == [((3,), (3,))] * 2  # eps, delta inline
+        for p in PARTIES:  # +1 product, -3 triple shares
+            assert registry.get(p).object_count() == counts[p] - 2
+        assert np.array_equal(reconstruct(zs, fed).data, [20, 42, 220])
+
 
 class TestTriplePool:
     def test_take_once(self, fed):
@@ -299,14 +319,80 @@ class TestTruncation:
         want = vals >> DEFAULT_CONFIG.frac_bits
         assert np.all(np.abs(got - want) <= 1)
 
+    def test_three_parties_rejected(self, fed):
+        """Local truncation with three parties reconstructs garbage (589 of
+        1,000 encoded values in [-100, 100] off by more than 1 ulp, by up
+        to 2^46), so it is refused instead of computed."""
+        rng = np.random.default_rng(23)
+        sv = share(enc(rng.uniform(-100, 100, size=1000)), ("alice", "bob", "dealer"), fed, rng)
+        with pytest.raises(ConfigError):
+            trunc_shared(sv, fed)
+
+
+class TestLazyExpressions:
+    def test_tree_is_one_command_per_party(self, tapped):
+        fed, tap = tapped
+        rng = np.random.default_rng(24)
+        x = r64(rng.integers(0, Q, size=(4, 3), dtype=np.uint64))
+        y = r64(rng.integers(0, Q, size=(4, 3), dtype=np.uint64))
+        xs, ys = share(x, PARTIES, fed, rng), share(y, PARTIES, fed, rng)
+        expr = public_op("add", sub_shared(public_op("mul", xs, 3), neg_shared(ys)), 5)
+        expr = add_shared(expr, xs)
+        before = len(tap.events)
+        done = materialize(expr, fed)
+        assert [e.op for e in tap.events[before:]] == ["execute", "execute"]
+        assert materialize(done, fed) == done  # already single objects: no message
+        assert len(tap.events) == before + 2
+        mask = np.uint64(Q - 1)
+        want = (x.data * np.uint64(4) + y.data + np.uint64(5)) & mask
+        assert np.array_equal(reconstruct(done, fed).data, want)
+
+    def test_truncation_folds_into_next_command(self, tapped):
+        fed, tap = tapped
+        rng = np.random.default_rng(25)
+        vals = rng.uniform(-50, 50, size=20)
+        xs = share(enc(vals), PARTIES, fed, rng)
+        before = tap.messages
+        t = trunc_shared(public_op("mul", xs, int(enc([4.0]).data[0])), fed)
+        assert tap.messages == before
+        got = decode(reconstruct(t, fed)).data
+        assert tap.messages == before + 4  # one eval_expr and one fetch per party
+        assert np.max(np.abs(got - 4 * vals)) <= 2.0**-14
+
+    def test_leaves_resolved_once(self):
+        cmd = spdz._compile([("sub", ("ref", 7), ("ref", 9)),
+                             ("sub", ("ref", 7), ("trunc", ("ref", 9), 16, 1))])
+        assert cmd.name == "eval_expr"
+        assert cmd.args == (("obj", 7), ("obj", 9))
+        assert cmd.kwargs["prog"] == [0, 0, 0, 1, 2, 0, 0, 0, 1, 6, 16, 1, 2]
+
+    @pytest.mark.parametrize("prog", [[], [9], [1], [0, 5], [0, 0, 6, 16]])
+    def test_malformed_program(self, prog):
+        from fedring.errors import MalformedPayload
+        from fedring.protocol import Command, serialize_chain
+        from fedring.workers import WorkerCore
+
+        w = WorkerCore("a", 0)
+        w.store_object(1, serialize_chain([("local", r64([1, 2]))]))
+        with pytest.raises(MalformedPayload):
+            w.execute(Command("eval_expr", (Command.obj(1),), {"prog": prog}))
+        assert w.object_count() == 1
+
+    def test_fused_truncation_rejects_third_party(self):
+        from fedring.protocol import Command, serialize_chain
+        from fedring.workers import WorkerCore
+
+        w = WorkerCore("a", 0)
+        w.store_object(1, serialize_chain([("local", r64([1, 2]))]))
+        with pytest.raises(ConfigError):
+            w.execute(Command("eval_expr", (Command.obj(1),), {"prog": [0, 0, 6, 16, 2]}))
+
 
 class TestTruncShareCommand:
     def test_matches_big_int_formula(self):
-        """The uint64 shift equals the exact big-int formula bit for bit,
-        for both roles, at 0, Q-1 and random shares."""
-        from fedring.commands import lookup
-
-        trunc = lookup("trunc_share")[0]
+        """The uint64 shift of the truncation kernel equals the exact big-int
+        formula bit for bit, for both roles, at 0, Q-1 and random shares; a
+        third role, i.e. a third party, is rejected."""
         rng = np.random.default_rng(21)
         vals = np.concatenate([
             np.array([0, 1, (1 << 16) - 1, 1 << 16, Q - (1 << 16), Q - 2, Q - 1], dtype=np.uint64),
@@ -314,7 +400,11 @@ class TestTruncShareCommand:
         ]).reshape(-1, 7)
         for p in (1, 16, 40):
             for role in (0, 1, 2):
-                got = trunc(None, (r64(vals),), {"frac_bits": p, "role": role}).data
+                if role == 2:
+                    with pytest.raises(ConfigError):
+                        truncate_share(r64(vals), p, role)
+                    continue
+                got = truncate_share(r64(vals), p, role).data
                 if role == 0:
                     want = [int(v) >> p for v in vals.ravel()]
                 else:

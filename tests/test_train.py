@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from fedring.train import (
     train_federated_dp,
     train_plain,
 )
-from fedring.workers import virtual_federation
+from fedring.workers import (
+    TransportTap,
+    WorkerCore,
+    _LazySocketPeer,
+    make_server,
+    socket_federation,
+    virtual_federation,
+)
 
 
 def boston(workers):
@@ -203,6 +212,81 @@ class TestMPCForward:
         plain = nn.forward(model.params, model.dims, model.task, X)
         agree = np.mean((shared > 0.5) == (plain > 0.5))
         assert agree >= 0.99
+
+
+    def test_pass_budget_boston(self):
+        """One pass over the Boston test set (B=101): at most 40 messages,
+        exactly 8 openings, and each party ends with the objects it started
+        with minus the 12 triple shares the pass consumed."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
+        tap = TransportTap()
+        fed, registry = virtual_federation(["alice", "bob", "dealer"], seed=9, tap=tap)
+        parties = ("alice", "bob")
+        pool = provision_triples(fed, "dealer", parties, model.dims, len(ds.test_X),
+                                 model.task, passes=2)
+        rng = np.random.default_rng(10)
+        for _ in range(2):
+            counts = {n: w.object_count() for n, w in registry.workers.items()}
+            messages, openings = tap.messages, tap.openings
+            mpc_forward(model, ds.test_X, fed, parties, pool, rng)
+            assert tap.messages - messages <= 40
+            assert tap.openings - openings == 8
+            assert {n: w.object_count() - counts[n] for n, w in registry.workers.items()} == {
+                "alice": -12, "bob": -12, "dealer": 0}
+
+    def test_three_parties_rejected(self):
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=1))
+        X = ds.test_X[:4]
+        fed, _ = virtual_federation(["alice", "bob", "carol", "dealer"], seed=9)
+        with pytest.raises(ConfigError):
+            provision_triples(fed, "dealer", ("alice", "bob", "carol"), model.dims, len(X),
+                              model.task)
+        pool = provision_triples(fed, "dealer", ("alice", "bob"), model.dims, len(X), model.task)
+        with pytest.raises(ConfigError):
+            mpc_forward(model, X, fed, ("alice", "bob", "carol"), pool, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("dataset", ["boston", "pima"])
+    def test_socket_matches_virtual(self, dataset):
+        """Socket workers wired as peers give bit-identical outputs and the
+        same message pattern as virtual ones; the inline-tensor and take
+        arguments and the multi-id delete cross real TCP frames."""
+        ds = load_dataset(bundled_path(dataset), dataset, ["solo"], split_seed=0)
+        model, _ = train_plain(ds, TrainConfig(dataset=dataset, seed=1, epochs=1))
+        X = ds.test_X[:16]
+        names = ("alice", "bob", "dealer")
+        servers = [make_server("127.0.0.1", 0, WorkerCore(n, 5)) for n in names]
+        threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
+        for t in threads:
+            t.start()
+        endpoints = {n: s.server_address for n, s in zip(names, servers)}
+        for s in servers:
+            core = s.worker_core
+            core.peers = {n: _LazySocketPeer(*ep) for n, ep in endpoints.items() if n != core.name}
+        outs, patterns, counts = [], [], []
+        try:
+            sock_tap, virt_tap = TransportTap(), TransportTap()
+            sock_fed = socket_federation(endpoints, sock_tap)
+            virt_fed, registry = virtual_federation(names, seed=5, tap=virt_tap)
+            for fed, tap, cores in ((sock_fed, sock_tap, [s.worker_core for s in servers]),
+                                    (virt_fed, virt_tap, list(registry.workers.values()))):
+                pool = provision_triples(fed, "dealer", names[:2], model.dims, len(X),
+                                         model.task)
+                start = len(tap.events)
+                outs.append(mpc_forward(model, X, fed, names[:2], pool,
+                                        np.random.default_rng(6)))
+                patterns.append([(e.op, e.worker, e.nbytes, e.shapes)
+                                 for e in tap.events[start:]])
+                counts.append([c.object_count() for c in cores])
+            sock_fed.close()
+        finally:
+            for s in servers:
+                s.shutdown()
+                s.server_close()
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert patterns[0] == patterns[1]
+        assert counts[0] == counts[1]
 
 
 class TestEvaluate:

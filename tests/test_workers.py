@@ -10,6 +10,7 @@ from fedring.errors import (
     DuplicateObject,
     MalformedPayload,
     ObjectNotFound,
+    ShapeMismatch,
     UnknownCommand,
     WorkerUnknown,
 )
@@ -72,6 +73,18 @@ class TestObjectStore:
         with pytest.raises(ObjectNotFound):
             w.delete_object(42)
 
+    def test_delete_many_all_or_nothing(self):
+        w = WorkerCore("a", 0)
+        for oid in (1, 2, 3):
+            w.store_object(oid, b"x")
+        with pytest.raises(ObjectNotFound):
+            w.delete_object(1, 2, 99)
+        assert w.object_count() == 3
+        w.delete_object(1, 3)
+        assert w.object_count() == 1
+        with pytest.raises(MalformedPayload):
+            w.delete_object()
+
     def test_bad_name(self):
         with pytest.raises(WorkerUnknown):
             WorkerCore("", 0)
@@ -110,6 +123,20 @@ class TestExecute:
         assert nodes[0] == ("fixed_precision", 16)
         assert nodes[-1][1].data[0] == 131072
 
+    def test_take_deleted_after_success_only(self):
+        w = WorkerCore("a", 0)
+        w.store_object(1, local_payload([1.0, 2.0]))
+        w.store_object(2, local_payload([3.0]))
+        with pytest.raises(ShapeMismatch):
+            w.execute(Command("add", (("take", 1), Command.obj(2))))
+        assert w.object_count() == 2  # a failed command consumes nothing
+        inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
+        oid = w.execute(Command("add", (("take", 1), ("tensor", inline))))
+        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(oid))[-1][1].data,
+                              [11.0, 22.0])
+        with pytest.raises(ObjectNotFound):
+            w.fetch_object(1)
+
     def test_internal_ids_disjoint_from_leader_span(self):
         w = WorkerCore("a", 0)
         assert w.allocate_id() >= 1 << 32
@@ -142,6 +169,20 @@ class TestVirtualRegistry:
         assert tap.count("fetch") == 1
         assert tap.count("execute") == 1
         assert (1,) in tap.transferred_shapes()
+
+    def test_tap_counts_inline_tensors(self):
+        tap = TransportTap()
+        fed, _ = virtual_federation(["alice"], 0, tap)
+        h = fed.worker("alice")
+        h.store(1, local_payload([[1.0, 2.0, 3.0]]))
+        inline = Tensor(np.ones((1, 3)), Dtype.FLOAT64)
+        h.execute(Command("add", (Command.obj(1), ("tensor", inline))))
+        event = tap.events[-1]
+        assert event.op == "execute"
+        assert event.shapes == ((1, 3),)
+        assert event.nbytes == len(protocol.serialize_tensor(inline))
+        h.delete(1)
+        assert tap.messages == 3
 
 
 class TestSocketWorker:
@@ -191,6 +232,37 @@ class TestSocketWorker:
         assert head[5] == protocol.MSG_RESULT
         assert struct.unpack("<Q", head[6:14])[0] == 5
         sock.close()
+
+    def test_oversized_header_replies_then_closes(self, server):
+        """A header claiming 2^40 payload bytes is answered with Malformed
+        before any payload is read, then the connection closes."""
+        host, port = server.server_address
+        sock = socket.create_connection((host, port), timeout=10)
+        sock.sendall(protocol.MAGIC + struct.pack("<BBQQ", 1, protocol.MSG_STORE, 9, 1 << 40))
+        head = _recv(sock, 22)
+        assert head[5] == protocol.MSG_ERROR
+        (plen,) = struct.unpack("<Q", head[14:22])
+        assert struct.unpack("<I", _recv(sock, plen)[:4])[0] == protocol.ERR_MALFORMED
+        assert sock.recv(1) == b""
+        sock.close()
+        assert server.worker_core.object_count() == 0
+
+    def test_multi_id_delete(self, server):
+        host, port = server.server_address
+        c = SocketClient(host, port)
+        for oid in (1, 2, 3):
+            c.store(oid, b"v")
+        c.delete(1, 3)
+        assert server.worker_core.object_count() == 1
+        with pytest.raises(ObjectNotFound):
+            c.delete(2, 3)  # all or nothing
+        assert c.fetch(2) == b"v"
+        for bad in (b"", struct.pack("<Q", 2) + b"\x00" * 4):  # k=0, ragged
+            with pytest.raises(MalformedPayload):
+                c.request(protocol.MSG_DELETE, bad)
+        c.delete(2)  # the connection survives in-band errors
+        assert server.worker_core.object_count() == 0
+        c.close()
 
     def test_concurrent_clients(self, server):
         host, port = server.server_address
