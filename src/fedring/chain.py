@@ -2,15 +2,20 @@
 chain of nodes (Local / Pointer / FixedPrecision / Shared), with command
 dispatch forwarded node to node and chain rewrites on send/get.
 
-Chains are kept as top-down node lists matching the wire codec; the head is
-implied. A materialized tensor is head->Local (the Local node's child loops
-back to the payload, so no third node exists); a pointer chain is
-head->Pointer with no child below.
+Chains are kept as top-down node lists; the head is implied. The leaf holds
+everything the leader knows about the payload, and nothing is fetched back
+to learn it:
+    ('local', Tensor)            the payload itself;
+    ('pointer', worker, oid)     the payload on a worker;
+    ('shared', ShareVector)      parties, per-party share expressions and
+                                 shape; linear results stay lazy.
+`send` keeps the chain's prefix above the pointer, so a fixed-precision
+tensor stays fixed precision on its worker. Workers do not truncate, so
+fixed-precision mul, matmul and float scale on a pointer are rejected with
+KindMismatch before anything is sent; get() or share() it first.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +38,7 @@ _LOCAL_UNARY = {
     "neg": tc.neg,
     "sigmoid_poly": tc.sigmoid_poly,
 }
-_KNOWN_COMMANDS = set(_LOCAL_BINARY) | set(_LOCAL_UNARY) | {"scale", "offset", "avg_pool2d"}
+_KNOWN_COMMANDS = set(_LOCAL_BINARY) | set(_LOCAL_UNARY) | {"scale", "offset"}
 
 
 def validate_chain(nodes):
@@ -52,8 +57,8 @@ def validate_chain(nodes):
         else:
             raise KindMismatch(f"unknown node kind {tag!r}")
         if tag == "shared":
-            ptrs = node[1]
-            if len(ptrs) < 2 or len({p for p, _ in ptrs}) != len(ptrs):
+            parties = node[1].parties
+            if len(parties) < 2 or len(set(parties)) != len(parties):
                 raise KindMismatch("shared node needs >= 2 distinct workers")
     return True
 
@@ -61,11 +66,10 @@ def validate_chain(nodes):
 class TensorChain:
     """Head tensor over a node chain, bound to a federation for remote ops."""
 
-    def __init__(self, nodes, fed: Federation | None = None, shares: spdz.ShareVector | None = None):
+    def __init__(self, nodes, fed: Federation | None = None):
         validate_chain(nodes)
         self.nodes = list(nodes)
         self.fed = fed
-        self.shares = shares  # live ShareVector backing a shared leaf
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -82,12 +86,6 @@ class TensorChain:
     def leaf(self):
         return self.nodes[-1]
 
-    def _frac_bits(self):
-        for node in self.nodes:
-            if node[0] == "fixed_precision":
-                return node[1]
-        return None
-
     def tensor(self) -> Tensor:
         if self.leaf[0] != "local":
             raise KindMismatch(f"chain leaf is {self.leaf[0]}, not local")
@@ -98,31 +96,33 @@ class TensorChain:
             raise ConfigError("chain is not bound to a federation")
         return self.fed
 
+    def _with_leaf(self, leaf) -> "TensorChain":
+        return TensorChain(self.nodes[:-1] + [leaf], self.fed)
+
     # -- send / get ----------------------------------------------------------
     def send(self, target: str) -> "TensorChain":
-        """Serialize the whole chain to the target worker; locally the chain
-        becomes head->Pointer and the payload is released."""
+        """Serialize the whole chain to the target worker; locally the leaf
+        becomes a Pointer under the same prefix and the payload is released."""
         if self.leaf[0] != "local":
-            raise KindMismatch(f"cannot send a {self.kind} chain")
+            raise KindMismatch(f"cannot send a {self.leaf[0]} chain")
         fed = self._require_fed()
         oid = fed.allocate_id()
         fed.worker(target).store(oid, protocol.serialize_chain(self.nodes))
-        return TensorChain([("pointer", target, oid)], fed)
+        return self._with_leaf(("pointer", target, oid))
 
     def get(self) -> "TensorChain":
-        """Fetch (and remotely delete) a pointed-to chain, or reconstruct a
-        shared one."""
+        """Fetch (and remotely delete) a pointed-to payload, or reconstruct
+        (and delete) a shared one."""
         fed = self._require_fed()
-        if self.kind == "pointer":
-            _, worker, oid = self.nodes[0]
-            payload = fed.worker(worker).fetch(oid, delete=True)
-            return TensorChain(protocol.deserialize_chain(payload), fed)
+        if self.leaf[0] == "pointer":
+            _, worker, oid = self.leaf
+            leaf = protocol.deserialize_chain(fed.worker(worker).fetch(oid, delete=True))[-1]
+            if leaf[0] != "local":
+                raise KindMismatch(f"object {oid} on {worker} holds a {leaf[0]}, not a tensor")
+            return self._with_leaf(leaf)
         if self.leaf[0] == "shared":
-            sv = self._share_vector()
-            ring = spdz.reconstruct(sv, fed, delete=True)
-            nodes = self.nodes[:-1] + [("local", ring)]
-            return TensorChain(nodes, fed)
-        raise KindMismatch(f"cannot get a {self.kind} chain")
+            return self._with_leaf(("local", spdz.reconstruct(self.leaf[1], fed, delete=True)))
+        raise KindMismatch(f"cannot get a {self.leaf[0]} chain")
 
     # -- fixed precision -------------------------------------------------------
     def fix_precision(self, cfg: FixedPointConfig = DEFAULT_CONFIG) -> "TensorChain":
@@ -142,46 +142,19 @@ class TensorChain:
     # -- sharing -----------------------------------------------------------
     def share(self, parties, rng: np.random.Generator | None = None) -> "TensorChain":
         """Split into additive shares. Local chains are split by the leader;
-        pointer chains are split on the owning worker so the leader never
-        sees the secret (it only receives pointers)."""
+        a pointed-to payload is split and consumed on its worker, and only
+        the share ids and the shape return to the leader."""
         fed = self._require_fed()
-        if self.kind == "pointer":
-            _, owner, oid = self.nodes[0]
-            payload = fed.worker(owner).fetch(oid, delete=False)
-            nodes = protocol.deserialize_chain(payload)
-            # shape is public metadata; the fetch above is of the leader's
-            # own prior knowledge only in tests -- production callers pass
-            # shape via dataset metadata. Kept simple: read shape remotely.
-            shape = nodes[-1][1].shape
-            prefix = [n for n in nodes if n[0] == "fixed_precision"]
-            sv = spdz.share_remote(owner, oid, parties, fed, shape)
-            fed.worker(owner).delete(oid)
-            return self._wrap_shares(sv, prefix)
+        if self.leaf[0] == "pointer":
+            _, owner, oid = self.leaf
+            return self._with_leaf(("shared", spdz.share_remote(owner, oid, parties, fed)))
         if self.leaf[0] != "local":
-            raise KindMismatch(f"cannot share a {self.kind} chain")
+            raise KindMismatch(f"cannot share a {self.leaf[0]} chain")
         if self.tensor().dtype is not Dtype.RING64:
             raise KindMismatch("share needs a Ring64 leaf; call fix_precision first")
         if rng is None:
             raise ConfigError("leader-side sharing needs an rng")
-        sv = spdz.share(self.tensor(), parties, fed, rng)
-        prefix = [n for n in self.nodes if n[0] == "fixed_precision"]
-        return self._wrap_shares(sv, prefix)
-
-    def _wrap_shares(self, sv: spdz.ShareVector, prefix) -> "TensorChain":
-        sv = spdz.materialize(sv, self._require_fed())
-        nodes = prefix + [("shared", sv.pointers())]
-        return TensorChain(nodes, self.fed, shares=sv)
-
-    def _share_vector(self) -> spdz.ShareVector:
-        if self.shares is not None:
-            return self.shares
-        ptrs = self.leaf[1]
-        parties = tuple(p for p, _ in ptrs)
-        exprs = tuple(("ref", oid) for _, oid in ptrs)
-        # shape recovered at reconstruction; use first share's shape lazily
-        fed = self._require_fed()
-        t = protocol.deserialize_chain(fed.worker(parties[0]).fetch(ptrs[0][1]))[-1][1]
-        return spdz.ShareVector(parties, exprs, t.shape)
+        return self._with_leaf(("shared", spdz.share(self.tensor(), parties, fed, rng)))
 
     # -- dispatch ------------------------------------------------------------
     def dispatch(self, name: str, *others: "TensorChain", **kwargs) -> "TensorChain":
@@ -189,24 +162,23 @@ class TensorChain:
 
 
 def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> TensorChain:
-    """Forward a command down the chain: Local runs the native kernel,
-    Pointer emits execute_remote, FixedPrecision applies the fixed-point
-    calling convention (truncate after mul/matmul) then forwards, Shared runs
-    the SPDZ protocol."""
-    kind = head.kind
+    """Forward a command down the chain: FixedPrecision applies the
+    fixed-point calling convention (truncate after mul/matmul/float scale)
+    then forwards; at the leaf, Local runs the native kernel, Pointer emits
+    execute_remote and Shared runs the SPDZ protocol. Operands must have the
+    same prefix and the same leaf kind."""
     for other in others:
-        if other.kind != kind:
-            raise KindMismatch(f"{kind} vs {other.kind}: send/share operands explicitly")
-
-    if kind == "local":
-        return _dispatch_local(name, head, others, kwargs)
-    if kind == "pointer":
-        return _dispatch_pointer(name, head, others, kwargs)
-    if kind == "fixed_precision":
+        if other.nodes[:-1] != head.nodes[:-1] or other.leaf[0] != head.leaf[0]:
+            raise KindMismatch(
+                f"{[n[0] for n in head.nodes]} vs {[n[0] for n in other.nodes]}: "
+                "send/share operands explicitly")
+    if head.kind == "fixed_precision":
         return _dispatch_fixed(name, head, others, kwargs)
-    if kind == "shared":
-        return _dispatch_shared(name, head, others, kwargs)
-    raise KindMismatch(f"cannot dispatch on {kind}")
+    if head.kind == "local":
+        return _dispatch_local(name, head, others, kwargs)
+    if head.kind == "pointer":
+        return _dispatch_pointer(name, head, others, kwargs)
+    return _dispatch_shared(name, head, others, kwargs)
 
 
 def _dispatch_local(name, head, others, kwargs):
@@ -219,8 +191,6 @@ def _dispatch_local(name, head, others, kwargs):
         return TensorChain([("local", tc.scale(head.tensor(), kwargs["c"]))], head.fed)
     if name == "offset":
         return TensorChain([("local", tc.offset(head.tensor(), kwargs["c"]))], head.fed)
-    if name == "avg_pool2d":
-        return TensorChain([("local", tc.avg_pool2d(head.tensor(), kwargs["k"]))], head.fed)
     raise UnknownCommand(name)
 
 
@@ -228,69 +198,67 @@ def _dispatch_pointer(name, head, others, kwargs):
     if name not in _KNOWN_COMMANDS:
         raise UnknownCommand(name)
     fed = head._require_fed()
-    worker = head.nodes[0][1]
-    args = [Command.obj(head.nodes[0][2])]
+    _, worker, oid = head.leaf
+    args = [Command.obj(oid)]
     for other in others:
-        if other.nodes[0][1] != worker:
+        if other.leaf[1] != worker:
             raise KindMismatch("pointer operands live on different workers")
-        args.append(Command.obj(other.nodes[0][2]))
+        args.append(Command.obj(other.leaf[2]))
     if name == "scale" or name == "offset":
         args.append(("int", int(kwargs["c"])) if isinstance(kwargs["c"], int)
                     else ("float", float(kwargs["c"])))
-        kwargs = {}
-    elif name == "avg_pool2d":
-        kwargs = {"k": int(kwargs["k"])}
-    else:
-        kwargs = {}
-    oid = fed.worker(worker).execute(Command(name, tuple(args), kwargs))
+    oid = fed.worker(worker).execute(Command(name, tuple(args), {}))
     return TensorChain([("pointer", worker, oid)], fed)
+
+
+def _encode_const(c, cfg: FixedPointConfig) -> int:
+    return int(fixedpoint.encode(Tensor(np.array(float(c)), Dtype.FLOAT64), cfg).data)
 
 
 def _dispatch_fixed(name, head, others, kwargs):
     cfg = FixedPointConfig(frac_bits=head.nodes[0][1])
-    inner_head = TensorChain(head.nodes[1:], head.fed, shares=head.shares)
-    inner_others = tuple(TensorChain(o.nodes[1:], o.fed, shares=o.shares) for o in others)
+    inner = [TensorChain(c.nodes[1:], c.fed) for c in (head,) + others]
+    c = kwargs.get("c")
     if name in ("add", "sub", "neg"):
-        out = dispatch(name, inner_head, *inner_others)
-    elif name in ("mul", "matmul"):
-        raw = dispatch(name, inner_head, *inner_others, **kwargs)
-        out = _truncate_chain(raw, cfg)
-    elif name == "scale":
-        # public float scaling: encode the constant, multiply, truncate
-        c = kwargs["c"]
-        if isinstance(c, float):
-            enc = int(fixedpoint.encode(Tensor(np.array(c), Dtype.FLOAT64), cfg).data)
-            raw = dispatch("scale", inner_head, c=enc)
-            out = _truncate_chain(raw, cfg)
-        else:
-            out = dispatch("scale", inner_head, c=int(c))
+        out = dispatch(name, *inner)
+    elif name == "scale" and not isinstance(c, float):
+        out = dispatch("scale", *inner, c=int(c))
     elif name == "offset":
-        enc = int(fixedpoint.encode(Tensor(np.array(float(kwargs["c"])), Dtype.FLOAT64), cfg).data)
-        out = dispatch("offset", inner_head, c=enc)
+        out = dispatch("offset", *inner, c=_encode_const(c, cfg))
+    elif name in ("mul", "matmul", "scale"):
+        if head.leaf[0] == "pointer":
+            raise KindMismatch(f"fixed-precision {name} on a pointer needs a truncation "
+                               "the worker does not run; get() or share() it first")
+        if name == "scale":  # public float: encode the constant, multiply, truncate
+            raw = dispatch("scale", *inner, c=_encode_const(c, cfg))
+        else:
+            raw = dispatch(name, *inner, **kwargs)
+        out = _truncate_chain(raw, cfg)
     else:
         raise UnknownCommand(f"{name} under fixed_precision")
-    return TensorChain(
-        [("fixed_precision", cfg.frac_bits)] + out.nodes, head.fed, shares=out.shares
-    )
+    return TensorChain([("fixed_precision", cfg.frac_bits)] + out.nodes, head.fed)
 
 
 def _truncate_chain(raw: TensorChain, cfg: FixedPointConfig) -> TensorChain:
     if raw.kind == "local":
         return TensorChain([("local", fixedpoint.truncate(raw.tensor(), cfg))], raw.fed)
-    if raw.kind == "shared":
-        sv = spdz.trunc_shared(raw._share_vector(), raw._require_fed(), cfg)
-        sv = spdz.materialize(sv, raw.fed)
-        return TensorChain([("shared", sv.pointers())], raw.fed, shares=sv)
-    raise KindMismatch(f"cannot truncate a {raw.kind} chain")
+    fed = raw._require_fed()
+    prod = raw.leaf[1]
+    sv = spdz.trunc_shared(prod, fed, cfg)
+    if prod.is_materialized():
+        # a Beaver product nothing else refers to: keep only its truncation
+        sv = spdz.materialize(sv, fed)
+        spdz.free([prod], fed)
+    return TensorChain([("shared", sv)], fed)
 
 
 def _dispatch_shared(name, head, others, kwargs):
     fed = head._require_fed()
-    sv = head._share_vector()
+    sv = head.leaf[1]
     if name in ("add", "sub"):
         (other,) = others
         op = spdz.add_shared if name == "add" else spdz.sub_shared
-        out = op(sv, other._share_vector())
+        out = op(sv, other.leaf[1])
     elif name == "neg":
         out = spdz.neg_shared(sv)
     elif name == "scale":
@@ -303,15 +271,7 @@ def _dispatch_shared(name, head, others, kwargs):
         if triple is None:
             raise ConfigError(f"shared {name} needs a Beaver triple")
         fn = spdz.beaver_mul if name == "mul" else spdz.matmul_shared
-        out = fn(sv, other._share_vector(), triple, fed)
+        out = fn(sv, other.leaf[1], triple, fed)
     else:
         raise UnknownCommand(f"{name} on shared chain")
-    out = spdz.materialize(out, fed) if name in ("mul", "matmul") else out
-    if out.is_materialized():
-        return TensorChain([("shared", out.pointers())], fed, shares=out)
-    # keep lazy linear results chain-representable via their backing vector
-    chain = TensorChain.__new__(TensorChain)
-    chain.nodes = [("shared", [(p, 0) for p in out.parties])]
-    chain.fed = fed
-    chain.shares = out
-    return chain
+    return TensorChain([("shared", out)], fed)

@@ -87,11 +87,6 @@ def _sigmoid(ctx, args, kwargs):
     return tc.sigmoid_poly(_want_tensor(args[0], 0))
 
 
-@register("avg_pool2d")
-def _avg_pool(ctx, args, kwargs):
-    return tc.avg_pool2d(_want_tensor(args[0], 0), int(kwargs["k"]))
-
-
 # eval_expr opcodes, each followed by its integer operands:
 #   ref i (push leaf i) | add | sub | neg | scale c | offset c | trunc p role
 _REF, _ADD, _SUB, _NEG, _SCALE, _OFFSET, _TRUNC = range(7)
@@ -147,8 +142,10 @@ def _push_share(ctx, party: str, arr: np.ndarray) -> int:
 
 @register("make_shares", preserve_prefix=False)
 def _make_shares(ctx, args, kwargs):
-    """Split a resident Ring64 tensor into additive shares and push one to
-    each party; returns the per-party object ids."""
+    """Split a Ring64 tensor into additive shares and push one to each
+    party; returns the per-party object ids followed by the tensor's shape,
+    the only metadata the leader needs. Pass the tensor as a take argument
+    so the secret does not outlive its shares."""
     x = _want_tensor(args[0], 0)
     parties = [p for p in str(kwargs["parties"]).split(",") if p]
     if len(parties) < 2:
@@ -157,7 +154,7 @@ def _make_shares(ctx, args, kwargs):
         raise ShapeMismatch("make_shares expects a Ring64 tensor (fix precision first)")
     shares = tc.split_shares(ctx.rng, x.data, len(parties))
     oids = [_push_share(ctx, party, s) for party, s in zip(parties, shares)]
-    return Tensor(np.array(oids, dtype=np.uint64), Dtype.RING64)
+    return Tensor(np.array(oids + list(x.shape), dtype=np.uint64), Dtype.RING64)
 
 
 @register("gen_triples", preserve_prefix=False)

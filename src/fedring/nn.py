@@ -19,10 +19,13 @@ TASK_BINARY = "binary"
 
 
 def sigmoid_poly(x: np.ndarray) -> np.ndarray:
+    """Degree-3 approximation of the logistic sigmoid, 1/2 + x/4 - x**3/48.
+    It leaves [0, 1] for |x| > ~4.3 and is evaluated unclamped."""
     return 0.5 + x / 4.0 - x**3 / 48.0
 
 
 def sigmoid_poly_deriv(x: np.ndarray) -> np.ndarray:
+    """d/dx of sigmoid_poly: 1/4 - x**2/16."""
     return 0.25 - x * x / 16.0
 
 

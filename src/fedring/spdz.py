@@ -47,11 +47,6 @@ def _local_chain(t: Tensor) -> bytes:
     return protocol.serialize_chain([("local", t)])
 
 
-def _fetch_tensor(fed: Federation, party: str, oid: int, delete: bool = False) -> Tensor:
-    nodes = protocol.deserialize_chain(fed.worker(party).fetch(oid, delete))
-    return nodes[-1][1]
-
-
 @dataclass(frozen=True)
 class ShareVector:
     """One secret: an ordered party list and one share expression per party."""
@@ -106,18 +101,19 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> Shar
     return ShareVector(parties, tuple(exprs), x.shape)
 
 
-def share_remote(owner: str, oid: int, parties, fed: Federation, shape) -> ShareVector:
+def share_remote(owner: str, oid: int, parties, fed: Federation) -> ShareVector:
     """Split a worker-resident Ring64 tensor without the leader seeing it:
-    the owner splits locally and pushes shares to its peers; only the share
-    object ids return to the leader."""
+    the owner splits it locally, pushes shares to its peers and deletes it;
+    only the share object ids and the shape return to the leader. One
+    execute and one fetch."""
     parties = tuple(parties)
     if len(parties) < 2:
         raise ConfigError("need at least 2 parties")
-    cmd = Command("make_shares", (Command.obj(oid),), {"parties": ",".join(parties)})
+    cmd = Command("make_shares", (("take", oid),), {"parties": ",".join(parties)})
     rid = fed.worker(owner).execute(cmd)
-    ids = _fetch_tensor(fed, owner, rid, delete=True)
-    exprs = tuple(("ref", int(v)) for v in ids.data)
-    return ShareVector(parties, exprs, tuple(shape))
+    meta = [int(v) for v in fed.fetch_tensor(owner, rid, delete=True).data]
+    exprs = tuple(("ref", v) for v in meta[: len(parties)])
+    return ShareVector(parties, exprs, tuple(meta[len(parties):]))
 
 
 def _compile(exprs) -> Command:
@@ -160,7 +156,7 @@ def reconstruct(sv: ShareVector, fed: Federation, delete: bool = False) -> Tenso
     share is always deleted by its fetch; a stored share only on `delete`."""
     total = np.zeros(sv.shape, dtype=np.uint64)
     for (party, oid), expr in zip(materialize(sv, fed).pointers(), sv.exprs):
-        t = _fetch_tensor(fed, party, oid, delete or expr[0] != "ref")
+        t = fed.fetch_tensor(party, oid, delete or expr[0] != "ref")
         if t.shape != sv.shape:
             raise ShapeMismatch(f"share shape {t.shape} != {sv.shape}")
         total = (total + t.data) & _MASK
@@ -256,7 +252,7 @@ def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, cou
         {"kind": kind, "shape": list(shape), "parties": ",".join(parties), "count": count},
     )
     rid = fed.worker(dealer).execute(cmd)
-    ids = _fetch_tensor(fed, dealer, rid, delete=True).data  # [count, n, 3]
+    ids = fed.fetch_tensor(dealer, rid, delete=True).data  # [count, n, 3]
     if kind == "matmul":
         m, k, n = shape
         sh = {"a": (m, k), "b": (k, n), "c": (m, n)}
@@ -281,7 +277,7 @@ def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
     for i, party in enumerate(xs.parties):
         cmd = _compile([("sub", xs.exprs[i], triple.a.exprs[i]),
                         ("sub", ys.exprs[i], triple.b.exprs[i])])
-        t = _fetch_tensor(fed, party, fed.worker(party).execute(cmd), delete=True)
+        t = fed.fetch_tensor(party, fed.worker(party).execute(cmd), delete=True)
         if t.shape != total.shape:
             raise ShapeMismatch(f"masked shares {t.shape} != {total.shape}")
         total = (total + t.data) & _MASK

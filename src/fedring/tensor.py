@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
 from .errors import DtypeMismatch, ShapeMismatch
 
 RING_MODULUS = 1 << 62
@@ -162,35 +163,15 @@ def split_shares(rng: np.random.Generator, secret: np.ndarray, n: int) -> list:
     return shares + [(secret - total) & _RING_MASK]
 
 
-def avg_pool2d(t: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k window means over a [batch, ch, h, w] tensor."""
-    if t.dtype is not Dtype.FLOAT64:
-        raise DtypeMismatch("avg_pool2d operates on Float64")
-    if t.ndim != 4:
-        raise ShapeMismatch(f"avg_pool2d needs rank-4 input, got {t.shape}")
-    n, c, h, w = t.shape
-    if k < 1 or h % k or w % k:
-        raise ShapeMismatch(f"window {k} does not divide spatial dims ({h}, {w})")
-    view = t.data.reshape(n, c, h // k, k, w // k, k)
-    return Tensor(view.mean(axis=(3, 5)), Dtype.FLOAT64)
-
-
-# Degree-3 approximation of the logistic sigmoid. Exits [0, 1] for
-# |x| > ~4.3; evaluated unclamped.
-SIGMOID_COEFFS = (0.5, 0.25, -1.0 / 48.0)
-
-
 def sigmoid_poly(t: Tensor) -> Tensor:
-    """sigma(x) ~= 1/2 + x/4 - x**3/48, elementwise."""
+    """sigma(x) ~= 1/2 + x/4 - x**3/48, elementwise (nn.sigmoid_poly)."""
     if t.dtype is not Dtype.FLOAT64:
         raise DtypeMismatch("sigmoid_poly operates on Float64")
-    x = t.data
-    return Tensor(0.5 + x / 4.0 - x**3 / 48.0, Dtype.FLOAT64)
+    return Tensor(nn.sigmoid_poly(t.data), Dtype.FLOAT64)
 
 
 def sigmoid_poly_deriv(t: Tensor) -> Tensor:
-    """d/dx of sigmoid_poly: 1/4 - x**2/16."""
+    """d/dx of sigmoid_poly: 1/4 - x**2/16 (nn.sigmoid_poly_deriv)."""
     if t.dtype is not Dtype.FLOAT64:
         raise DtypeMismatch("sigmoid_poly_deriv operates on Float64")
-    x = t.data
-    return Tensor(0.25 - x * x / 16.0, Dtype.FLOAT64)
+    return Tensor(nn.sigmoid_poly_deriv(t.data), Dtype.FLOAT64)

@@ -107,16 +107,10 @@ def _store_partitions(fed: Federation, ds: FederatedDataset, targets=None):
     return placed
 
 
-def _push_params(fed: Federation, name: str, params: np.ndarray) -> int:
-    oid = fed.allocate_id()
-    fed.worker(name).store(oid, serialize_chain([("local", Tensor(params, Dtype.FLOAT64))]))
-    return oid
-
-
 def train_federated(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     """Round-robin federated SGD: the leader sends parameters, the worker
     computes the batch gradient on its own rows, the leader applies the
-    update."""
+    update. One execute (parameters inline) and one fetch per step."""
     model = _init_model(ds, cfg)
     placed = _store_partitions(fed, ds)
     names = list(ds.partitions)
@@ -133,28 +127,19 @@ def train_federated(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
                     continue
                 x_oid, y_oid, _ = placed[name]
                 idx = orders[name][b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                p_oid = _push_params(fed, name, model.params)
-                handle = fed.worker(name)
-                r_oid = handle.execute(Command(
+                params = ("tensor", Tensor(model.params, Dtype.FLOAT64))
+                r_oid = fed.worker(name).execute(Command(
                     "fb_batch",
-                    (Command.obj(p_oid), Command.obj(x_oid), Command.obj(y_oid)),
+                    (params, Command.obj(x_oid), Command.obj(y_oid)),
                     {"dims": dims, "task": model.task, "indices": [int(i) for i in idx]},
                 ))
-                out = _fetch_vector(fed, name, r_oid)
-                handle.delete(p_oid)
+                out = fed.fetch_tensor(name, r_oid, delete=True).data
                 loss, grad = out[0], out[1:]
                 model.params = model.params - cfg.lr * grad
                 trace.append({"step": step, "loss": float(loss),
                               "wall_ms": (time.monotonic() - t0) * 1e3})
                 step += 1
     return model, trace
-
-
-def _fetch_vector(fed: Federation, name: str, oid: int) -> np.ndarray:
-    from .protocol import deserialize_chain
-
-    nodes = deserialize_chain(fed.worker(name).fetch(oid, delete=True))
-    return np.array(nodes[-1][1].data, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +149,8 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     """Phase training per the sanitized-lot protocol: each phase picks one
     worker at random, which samples a lot from its own rows, clips
     per-example gradients and adds Gaussian noise locally; only the sanitized
-    sum crosses the transport. The accountant records q = L/N per phase."""
+    sum crosses the transport, in one fetch after one execute that carries
+    the parameters inline. The accountant records q = L/N per phase."""
     if cfg.privacy is None:
         raise ConfigError("train_federated_dp needs a PrivacySpec")
     spec = cfg.privacy
@@ -196,16 +182,14 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     for t in range(T):
         name = names[int(pick_rng.integers(len(names)))]
         x_oid, y_oid, _ = placed[name]
-        p_oid = _push_params(fed, name, model.params)
-        handle = fed.worker(name)
-        r_oid = handle.execute(Command(
+        params = ("tensor", Tensor(model.params, Dtype.FLOAT64))
+        r_oid = fed.worker(name).execute(Command(
             "dp_phase",
-            (Command.obj(p_oid), Command.obj(x_oid), Command.obj(y_oid)),
+            (params, Command.obj(x_oid), Command.obj(y_oid)),
             {"dims": dims, "task": model.task, "lot_size": L,
              "clip_norm": spec.clip_norm, "sigma": spec.sigma},
         ))
-        out = _fetch_vector(fed, name, r_oid)
-        handle.delete(p_oid)
+        out = fed.fetch_tensor(name, r_oid, delete=True).data
         loss, sanitized = out[0], out[1:]
         lr = cfg.dp_lr0 / (1.0 + t / cfg.dp_lr_tau)
         model.params = model.params - lr * (sanitized / L)

@@ -36,6 +36,7 @@ from .errors import (
     WorkerUnknown,
 )
 from .protocol import Command, Message
+from .tensor import Tensor
 
 LEADER_ID_SPAN = 1 << 32
 
@@ -104,8 +105,36 @@ class TransportTap:
         return out
 
 
-def _inline_tensors(cmd: Command):
-    return [val for tag, val in cmd.args if tag == "tensor"]
+class _TappedHandle:
+    """The leader's view of one worker, for any transport: store / fetch /
+    delete / execute go to the transport's calls and each is recorded on
+    the tap, if there is one. Subclasses only choose the transport."""
+
+    def __init__(self, name: str, tap: TransportTap | None, ops):
+        self.name = name
+        self.tap = tap
+        self._store, self._fetch, self._delete, self._execute = ops
+
+    def _record(self, op: str, *args, **kwargs):
+        if self.tap is not None:
+            self.tap.record(op, self.name, *args, **kwargs)
+
+    def store(self, oid: int, payload: bytes):
+        self._record("store", oid, payload)
+        self._store(oid, payload)
+
+    def fetch(self, oid: int, delete: bool = False) -> bytes:
+        payload = self._fetch(oid, delete)
+        self._record("fetch", oid, payload)
+        return payload
+
+    def delete(self, *oids: int):
+        self._record("delete", oids[0] if oids else 0)
+        self._delete(*oids)
+
+    def execute(self, cmd: Command) -> int:
+        self._record("execute", tensors=[val for tag, val in cmd.args if tag == "tensor"])
+        return self._execute(cmd)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +266,6 @@ class VirtualRegistry:
             raise WorkerUnknown(name)
         return self.workers[name]
 
-    def handle(self, name: str, tap: TransportTap | None = None) -> "VirtualHandle":
-        return VirtualHandle(self.get(name), tap)
-
 
 class _RegistryPeers:
     """Lazy peer map over a registry (workers may be created in any order)."""
@@ -255,37 +281,13 @@ class _RegistryPeers:
         return _PeerPush(self._registry.get(name).store_object)
 
 
-class VirtualHandle:
+class VirtualHandle(_TappedHandle):
     """Leader-side handle over an in-process worker."""
 
     def __init__(self, core: WorkerCore, tap: TransportTap | None = None):
         self.core = core
-        self.tap = tap
-
-    @property
-    def name(self) -> str:
-        return self.core.name
-
-    def store(self, oid: int, payload: bytes):
-        if self.tap is not None:
-            self.tap.record("store", self.name, oid, payload)
-        self.core.store_object(oid, payload)
-
-    def fetch(self, oid: int, delete: bool = False) -> bytes:
-        payload = self.core.fetch_object(oid, delete)
-        if self.tap is not None:
-            self.tap.record("fetch", self.name, oid, payload)
-        return payload
-
-    def delete(self, *oids: int):
-        if self.tap is not None:
-            self.tap.record("delete", self.name, oids[0] if oids else 0)
-        self.core.delete_object(*oids)
-
-    def execute(self, cmd: Command) -> int:
-        if self.tap is not None:
-            self.tap.record("execute", self.name, tensors=_inline_tensors(cmd))
-        return self.core.execute(cmd)
+        super().__init__(core.name, tap, (core.store_object, core.fetch_object,
+                                          core.delete_object, core.execute))
 
     def close(self):
         pass
@@ -371,35 +373,14 @@ class SocketClient:
             pass
 
 
-class SocketHandle:
+class SocketHandle(_TappedHandle):
     """Leader-side handle over a remote socket worker."""
 
     def __init__(self, name: str, host: str, port: int, tap: TransportTap | None = None):
         _validate_name(name)
-        self.name = name
         self.client = SocketClient(host, port)
-        self.tap = tap
-
-    def store(self, oid: int, payload: bytes):
-        if self.tap is not None:
-            self.tap.record("store", self.name, oid, payload)
-        self.client.store(oid, payload)
-
-    def fetch(self, oid: int, delete: bool = False) -> bytes:
-        payload = self.client.fetch(oid, delete)
-        if self.tap is not None:
-            self.tap.record("fetch", self.name, oid, payload)
-        return payload
-
-    def delete(self, *oids: int):
-        if self.tap is not None:
-            self.tap.record("delete", self.name, oids[0] if oids else 0)
-        self.client.delete(*oids)
-
-    def execute(self, cmd: Command) -> int:
-        if self.tap is not None:
-            self.tap.record("execute", self.name, tensors=_inline_tensors(cmd))
-        return self.client.execute(cmd)
+        c = self.client
+        super().__init__(name, tap, (c.store, c.fetch, c.delete, c.execute))
 
     def close(self):
         self.client.close()
@@ -513,6 +494,10 @@ class Federation:
         if name not in self.handles:
             raise WorkerUnknown(name)
         return self.handles[name]
+
+    def fetch_tensor(self, name: str, oid: int, delete: bool = False) -> Tensor:
+        """Fetch an object and decode the tensor at its leaf."""
+        return protocol.deserialize_chain(self.worker(name).fetch(oid, delete))[-1][1]
 
     def allocate_id(self) -> int:
         oid = next(self._counter)

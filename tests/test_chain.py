@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from fedring import spdz
 from fedring.chain import TensorChain, dispatch, validate_chain
 from fedring.errors import KindMismatch, ObjectNotFound, UnknownCommand
-from fedring.fixedpoint import FixedPointConfig
+from fedring.protocol import serialize_chain
+from fedring.spdz import ShareVector
 from fedring.tensor import Dtype, Tensor
-from fedring.workers import virtual_federation
+from fedring.workers import TransportTap, virtual_federation
+
+PARTIES = ["alice", "bob"]
 
 
 @pytest.fixture
@@ -14,13 +18,31 @@ def fed():
     return fed
 
 
+@pytest.fixture
+def tapped():
+    tap = TransportTap()
+    fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=0, tap=tap)
+    return fed, tap
+
+
+def object_counts(fed):
+    return {name: fed.worker(name).core.object_count() for name in fed.names}
+
+
+def sv(*pointers):
+    """A materialized share vector over (party, oid) pairs."""
+    return ShareVector(tuple(p for p, _ in pointers),
+                       tuple(("ref", oid) for _, oid in pointers), (1,))
+
+
 class TestValidator:
     def test_valid_chains(self):
         t = Tensor(np.array([1.0]), Dtype.FLOAT64)
         assert validate_chain([("local", t)])
         assert validate_chain([("pointer", "alice", 1)])
         assert validate_chain([("fixed_precision", 16), ("local", t)])
-        assert validate_chain([("shared", [("alice", 1), ("bob", 2)])])
+        assert validate_chain([("fixed_precision", 16), ("pointer", "alice", 1)])
+        assert validate_chain([("shared", sv(("alice", 1), ("bob", 2)))])
 
     def test_pointer_has_no_child(self):
         t = Tensor(np.array([1.0]), Dtype.FLOAT64)
@@ -33,9 +55,9 @@ class TestValidator:
 
     def test_shared_needs_distinct_workers(self):
         with pytest.raises(KindMismatch):
-            validate_chain([("shared", [("alice", 1), ("alice", 2)])])
+            validate_chain([("shared", sv(("alice", 1), ("alice", 2)))])
         with pytest.raises(KindMismatch):
-            validate_chain([("shared", [("alice", 1)])])
+            validate_chain([("shared", sv(("alice", 1)))])
 
 
 class TestDispatchLocal:
@@ -78,6 +100,12 @@ class TestSendGet:
         p.get()
         with pytest.raises(ObjectNotFound):
             p.get()
+
+    def test_get_needs_a_tensor_payload(self, fed):
+        """A worker object that is not a tensor is not taken as the leaf."""
+        fed.worker("alice").store(99, serialize_chain([("pointer", "bob", 1)]))
+        with pytest.raises(KindMismatch):
+            TensorChain([("pointer", "alice", 99)], fed).get()
 
     def test_send_pointer_rejected(self, fed):
         p = TensorChain.local([1.0], fed=fed).send("alice")
@@ -159,19 +187,85 @@ class TestSharedChain:
         back = shared.get().float_precision()
         assert np.array_equal(back.tensor().data, data)
 
-    def test_remote_share_leader_blind(self, fed):
-        """Sharing a pointed-to tensor happens on the owning worker."""
-        rng = np.random.default_rng(5)
+    def test_remote_share_leader_blind(self, tapped):
+        """Sharing a pointed-to tensor happens on the owning worker: one
+        execute and one fetch of the share ids and shape, never a fetch of
+        the secret."""
+        fed, tap = tapped
         chain = TensorChain.local([[7.0, 8.0]], fed=fed).fix_precision().send("alice")
-        shared = chain.share(["alice", "bob"])
-        assert shared.leaf[0] == "shared"
+        secret_oid = chain.leaf[2]
+        start = len(tap.events)
+        shared = chain.share(PARTIES)
+        events = tap.events[start:]
+        assert [e.op for e in events] == ["execute", "fetch"]
+        assert all(e.oid != secret_oid for e in events)
+        assert [n[0] for n in shared.nodes] == ["fixed_precision", "shared"]
+        assert shared.leaf[1].shape == (1, 2)
+        assert fed.worker("alice").core.object_count() == 1  # the secret is consumed
         back = shared.get().float_precision()
         assert np.array_equal(back.tensor().data, [[7.0, 8.0]])
 
-    def test_shared_add(self, fed):
+    def test_shared_add(self, tapped):
+        fed, tap = tapped
         rng = np.random.default_rng(6)
-        a = TensorChain.local([1.0, 2.0], fed=fed).fix_precision().share(["alice", "bob"], rng)
-        b = TensorChain.local([3.0, 4.5], fed=fed).fix_precision().share(["alice", "bob"], rng)
+        a = TensorChain.local([1.0, 2.0], fed=fed).fix_precision().share(PARTIES, rng)
+        b = TensorChain.local([3.0, 4.5], fed=fed).fix_precision().share(PARTIES, rng)
+        start = tap.messages
         out = dispatch("add", a, b)
+        assert tap.messages == start  # lazy: the leaf holds the expressions
+        assert not out.leaf[1].is_materialized()
         got = out.get().float_precision().tensor().data
         assert np.array_equal(got, [4.0, 6.5])
+
+    def test_mul_then_get_frees_everything(self, tapped):
+        """Each party ends with only its three consumed triple shares gone:
+        the raw Beaver product is freed once its truncation is stored, and
+        the truncation is freed by get(). The operands stay readable."""
+        fed, _ = tapped
+        rng = np.random.default_rng(7)
+        x = TensorChain.local([[1.5, -2.0]], fed=fed).fix_precision().share(PARTIES, rng)
+        y = TensorChain.local([[0.5, 4.0]], fed=fed).fix_precision().share(PARTIES, rng)
+        (triple,) = spdz.dealer_generate(fed, "dealer", "elementwise", (1, 2), PARTIES, 1)
+        before = object_counts(fed)
+        z = dispatch("mul", x, y, triple=triple).get().float_precision()
+        after = object_counts(fed)
+        assert {p: after[p] - before[p] for p in PARTIES} == {"alice": -3, "bob": -3}
+        assert np.allclose(z.tensor().data, [[0.75, -8.0]], atol=2.0**-14)
+        assert np.array_equal(x.get().float_precision().tensor().data, [[1.5, -2.0]])
+        assert np.array_equal(y.get().float_precision().tensor().data, [[0.5, 4.0]])
+
+
+class TestFixedPrecisionPointer:
+    def test_send_keeps_prefix(self, fed):
+        p = TensorChain.local([1.5], fed=fed).fix_precision().send("alice")
+        assert [n[0] for n in p.nodes] == ["fixed_precision", "pointer"]
+        back = p.get()
+        assert [n[0] for n in back.nodes] == ["fixed_precision", "local"]
+        assert back.float_precision().tensor().data[0] == 1.5
+
+    @pytest.mark.parametrize("name,kwargs", [("mul", {}), ("matmul", {}), ("scale", {"c": 0.5})])
+    def test_products_rejected_before_sending(self, tapped, name, kwargs):
+        fed, tap = tapped
+        a = TensorChain.local([[1.5]], fed=fed).fix_precision().send("alice")
+        b = TensorChain.local([[2.0]], fed=fed).fix_precision().send("alice")
+        operands = (a,) if name == "scale" else (a, b)
+        start, before = tap.messages, object_counts(fed)
+        with pytest.raises(KindMismatch):
+            dispatch(name, *operands, **kwargs)
+        assert tap.messages == start
+        assert object_counts(fed) == before
+
+    @pytest.mark.parametrize("name,kwargs,want", [
+        ("add", {}, [3.5, -1.0]),
+        ("sub", {}, [-0.5, -3.0]),
+        ("neg", {}, [-1.5, 2.0]),
+        ("scale", {"c": 3}, [4.5, -6.0]),
+        ("offset", {"c": 0.25}, [1.75, -1.75]),
+    ])
+    def test_linear_ops(self, fed, name, kwargs, want):
+        a = TensorChain.local([1.5, -2.0], fed=fed).fix_precision().send("alice")
+        b = TensorChain.local([2.0, 1.0], fed=fed).fix_precision().send("alice")
+        operands = (a, b) if name in ("add", "sub") else (a,)
+        out = dispatch(name, *operands, **kwargs)
+        assert [n[0] for n in out.nodes] == ["fixed_precision", "pointer"]
+        assert np.array_equal(out.get().float_precision().tensor().data, want)

@@ -78,8 +78,8 @@ class TestShareReconstruct:
         sv = share(x, PARTIES, fed, rng)
         oracle = np.random.default_rng(2)
         s0 = oracle.integers(0, Q, size=2, dtype=np.uint64)
-        got0 = spdz._fetch_tensor(fed, "alice", sv.exprs[0][1]).data
-        got1 = spdz._fetch_tensor(fed, "bob", sv.exprs[1][1]).data
+        got0 = fed.fetch_tensor("alice", sv.exprs[0][1]).data
+        got1 = fed.fetch_tensor("bob", sv.exprs[1][1]).data
         assert np.array_equal(got0, s0)
         assert np.array_equal((got0 + got1) & np.uint64(Q - 1), x.data)
 
@@ -420,7 +420,7 @@ class TestShareDistribution:
         rng = np.random.default_rng(20)
         secret = r64(np.full(10_000, 12345, dtype=np.uint64))
         sv = materialize(share(secret, PARTIES, fed, rng), fed)
-        s0 = spdz._fetch_tensor(fed, "alice", sv.exprs[0][1]).data
+        s0 = fed.fetch_tensor("alice", sv.exprs[0][1]).data
         bins = (s0 >> np.uint64(58)).astype(np.int64)  # top 4 bits -> 16 bins
         counts = np.bincount(bins, minlength=16)
         expected = 10_000 / 16

@@ -7,7 +7,6 @@ from fedring.tensor import (
     RING_MODULUS,
     Tensor,
     add,
-    avg_pool2d,
     elementwise,
     matmul,
     mul,
@@ -115,32 +114,6 @@ class TestScalarOps:
         assert offset(t, Q - 1).data[0] == 4
         assert neg(t).data[0] == Q - 5
         assert neg(r64([0])).data[0] == 0
-
-
-class TestAvgPool:
-    def test_constant(self):
-        t = f64(np.full((2, 3, 4, 4), 7.5))
-        out = avg_pool2d(t, 2)
-        assert out.shape == (2, 3, 2, 2)
-        assert np.all(out.data == 7.5)
-
-    def test_mean_oracle(self):
-        t = f64(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        assert avg_pool2d(t, 2).data[0, 0, 0, 0] == 2.5
-
-    def test_k1_identity(self):
-        t = f64(np.random.default_rng(2).normal(size=(1, 2, 3, 3)))
-        assert avg_pool2d(t, 1) == t
-
-    def test_preserves_global_mean(self):
-        t = f64(np.random.default_rng(3).normal(size=(2, 2, 4, 6)))
-        assert np.isclose(avg_pool2d(t, 2).data.mean(), t.data.mean())
-
-    def test_errors(self):
-        with pytest.raises(ShapeMismatch):
-            avg_pool2d(f64(np.zeros((1, 1, 3, 4))), 2)
-        with pytest.raises(DtypeMismatch):
-            avg_pool2d(r64(np.zeros((1, 1, 2, 2), dtype=np.uint64)), 2)
 
 
 class TestSigmoidPoly:

@@ -86,6 +86,35 @@ class TestFederated:
         assert len(trace) == expected
 
 
+def assert_message_pair_per_step(tap, registry, ds, steps):
+    """After the partition stores, each step is one execute carrying the
+    parameters inline and one fetch of its result; the workers end with
+    their partitions only."""
+    stores = 2 * len(ds.partitions)
+    assert [e.op for e in tap.events[:stores]] == ["store"] * stores
+    assert [e.op for e in tap.events[stores:]] == ["execute", "fetch"] * steps
+    n_params = nn.param_count((ds.n_features, TrainConfig().hidden, 1))
+    assert all(e.shapes == ((n_params,),) for e in tap.events[stores::2])
+    assert sum(w.object_count() for w in registry.workers.values()) == stores
+
+
+class TestMessagesPerStep:
+    def test_federated(self):
+        ds = boston(["alice", "bob"])
+        tap = TransportTap()
+        fed, registry = virtual_federation(["alice", "bob"], seed=1, tap=tap)
+        _, trace = train_federated(fed, ds, TrainConfig(seed=1, epochs=2))
+        assert_message_pair_per_step(tap, registry, ds, len(trace))
+
+    def test_federated_dp(self):
+        ds = pima(["alice", "bob"])
+        tap = TransportTap()
+        fed, registry = virtual_federation(["alice", "bob"], seed=1, tap=tap)
+        spec = PrivacySpec(q=0.1, sigma=2.0, clip_norm=1.0, delta=1e-5, steps=20)
+        _, trace, _ = train_federated_dp(fed, ds, TrainConfig(seed=1, privacy=spec))
+        assert_message_pair_per_step(tap, registry, ds, len(trace))
+
+
 class TestFederatedDP:
     def test_lot_too_large(self):
         ds = boston(["alice", "bob"])
@@ -130,19 +159,15 @@ class TestFederatedDP:
         fed2, _ = virtual_federation(["alice", "bob"], seed=3)
         params = []
 
-        import fedring.train as train_mod
-        orig = train_mod._fetch_vector
+        orig = fed2.fetch_tensor
 
-        def spy(fed_, name, oid):
-            out = orig(fed_, name, oid)
-            params.append(out[1:])
+        def spy(name, oid, delete=False):
+            out = orig(name, oid, delete)
+            params.append(out.data[1:])
             return out
 
-        train_mod._fetch_vector = spy
-        try:
-            train_federated_dp(fed2, ds, cfg)
-        finally:
-            train_mod._fetch_vector = orig
+        fed2.fetch_tensor = spy
+        train_federated_dp(fed2, ds, cfg)
         for t, sanitized in enumerate(params):
             lr = cfg.dp_lr0 / (1.0 + t / cfg.dp_lr_tau)
             assert np.linalg.norm(lr * sanitized / cfg.lot_size) <= lr * spec.clip_norm + 1e-9

@@ -19,6 +19,7 @@ from fedring.tensor import Dtype, Tensor
 from fedring.workers import (
     SocketClient,
     TransportTap,
+    VirtualHandle,
     VirtualRegistry,
     WorkerCore,
     make_server,
@@ -146,8 +147,8 @@ class TestVirtualRegistry:
     def test_aliased_handles(self):
         reg = VirtualRegistry()
         reg.create("alice", 0)
-        h1 = reg.handle("alice")
-        h2 = reg.handle("alice")
+        h1 = VirtualHandle(reg.get("alice"))
+        h2 = VirtualHandle(reg.get("alice"))
         h1.store(5, b"abc")
         assert h2.fetch(5) == b"abc"
 
