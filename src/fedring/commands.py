@@ -15,7 +15,7 @@ from . import tensor as tc
 from .dp import sanitize_lot
 from .errors import ConfigError, EmptyLot, MalformedPayload, ShapeMismatch, UnknownCommand
 from .fixedpoint import Q, truncate_share
-from .protocol import serialize_chain
+from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
 from .tensor import Dtype, Tensor
 
 REGISTRY: dict = {}
@@ -130,13 +130,12 @@ def _eval_expr(ctx, args, kwargs):
         raise MalformedPayload("eval_expr program leaves no value")
     if len(stack) == 1:
         return stack[0]
-    return Tensor(np.concatenate([t.data.ravel() for t in stack]), Dtype.RING64)
+    return Tensor._own(np.concatenate([t.data.ravel() for t in stack]), Dtype.RING64)
 
 
 def _push_share(ctx, party: str, arr: np.ndarray) -> int:
     oid = ctx.allocate_id()
-    payload = serialize_chain([("local", Tensor(arr, Dtype.RING64))])
-    ctx.peer(party).store(oid, payload)
+    ctx.peer(party).store(oid, [("local", Tensor._own(arr, Dtype.RING64))])
     return oid
 
 
@@ -227,7 +226,7 @@ def _fb_batch(ctx, args, kwargs):
     params, X, y, dims, task = _batch_args(args, kwargs)
     idx = np.array([int(i) for i in kwargs["indices"]], dtype=np.int64)
     loss, grad = nn.forward_backward(params, dims, task, X[idx], y[idx])
-    return Tensor(np.concatenate([[loss], grad]), Dtype.FLOAT64)
+    return Tensor._own(np.concatenate([[loss], grad]), Dtype.FLOAT64)
 
 
 @register("dp_phase", preserve_prefix=False)
@@ -246,4 +245,4 @@ def _dp_phase(ctx, args, kwargs):
     idx = ctx.rng.choice(X.shape[0], size=lot_size, replace=False)
     loss, G = nn.forward_backward(params, dims, task, X[idx], y[idx], per_example=True)
     sanitized = sanitize_lot(G, clip_norm, sigma, ctx.rng)
-    return Tensor(np.concatenate([[loss], sanitized]), Dtype.FLOAT64)
+    return Tensor._own(np.concatenate([[loss], sanitized]), Dtype.FLOAT64)

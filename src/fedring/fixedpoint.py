@@ -88,6 +88,6 @@ def truncate_share(share: Tensor, frac_bits: int, role: int) -> Tensor:
     p = np.uint64(frac_bits)
     v = share.data  # shares are < Q = 2^62, so Q - v and its shift fit in uint64
     if role == 0:
-        return Tensor(v >> p, Dtype.RING64)
+        return Tensor._own(v >> p, Dtype.RING64)
     q = np.uint64(Q)
-    return Tensor((q - ((q - v) >> p)) & np.uint64(Q - 1), Dtype.RING64)
+    return Tensor._own(q - ((q - v) >> p), Dtype.RING64)  # masked mod Q in place

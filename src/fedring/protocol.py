@@ -11,7 +11,13 @@ Frame layout (little-endian throughout):
 
 Request payloads: STORE oid u64 then a chain; GET oid u64 then a delete
 flag u8; DELETE one or more oids, u64 each; EXECUTE a command. An EXECUTE
-RESULT carries the new object's oid u64, a GET RESULT the chain.
+RESULT carries the new object's oid u64, a GET RESULT the chain. A worker
+decodes a STORE chain on arrival, so a malformed one is refused with
+Malformed and nothing is stored.
+
+Chain payload: node count u8, then per node, top-down, a kind u8 (0=Local
+then a tensor, 1=Pointer then a name and an oid u64, 2=FixedPrecision then
+frac_bits u8). A name is its UTF-8 length u8 then its bytes.
 
 Tensor payload: dtype u8 (0=Float64, 1=Ring64), ndim u8, dims u32 each,
 elements 8 bytes each (Float64 as IEEE-754 bits, Ring64 as u64).
@@ -131,11 +137,16 @@ _DTYPE_TO_BYTE = {Dtype.FLOAT64: 0, Dtype.RING64: 1}
 _BYTE_TO_DTYPE = {0: Dtype.FLOAT64, 1: Dtype.RING64}
 
 
-def serialize_tensor(t: Tensor) -> bytes:
-    head = struct.pack("<BB", _DTYPE_TO_BYTE[t.dtype], t.ndim)
-    dims = struct.pack(f"<{t.ndim}I", *t.shape)
+def _tensor_parts(t: Tensor) -> tuple[bytes, np.ndarray]:
+    """The tensor's header and its elements in wire order, uncopied on a
+    little-endian host; joining the two is the encoding's one copy."""
+    head = struct.pack(f"<BB{t.ndim}I", _DTYPE_TO_BYTE[t.dtype], t.ndim, *t.shape)
     wire = "<f8" if t.dtype is Dtype.FLOAT64 else "<u8"
-    return head + dims + np.ascontiguousarray(t.data).astype(wire, copy=False).tobytes()
+    return head, np.ascontiguousarray(t.data).astype(wire, copy=False)
+
+
+def serialize_tensor(t: Tensor) -> bytes:
+    return b"".join(_tensor_parts(t))
 
 
 def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
@@ -159,7 +170,7 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     dtype = _BYTE_TO_DTYPE[dtype_b]
     wire = "<f8" if dtype is Dtype.FLOAT64 else "<u8"
     data = np.frombuffer(buf, dtype=wire, count=count, offset=pos).reshape(dims)
-    return Tensor(data.copy(), dtype), pos + 8 * count
+    return Tensor._own(data.copy(), dtype), pos + 8 * count
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +179,6 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
 NODE_LOCAL = 0
 NODE_POINTER = 1
 NODE_FIXED_PRECISION = 2
-NODE_SHARED = 3
 
 
 def _pack_name(name: str) -> bytes:
@@ -189,61 +199,51 @@ def _unpack_name(buf: bytes, pos: int) -> tuple[str, int]:
 
 def serialize_chain(nodes: list) -> bytes:
     """nodes: list of ('local', Tensor) | ('pointer', name, oid) |
-    ('fixed_precision', frac_bits) | ('shared', [(name, oid), ...])."""
+    ('fixed_precision', frac_bits). A shared chain holds a leader-side
+    ShareVector and is never serialized."""
     out = [struct.pack("<B", len(nodes))]
     for node in nodes:
         tag = node[0]
         if tag == "local":
             out.append(struct.pack("<B", NODE_LOCAL))
-            out.append(serialize_tensor(node[1]))
+            out.extend(_tensor_parts(node[1]))
         elif tag == "pointer":
             out.append(struct.pack("<B", NODE_POINTER))
             out.append(_pack_name(node[1]) + struct.pack("<Q", node[2]))
         elif tag == "fixed_precision":
             out.append(struct.pack("<BB", NODE_FIXED_PRECISION, node[1]))
-        elif tag == "shared":
-            out.append(struct.pack("<BB", NODE_SHARED, len(node[1])))
-            for name, oid in node[1]:
-                out.append(_pack_name(name) + struct.pack("<Q", oid))
         else:
             raise errors.MalformedPayload(f"unknown node tag {tag!r}")
     return b"".join(out)
 
 
 def deserialize_chain(buf: bytes) -> list:
-    if not buf:
+    """Decode and validate a chain; any malformed input raises
+    MalformedPayload. Workers decode STORE payloads with it on arrival."""
+    if not buf or not buf[0]:
         raise errors.MalformedPayload("empty chain")
-    count = buf[0]
-    pos = 1
-    nodes = []
-    for _ in range(count):
-        if len(buf) < pos + 1:
-            raise errors.MalformedPayload("truncated chain")
-        kind = buf[pos]
-        pos += 1
-        if kind == NODE_LOCAL:
-            t, pos = deserialize_tensor(buf, pos)
-            nodes.append(("local", t))
-        elif kind == NODE_POINTER:
-            name, pos = _unpack_name(buf, pos)
-            (oid,) = struct.unpack_from("<Q", buf, pos)
-            pos += 8
-            nodes.append(("pointer", name, oid))
-        elif kind == NODE_FIXED_PRECISION:
-            nodes.append(("fixed_precision", buf[pos]))
+    try:
+        count = buf[0]
+        pos = 1
+        nodes = []
+        for _ in range(count):
+            kind = buf[pos]
             pos += 1
-        elif kind == NODE_SHARED:
-            n = buf[pos]
-            pos += 1
-            ptrs = []
-            for _ in range(n):
+            if kind == NODE_LOCAL:
+                t, pos = deserialize_tensor(buf, pos)
+                nodes.append(("local", t))
+            elif kind == NODE_POINTER:
                 name, pos = _unpack_name(buf, pos)
                 (oid,) = struct.unpack_from("<Q", buf, pos)
                 pos += 8
-                ptrs.append((name, oid))
-            nodes.append(("shared", ptrs))
-        else:
-            raise errors.MalformedPayload(f"unknown node kind {kind}")
+                nodes.append(("pointer", name, oid))
+            elif kind == NODE_FIXED_PRECISION:
+                nodes.append(("fixed_precision", buf[pos]))
+                pos += 1
+            else:
+                raise errors.MalformedPayload(f"unknown node kind {kind}")
+    except (IndexError, struct.error, UnicodeDecodeError) as e:
+        raise errors.MalformedPayload(f"truncated chain: {e}") from None
     if pos != len(buf):
         raise errors.MalformedPayload("trailing bytes after chain")
     return nodes
@@ -292,7 +292,7 @@ def serialize_command(cmd: Command) -> bytes:
             out.append(struct.pack("<Bq", ARG_INT, val))
         elif tag == "tensor":
             out.append(struct.pack("<B", ARG_TENSOR))
-            out.append(serialize_tensor(val))
+            out.extend(_tensor_parts(val))
         elif tag == "take":
             out.append(struct.pack("<BQ", ARG_TAKE, val))
         else:

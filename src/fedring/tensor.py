@@ -25,15 +25,39 @@ class Dtype(enum.Enum):
     RING64 = "ring64"
 
 
+def _numpy_dtype(dtype: Dtype):
+    return np.float64 if dtype is Dtype.FLOAT64 else np.uint64
+
+
 @dataclass(frozen=True)
 class Tensor:
-    """Immutable dense row-major array, Float64 or Ring64."""
+    """Immutable dense row-major array, Float64 or Ring64.
+
+    `Tensor(arr, dtype)` copies `arr`, so the caller may keep and mutate it.
+    Kernels wrap the fresh arrays they compute with `Tensor._own` instead,
+    which allocates nothing.
+    """
 
     data: np.ndarray
     dtype: Dtype
 
+    @classmethod
+    def _own(cls, arr, dtype: Dtype) -> "Tensor":
+        """Wrap an array that nobody else holds: Ring64 is masked in place
+        and the array is frozen, with no defensive copy."""
+        if not (isinstance(arr, np.ndarray) and arr.dtype == _numpy_dtype(dtype)
+                and arr.flags["C_CONTIGUOUS"]):
+            return cls(arr, dtype)  # e.g. a 0-d ufunc result is a numpy scalar
+        if dtype is Dtype.RING64:
+            np.bitwise_and(arr, _RING_MASK, out=arr)
+        arr.flags.writeable = False
+        t = object.__new__(cls)
+        object.__setattr__(t, "data", arr)
+        object.__setattr__(t, "dtype", dtype)
+        return t
+
     def __post_init__(self):
-        want = np.float64 if self.dtype is Dtype.FLOAT64 else np.uint64
+        want = _numpy_dtype(self.dtype)
         # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
         arr = np.asarray(self.data, dtype=want)
         if not arr.flags["C_CONTIGUOUS"]:
@@ -82,12 +106,6 @@ def _check_same_dtype(a: Tensor, b: Tensor):
         raise DtypeMismatch(f"{a.dtype.value} vs {b.dtype.value}")
 
 
-def _reduce(arr: np.ndarray, dtype: Dtype) -> Tensor:
-    if dtype is Dtype.RING64:
-        arr = arr & _RING_MASK
-    return Tensor(arr, dtype)
-
-
 def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
     """Pointwise add/sub/mul; shapes must match exactly (no broadcasting)."""
     _check_same_dtype(a, b)
@@ -101,7 +119,7 @@ def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
         out = a.data * b.data
     else:
         raise ValueError(f"unknown elementwise op {op!r}")
-    return _reduce(out, a.dtype)
+    return Tensor._own(out, a.dtype)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -119,21 +137,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c) -> Tensor:
     """Multiply every element by a public scalar."""
     if a.dtype is Dtype.RING64:
-        return _reduce(a.data * np.uint64(int(c) % RING_MODULUS), a.dtype)
-    return Tensor(a.data * float(c), a.dtype)
+        return Tensor._own(a.data * np.uint64(int(c) % RING_MODULUS), a.dtype)
+    return Tensor._own(a.data * float(c), a.dtype)
 
 
 def offset(a: Tensor, c) -> Tensor:
     """Add a public scalar to every element."""
     if a.dtype is Dtype.RING64:
-        return _reduce(a.data + np.uint64(int(c) % RING_MODULUS), a.dtype)
-    return Tensor(a.data + float(c), a.dtype)
+        return Tensor._own(a.data + np.uint64(int(c) % RING_MODULUS), a.dtype)
+    return Tensor._own(a.data + float(c), a.dtype)
 
 
 def neg(a: Tensor) -> Tensor:
     if a.dtype is Dtype.RING64:
-        return _reduce(np.uint64(0) - a.data, a.dtype)
-    return Tensor(-a.data, a.dtype)
+        return Tensor._own(np.uint64(0) - a.data, a.dtype)
+    return Tensor._own(-a.data, a.dtype)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -145,7 +163,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
     # uint64 matmul wraps mod 2**64 (C semantics), which reduces correctly.
     out = a.data @ b.data
-    return _reduce(out, a.dtype)
+    return Tensor._own(out, a.dtype)
 
 
 def random_ring(rng: np.random.Generator, shape) -> np.ndarray:
@@ -167,11 +185,11 @@ def sigmoid_poly(t: Tensor) -> Tensor:
     """sigma(x) ~= 1/2 + x/4 - x**3/48, elementwise (nn.sigmoid_poly)."""
     if t.dtype is not Dtype.FLOAT64:
         raise DtypeMismatch("sigmoid_poly operates on Float64")
-    return Tensor(nn.sigmoid_poly(t.data), Dtype.FLOAT64)
+    return Tensor._own(nn.sigmoid_poly(t.data), Dtype.FLOAT64)
 
 
 def sigmoid_poly_deriv(t: Tensor) -> Tensor:
     """d/dx of sigmoid_poly: 1/4 - x**2/16 (nn.sigmoid_poly_deriv)."""
     if t.dtype is not Dtype.FLOAT64:
         raise DtypeMismatch("sigmoid_poly_deriv operates on Float64")
-    return Tensor(nn.sigmoid_poly_deriv(t.data), Dtype.FLOAT64)
+    return Tensor._own(nn.sigmoid_poly_deriv(t.data), Dtype.FLOAT64)

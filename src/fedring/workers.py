@@ -1,10 +1,16 @@
 """Workers and transports.
 
-A worker owns an object store (ObjectId -> serialized chain bytes), a seeded
-RNG and a command executor. Virtual workers live in a process-local registry;
-socket workers serve the same operations over TCP with the FTNS framing. Both
-expose one handle interface (store / fetch / delete / execute) so the leader
-code is transport-agnostic.
+A worker owns an object store (ObjectId -> decoded chain node list), a
+seeded RNG and a command executor. Bytes exist only where a chain crosses a
+transport: `store_object` decodes (and so validates) a payload once on
+arrival and `fetch_object` encodes on the way out. Commands read and write
+node lists with no codec, and so do worker-to-worker pushes between
+in-process workers; a socket peer encodes them for the wire.
+
+Virtual workers live in a process-local registry; socket workers serve the
+same operations over TCP with the FTNS framing. Both expose one handle
+interface (store / fetch / delete / execute) so the leader code is
+transport-agnostic.
 
 Object ids: the leader allocates session ids below 2**32; each worker
 allocates internal ids above a name-derived base so the two ranges never
@@ -141,13 +147,13 @@ class _TappedHandle:
 # worker core (shared by virtual and socket servers)
 
 class _PeerPush:
-    """Minimal peer view used by worker-side commands: store only."""
+    """Minimal peer view used by worker-side commands: store a node list."""
 
     def __init__(self, store_fn):
         self._store_fn = store_fn
 
-    def store(self, oid: int, payload: bytes):
-        self._store_fn(oid, payload)
+    def store(self, oid: int, nodes: list):
+        self._store_fn(oid, nodes)
 
 
 class WorkerCore:
@@ -158,7 +164,7 @@ class WorkerCore:
         self.name = name
         self.seed = seed
         self.rng = worker_rng(seed, name)
-        self._objects: dict[int, bytes] = {}
+        self._objects: dict[int, list] = {}
         self._lock = threading.RLock()
         base = (1 + (zlib.crc32(name.encode("utf-8")) & 0xFFFF)) << 32
         self._counter = itertools.count(base)
@@ -166,12 +172,21 @@ class WorkerCore:
 
     # -- store ----------------------------------------------------------
     def store_object(self, oid: int, payload: bytes):
+        """Decode a chain arriving from a transport and store it; a
+        malformed payload raises MalformedPayload and stores nothing."""
+        self._put(oid, protocol.deserialize_chain(payload))
+
+    def fetch_object(self, oid: int, delete: bool = False) -> bytes:
+        """The stored chain, encoded for a transport."""
+        return protocol.serialize_chain(self._get(oid, delete))
+
+    def _put(self, oid: int, nodes: list):
         with self._lock:
             if oid in self._objects:
                 raise DuplicateObject(f"object {oid} already stored on {self.name}")
-            self._objects[oid] = bytes(payload)
+            self._objects[oid] = nodes
 
-    def fetch_object(self, oid: int, delete: bool = False) -> bytes:
+    def _get(self, oid: int, delete: bool = False) -> list:
         with self._lock:
             if oid not in self._objects:
                 raise ObjectNotFound(f"object {oid} not on {self.name}")
@@ -200,14 +215,14 @@ class WorkerCore:
 
     def peer(self, name: str):
         if name == self.name:
-            return _PeerPush(self.store_object)
+            return _PeerPush(self._put)
         if name not in self.peers:
             raise WorkerUnknown(f"{self.name} has no peer {name!r}")
         return self.peers[name]
 
     # -- execution --------------------------------------------------------
     def _resolve(self, oid: int):
-        nodes = protocol.deserialize_chain(self.fetch_object(oid))
+        nodes = self._get(oid)
         frac_bits = None
         for node in nodes:
             if node[0] == "fixed_precision":
@@ -238,7 +253,7 @@ class WorkerCore:
             nodes.append(("fixed_precision", first_frac))
         nodes.append(("local", result))
         oid = self.allocate_id()
-        self.store_object(oid, protocol.serialize_chain(nodes))
+        self._put(oid, nodes)
         if taken:
             self.delete_object(*taken)
         return oid
@@ -278,7 +293,7 @@ class _RegistryPeers:
         return name != self._owner and name in self._registry.workers
 
     def __getitem__(self, name):
-        return _PeerPush(self._registry.get(name).store_object)
+        return _PeerPush(self._registry.get(name)._put)
 
 
 class VirtualHandle(_TappedHandle):
@@ -387,14 +402,16 @@ class SocketHandle(_TappedHandle):
 
 
 class _LazySocketPeer:
-    """Deferred peer connection for worker-to-worker share pushes."""
+    """Deferred peer connection for worker-to-worker share pushes; encodes
+    each pushed node list for the wire."""
 
     def __init__(self, host: str, port: int):
         self.host, self.port = host, port
         self._client = None
         self._lock = threading.Lock()
 
-    def store(self, oid: int, payload: bytes):
+    def store(self, oid: int, nodes: list):
+        payload = protocol.serialize_chain(nodes)
         with self._lock:
             if self._client is None:
                 self._client = SocketClient(self.host, self.port)

@@ -10,6 +10,8 @@ import pytest
 
 from fedring.cli import main
 from fedring.errors import TransportError
+
+from test_workers import local_payload
 from fedring.workers import SocketClient
 
 
@@ -152,8 +154,9 @@ class TestWorkerProcess:
                 except TransportError:
                     time.sleep(0.05)
             assert client is not None, "worker never came up"
-            client.store(1, b"hello")
-            assert client.fetch(1) == b"hello"
+            payload = local_payload([1.0, 2.0])
+            client.store(1, payload)
+            assert client.fetch(1) == payload
             client.close()
         finally:
             proc.send_signal(signal.SIGINT)
@@ -174,8 +177,9 @@ class TestWorkerProcess:
             port = int(line.rsplit(":", 1)[1])
             assert port > 0
             client = SocketClient("127.0.0.1", port)
-            client.store(1, b"ready")
-            assert client.fetch(1) == b"ready"
+            payload = local_payload([3.0])
+            client.store(1, payload)
+            assert client.fetch(1) == payload
             client.close()
         finally:
             proc.send_signal(signal.SIGINT)

@@ -10,6 +10,7 @@ from fedring.fixedpoint import (
     encode,
     to_signed,
     truncate,
+    truncate_share,
 )
 from fedring.tensor import Dtype, Tensor, mul
 
@@ -106,3 +107,19 @@ class TestHomomorphism:
     def test_to_signed(self):
         t = Tensor(np.array([0, 1, Q - 1, Q // 2], dtype=np.uint64), Dtype.RING64)
         assert np.array_equal(to_signed(t), [0, 1, -1, -(Q // 2)])
+
+
+class TestTruncateShare:
+    @pytest.mark.parametrize("role", [0, 1])
+    def test_result_read_only_and_unaliased(self, role):
+        rng = np.random.default_rng(4)
+        share = Tensor(rng.integers(0, Q, size=(4, 3), dtype=np.uint64), Dtype.RING64)
+        out = truncate_share(share, 16, role)
+        assert out.dtype is Dtype.RING64
+        assert not out.data.flags.writeable
+        assert not np.shares_memory(out.data, share.data)
+        assert int(out.data.max()) < Q
+
+    def test_zero_d_share(self):
+        share = Tensor(np.array(Q - 1, dtype=np.uint64), Dtype.RING64)
+        assert truncate_share(share, 16, 1).data.shape == ()

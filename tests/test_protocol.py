@@ -110,6 +110,19 @@ class TestTensorCodec:
         with pytest.raises(errors.MalformedPayload):
             deserialize_tensor(bytes([9, 0]) + b"\x00" * 8)
 
+    def test_decoded_tensor_owns_its_data(self):
+        payload = bytearray(serialize_tensor(Tensor(np.arange(4.0), Dtype.FLOAT64)))
+        t, _ = deserialize_tensor(payload)
+        assert not t.data.flags.writeable
+        assert not np.shares_memory(t.data, np.frombuffer(payload, dtype=np.uint8))
+        payload[-8:] = b"\xff" * 8
+        assert np.array_equal(t.data, np.arange(4.0))
+
+    def test_ring_decoding_masks_residues(self):
+        raw = bytes([1, 1]) + struct.pack("<I", 2) + struct.pack("<2Q", (1 << 64) - 1, 1 << 62)
+        t, _ = deserialize_tensor(raw)
+        assert t.data.tolist() == [(1 << 62) - 1, 0]
+
 
 class TestChainCodec:
     def test_roundtrip(self):
@@ -121,8 +134,23 @@ class TestChainCodec:
         assert deserialize_chain(serialize_chain(nodes)) == nodes
         nodes = [("pointer", "alice", 42)]
         assert deserialize_chain(serialize_chain(nodes)) == nodes
-        nodes = [("fixed_precision", 8), ("shared", [("alice", 1), ("bob", 2)])]
-        assert deserialize_chain(serialize_chain(nodes)) == nodes
+
+    def test_shared_node_rejected(self):
+        """Shared chains hold a leader-side ShareVector and have no wire
+        form: kind 3 is an unknown node kind."""
+        with pytest.raises(errors.MalformedPayload, match="unknown node tag"):
+            serialize_chain([("fixed_precision", 8), ("shared", [("alice", 1), ("bob", 2)])])
+        raw = bytes([2, protocol.NODE_FIXED_PRECISION, 8, 3, 2])
+        raw += bytes([5]) + b"alice" + struct.pack("<Q", 1)
+        raw += bytes([3]) + b"bob" + struct.pack("<Q", 2)
+        with pytest.raises(errors.MalformedPayload, match="unknown node kind 3"):
+            deserialize_chain(raw)
+
+    def test_truncated_node_is_malformed(self):
+        raw = serialize_chain([("fixed_precision", 8), ("pointer", "alice", 42)])
+        for cut in range(1, len(raw)):
+            with pytest.raises(errors.MalformedPayload):
+                deserialize_chain(raw[:cut])
 
     def test_trailing_bytes(self):
         raw = serialize_chain([("pointer", "a", 1)]) + b"x"
@@ -130,8 +158,9 @@ class TestChainCodec:
             deserialize_chain(raw)
 
     def test_empty(self):
-        with pytest.raises(errors.MalformedPayload):
-            deserialize_chain(b"")
+        for raw in (b"", b"\x00"):  # no bytes, or a count of zero nodes
+            with pytest.raises(errors.MalformedPayload):
+                deserialize_chain(raw)
 
     def test_bad_name(self):
         with pytest.raises(errors.MalformedPayload):

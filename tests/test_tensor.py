@@ -152,3 +152,55 @@ class TestTensorType:
         t = f64([1.0])
         with pytest.raises(ValueError):
             t.data[0] = 2.0
+
+    def test_constructor_copies_callers_array(self):
+        for arr, dtype in ((np.array([1.0, 2.0]), Dtype.FLOAT64),
+                           (np.array([1, Q + 2], dtype=np.uint64), Dtype.RING64)):
+            t = Tensor(arr, dtype)
+            before = t.data.copy()
+            arr[:] = 7
+            assert np.array_equal(t.data, before)
+            assert arr.flags.writeable  # the caller's array is left as it was
+        assert Tensor(np.array([Q + 2], dtype=np.uint64), Dtype.RING64).data[0] == 2
+
+
+_KERNELS = {
+    "add": add, "sub": sub, "mul": mul, "matmul": matmul,
+    "scale": lambda x: scale(x, 3), "offset": lambda x: offset(x, 5), "neg": neg,
+}
+
+
+class TestKernelResults:
+    """Kernels wrap their fresh result without a copy: it is read-only,
+    reduced mod Q, and shares no memory with an operand."""
+
+    @staticmethod
+    def check(out, *operands):
+        assert not out.data.flags.writeable
+        assert out.data.flags["C_CONTIGUOUS"]
+        for x in operands:
+            assert not np.shares_memory(out.data, x.data)
+        if out.dtype is Dtype.RING64:
+            assert int(out.data.max()) < Q
+
+    @pytest.mark.parametrize("dtype", list(Dtype))
+    @pytest.mark.parametrize("name", list(_KERNELS))
+    def test_read_only_and_unaliased(self, name, dtype):
+        rng = np.random.default_rng(3)
+        if dtype is Dtype.FLOAT64:
+            a, b = f64(rng.normal(size=(3, 3))), f64(rng.normal(size=(3, 3)))
+        else:
+            a, b = (r64(rng.integers(0, Q, size=(3, 3), dtype=np.uint64)) for _ in range(2))
+        fn = _KERNELS[name]
+        unary = name in ("scale", "offset", "neg")
+        operands = (a,) if unary else (a, b)
+        self.check(fn(*operands), *operands)
+
+    def test_sigmoid_and_zero_d(self):
+        a = f64(np.linspace(-2, 2, 5))
+        self.check(sigmoid_poly(a), a)
+        self.check(sigmoid_poly_deriv(a), a)
+        z = r64(np.array(Q - 1, dtype=np.uint64))
+        out = add(z, z)
+        self.check(out, z)
+        assert out.shape == () and int(out.data) == Q - 2

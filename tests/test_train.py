@@ -1,9 +1,10 @@
+import collections
 import threading
 
 import numpy as np
 import pytest
 
-from fedring import nn, spdz
+from fedring import commands, nn, protocol, spdz, train
 from fedring.data import bundled_path, load_dataset
 from fedring.dp import PrivacySpec
 from fedring.errors import ConfigError, LotTooLarge
@@ -259,6 +260,37 @@ class TestMPCForward:
             assert tap.openings - openings == 8
             assert {n: w.object_count() - counts[n] for n, w in registry.workers.items()} == {
                 "alice": -12, "bob": -12, "dealer": 0}
+
+    def test_codec_only_at_transport_boundary(self, monkeypatch):
+        """Workers keep decoded chains: over one Boston pass on virtual
+        workers, each leader store or fetch encodes once and decodes once,
+        and no execute or worker-to-worker push touches the codec."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
+        fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=9)
+        parties = ("alice", "bob")
+        pool = provision_triples(fed, "dealer", parties, model.dims, len(ds.test_X),
+                                 model.task)
+        calls = collections.Counter()
+
+        def spy(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        encode = spy("encode", protocol.serialize_chain)
+        for module in (protocol, train, commands):
+            monkeypatch.setattr(module, "serialize_chain", encode)
+        monkeypatch.setattr(protocol, "deserialize_chain",
+                            spy("decode", protocol.deserialize_chain))
+        for h in fed.handles.values():
+            for op in ("store", "fetch", "execute"):
+                monkeypatch.setattr(h, op, spy(op, getattr(h, op)))
+        mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
+        assert calls["store"] + calls["fetch"] == 20
+        assert calls["execute"] > 0
+        assert calls["encode"] == calls["decode"] == 20
 
     def test_three_parties_rejected(self):
         ds = boston(["solo"])

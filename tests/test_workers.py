@@ -32,6 +32,22 @@ def local_payload(values, dtype=Dtype.FLOAT64):
     return serialize_chain([("local", Tensor(np.asarray(values), dtype))])
 
 
+X = local_payload([1.0])
+Y = local_payload([2.0])
+
+# each payload is refused with MalformedPayload: opaque bytes, no nodes, a
+# truncated tensor, the retired kind-3 (shared) node, a bad name, trailing bytes
+MALFORMED = (
+    b"x",
+    b"",
+    b"\x00",
+    X[:-1],
+    bytes([1, 3, 1, 1, ord("a")]) + struct.pack("<Q", 1),
+    bytes([1, 1, 2, 0xFF, 0xFE]) + struct.pack("<Q", 1),
+    X + b"\x00",
+)
+
+
 @pytest.fixture
 def server():
     core = WorkerCore("alice", seed=0)
@@ -46,25 +62,25 @@ def server():
 class TestObjectStore:
     def test_store_fetch_roundtrip(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, b"payload")
-        assert w.fetch_object(1) == b"payload"
+        w.store_object(1, X)
+        assert w.fetch_object(1) == X
 
     def test_duplicate(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, b"x")
+        w.store_object(1, X)
         with pytest.raises(DuplicateObject):
-            w.store_object(1, b"y")
+            w.store_object(1, Y)
 
     def test_fetch_delete_moves(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, b"x")
-        assert w.fetch_object(1, delete=True) == b"x"
+        w.store_object(1, X)
+        assert w.fetch_object(1, delete=True) == X
         with pytest.raises(ObjectNotFound):
             w.fetch_object(1, delete=True)
 
     def test_fetch_read_semantics(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, b"x")
+        w.store_object(1, X)
         assert w.fetch_object(1) == w.fetch_object(1)
 
     def test_unknown(self):
@@ -77,7 +93,7 @@ class TestObjectStore:
     def test_delete_many_all_or_nothing(self):
         w = WorkerCore("a", 0)
         for oid in (1, 2, 3):
-            w.store_object(oid, b"x")
+            w.store_object(oid, X)
         with pytest.raises(ObjectNotFound):
             w.delete_object(1, 2, 99)
         assert w.object_count() == 3
@@ -85,6 +101,15 @@ class TestObjectStore:
         assert w.object_count() == 1
         with pytest.raises(MalformedPayload):
             w.delete_object()
+
+    @pytest.mark.parametrize("bad", MALFORMED)
+    def test_malformed_store_stores_nothing(self, bad):
+        w = WorkerCore("a", 0)
+        with pytest.raises(MalformedPayload):
+            w.store_object(1, bad)
+        assert w.object_count() == 0
+        w.store_object(1, X)  # the id is still free
+        assert w.fetch_object(1) == X
 
     def test_bad_name(self):
         with pytest.raises(WorkerUnknown):
@@ -149,8 +174,8 @@ class TestVirtualRegistry:
         reg.create("alice", 0)
         h1 = VirtualHandle(reg.get("alice"))
         h2 = VirtualHandle(reg.get("alice"))
-        h1.store(5, b"abc")
-        assert h2.fetch(5) == b"abc"
+        h1.store(5, X)
+        assert h2.fetch(5) == X
 
     def test_duplicate_worker(self):
         reg = VirtualRegistry()
@@ -210,11 +235,25 @@ class TestSocketWorker:
         c = SocketClient(host, port)
         with pytest.raises(ObjectNotFound):
             c.fetch(999)
-        c.store(1, b"x")
+        c.store(1, X)
         with pytest.raises(DuplicateObject):
-            c.store(1, b"y")
+            c.store(1, Y)
         # connection still works after errors
-        assert c.fetch(1) == b"x"
+        assert c.fetch(1) == X
+        c.close()
+
+    def test_malformed_store_replied_in_band(self, server):
+        """A STORE whose chain does not decode is refused in-band; nothing
+        is stored and the connection stays usable."""
+        host, port = server.server_address
+        c = SocketClient(host, port)
+        for bad in MALFORMED:
+            with pytest.raises(MalformedPayload):
+                c.store(1, bad)
+            assert server.worker_core.object_count() == 0
+        c.store(1, X)
+        assert c.fetch(1) == X
+        assert server.worker_core.object_count() == 1
         c.close()
 
     def test_bad_magic_keeps_connection_usable(self, server):
@@ -227,7 +266,7 @@ class TestSocketWorker:
         payload = _recv(sock, plen)
         assert struct.unpack("<I", payload[:4])[0] == protocol.ERR_MALFORMED
         # now a valid frame on the same connection
-        frame = protocol.encode_frame(Message(protocol.MSG_STORE, 5, struct.pack("<Q", 3) + b"ok"))
+        frame = protocol.encode_frame(Message(protocol.MSG_STORE, 5, struct.pack("<Q", 3) + X))
         sock.sendall(frame)
         head = _recv(sock, 22)
         assert head[5] == protocol.MSG_RESULT
@@ -252,12 +291,12 @@ class TestSocketWorker:
         host, port = server.server_address
         c = SocketClient(host, port)
         for oid in (1, 2, 3):
-            c.store(oid, b"v")
+            c.store(oid, X)
         c.delete(1, 3)
         assert server.worker_core.object_count() == 1
         with pytest.raises(ObjectNotFound):
             c.delete(2, 3)  # all or nothing
-        assert c.fetch(2) == b"v"
+        assert c.fetch(2) == X
         for bad in (b"", struct.pack("<Q", 2) + b"\x00" * 4):  # k=0, ragged
             with pytest.raises(MalformedPayload):
                 c.request(protocol.MSG_DELETE, bad)
@@ -292,11 +331,12 @@ class TestSocketWorker:
         # pipeline three stores, then read three replies: order preserved
         for rid in (10, 11, 12):
             sock.sendall(protocol.encode_frame(
-                Message(protocol.MSG_STORE, rid, struct.pack("<Q", 100 + rid) + b"v")))
+                Message(protocol.MSG_STORE, rid, struct.pack("<Q", 100 + rid) + X)))
         for rid in (10, 11, 12):
             head = _recv(sock, 22)
             (plen,) = struct.unpack("<Q", head[14:22])
             _recv(sock, plen)
+            assert head[5] == protocol.MSG_RESULT
             assert struct.unpack("<Q", head[6:14])[0] == rid
         sock.close()
 
