@@ -163,13 +163,18 @@ def cmd_dealer(args) -> int:
     seed = _default_seed(args.seed)
     peers = {name: workers._LazySocketPeer(h, p) for name, (h, p) in endpoints.items()}
     dealer = workers.WorkerCore("dealer", seed, peers)
-    oid = dealer.execute(Command(
-        "gen_triples", (),
-        {"kind": args.kind, "shape": shape, "parties": ",".join(parties),
-         "count": args.count},
-    ))
+    try:
+        oid = dealer.execute(Command(
+            "gen_triples", (),
+            {"kind": args.kind, "shape": shape, "parties": ",".join(parties),
+             "count": args.count},
+        ))
+    finally:
+        for peer in peers.values():
+            peer.close()
     from .protocol import deserialize_chain
 
+    # [count, n_parties]: each id names a party's one object for that triple
     ids = deserialize_chain(dealer.fetch_object(oid, delete=True))[-1][1].data
     print(json.dumps({
         "schema_version": SCHEMA_VERSION,

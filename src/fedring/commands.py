@@ -4,9 +4,22 @@ Every command receives resolved tensors / literal scalars and returns one
 tensor; the worker stores it under a fresh id. Commands never see other
 workers' secrets: share and triple generation push shares directly to the
 peer workers and hand back only object ids.
+
+Beaver triples are seed-compressed. For each triple the dealer draws one
+seed of SEED_WORDS ring words per party from its worker RNG. Each party
+stores one Ring64 object: party i < n-1 its seed, from which it expands its
+shares a_i, b_i and c_i; the last party its seed followed by
+c_{n-1} = ab - sum of the other c_i, expanding only a_{n-1} and b_{n-1}.
+`TriplePRG.expand` is the one expansion, called by the dealer and the
+parties alike: the seed sets the state of numpy's PCG64, the generator
+family that draws every other share here, and its raw output is read in the
+order a, b, c. No cryptographic PRG is claimed.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -94,12 +107,9 @@ EXPR_OPCODES = {"ref": _REF, "add": _ADD, "sub": _SUB, "neg": _NEG,
                 "scale": _SCALE, "offset": _OFFSET, "trunc": _TRUNC}
 
 
-@register("eval_expr")
-def _eval_expr(ctx, args, kwargs):
-    """Evaluate a postfix program of share arithmetic over the leaf tensors
-    in args. One value left on the stack is the result; several are
-    flattened and concatenated in stack order."""
-    prog = kwargs["prog"]
+def _run_prog(args, prog) -> list:
+    """The values a postfix program of share arithmetic over the leaf
+    tensors in args leaves on the stack, in order."""
     stack = []
     pos = 0
     try:
@@ -126,6 +136,15 @@ def _eval_expr(ctx, args, kwargs):
                 raise MalformedPayload(f"unknown eval_expr opcode {op}")
     except IndexError:
         raise MalformedPayload(f"eval_expr program is malformed at {pos}") from None
+    return stack
+
+
+@register("eval_expr")
+def _eval_expr(ctx, args, kwargs):
+    """Evaluate a postfix program of share arithmetic over the leaf tensors
+    in args. One value left on the stack is the result; several are
+    flattened and concatenated in stack order."""
+    stack = _run_prog(args, kwargs["prog"])
     if not stack:
         raise MalformedPayload("eval_expr program leaves no value")
     if len(stack) == 1:
@@ -156,58 +175,150 @@ def _make_shares(ctx, args, kwargs):
     return Tensor(np.array(oids + list(x.shape), dtype=np.uint64), Dtype.RING64)
 
 
+# -- Beaver triples (format in the module docstring) -------------------------
+
+SEED_WORDS = 4
+_RING_MASK = np.uint64(Q - 1)
+
+
+class TriplePRG:
+    """A worker's one reusable PCG64 for triple expansion. A seed's four
+    ring words set its 128-bit state and increment (two words each), which
+    is cheaper than seeding a new generator per triple; the lock keeps a
+    socket worker's connection threads from interleaving a set and a
+    draw. The generator is built on first use, so a worker that never
+    expands a triple does not pay for it."""
+
+    def __init__(self):
+        self._bitgen = None
+        self._lock = threading.Lock()
+
+    def expand(self, seed, count: int) -> np.ndarray:
+        """The first `count` ring elements of the stream `seed` selects."""
+        w0, w1, w2, w3 = (int(v) for v in seed)
+        state = {"bit_generator": "PCG64",
+                 "state": {"state": w0 << 62 | w1, "inc": w2 << 62 | w3 | 1},
+                 "has_uint32": 0, "uinteger": 0}
+        with self._lock:
+            if self._bitgen is None:
+                self._bitgen = np.random.PCG64(0)
+            self._bitgen.state = state
+            out = self._bitgen.random_raw(count)
+        np.bitwise_and(out, _RING_MASK, out=out)
+        return out
+
+
+def triple_shapes(kind: str, shape) -> tuple:
+    """Shapes of a, b and c: elementwise triples over `shape`, matmul
+    triples for shape (m, k, n)."""
+    shape = tuple(int(s) for s in shape)
+    if kind == "elementwise":
+        return shape, shape, shape
+    if kind == "matmul":
+        if len(shape) != 3:
+            raise ConfigError("matmul triples need shape (m, k, n)")
+        m, k, n = shape
+        return (m, k), (k, n), (m, n)
+    raise ConfigError(f"unknown triple kind {kind!r}")
+
+
+def _product(kind: str):
+    return np.matmul if kind == "matmul" else np.multiply
+
+
 @register("gen_triples", preserve_prefix=False)
 def _gen_triples(ctx, args, kwargs):
-    """Dealer preprocessing: generate `count` multiplication triples and
-    distribute the shares; returns ids shaped [count, n_parties, 3]."""
+    """Dealer preprocessing: make `count` seed-compressed triples and push
+    each party one object per triple; returns the object ids shaped
+    [count, n_parties]."""
     kind = str(kwargs["kind"])
-    shape = [int(v) for v in kwargs["shape"]]
+    sa, sb, sc = triple_shapes(kind, kwargs["shape"])
     parties = [p for p in str(kwargs["parties"]).split(",") if p]
     count = int(kwargs["count"])
     if count < 1:
         raise ConfigError("count must be >= 1")
     if len(parties) < 2:
         raise ConfigError("need at least 2 parties")
-    mask = np.uint64(Q - 1)
-    ids = np.zeros((count, len(parties), 3), dtype=np.uint64)
+    na, nb, nc = math.prod(sa), math.prod(sb), math.prod(sc)
+    n = len(parties)
+    seeds = tc.random_ring(ctx.rng, (count, n, SEED_WORDS))
+    ids = np.zeros((count, n), dtype=np.uint64)
     for t in range(count):
-        if kind == "matmul":
-            m, k, n = shape
-            a = tc.random_ring(ctx.rng, (m, k))
-            b = tc.random_ring(ctx.rng, (k, n))
-            c = (a @ b) & mask
-        elif kind == "elementwise":
-            a = tc.random_ring(ctx.rng, tuple(shape))
-            b = tc.random_ring(ctx.rng, tuple(shape))
-            c = (a * b) & mask
-        else:
-            raise ConfigError(f"unknown triple kind {kind!r}")
-        for j, part in enumerate((a, b, c)):
-            shares = tc.split_shares(ctx.rng, part, len(parties))
-            for i, party in enumerate(parties):
-                ids[t, i, j] = _push_share(ctx, party, shares[i])
-    return Tensor(ids, Dtype.RING64)
+        a = np.zeros(na, dtype=np.uint64)
+        b = np.zeros(nb, dtype=np.uint64)
+        c = np.zeros(nc, dtype=np.uint64)
+        for i in range(n):
+            last = i == n - 1
+            abc = ctx.triple_prg.expand(seeds[t, i], na + nb + (0 if last else nc))
+            a += abc[:na]
+            b += abc[na:na + nb]
+            if not last:
+                c -= abc[na + nb:]
+        c += _product(kind)(a.reshape(sa), b.reshape(sb)).ravel()
+        for i, party in enumerate(parties):
+            obj = seeds[t, i].copy() if i < n - 1 else np.concatenate((seeds[t, i], c))
+            ids[t, i] = _push_share(ctx, party, obj)
+    return Tensor._own(ids, Dtype.RING64)
+
+
+def _expand_triple(ctx, obj: Tensor, sizes) -> np.ndarray:
+    """A party's a_i || b_i || c_i, flat, from its stored triple object."""
+    na, nb, nc = sizes
+    words = obj.data
+    if words.shape == (SEED_WORDS,):
+        return ctx.triple_prg.expand(words, na + nb + nc)
+    if words.shape == (SEED_WORDS + nc,):
+        return np.concatenate((ctx.triple_prg.expand(words[:SEED_WORDS], na + nb),
+                               words[SEED_WORDS:]))
+    raise ShapeMismatch(f"triple object of shape {words.shape} does not fit "
+                        f"{nc} product elements")
+
+
+@register("beaver_open", preserve_prefix=False)
+def _beaver_open(ctx, args, kwargs):
+    """A party's part of a Beaver open round. The last argument is its
+    triple object (pass it as a take argument); the others are the leaves of
+    a program that leaves the party's shares x_i and y_i. Expands the triple
+    once, stores a_i || b_i || c_i under the leader's id `keep` for
+    beaver_combine to take, and returns x_i - a_i || y_i - b_i."""
+    shapes = triple_shapes(str(kwargs["kind"]), kwargs["shape"])
+    sizes = [math.prod(s) for s in shapes]
+    stack = _run_prog(args[:-1], kwargs["prog"])
+    if [t.shape for t in stack] != list(shapes[:2]):
+        raise ShapeMismatch(f"operands {[t.shape for t in stack]} vs triple {shapes[:2]}")
+    abc = _expand_triple(ctx, _want_tensor(args[-1], len(args) - 1), sizes)
+    na, nb = sizes[:2]
+    masked = np.empty(na + nb, dtype=np.uint64)
+    np.subtract(stack[0].data.ravel(), abc[:na], out=masked[:na])
+    np.subtract(stack[1].data.ravel(), abc[na:na + nb], out=masked[na:])
+    ctx.peer(ctx.name).store(int(kwargs["keep"]), [("local", Tensor._own(abc, Dtype.RING64))])
+    return Tensor._own(masked, Dtype.RING64)
 
 
 @register("beaver_combine")
 def _beaver_combine(ctx, args, kwargs):
-    """One party's share of the Beaver product from its triple shares
-    (taken: the worker deletes them once this succeeds) and the opened
-    differences eps = x - a, delta = y - b, passed inline."""
-    c, a, b, eps, delta = (_want_tensor(v, i) for i, v in enumerate(args))
+    """One party's share of the Beaver product, c + eps*b + a*delta, plus
+    eps*delta on the lead party, from its expanded triple (a take argument:
+    the object beaver_open kept) and the opened eps = x - a and
+    delta = y - b, passed inline. The lead party computes
+    c + eps*(b + delta) + a*delta, two ring products with the same result
+    mod Q."""
+    abc, eps, delta = (_want_tensor(v, i).data for i, v in enumerate(args))
     kind = str(kwargs["kind"])
-    lead = bool(kwargs.get("lead", 0))
-    if kind == "matmul":
-        z = tc.add(c, tc.add(tc.matmul(eps, b), tc.matmul(a, delta)))
-        if lead:
-            z = tc.add(z, tc.matmul(eps, delta))
-    elif kind == "elementwise":
-        z = tc.add(c, tc.add(tc.mul(eps, b), tc.mul(a, delta)))
-        if lead:
-            z = tc.add(z, tc.mul(eps, delta))
-    else:
-        raise ConfigError(f"unknown triple kind {kind!r}")
-    return z
+    sa, sb, sc = triple_shapes(kind, kwargs["shape"])
+    na, nb, nc = math.prod(sa), math.prod(sb), math.prod(sc)
+    if abc.shape != (na + nb + nc,) or eps.shape != sa or delta.shape != sb:
+        raise ShapeMismatch(f"triple {abc.shape}, eps {eps.shape}, delta {delta.shape} "
+                            f"do not fit a {kind} triple {sa}x{sb}")
+    a = abc[:na].reshape(sa)
+    b = abc[na:na + nb].reshape(sb)
+    if kwargs.get("lead", 0):
+        b = b + delta
+    product = _product(kind)
+    z = product(eps, b)
+    z += product(a, delta)
+    z += abc[na + nb:].reshape(sc)
+    return Tensor._own(z, Dtype.RING64)
 
 
 def _batch_args(args, kwargs):

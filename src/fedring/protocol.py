@@ -149,8 +149,14 @@ def serialize_tensor(t: Tensor) -> bytes:
     return b"".join(_tensor_parts(t))
 
 
-def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
-    """Decode a tensor starting at offset; returns (tensor, next offset)."""
+def tensor_nbytes(t: Tensor) -> int:
+    """Length of the tensor's encoding, from its shape."""
+    return 2 + 4 * t.ndim + 8 * t.size
+
+
+def _tensor_header(buf: bytes, offset: int) -> tuple[Dtype, tuple, int, int]:
+    """Validate the tensor header at offset and that its elements follow;
+    returns (dtype, dims, offset of the elements, next offset)."""
     try:
         dtype_b, ndim = struct.unpack_from("<BB", buf, offset)
     except struct.error as e:
@@ -167,10 +173,20 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
         count *= d
     if len(buf) < pos + 8 * count:
         raise errors.MalformedPayload("truncated data")
-    dtype = _BYTE_TO_DTYPE[dtype_b]
+    return _BYTE_TO_DTYPE[dtype_b], dims, pos, pos + 8 * count
+
+
+def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
+    """Decode a tensor starting at offset; returns (tensor, next offset)."""
+    dtype, dims, pos, end = _tensor_header(buf, offset)
     wire = "<f8" if dtype is Dtype.FLOAT64 else "<u8"
-    data = np.frombuffer(buf, dtype=wire, count=count, offset=pos).reshape(dims)
-    return Tensor._own(data.copy(), dtype), pos + 8 * count
+    data = np.frombuffer(buf, dtype=wire, count=(end - pos) // 8, offset=pos).reshape(dims)
+    return Tensor._own(data.copy(), dtype), end
+
+
+def _tensor_shape(buf: bytes, offset: int) -> tuple[tuple, int]:
+    _, dims, _, end = _tensor_header(buf, offset)
+    return dims, end
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +236,18 @@ def serialize_chain(nodes: list) -> bytes:
 def deserialize_chain(buf: bytes) -> list:
     """Decode and validate a chain; any malformed input raises
     MalformedPayload. Workers decode STORE payloads with it on arrival."""
+    return _read_chain(buf, deserialize_tensor)
+
+
+def chain_shapes(buf: bytes) -> tuple:
+    """Shapes of a chain's local tensors, read from their headers without
+    decoding or copying the elements."""
+    return tuple(node[1] for node in _read_chain(buf, _tensor_shape) if node[0] == "local")
+
+
+def _read_chain(buf: bytes, read_tensor) -> list:
+    """The chain parser; `read_tensor(buf, offset)` gives each local node's
+    value and the next offset."""
     if not buf or not buf[0]:
         raise errors.MalformedPayload("empty chain")
     try:
@@ -230,7 +258,7 @@ def deserialize_chain(buf: bytes) -> list:
             kind = buf[pos]
             pos += 1
             if kind == NODE_LOCAL:
-                t, pos = deserialize_tensor(buf, pos)
+                t, pos = read_tensor(buf, pos)
                 nodes.append(("local", t))
             elif kind == NODE_POINTER:
                 name, pos = _unpack_name(buf, pos)

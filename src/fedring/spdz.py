@@ -8,22 +8,27 @@ carries the party's whole tree as one `eval_expr` postfix program. Linear
 operations and truncations therefore cross zero transport messages of their
 own; a truncation is folded into the next command.
 
-A Beaver multiplication is one open round plus one combine per party. In the
-open round each party runs one command that evaluates its shares of both
-x - a and y - b, and the leader fetches and sums them: exactly two openings
-(eps, delta) regardless of operand size. Each party then runs one
-`beaver_combine` that receives eps and delta inline and consumes its triple
-shares. With two parties that is six messages per multiplication.
+A Beaver multiplication is one open round plus one combine per party. The
+dealer's triples are seed-compressed (format in `commands`): each party
+holds one object per triple, its PCG64 seed, and the last party also its
+explicit share of c. In the open round each party runs one `beaver_open`
+that takes its triple object, expands it once, evaluates its shares of both
+x - a and y - b and keeps the expanded a, b and c for the combine; the
+leader fetches and sums the masked values: exactly two openings (eps,
+delta) regardless of operand size. Each party then runs one
+`beaver_combine` that receives eps and delta inline and takes the expanded
+triple. With two parties that is six messages per multiplication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import protocol
-from .commands import EXPR_OPCODES
+from .commands import EXPR_OPCODES, triple_shapes
 from .errors import (
     ConfigError,
     InsufficientTriples,
@@ -210,11 +215,12 @@ def public_op(op: str, xs: ShareVector, c: int) -> ShareVector:
 
 @dataclass
 class BeaverTriple:
+    """The leader's reference to one dealer triple: one object per party."""
+
     kind: str  # elementwise | matmul
     shape: tuple  # elementwise: operand shape; matmul: (m, k, n)
-    a: ShareVector
-    b: ShareVector
-    c: ShareVector
+    parties: tuple
+    refs: tuple  # the triple's object id on each party
     consumed: bool = False
 
 
@@ -238,45 +244,35 @@ class TriplePool:
 
 
 def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, count: int):
-    """Run triple preprocessing on the dealer worker; shares are pushed to
-    the parties and only object ids return."""
+    """Run triple preprocessing on the dealer worker; each party receives
+    one object per triple from the dealer and only object ids return."""
     parties = tuple(parties)
     if count < 1:
         raise ConfigError("count must be >= 1")
     shape = tuple(int(s) for s in shape)
-    if kind == "matmul" and len(shape) != 3:
-        raise ConfigError("matmul triples need shape (m, k, n)")
+    triple_shapes(kind, shape)  # rejects a bad kind or shape before sending
     cmd = Command(
         "gen_triples",
         (),
         {"kind": kind, "shape": list(shape), "parties": ",".join(parties), "count": count},
     )
     rid = fed.worker(dealer).execute(cmd)
-    ids = fed.fetch_tensor(dealer, rid, delete=True).data  # [count, n, 3]
-    if kind == "matmul":
-        m, k, n = shape
-        sh = {"a": (m, k), "b": (k, n), "c": (m, n)}
-    else:
-        sh = {"a": shape, "b": shape, "c": shape}
-    triples = []
-    for t in range(count):
-        vec = {}
-        for j, part in enumerate(("a", "b", "c")):
-            exprs = tuple(("ref", int(ids[t, i, j])) for i in range(len(parties)))
-            vec[part] = ShareVector(parties, exprs, sh[part])
-        triples.append(BeaverTriple(kind, shape, vec["a"], vec["b"], vec["c"]))
-    return triples
+    ids = fed.fetch_tensor(dealer, rid, delete=True).data  # [count, n]
+    return [BeaverTriple(kind, shape, parties, tuple(int(v) for v in row)) for row in ids]
 
 
 def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
-                 fed: Federation):
+                 fed: Federation, keep):
     """Open eps = x - a and delta = y - b through the leader (star topology):
-    one command and one fetch per party, two openings noted on the tap."""
-    nx = int(np.prod(xs.shape))
-    total = np.zeros(nx + int(np.prod(ys.shape)), dtype=np.uint64)
+    one beaver_open and one fetch per party, two openings noted on the tap.
+    Party i keeps its expanded triple under keep[i]."""
+    nx = math.prod(xs.shape)
+    total = np.zeros(nx + math.prod(ys.shape), dtype=np.uint64)
     for i, party in enumerate(xs.parties):
-        cmd = _compile([("sub", xs.exprs[i], triple.a.exprs[i]),
-                        ("sub", ys.exprs[i], triple.b.exprs[i])])
+        prog = _compile([xs.exprs[i], ys.exprs[i]])
+        cmd = Command("beaver_open", prog.args + (("take", triple.refs[i]),),
+                      {**prog.kwargs, "kind": triple.kind, "shape": list(triple.shape),
+                       "keep": keep[i]})
         t = fed.fetch_tensor(party, fed.worker(party).execute(cmd), delete=True)
         if t.shape != total.shape:
             raise ShapeMismatch(f"masked shares {t.shape} != {total.shape}")
@@ -293,21 +289,22 @@ def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federat
         raise TripleReused("triple already consumed")
     if triple.kind != kind:
         raise TripleShapeMismatch(f"need {kind} triple, got {triple.kind}")
-    if xs.shape != triple.a.shape or ys.shape != triple.b.shape:
+    a_shape, b_shape, _ = triple_shapes(kind, triple.shape)
+    if xs.shape != a_shape or ys.shape != b_shape:
         raise TripleShapeMismatch(
-            f"operands {xs.shape}x{ys.shape} vs triple {triple.a.shape}x{triple.b.shape}"
+            f"operands {xs.shape}x{ys.shape} vs triple {a_shape}x{b_shape}"
         )
-    if xs.parties != triple.a.parties:
+    if xs.parties != triple.parties:
         raise PartyMismatch("triple parties differ from operand parties")
     triple.consumed = True
-    eps, delta = _open_masked(xs, ys, triple, fed)
+    keep = [fed.allocate_id() for _ in xs.parties]
+    eps, delta = _open_masked(xs, ys, triple, fed, keep)
     exprs = []
-    for i, (party, a, b, c) in enumerate(zip(xs.parties, triple.a.exprs, triple.b.exprs,
-                                             triple.c.exprs)):
+    for i, party in enumerate(xs.parties):
         cmd = Command(
             "beaver_combine",
-            (("take", c[1]), ("take", a[1]), ("take", b[1]), ("tensor", eps), ("tensor", delta)),
-            {"kind": kind, "lead": int(i == 0)},
+            (("take", keep[i]), ("tensor", eps), ("tensor", delta)),
+            {"kind": kind, "shape": list(triple.shape), "lead": int(i == 0)},
         )
         exprs.append(("ref", fed.worker(party).execute(cmd)))
     return ShareVector(xs.parties, tuple(exprs), tuple(out_shape))

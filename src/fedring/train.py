@@ -287,8 +287,9 @@ def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
     """Forward pass on secret-shared weights and inputs; reconstruction plus
     decode matches fixed_forward within accumulated truncation error. Every
     object the pass stores or consumes on the parties is deleted by the end:
-    the triple shares by beaver_combine, the input shares and products by
-    one delete frame per party."""
+    each triple object by its beaver_open, the expanded triple that open
+    keeps by beaver_combine, the input shares and products by one delete
+    frame per party."""
     parties = tuple(parties)
     spdz.require_two_parties(parties)
     w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)

@@ -1,9 +1,10 @@
 """Workers and transports.
 
 A worker owns an object store (ObjectId -> decoded chain node list), a
-seeded RNG and a command executor. Bytes exist only where a chain crosses a
-transport: `store_object` decodes (and so validates) a payload once on
-arrival and `fetch_object` encodes on the way out. Commands read and write
+seeded RNG, a reusable generator for expanding Beaver triples and a command
+executor. Bytes exist only where a chain crosses a transport: `store_object`
+decodes (and so validates) a payload once on arrival and `fetch_object`
+encodes on the way out. Commands read and write
 node lists with no codec, and so do worker-to-worker pushes between
 in-process workers; a socket peer encodes them for the wire.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import protocol
-from .commands import lookup
+from .commands import TriplePRG, lookup
 from .errors import (
     BadMagic,
     BindError,
@@ -82,15 +83,16 @@ class TransportTap:
     def record(self, op: str, worker: str, oid: int = 0, chain_bytes: bytes = b"",
                tensors=()):
         """One message; `tensors` are the inline tensor arguments of an
-        execute, counted like the chain payload of a store or fetch."""
+        execute, counted like the chain payload of a store or fetch. Sizes
+        and shapes come from tensor shapes and chain headers: nothing is
+        encoded or decoded."""
         shapes = tuple(t.shape for t in tensors)
-        nbytes = len(chain_bytes) + sum(len(protocol.serialize_tensor(t)) for t in tensors)
+        nbytes = len(chain_bytes) + sum(protocol.tensor_nbytes(t) for t in tensors)
         if chain_bytes:
             try:
-                nodes = protocol.deserialize_chain(chain_bytes)
-                shapes += tuple(n[1].shape for n in nodes if n[0] == "local")
-            except Exception:
-                pass
+                shapes += protocol.chain_shapes(chain_bytes)
+            except MalformedPayload:
+                pass  # the worker refuses it; the message is still counted
         self.events.append(TapEvent(op, worker, oid, nbytes, shapes))
 
     def note_opening(self, count: int = 1):
@@ -164,6 +166,7 @@ class WorkerCore:
         self.name = name
         self.seed = seed
         self.rng = worker_rng(seed, name)
+        self.triple_prg = TriplePRG()
         self._objects: dict[int, list] = {}
         self._lock = threading.RLock()
         base = (1 + (zlib.crc32(name.encode("utf-8")) & 0xFFFF)) << 32
@@ -416,6 +419,12 @@ class _LazySocketPeer:
             if self._client is None:
                 self._client = SocketClient(self.host, self.port)
             self._client.store(oid, payload)
+
+    def close(self):
+        with self._lock:
+            if self._client is not None:
+                self._client.close()
+                self._client = None
 
 
 class _WorkerServer(socketserver.ThreadingTCPServer):

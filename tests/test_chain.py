@@ -218,9 +218,10 @@ class TestSharedChain:
         assert np.array_equal(got, [4.0, 6.5])
 
     def test_mul_then_get_frees_everything(self, tapped):
-        """Each party ends with only its three consumed triple shares gone:
-        the raw Beaver product is freed once its truncation is stored, and
-        the truncation is freed by get(). The operands stay readable."""
+        """Each party ends with only its consumed triple object gone: the
+        expanded triple is taken by the combine, the raw Beaver product is
+        freed once its truncation is stored, and the truncation is freed by
+        get(). The operands stay readable."""
         fed, _ = tapped
         rng = np.random.default_rng(7)
         x = TensorChain.local([[1.5, -2.0]], fed=fed).fix_precision().share(PARTIES, rng)
@@ -229,7 +230,7 @@ class TestSharedChain:
         before = object_counts(fed)
         z = dispatch("mul", x, y, triple=triple).get().float_precision()
         after = object_counts(fed)
-        assert {p: after[p] - before[p] for p in PARTIES} == {"alice": -3, "bob": -3}
+        assert {p: after[p] - before[p] for p in PARTIES} == {"alice": -1, "bob": -1}
         assert np.allclose(z.tensor().data, [[0.75, -8.0]], atol=2.0**-14)
         assert np.array_equal(x.get().float_precision().tensor().data, [[1.5, -2.0]])
         assert np.array_equal(y.get().float_precision().tensor().data, [[0.5, 4.0]])

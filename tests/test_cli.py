@@ -4,6 +4,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -12,7 +13,7 @@ from fedring.cli import main
 from fedring.errors import TransportError
 
 from test_workers import local_payload
-from fedring.workers import SocketClient
+from fedring.workers import SocketClient, WorkerCore, make_server
 
 
 def run_main(capsys, *argv):
@@ -126,6 +127,36 @@ class TestDealer:
                               "--endpoints", "a=127.0.0.1:1",
                               "--count", "1", "--shape", "2,2,2")
         assert code == 1
+
+    def test_share_ids_per_triple_and_party(self, capsys):
+        """Against two in-process socket workers, share_ids is shaped
+        [count, n_parties], each id names an object on its party, and each
+        party gains exactly `count` objects."""
+        cores = [WorkerCore(name, 1) for name in ("a", "b")]
+        servers = [make_server("127.0.0.1", 0, core) for core in cores]
+        threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
+        for t in threads:
+            t.start()
+        endpoints = ",".join(f"{core.name}={s.server_address[0]}:{s.server_address[1]}"
+                             for core, s in zip(cores, servers))
+        try:
+            code, out, _ = run_main(capsys, "dealer", "--parties", "a,b",
+                                    "--endpoints", endpoints, "--kind", "matmul",
+                                    "--shape", "2,3,2", "--count", "3", "--seed", "4")
+        finally:
+            for s in servers:
+                s.shutdown()
+                s.server_close()
+            for t in threads:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert code == 0
+        ids = json.loads(out)["share_ids"]
+        assert [len(row) for row in ids] == [2, 2, 2]
+        assert [core.object_count() for core in cores] == [3, 3]
+        for core, column in zip(cores, zip(*ids)):
+            for oid in column:
+                assert core.fetch_object(oid)
 
 
 def free_port():

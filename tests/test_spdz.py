@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from fedring import spdz
+from fedring import commands, spdz
+from fedring.commands import SEED_WORDS, TriplePRG, triple_shapes
 from fedring.errors import (
     ConfigError,
     InsufficientTriples,
@@ -12,6 +16,7 @@ from fedring.errors import (
     TripleShapeMismatch,
 )
 from fedring.fixedpoint import DEFAULT_CONFIG, Q, decode, encode, to_signed, truncate_share
+from fedring.protocol import Command
 from fedring.spdz import (
     BeaverTriple,
     TriplePool,
@@ -215,7 +220,7 @@ class TestBeaver:
 
     def test_one_round_consumes_triple(self):
         """One multiplication: an open command and a fetch per party, then a
-        combine per party with eps/delta inline; the triple shares are gone."""
+        combine per party with eps/delta inline; the triple objects are gone."""
         tap = TransportTap()
         fed, registry = virtual_federation(["alice", "bob", "dealer"], seed=7, tap=tap)
         rng = np.random.default_rng(22)
@@ -229,8 +234,8 @@ class TestBeaver:
         assert ops.count("execute") == 4 and ops.count("fetch") == 2 and len(ops) == 6
         combines = [e for e in tap.events[before:] if e.op == "execute" and e.shapes]
         assert [e.shapes for e in combines] == [((3,), (3,))] * 2  # eps, delta inline
-        for p in PARTIES:  # +1 product, -3 triple shares
-            assert registry.get(p).object_count() == counts[p] - 2
+        for p in PARTIES:  # +1 product, -1 triple object
+            assert registry.get(p).object_count() == counts[p]
         assert np.array_equal(reconstruct(zs, fed).data, [20, 42, 220])
 
 
@@ -251,18 +256,36 @@ class TestTriplePool:
             TriplePool().take("matmul", (1, 1, 1))
 
 
+def expand_stored(fed, t):
+    """a, b and c of a dealer triple, summed over each party's stored object
+    expanded with the workers' own TriplePRG.expand: every party but the
+    last expands a, b and c from its seed, the last only a and b, and holds
+    c explicitly."""
+    shapes = triple_shapes(t.kind, t.shape)
+    na, nb, nc = (int(np.prod(s)) for s in shapes)
+    mask = np.uint64(Q - 1)
+    a, b, c = (np.zeros(k, dtype=np.uint64) for k in (na, nb, nc))
+    prg = TriplePRG()
+    for i, (party, oid) in enumerate(zip(t.parties, t.refs)):
+        obj = fed.fetch_tensor(party, oid).data
+        last = i == len(t.parties) - 1
+        assert obj.shape == (SEED_WORDS + (nc if last else 0),)
+        abc = prg.expand(obj[:SEED_WORDS], na + nb + (0 if last else nc))
+        a = (a + abc[:na]) & mask
+        b = (b + abc[na:na + nb]) & mask
+        c = (c + (obj[SEED_WORDS:] if last else abc[na + nb:])) & mask
+    return tuple(v.reshape(s) for v, s in zip((a, b, c), shapes))
+
+
 class TestDealer:
     def test_triples_verify(self, fed):
         mask = np.uint64(Q - 1)
         for t in dealer_generate(fed, "dealer", "elementwise", (4,), PARTIES, 5):
-            a = reconstruct(t.a, fed).data
-            b = reconstruct(t.b, fed).data
-            c = reconstruct(t.c, fed).data
+            a, b, c = expand_stored(fed, t)
             assert np.array_equal(c, (a * b) & mask)
         for t in dealer_generate(fed, "dealer", "matmul", (2, 3, 2), PARTIES, 5):
-            a = reconstruct(t.a, fed).data
-            b = reconstruct(t.b, fed).data
-            c = reconstruct(t.c, fed).data
+            a, b, c = expand_stored(fed, t)
+            assert a.shape == (2, 3) and b.shape == (3, 2)
             assert np.array_equal(c, (a @ b) & mask)
 
     def test_three_party_bulk(self, fed):
@@ -272,23 +295,97 @@ class TestDealer:
         assert len(triples) == 100
         rng = np.random.default_rng(16)
         for idx in rng.choice(100, size=10, replace=False):
-            t = triples[idx]
-            a = reconstruct(t.a, fed).data
-            b = reconstruct(t.b, fed).data
-            c = reconstruct(t.c, fed).data
+            a, b, c = expand_stored(fed, triples[idx])
             assert np.array_equal(c, (a @ b) & mask)
 
     def test_reproducible_given_seed(self):
-        outs = []
-        for _ in range(2):
-            fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=42)
+        """The same dealer seed stores the same objects on every party, so
+        the expanded triples agree; another seed gives other seeds."""
+        stored, expanded = [], []
+        for seed in (42, 42, 43):
+            fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=seed)
             t = dealer_generate(fed, "dealer", "elementwise", (3,), PARTIES, 1)[0]
-            outs.append(tuple(reconstruct(v, fed).data.tolist() for v in (t.a, t.b, t.c)))
-        assert outs[0] == outs[1]
+            stored.append([fed.fetch_tensor(p, oid).data.tolist()
+                           for p, oid in zip(t.parties, t.refs)])
+            expanded.append([v.tolist() for v in expand_stored(fed, t)])
+        assert stored[0] == stored[1] and expanded[0] == expanded[1]
+        assert all(x != y for x, y in zip(stored[0], stored[2]))
+
+    def test_seeds_distinct_reply_only_ids(self, fed):
+        """The gen_triples reply is one object id per triple and party, each
+        naming that party's stored object; seeds differ across parties and
+        across triples."""
+        cmd = Command("gen_triples", (), {"kind": "elementwise", "shape": [3],
+                                          "parties": "alice,bob", "count": 6})
+        ids = fed.fetch_tensor("dealer", fed.worker("dealer").execute(cmd), delete=True).data
+        assert ids.shape == (6, 2)
+        seeds = set()
+        for row in ids:
+            for party, oid in zip(PARTIES, row):
+                seeds.add(tuple(fed.fetch_tensor(party, int(oid)).data[:SEED_WORDS].tolist()))
+        assert len(seeds) == 12
 
     def test_bad_count(self, fed):
         with pytest.raises(ConfigError):
             dealer_generate(fed, "dealer", "elementwise", (1,), PARTIES, 0)
+
+
+class TestTriplePRG:
+    def test_threads_do_not_interleave(self):
+        """Connection threads share a worker's TriplePRG: with more threads
+        than cores and a short switch interval, every expansion still equals
+        the single-threaded one, which an interleaved set and draw breaks."""
+        prg = TriplePRG()
+        rng = np.random.default_rng(24)
+        seeds = [rng.integers(0, Q, size=SEED_WORDS, dtype=np.uint64) for _ in range(8)]
+        want = [prg.expand(seed, 64) for seed in seeds]
+        bad = []
+
+        def work(k):
+            for j in range(300):
+                i = (k + j) % len(seeds)
+                if not np.array_equal(prg.expand(seeds[i], 64), want[i]):
+                    bad.append(i)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+
+class TestCombine:
+    @pytest.mark.parametrize("kind,shape,shapes", [
+        ("elementwise", [4, 3], ((4, 3), (4, 3), (4, 3))),
+        ("matmul", [4, 5, 3], ((4, 5), (5, 3), (4, 3))),
+    ])
+    def test_fused_lead_matches_three_products(self, kind, shape, shapes):
+        """The lead party's c + eps*(b + delta) + a*delta equals
+        c + eps*b + a*delta + eps*delta bit for bit; the others add no
+        eps*delta."""
+        combine = commands.REGISTRY["beaver_combine"][0]
+        product = np.matmul if kind == "matmul" else np.multiply
+        mask = np.uint64(Q - 1)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            a, b, c, eps, delta = (rng.integers(0, Q, size=s, dtype=np.uint64)
+                                   for s in shapes + shapes[:2])
+            abc = r64(np.concatenate([a.ravel(), b.ravel(), c.ravel()]))
+            for lead in (0, 1):
+                want = c + product(eps, b) + product(a, delta)
+                if lead:
+                    want = want + product(eps, delta)
+                got = combine(None, (abc, r64(eps), r64(delta)),
+                              {"kind": kind, "shape": shape, "lead": lead})
+                assert got.shape == shapes[2]
+                assert np.array_equal(got.data, want & mask)
 
 
 class TestTruncation:

@@ -1,4 +1,5 @@
 import collections
+import math
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from fedring.train import (
     train_plain,
 )
 from fedring.workers import (
+    TapEvent,
     TransportTap,
     WorkerCore,
     _LazySocketPeer,
@@ -243,7 +245,7 @@ class TestMPCForward:
     def test_pass_budget_boston(self):
         """One pass over the Boston test set (B=101): at most 40 messages,
         exactly 8 openings, and each party ends with the objects it started
-        with minus the 12 triple shares the pass consumed."""
+        with minus the 4 triple objects the pass consumed."""
         ds = boston(["solo"])
         model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
         tap = TransportTap()
@@ -259,7 +261,95 @@ class TestMPCForward:
             assert tap.messages - messages <= 40
             assert tap.openings - openings == 8
             assert {n: w.object_count() - counts[n] for n, w in registry.workers.items()} == {
-                "alice": -12, "bob": -12, "dealer": 0}
+                "alice": -4, "bob": -4, "dealer": 0}
+
+    def test_provisioned_triples_memory(self):
+        """Provisioning 100 Boston passes leaves one object per triple on
+        each party, 400 in all, and only the last party holds c explicitly:
+        9,797 ring elements per pass beside the seeds."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=1))
+        fed, registry = virtual_federation(["alice", "bob", "dealer"], seed=9)
+        B = len(ds.test_X)
+        provision_triples(fed, "dealer", ("alice", "bob"), model.dims, B, model.task,
+                          passes=100)
+        c_per_pass = sum(count * math.prod(commands.triple_shapes(kind, shape)[2])
+                         for kind, shape, count in
+                         train.mpc_triple_requirements(model.dims, B, model.task))
+        assert c_per_pass == 9797
+        held = {}
+        for name in ("alice", "bob"):
+            core = registry.get(name)
+            assert core.object_count() == 400
+            held[name] = sum(nodes[-1][1].size for nodes in core._objects.values())
+        assert held == {"alice": 400 * commands.SEED_WORDS,
+                        "bob": 400 * commands.SEED_WORDS + 100 * c_per_pass}
+        assert registry.get("dealer").object_count() == 0
+
+    def test_each_triple_expanded_once_per_use(self, monkeypatch):
+        """One Boston pass expands each of its 4 triples once on each party
+        (8 expansions), and the dealer expands nothing after provisioning."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=1))
+        fed, registry = virtual_federation(["alice", "bob", "dealer"], seed=9)
+        parties = ("alice", "bob")
+        pool = provision_triples(fed, "dealer", parties, model.dims, len(ds.test_X),
+                                 model.task)
+        owner = {id(core.triple_prg): name for name, core in registry.workers.items()}
+        calls = collections.Counter()
+        expand = commands.TriplePRG.expand
+
+        def counted(prg, seed, count):
+            calls[owner[id(prg)]] += 1
+            return expand(prg, seed, count)
+
+        monkeypatch.setattr(commands.TriplePRG, "expand", counted)
+        mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
+        assert calls == {"alice": 4, "bob": 4}
+
+    def test_tap_reads_headers_only(self, monkeypatch):
+        """Over one Boston pass the tap records what encoding each inline
+        tensor and decoding each chain would give (40 events, 656,960 B, the
+        same shapes), and record makes no codec call."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
+        tap = TransportTap()
+        fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=9, tap=tap)
+        parties = ("alice", "bob")
+        pool = provision_triples(fed, "dealer", parties, model.dims, len(ds.test_X),
+                                 model.task)
+        inside = [False]
+        codec_calls = collections.Counter()
+        for name in ("serialize_tensor", "deserialize_tensor", "serialize_chain",
+                     "deserialize_chain", "serialize_command", "deserialize_command"):
+            def counted(*args, _fn=getattr(protocol, name), _name=name, **kwargs):
+                codec_calls[_name] += inside[0]
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(protocol, name, counted)
+        record = TransportTap.record
+        reference = []
+
+        def spied(self, op, worker, oid=0, chain_bytes=b"", tensors=()):
+            inside[0] = True
+            try:
+                record(self, op, worker, oid, chain_bytes, tensors)
+            finally:
+                inside[0] = False
+            shapes = tuple(t.shape for t in tensors)
+            nbytes = len(chain_bytes) + sum(len(protocol.serialize_tensor(t)) for t in tensors)
+            if chain_bytes:
+                shapes += tuple(n[1].shape for n in protocol.deserialize_chain(chain_bytes)
+                                if n[0] == "local")
+            reference.append(TapEvent(op, worker, oid, nbytes, shapes))
+
+        monkeypatch.setattr(TransportTap, "record", spied)
+        start = len(tap.events)
+        mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
+        events = tap.events[start:]
+        assert events == reference
+        assert len(events) == 40
+        assert sum(e.nbytes for e in events) == 656_960
+        assert sum(codec_calls.values()) == 0
 
     def test_codec_only_at_transport_boundary(self, monkeypatch):
         """Workers keep decoded chains: over one Boston pass on virtual
