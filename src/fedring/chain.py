@@ -6,9 +6,19 @@ Chains are kept as top-down node lists; the head is implied. The leaf holds
 everything the leader knows about the payload, and nothing is fetched back
 to learn it:
     ('local', Tensor)            the payload itself;
-    ('pointer', worker, oid)     the payload on a worker;
+    ('pointer', worker, expr)    the payload on a worker: expr is
+                                 ('ref', oid) for a stored object, or a lazy
+                                 expression over the worker's objects;
     ('shared', ShareVector)      parties, per-party share expressions and
                                  shape; linear results stay lazy.
+Pointer and share expressions share one format and one compiler
+(commands.compile_expr). Operations on pointers send nothing: get() or
+share() evaluates the whole expression with one eval_expr command, and a
+shape or dtype error in it surfaces there. A lazy result reads its operands
+when it is consumed, not when it is built, so consuming an operand first
+(say with its own get()) makes the later evaluation fail with
+ObjectNotFound.
+
 `send` keeps the chain's prefix above the pointer, so a fixed-precision
 tensor stays fixed precision on its worker. Workers do not truncate, so
 fixed-precision mul, matmul and float scale on a pointer are rejected with
@@ -21,9 +31,9 @@ import numpy as np
 
 from . import fixedpoint, protocol, spdz
 from . import tensor as tc
+from .commands import compile_expr
 from .errors import ConfigError, KindMismatch, UnknownCommand
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
-from .protocol import Command
 from .tensor import Dtype, Tensor
 from .workers import Federation
 
@@ -38,7 +48,6 @@ _LOCAL_UNARY = {
     "neg": tc.neg,
     "sigmoid_poly": tc.sigmoid_poly,
 }
-_KNOWN_COMMANDS = set(_LOCAL_BINARY) | set(_LOCAL_UNARY) | {"scale", "offset"}
 
 
 def validate_chain(nodes):
@@ -108,14 +117,22 @@ class TensorChain:
         fed = self._require_fed()
         oid = fed.allocate_id()
         fed.worker(target).store(oid, protocol.serialize_chain(self.nodes))
-        return self._with_leaf(("pointer", target, oid))
+        return self._with_leaf(("pointer", target, ("ref", oid)))
+
+    def _evaluate(self, fed: Federation) -> int:
+        """The id of the pointer leaf's value: a stored object as it is, a
+        lazy expression evaluated by one eval_expr command."""
+        _, worker, expr = self.leaf
+        if expr[0] == "ref":
+            return expr[1]
+        return fed.worker(worker).execute(compile_expr([expr]))
 
     def get(self) -> "TensorChain":
         """Fetch (and remotely delete) a pointed-to payload, or reconstruct
         (and delete) a shared one."""
         fed = self._require_fed()
         if self.leaf[0] == "pointer":
-            _, worker, oid = self.leaf
+            worker, oid = self.leaf[1], self._evaluate(fed)
             leaf = protocol.deserialize_chain(fed.worker(worker).fetch(oid, delete=True))[-1]
             if leaf[0] != "local":
                 raise KindMismatch(f"object {oid} on {worker} holds a {leaf[0]}, not a tensor")
@@ -146,8 +163,8 @@ class TensorChain:
         the share ids and the shape return to the leader."""
         fed = self._require_fed()
         if self.leaf[0] == "pointer":
-            _, owner, oid = self.leaf
-            return self._with_leaf(("shared", spdz.share_remote(owner, oid, parties, fed)))
+            sv = spdz.share_remote(self.leaf[1], self._evaluate(fed), parties, fed)
+            return self._with_leaf(("shared", sv))
         if self.leaf[0] != "local":
             raise KindMismatch(f"cannot share a {self.leaf[0]} chain")
         if self.tensor().dtype is not Dtype.RING64:
@@ -164,8 +181,8 @@ class TensorChain:
 def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> TensorChain:
     """Forward a command down the chain: FixedPrecision applies the
     fixed-point calling convention (truncate after mul/matmul/float scale)
-    then forwards; at the leaf, Local runs the native kernel, Pointer emits
-    execute_remote and Shared runs the SPDZ protocol. Operands must have the
+    then forwards; at the leaf, Local runs the native kernel, Pointer builds
+    a lazy expression and Shared runs the SPDZ protocol. Operands must have the
     same prefix and the same leaf kind."""
     for other in others:
         if other.nodes[:-1] != head.nodes[:-1] or other.leaf[0] != head.leaf[0]:
@@ -195,20 +212,21 @@ def _dispatch_local(name, head, others, kwargs):
 
 
 def _dispatch_pointer(name, head, others, kwargs):
-    if name not in _KNOWN_COMMANDS:
+    if name in _LOCAL_BINARY:
+        arity, consts = 2, ()
+    elif name in _LOCAL_UNARY:
+        arity, consts = 1, ()
+    elif name in ("scale", "offset"):
+        arity, consts = 1, (kwargs["c"],)
+    else:
         raise UnknownCommand(name)
-    fed = head._require_fed()
-    _, worker, oid = head.leaf
-    args = [Command.obj(oid)]
-    for other in others:
-        if other.leaf[1] != worker:
-            raise KindMismatch("pointer operands live on different workers")
-        args.append(Command.obj(other.leaf[2]))
-    if name == "scale" or name == "offset":
-        args.append(("int", int(kwargs["c"])) if isinstance(kwargs["c"], int)
-                    else ("float", float(kwargs["c"])))
-    oid = fed.worker(worker).execute(Command(name, tuple(args), {}))
-    return TensorChain([("pointer", worker, oid)], fed)
+    if 1 + len(others) != arity:
+        raise KindMismatch(f"{name} takes {arity} operand(s), not {1 + len(others)}")
+    worker = head.leaf[1]
+    if any(other.leaf[1] != worker for other in others):
+        raise KindMismatch("pointer operands live on different workers")
+    operands = tuple(chain.leaf[2] for chain in (head,) + others)
+    return head._with_leaf(("pointer", worker, (name,) + operands + consts))
 
 
 def _encode_const(c, cfg: FixedPointConfig) -> int:

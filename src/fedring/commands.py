@@ -1,9 +1,11 @@
-"""Command registry executed on workers.
+"""Command registry executed on workers, and the expression compiler.
 
-Every command receives resolved tensors / literal scalars and returns one
-tensor; the worker stores it under a fresh id. Commands never see other
-workers' secrets: share and triple generation push shares directly to the
-peer workers and hand back only object ids.
+Every command receives resolved tensors and returns one tensor; the worker
+stores it under a fresh id. Arithmetic on stored objects, for shares and
+pointers alike, is one command: `compile_expr` turns expression trees into
+an `eval_expr` postfix program, which `_run_prog` interprets. Commands
+never see other workers' secrets: share and triple generation push shares
+directly to the peer workers and hand back only object ids.
 
 Beaver triples are seed-compressed. For each triple the dealer draws one
 seed of SEED_WORDS ring words per party from its worker RNG. Each party
@@ -19,6 +21,7 @@ order a, b, c. No cryptographic PRG is claimed.
 from __future__ import annotations
 
 import math
+import struct
 import threading
 
 import numpy as np
@@ -28,6 +31,7 @@ from . import tensor as tc
 from .dp import sanitize_lot
 from .errors import ConfigError, EmptyLot, MalformedPayload, ShapeMismatch, UnknownCommand
 from .fixedpoint import Q, truncate_share
+from .protocol import Command
 from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
 from .tensor import Dtype, Tensor
 
@@ -54,62 +58,69 @@ def _want_tensor(v, i):
     return v
 
 
-def _want_scalar(v, i):
-    if isinstance(v, Tensor):
-        raise ShapeMismatch(f"argument {i} must be a literal scalar")
-    return v
-
-
-@register("add")
-def _add(ctx, args, kwargs):
-    return tc.add(_want_tensor(args[0], 0), _want_tensor(args[1], 1))
-
-
-@register("sub")
-def _sub(ctx, args, kwargs):
-    return tc.sub(_want_tensor(args[0], 0), _want_tensor(args[1], 1))
-
-
-@register("mul")
-def _mul(ctx, args, kwargs):
-    return tc.mul(_want_tensor(args[0], 0), _want_tensor(args[1], 1))
-
-
-@register("matmul")
-def _matmul(ctx, args, kwargs):
-    return tc.matmul(_want_tensor(args[0], 0), _want_tensor(args[1], 1))
-
-
-@register("scale")
-def _scale(ctx, args, kwargs):
-    return tc.scale(_want_tensor(args[0], 0), _want_scalar(args[1], 1))
-
-
-@register("offset")
-def _offset(ctx, args, kwargs):
-    return tc.offset(_want_tensor(args[0], 0), _want_scalar(args[1], 1))
-
-
-@register("neg")
-def _neg(ctx, args, kwargs):
-    return tc.neg(_want_tensor(args[0], 0))
-
-
-@register("sigmoid_poly")
-def _sigmoid(ctx, args, kwargs):
-    return tc.sigmoid_poly(_want_tensor(args[0], 0))
-
-
 # eval_expr opcodes, each followed by its integer operands:
 #   ref i (push leaf i) | add | sub | neg | scale c | offset c | trunc p role
+#   | mul | matmul | sigmoid_poly | fscale f | foffset f
+# c is an integer constant; f is the IEEE-754 bit pattern of a float constant,
+# read as an int64. New opcodes go at the end, so existing programs keep
+# their bytes.
 _REF, _ADD, _SUB, _NEG, _SCALE, _OFFSET, _TRUNC = range(7)
+_MUL, _MATMUL, _SIGMOID, _FSCALE, _FOFFSET = range(7, 12)
 EXPR_OPCODES = {"ref": _REF, "add": _ADD, "sub": _SUB, "neg": _NEG,
-                "scale": _SCALE, "offset": _OFFSET, "trunc": _TRUNC}
+                "scale": _SCALE, "offset": _OFFSET, "trunc": _TRUNC,
+                "mul": _MUL, "matmul": _MATMUL, "sigmoid_poly": _SIGMOID,
+                "fscale": _FSCALE, "foffset": _FOFFSET}
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(v: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", v))[0]
+
+
+def compile_expr(exprs) -> Command:
+    """Expression trees over stored objects as one eval_expr command: each
+    distinct leaf object becomes one argument, the trees one postfix program
+    whose values are left on the stack in order. The walk keeps its own
+    stack, so a tree may be deeper than Python's recursion limit.
+
+    A tree is ('ref', oid) | ('add'|'sub'|'mul'|'matmul', a, b)
+    | ('neg'|'sigmoid_poly', a) | ('scale'|'offset', a, c)
+    | ('trunc', a, frac_bits, role). An integer c is a ring constant; any
+    other c is a float and compiles to fscale or foffset."""
+    leaves: dict = {}
+    prog: list = []
+    todo = list(reversed(exprs))  # trees, and opcode lists that follow their subtrees
+    while todo:
+        expr = todo.pop()
+        if type(expr) is not tuple:
+            prog += expr
+            continue
+        op = expr[0]
+        if op == "ref":
+            prog += (_REF, leaves.setdefault(expr[1], len(leaves)))
+            continue
+        if op not in EXPR_OPCODES:
+            raise ConfigError(f"unknown expression {op!r}")
+        code = [EXPR_OPCODES[op]]
+        subtrees = []
+        for v in expr[1:]:
+            if type(v) is tuple:
+                subtrees.append(v)
+            elif op in ("scale", "offset") and not isinstance(v, (int, np.integer)):
+                code = [EXPR_OPCODES["f" + op], _float_bits(float(v))]
+            else:
+                code.append(int(v))
+        todo.append(code)
+        todo += reversed(subtrees)
+    return Command("eval_expr", tuple(Command.obj(oid) for oid in leaves), {"prog": prog})
 
 
 def _run_prog(args, prog) -> list:
-    """The values a postfix program of share arithmetic over the leaf
-    tensors in args leaves on the stack, in order."""
+    """The values a postfix program over the leaf tensors in args leaves on
+    the stack, in order."""
     stack = []
     pos = 0
     try:
@@ -132,6 +143,17 @@ def _run_prog(args, prog) -> list:
             elif op == _TRUNC:
                 stack.append(truncate_share(stack.pop(), prog[pos + 1], prog[pos + 2]))
                 pos += 3
+            elif op in (_MUL, _MATMUL):
+                b, a = stack.pop(), stack.pop()
+                stack.append(tc.mul(a, b) if op == _MUL else tc.matmul(a, b))
+                pos += 1
+            elif op == _SIGMOID:
+                stack.append(tc.sigmoid_poly(stack.pop()))
+                pos += 1
+            elif op in (_FSCALE, _FOFFSET):
+                kernel = tc.scale if op == _FSCALE else tc.offset
+                stack.append(kernel(stack.pop(), _bits_float(prog[pos + 1])))
+                pos += 2
             else:
                 raise MalformedPayload(f"unknown eval_expr opcode {op}")
     except IndexError:
@@ -141,9 +163,9 @@ def _run_prog(args, prog) -> list:
 
 @register("eval_expr")
 def _eval_expr(ctx, args, kwargs):
-    """Evaluate a postfix program of share arithmetic over the leaf tensors
-    in args. One value left on the stack is the result; several are
-    flattened and concatenated in stack order."""
+    """Evaluate a postfix program (compile_expr) over the leaf tensors in
+    args. One value left on the stack is the result; several are flattened
+    and concatenated in stack order."""
     stack = _run_prog(args, kwargs["prog"])
     if not stack:
         raise MalformedPayload("eval_expr program leaves no value")

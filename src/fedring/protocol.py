@@ -280,9 +280,7 @@ def _read_chain(buf: bytes, read_tensor) -> list:
 # ---------------------------------------------------------------------------
 # command codec
 
-ARG_OBJECT = 0
-ARG_FLOAT = 1
-ARG_INT = 2
+ARG_OBJECT = 0  # tags 1 and 2 are unused: a decoder rejects them
 ARG_TENSOR = 3
 ARG_TAKE = 4
 
@@ -290,17 +288,17 @@ KW_FLOAT = 1
 KW_INT = 2
 KW_STR = 3
 KW_INT_LIST = 4
-KW_FLOAT_LIST = 5
 
 
 @dataclass(frozen=True)
 class Command:
-    """A named operation over worker-resident objects, inline tensors and
-    literal scalars. A ('take', oid) argument is read like ('obj', oid) and
-    deleted by the worker once the command has succeeded."""
+    """A named operation over worker-resident objects and inline tensors;
+    scalars and programs travel as kwargs. A ('take', oid) argument is read
+    like ('obj', oid) and deleted by the worker once the command has
+    succeeded."""
 
     name: str
-    args: tuple = ()  # each: ('obj'|'take', oid) | ('tensor', Tensor) | ('float', x) | ('int', n)
+    args: tuple = ()  # each: ('obj'|'take', oid) | ('tensor', Tensor)
     kwargs: dict = field(default_factory=dict)
 
     @staticmethod
@@ -314,10 +312,6 @@ def serialize_command(cmd: Command) -> bytes:
     for tag, val in cmd.args:
         if tag == "obj":
             out.append(struct.pack("<BQ", ARG_OBJECT, val))
-        elif tag == "float":
-            out.append(struct.pack("<Bd", ARG_FLOAT, val))
-        elif tag == "int":
-            out.append(struct.pack("<Bq", ARG_INT, val))
         elif tag == "tensor":
             out.append(struct.pack("<B", ARG_TENSOR))
             out.extend(_tensor_parts(val))
@@ -343,9 +337,6 @@ def serialize_command(cmd: Command) -> bytes:
         elif isinstance(val, (list, tuple)) and all(isinstance(v, int) for v in val):
             out.append(struct.pack("<BI", KW_INT_LIST, len(val)))
             out.append(struct.pack(f"<{len(val)}q", *val))
-        elif isinstance(val, (list, tuple)):
-            out.append(struct.pack("<BI", KW_FLOAT_LIST, len(val)))
-            out.append(struct.pack(f"<{len(val)}d", *[float(v) for v in val]))
         else:
             raise errors.MalformedPayload(f"unsupported kwarg type for {key!r}")
     return b"".join(out)
@@ -368,14 +359,6 @@ def deserialize_command(buf: bytes) -> Command:
                 (v,) = struct.unpack_from("<Q", buf, pos)
                 pos += 8
                 args.append(("obj", v))
-            elif tag == ARG_FLOAT:
-                (v,) = struct.unpack_from("<d", buf, pos)
-                pos += 8
-                args.append(("float", v))
-            elif tag == ARG_INT:
-                (v,) = struct.unpack_from("<q", buf, pos)
-                pos += 8
-                args.append(("int", v))
             elif tag == ARG_TENSOR:
                 t, pos = deserialize_tensor(buf, pos)
                 args.append(("tensor", t))
@@ -412,11 +395,6 @@ def deserialize_command(buf: bytes) -> Command:
                 (cnt,) = struct.unpack_from("<I", buf, pos)
                 pos += 4
                 kwargs[key] = list(struct.unpack_from(f"<{cnt}q", buf, pos))
-                pos += 8 * cnt
-            elif tag == KW_FLOAT_LIST:
-                (cnt,) = struct.unpack_from("<I", buf, pos)
-                pos += 4
-                kwargs[key] = list(struct.unpack_from(f"<{cnt}d", buf, pos))
                 pos += 8 * cnt
             else:
                 raise errors.MalformedPayload(f"bad kwarg tag {tag}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import protocol
-from .commands import EXPR_OPCODES, triple_shapes
+from .commands import compile_expr, triple_shapes
 from .errors import (
     ConfigError,
     InsufficientTriples,
@@ -44,8 +44,8 @@ from .workers import Federation
 
 _MASK = np.uint64(Q - 1)
 
-# share expressions: ('ref', oid) | ('add'|'sub', a, b) | ('neg', a)
-#   | ('scale'|'offset', a, c) with c a ring residue | ('trunc', a, frac_bits, role)
+# share expressions are commands.compile_expr trees of ref, add, sub, neg,
+# scale, offset and trunc; scale and offset constants are ring residues (ints)
 
 
 def _local_chain(t: Tensor) -> bytes:
@@ -121,36 +121,11 @@ def share_remote(owner: str, oid: int, parties, fed: Federation) -> ShareVector:
     return ShareVector(parties, exprs, tuple(meta[len(parties):]))
 
 
-def _compile(exprs) -> Command:
-    """One party's expression trees as one eval_expr command: each distinct
-    leaf object becomes one argument, the trees one postfix program whose
-    values are left on the stack in order."""
-    leaves: dict = {}
-    prog: list = []
-
-    def emit(expr):
-        op = expr[0]
-        if op not in EXPR_OPCODES:
-            raise ConfigError(f"unknown share expression {op!r}")
-        if op == "ref":
-            prog.extend((EXPR_OPCODES["ref"], leaves.setdefault(expr[1], len(leaves))))
-            return
-        for operand in expr[1:]:
-            if isinstance(operand, tuple):
-                emit(operand)
-        prog.append(EXPR_OPCODES[op])
-        prog.extend(int(v) for v in expr[1:] if not isinstance(v, tuple))
-
-    for expr in exprs:
-        emit(expr)
-    return Command("eval_expr", tuple(Command.obj(oid) for oid in leaves), {"prog": prog})
-
-
 def materialize(sv: ShareVector, fed: Federation) -> ShareVector:
     """Collapse each party's expression to a single stored object: one
     eval_expr command per party whose share is not one already."""
     exprs = tuple(
-        expr if expr[0] == "ref" else ("ref", fed.worker(party).execute(_compile([expr])))
+        expr if expr[0] == "ref" else ("ref", fed.worker(party).execute(compile_expr([expr])))
         for party, expr in zip(sv.parties, sv.exprs)
     )
     return replace(sv, exprs=exprs)
@@ -269,7 +244,7 @@ def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
     nx = math.prod(xs.shape)
     total = np.zeros(nx + math.prod(ys.shape), dtype=np.uint64)
     for i, party in enumerate(xs.parties):
-        prog = _compile([xs.exprs[i], ys.exprs[i]])
+        prog = compile_expr([xs.exprs[i], ys.exprs[i]])
         cmd = Command("beaver_open", prog.args + (("take", triple.refs[i]),),
                       {**prog.kwargs, "kind": triple.kind, "shape": list(triple.shape),
                        "keep": keep[i]})

@@ -93,14 +93,6 @@ class Tensor:
         return f"Tensor({self.dtype.value}, shape={self.shape})"
 
 
-def tensor(values, dtype: Dtype = Dtype.FLOAT64) -> Tensor:
-    return Tensor(np.asarray(values), dtype)
-
-
-def ring_tensor(values) -> Tensor:
-    return Tensor(np.asarray(values), Dtype.RING64)
-
-
 def _check_same_dtype(a: Tensor, b: Tensor):
     if a.dtype is not b.dtype:
         raise DtypeMismatch(f"{a.dtype.value} vs {b.dtype.value}")

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from fedring.errors import KindMismatch, ObjectNotFound, UnknownCommand
 from fedring.protocol import serialize_chain
 from fedring.spdz import ShareVector
 from fedring.tensor import Dtype, Tensor
-from fedring.workers import TransportTap, virtual_federation
+from fedring.workers import (
+    TransportTap,
+    WorkerCore,
+    make_server,
+    socket_federation,
+    virtual_federation,
+)
 
 PARTIES = ["alice", "bob"]
 
@@ -105,7 +113,7 @@ class TestSendGet:
         """A worker object that is not a tensor is not taken as the leaf."""
         fed.worker("alice").store(99, serialize_chain([("pointer", "bob", 1)]))
         with pytest.raises(KindMismatch):
-            TensorChain([("pointer", "alice", 99)], fed).get()
+            TensorChain([("pointer", "alice", ("ref", 99))], fed).get()
 
     def test_send_pointer_rejected(self, fed):
         p = TensorChain.local([1.0], fed=fed).send("alice")
@@ -128,23 +136,96 @@ class TestPointerDispatch:
             dispatch("add", a, b)
 
     def test_transport_transparency_property(self, fed):
-        """dispatch(cmd, send(x), send(y)).get() == dispatch(cmd, x, y)."""
+        """dispatch(cmd, send(x), send(y)).get() == dispatch(cmd, x, y) bit
+        for bit, and a lazy chain over a socket worker gives the same bytes
+        as over a virtual one."""
         rng = np.random.default_rng(1)
-        for cmd in ("add", "sub", "mul"):
+
+        def same_bits(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        for cmd in ("add", "sub", "mul", "matmul"):
             x = rng.normal(size=(2, 3))
-            y = rng.normal(size=(2, 3))
+            y = rng.normal(size=(3, 2) if cmd == "matmul" else (2, 3))
             local = dispatch(cmd, TensorChain.local(x), TensorChain.local(y))
             remote = dispatch(
                 cmd,
                 TensorChain.local(x, fed=fed).send("alice"),
                 TensorChain.local(y, fed=fed).send("alice"),
             ).get()
-            assert np.array_equal(local.tensor().data, remote.tensor().data)
-        for cmd in ("neg", "sigmoid_poly"):
+            assert same_bits(local.tensor().data, remote.tensor().data)
+        for cmd, kwargs in (("neg", {}), ("sigmoid_poly", {}),
+                            ("scale", {"c": 0.1}), ("scale", {"c": -1 / 48}), ("scale", {"c": 3}),
+                            ("offset", {"c": 0.1}), ("offset", {"c": -1 / 48}),
+                            ("offset", {"c": np.float32(-1 / 48)})):
             x = rng.normal(size=5)
-            local = dispatch(cmd, TensorChain.local(x))
-            remote = dispatch(cmd, TensorChain.local(x, fed=fed).send("bob")).get()
-            assert np.array_equal(local.tensor().data, remote.tensor().data)
+            local = dispatch(cmd, TensorChain.local(x), **kwargs)
+            remote = dispatch(cmd, TensorChain.local(x, fed=fed).send("bob"), **kwargs).get()
+            assert same_bits(local.tensor().data, remote.tensor().data)
+
+        x, y = rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
+
+        def lazy_chain(f):
+            xy = dispatch("matmul", TensorChain.local(x, fed=f).send("alice"),
+                          TensorChain.local(y, fed=f).send("alice"))
+            out = dispatch("offset", dispatch("scale", xy, c=0.1), c=-1 / 48)
+            return dispatch("sigmoid_poly", out).get().tensor().data
+
+        server = make_server("127.0.0.1", 0, WorkerCore("alice", 0))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            sock_fed = socket_federation({"alice": server.server_address})
+            try:
+                over_socket = lazy_chain(sock_fed)
+            finally:
+                sock_fed.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert same_bits(over_socket, lazy_chain(fed))
+
+    def test_chain_is_one_execute_and_one_fetch(self, tapped):
+        """send, add, scale, neg, get: the three ops cost nothing until get(),
+        which sends one eval_expr and one fetch and leaves no object. A chain
+        of 3000 ops costs the same two messages."""
+        fed, tap = tapped
+        x = TensorChain.local([1.0, -2.0], fed=fed).send("alice")
+        y = TensorChain.local([0.5, 4.0], fed=fed).send("alice")
+        start, before = len(tap.events), object_counts(fed)
+        out = dispatch("neg", dispatch("scale", dispatch("add", x, y), c=0.5)).get()
+        assert [e.op for e in tap.events[start:]] == ["execute", "fetch"]
+        assert object_counts(fed) == before
+        assert np.array_equal(out.tensor().data, [-0.75, -1.0])
+        deep = x  # deeper than the interpreter's recursion limit
+        for _ in range(3000):
+            deep = dispatch("offset", deep, c=1.0)
+        start = len(tap.events)
+        assert np.array_equal(deep.get().tensor().data, [3001.0, 2998.0])
+        assert [e.op for e in tap.events[start:]] == ["execute", "fetch"]
+
+    def test_fixed_precision_share_of_lazy_chain(self, tapped):
+        """add then offset then share(): one eval_expr taken by make_shares,
+        and its fetch; the worker keeps only the operands and its share."""
+        fed, tap = tapped
+        a = TensorChain.local([1.5, -2.0], fed=fed).fix_precision().send("alice")
+        b = TensorChain.local([2.0, 1.0], fed=fed).fix_precision().send("alice")
+        start, before = tap.messages, object_counts(fed)
+        shared = dispatch("offset", dispatch("add", a, b), c=0.25).share(PARTIES)
+        assert tap.messages == start + 3
+        after = object_counts(fed)
+        assert {n: after[n] - before[n] for n in fed.names} == {"alice": 1, "bob": 1, "dealer": 0}
+        assert np.array_equal(shared.get().float_precision().tensor().data, [3.75, -0.75])
+
+    def test_lazy_result_reads_operands_when_consumed(self, fed):
+        a = TensorChain.local([1.0], fed=fed).send("alice")
+        b = TensorChain.local([2.0], fed=fed).send("alice")
+        total = dispatch("add", a, b)
+        a.get()
+        with pytest.raises(ObjectNotFound):
+            total.get()
 
 
 class TestFixedPrecision:
@@ -193,7 +274,7 @@ class TestSharedChain:
         the secret."""
         fed, tap = tapped
         chain = TensorChain.local([[7.0, 8.0]], fed=fed).fix_precision().send("alice")
-        secret_oid = chain.leaf[2]
+        secret_oid = chain.leaf[2][1]
         start = len(tap.events)
         shared = chain.share(PARTIES)
         events = tap.events[start:]

@@ -171,9 +171,9 @@ class TestCommandCodec:
     def test_roundtrip(self):
         cmd = Command(
             "fb_batch",
-            (Command.obj(3), ("float", 1.5), ("int", -7)),
+            (Command.obj(3),),
             {"dims": [13, 32, 1], "task": "regression", "lr": 0.01,
-             "indices": [1, 2, 3], "weights": [0.5, 0.25]},
+             "indices": [1, 2, 3]},
         )
         back = deserialize_command(serialize_command(cmd))
         assert back.name == cmd.name

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from fedring import commands, spdz
+from fedring import commands
 from fedring.commands import SEED_WORDS, TriplePRG, triple_shapes
 from fedring.errors import (
     ConfigError,
@@ -457,13 +457,13 @@ class TestLazyExpressions:
         assert np.max(np.abs(got - 4 * vals)) <= 2.0**-14
 
     def test_leaves_resolved_once(self):
-        cmd = spdz._compile([("sub", ("ref", 7), ("ref", 9)),
-                             ("sub", ("ref", 7), ("trunc", ("ref", 9), 16, 1))])
+        cmd = commands.compile_expr([("sub", ("ref", 7), ("ref", 9)),
+                                     ("sub", ("ref", 7), ("trunc", ("ref", 9), 16, 1))])
         assert cmd.name == "eval_expr"
         assert cmd.args == (("obj", 7), ("obj", 9))
         assert cmd.kwargs["prog"] == [0, 0, 0, 1, 2, 0, 0, 0, 1, 6, 16, 1, 2]
 
-    @pytest.mark.parametrize("prog", [[], [9], [1], [0, 5], [0, 0, 6, 16]])
+    @pytest.mark.parametrize("prog", [[], [9], [1], [0, 5], [0, 0, 6, 16], [12]])
     def test_malformed_program(self, prog):
         from fedring.errors import MalformedPayload
         from fedring.protocol import Command, serialize_chain

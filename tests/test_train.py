@@ -408,10 +408,13 @@ class TestMPCForward:
         for t in threads:
             t.start()
         endpoints = {n: s.server_address for n, s in zip(names, servers)}
+        peers = []
         for s in servers:
             core = s.worker_core
             core.peers = {n: _LazySocketPeer(*ep) for n, ep in endpoints.items() if n != core.name}
+            peers.extend(core.peers.values())
         outs, patterns, counts = [], [], []
+        sock_fed = None
         try:
             sock_tap, virt_tap = TransportTap(), TransportTap()
             sock_fed = socket_federation(endpoints, sock_tap)
@@ -426,8 +429,11 @@ class TestMPCForward:
                 patterns.append([(e.op, e.worker, e.nbytes, e.shapes)
                                  for e in tap.events[start:]])
                 counts.append([c.object_count() for c in cores])
-            sock_fed.close()
         finally:
+            if sock_fed is not None:
+                sock_fed.close()
+            for peer in peers:
+                peer.close()
             for s in servers:
                 s.shutdown()
                 s.server_close()

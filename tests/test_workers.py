@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedring import protocol
+from fedring.commands import EXPR_OPCODES
 from fedring.errors import (
     DuplicateObject,
     MalformedPayload,
@@ -30,6 +31,12 @@ from fedring.workers import (
 
 def local_payload(values, dtype=Dtype.FLOAT64):
     return serialize_chain([("local", Tensor(np.asarray(values), dtype))])
+
+
+def eval_cmd(op, *args):
+    """An eval_expr command applying one opcode to all its arguments."""
+    prog = [v for i in range(len(args)) for v in (EXPR_OPCODES["ref"], i)]
+    return Command("eval_expr", args, {"prog": prog + [EXPR_OPCODES[op]]})
 
 
 X = local_payload([1.0])
@@ -123,14 +130,14 @@ class TestExecute:
         w = WorkerCore("a", 0)
         w.store_object(1, local_payload([1.0, 2.0]))
         w.store_object(2, local_payload([3.0, 4.0]))
-        oid = w.execute(Command("add", (Command.obj(1), Command.obj(2))))
+        oid = w.execute(eval_cmd("add", Command.obj(1), Command.obj(2)))
         nodes = protocol.deserialize_chain(w.fetch_object(oid))
         assert np.array_equal(nodes[-1][1].data, [4.0, 6.0])
 
     def test_missing_arg(self):
         w = WorkerCore("a", 0)
         with pytest.raises(ObjectNotFound):
-            w.execute(Command("neg", (Command.obj(99),)))
+            w.execute(eval_cmd("neg", Command.obj(99)))
 
     def test_unknown_command(self):
         w = WorkerCore("a", 0)
@@ -144,7 +151,7 @@ class TestExecute:
             ("local", Tensor(np.array([65536], dtype=np.uint64), Dtype.RING64)),
         ])
         w.store_object(1, payload)
-        oid = w.execute(Command("add", (Command.obj(1), Command.obj(1))))
+        oid = w.execute(eval_cmd("add", Command.obj(1), Command.obj(1)))
         nodes = protocol.deserialize_chain(w.fetch_object(oid))
         assert nodes[0] == ("fixed_precision", 16)
         assert nodes[-1][1].data[0] == 131072
@@ -154,10 +161,10 @@ class TestExecute:
         w.store_object(1, local_payload([1.0, 2.0]))
         w.store_object(2, local_payload([3.0]))
         with pytest.raises(ShapeMismatch):
-            w.execute(Command("add", (("take", 1), Command.obj(2))))
+            w.execute(eval_cmd("add", ("take", 1), Command.obj(2)))
         assert w.object_count() == 2  # a failed command consumes nothing
         inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
-        oid = w.execute(Command("add", (("take", 1), ("tensor", inline))))
+        oid = w.execute(eval_cmd("add", ("take", 1), ("tensor", inline)))
         assert np.array_equal(protocol.deserialize_chain(w.fetch_object(oid))[-1][1].data,
                               [11.0, 22.0])
         with pytest.raises(ObjectNotFound):
@@ -190,7 +197,7 @@ class TestVirtualRegistry:
         h.store(1, local_payload([1.0]))
         h.fetch(1)
         h.store(2, local_payload([2.0]))
-        h.execute(Command("add", (Command.obj(1), Command.obj(2))))
+        h.execute(eval_cmd("add", Command.obj(1), Command.obj(2)))
         assert tap.count("store") == 2
         assert tap.count("fetch") == 1
         assert tap.count("execute") == 1
@@ -202,7 +209,7 @@ class TestVirtualRegistry:
         h = fed.worker("alice")
         h.store(1, local_payload([[1.0, 2.0, 3.0]]))
         inline = Tensor(np.ones((1, 3)), Dtype.FLOAT64)
-        h.execute(Command("add", (Command.obj(1), ("tensor", inline))))
+        h.execute(eval_cmd("add", Command.obj(1), ("tensor", inline)))
         event = tap.events[-1]
         assert event.op == "execute"
         assert event.shapes == ((1, 3),)
@@ -225,7 +232,7 @@ class TestSocketWorker:
         c = SocketClient(host, port)
         c.store(1, local_payload([1.0, 2.0]))
         c.store(2, local_payload([3.0, 4.0]))
-        oid = c.execute(Command("add", (Command.obj(1), Command.obj(2))))
+        oid = c.execute(eval_cmd("add", Command.obj(1), Command.obj(2)))
         nodes = protocol.deserialize_chain(c.fetch(oid))
         assert np.array_equal(nodes[-1][1].data, [4.0, 6.0])
         c.close()
@@ -361,7 +368,7 @@ class TestTransportEquivalence:
             h = fed.worker("alice")
             h.store(201, local_payload([[1.0, 2.0], [3.0, 4.0]]))
             h.store(202, local_payload([[5.0, 6.0], [7.0, 8.0]]))
-            oid = h.execute(Command("matmul", (Command.obj(201), Command.obj(202))))
+            oid = h.execute(eval_cmd("matmul", Command.obj(201), Command.obj(202)))
             out = h.fetch(oid, delete=True)
             h.delete(201)
             return out
