@@ -128,14 +128,18 @@ class TensorChain:
         return fed.worker(worker).execute(compile_expr([expr]))
 
     def get(self) -> "TensorChain":
-        """Fetch (and remotely delete) a pointed-to payload, or reconstruct
-        (and delete) a shared one."""
+        """Fetch (and remotely delete) a stored payload, evaluate a lazy one
+        by value (one message, nothing stored), or reconstruct (and delete)
+        a shared one."""
         fed = self._require_fed()
         if self.leaf[0] == "pointer":
-            worker, oid = self.leaf[1], self._evaluate(fed)
-            leaf = protocol.deserialize_chain(fed.worker(worker).fetch(oid, delete=True))[-1]
+            _, worker, expr = self.leaf
+            if expr[0] != "ref":
+                value = fed.execute_tensor(worker, compile_expr([expr]))
+                return self._with_leaf(("local", value))
+            leaf = protocol.deserialize_chain(fed.worker(worker).fetch(expr[1], delete=True))[-1]
             if leaf[0] != "local":
-                raise KindMismatch(f"object {oid} on {worker} holds a {leaf[0]}, not a tensor")
+                raise KindMismatch(f"object {expr[1]} on {worker} holds a {leaf[0]}, not a tensor")
             return self._with_leaf(leaf)
         if self.leaf[0] == "shared":
             return self._with_leaf(("local", spdz.reconstruct(self.leaf[1], fed, delete=True)))
@@ -229,10 +233,6 @@ def _dispatch_pointer(name, head, others, kwargs):
     return head._with_leaf(("pointer", worker, (name,) + operands + consts))
 
 
-def _encode_const(c, cfg: FixedPointConfig) -> int:
-    return int(fixedpoint.encode(Tensor(np.array(float(c)), Dtype.FLOAT64), cfg).data)
-
-
 def _dispatch_fixed(name, head, others, kwargs):
     cfg = FixedPointConfig(frac_bits=head.nodes[0][1])
     inner = [TensorChain(c.nodes[1:], c.fed) for c in (head,) + others]
@@ -242,13 +242,13 @@ def _dispatch_fixed(name, head, others, kwargs):
     elif name == "scale" and not isinstance(c, float):
         out = dispatch("scale", *inner, c=int(c))
     elif name == "offset":
-        out = dispatch("offset", *inner, c=_encode_const(c, cfg))
+        out = dispatch("offset", *inner, c=fixedpoint.encode_scalar(c, cfg))
     elif name in ("mul", "matmul", "scale"):
         if head.leaf[0] == "pointer":
             raise KindMismatch(f"fixed-precision {name} on a pointer needs a truncation "
                                "the worker does not run; get() or share() it first")
         if name == "scale":  # public float: encode the constant, multiply, truncate
-            raw = dispatch("scale", *inner, c=_encode_const(c, cfg))
+            raw = dispatch("scale", *inner, c=fixedpoint.encode_scalar(c, cfg))
         else:
             raw = dispatch(name, *inner, **kwargs)
         out = _truncate_chain(raw, cfg)

@@ -164,18 +164,18 @@ def cmd_dealer(args) -> int:
     peers = {name: workers._LazySocketPeer(h, p) for name, (h, p) in endpoints.items()}
     dealer = workers.WorkerCore("dealer", seed, peers)
     try:
-        oid = dealer.execute(Command(
+        reply = dealer.execute(Command(
             "gen_triples", (),
             {"kind": args.kind, "shape": shape, "parties": ",".join(parties),
              "count": args.count},
-        ))
+        ), by_value=True)
     finally:
         for peer in peers.values():
             peer.close()
     from .protocol import deserialize_chain
 
     # [count, n_parties]: each id names a party's one object for that triple
-    ids = deserialize_chain(dealer.fetch_object(oid, delete=True))[-1][1].data
+    ids = deserialize_chain(reply)[-1][1].data
     print(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "kind": args.kind,

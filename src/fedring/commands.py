@@ -1,9 +1,10 @@
 """Command registry executed on workers, and the expression compiler.
 
 Every command receives resolved tensors and returns one tensor; the worker
-stores it under a fresh id. Arithmetic on stored objects, for shares and
-pointers alike, is one command: `compile_expr` turns expression trees into
-an `eval_expr` postfix program, which `_run_prog` interprets. Commands
+stores it under a fresh id, or, for a by-value execute, replies with it and
+stores nothing. Arithmetic on stored objects, for shares and pointers
+alike, is one command: `compile_expr` turns expression trees into an
+`eval_expr` postfix program, which `_run_prog` interprets. Commands
 never see other workers' secrets: share and triple generation push shares
 directly to the peer workers and hand back only object ids.
 

@@ -8,6 +8,7 @@ arithmetic relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,19 @@ def encode(x: Tensor, cfg: FixedPointConfig = DEFAULT_CONFIG) -> Tensor:
     # round half away from zero, unlike np.round's banker's rounding
     ints = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
     return Tensor(ints.astype(np.int64) % Q, Dtype.RING64)
+
+
+def encode_scalar(x: float, cfg: FixedPointConfig = DEFAULT_CONFIG) -> int:
+    """One float as its ring residue, with encode's rounding in Python
+    floats: encode_scalar(x) == int(encode(x)) for a 0-d x."""
+    x = float(x)
+    if not abs(x) < cfg.max_magnitude:  # NaN is refused too
+        raise OverflowRangeError(
+            f"magnitude >= 2**{61 - cfg.frac_bits} not representable"
+        )
+    scaled = x * cfg.scale
+    n = math.floor(abs(scaled) + 0.5)
+    return (-n if scaled < 0 else n) % Q
 
 
 def decode(r: Tensor, cfg: FixedPointConfig = DEFAULT_CONFIG) -> Tensor:

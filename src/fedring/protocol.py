@@ -5,15 +5,19 @@ Frame layout (little-endian throughout):
     magic    4 bytes  b"FTNS"
     version  u8       1
     msg_type u8       1=STORE 2=GET 3=DELETE 4=EXECUTE 5=RESULT 6=ERROR
+                      7=EXECUTE_VALUE
     request_id  u64
     payload_len u64     at most MAX_PAYLOAD
     payload     payload_len bytes
 
 Request payloads: STORE oid u64 then a chain; GET oid u64 then a delete
-flag u8; DELETE one or more oids, u64 each; EXECUTE a command. An EXECUTE
-RESULT carries the new object's oid u64, a GET RESULT the chain. A worker
-decodes a STORE chain on arrival, so a malformed one is refused with
-Malformed and nothing is stored.
+flag u8; DELETE one or more oids, u64 each; EXECUTE and EXECUTE_VALUE a
+command. An EXECUTE RESULT carries the new object's oid u64, a GET RESULT
+the chain. An EXECUTE_VALUE RESULT carries the result chain, as a GET
+RESULT does: the worker stores no result and allocates no id, and deletes
+the command's take arguments only once it has succeeded. A worker decodes
+a STORE chain on arrival, so a malformed one is refused with Malformed and
+nothing is stored.
 
 Chain payload: node count u8, then per node, top-down, a kind u8 (0=Local
 then a tensor, 1=Pointer then a name and an oid u64, 2=FixedPrecision then
@@ -47,7 +51,9 @@ MSG_DELETE = 3
 MSG_EXECUTE = 4
 MSG_RESULT = 5
 MSG_ERROR = 6
-_VALID_TYPES = frozenset((MSG_STORE, MSG_GET, MSG_DELETE, MSG_EXECUTE, MSG_RESULT, MSG_ERROR))
+MSG_EXECUTE_VALUE = 7
+_VALID_TYPES = frozenset((MSG_STORE, MSG_GET, MSG_DELETE, MSG_EXECUTE, MSG_RESULT, MSG_ERROR,
+                          MSG_EXECUTE_VALUE))
 
 ERR_NOT_FOUND = 1
 ERR_DUPLICATE = 2
@@ -334,9 +340,11 @@ def serialize_command(cmd: Command) -> bytes:
             raw = val.encode("utf-8")
             out.append(struct.pack("<BH", KW_STR, len(raw)))
             out.append(raw)
-        elif isinstance(val, (list, tuple)) and all(isinstance(v, int) for v in val):
-            out.append(struct.pack("<BI", KW_INT_LIST, len(val)))
-            out.append(struct.pack(f"<{len(val)}q", *val))
+        elif isinstance(val, (list, tuple)):
+            try:  # struct refuses an element that is not an integer in int64 range
+                out.append(struct.pack(f"<BI{len(val)}q", KW_INT_LIST, len(val), *val))
+            except struct.error:
+                raise errors.MalformedPayload(f"unsupported kwarg type for {key!r}") from None
         else:
             raise errors.MalformedPayload(f"unsupported kwarg type for {key!r}")
     return b"".join(out)

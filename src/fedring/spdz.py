@@ -11,13 +11,14 @@ own; a truncation is folded into the next command.
 A Beaver multiplication is one open round plus one combine per party. The
 dealer's triples are seed-compressed (format in `commands`): each party
 holds one object per triple, its PCG64 seed, and the last party also its
-explicit share of c. In the open round each party runs one `beaver_open`
-that takes its triple object, expands it once, evaluates its shares of both
-x - a and y - b and keeps the expanded a, b and c for the combine; the
-leader fetches and sums the masked values: exactly two openings (eps,
-delta) regardless of operand size. Each party then runs one
-`beaver_combine` that receives eps and delta inline and takes the expanded
-triple. With two parties that is six messages per multiplication.
+explicit share of c. In the open round each party runs one by-value
+`beaver_open` that takes its triple object, expands it once, evaluates its
+shares of both x - a and y - b, keeps the expanded a, b and c for the
+combine and replies with the masked values, which the leader sums: exactly
+two openings (eps, delta) regardless of operand size. Each party then runs
+one `beaver_combine` that receives eps and delta inline and takes the
+expanded triple. With two parties that is four messages per
+multiplication.
 """
 
 from __future__ import annotations
@@ -109,14 +110,13 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> Shar
 def share_remote(owner: str, oid: int, parties, fed: Federation) -> ShareVector:
     """Split a worker-resident Ring64 tensor without the leader seeing it:
     the owner splits it locally, pushes shares to its peers and deletes it;
-    only the share object ids and the shape return to the leader. One
-    execute and one fetch."""
+    only the share object ids and the shape return to the leader, in the
+    reply to one by-value execute."""
     parties = tuple(parties)
     if len(parties) < 2:
         raise ConfigError("need at least 2 parties")
     cmd = Command("make_shares", (("take", oid),), {"parties": ",".join(parties)})
-    rid = fed.worker(owner).execute(cmd)
-    meta = [int(v) for v in fed.fetch_tensor(owner, rid, delete=True).data]
+    meta = [int(v) for v in fed.execute_tensor(owner, cmd).data]
     exprs = tuple(("ref", v) for v in meta[: len(parties)])
     return ShareVector(parties, exprs, tuple(meta[len(parties):]))
 
@@ -132,11 +132,15 @@ def materialize(sv: ShareVector, fed: Federation) -> ShareVector:
 
 
 def reconstruct(sv: ShareVector, fed: Federation, delete: bool = False) -> Tensor:
-    """Fetch and sum the shares. An object made here to collapse a lazy
-    share is always deleted by its fetch; a stored share only on `delete`."""
+    """Sum the shares: a stored share is fetched, and deleted on `delete`;
+    a lazy one is evaluated by value and never stored. One message per
+    party."""
     total = np.zeros(sv.shape, dtype=np.uint64)
-    for (party, oid), expr in zip(materialize(sv, fed).pointers(), sv.exprs):
-        t = fed.fetch_tensor(party, oid, delete or expr[0] != "ref")
+    for party, expr in zip(sv.parties, sv.exprs):
+        if expr[0] == "ref":
+            t = fed.fetch_tensor(party, expr[1], delete)
+        else:
+            t = fed.execute_tensor(party, compile_expr([expr]))
         if t.shape != sv.shape:
             raise ShapeMismatch(f"share shape {t.shape} != {sv.shape}")
         total = (total + t.data) & _MASK
@@ -231,15 +235,14 @@ def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, cou
         (),
         {"kind": kind, "shape": list(shape), "parties": ",".join(parties), "count": count},
     )
-    rid = fed.worker(dealer).execute(cmd)
-    ids = fed.fetch_tensor(dealer, rid, delete=True).data  # [count, n]
+    ids = fed.execute_tensor(dealer, cmd).data  # [count, n]
     return [BeaverTriple(kind, shape, parties, tuple(int(v) for v in row)) for row in ids]
 
 
 def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
                  fed: Federation, keep):
     """Open eps = x - a and delta = y - b through the leader (star topology):
-    one beaver_open and one fetch per party, two openings noted on the tap.
+    one by-value beaver_open per party, two openings noted on the tap.
     Party i keeps its expanded triple under keep[i]."""
     nx = math.prod(xs.shape)
     total = np.zeros(nx + math.prod(ys.shape), dtype=np.uint64)
@@ -248,7 +251,7 @@ def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
         cmd = Command("beaver_open", prog.args + (("take", triple.refs[i]),),
                       {**prog.kwargs, "kind": triple.kind, "shape": list(triple.shape),
                        "keep": keep[i]})
-        t = fed.fetch_tensor(party, fed.worker(party).execute(cmd), delete=True)
+        t = fed.execute_tensor(party, cmd)
         if t.shape != total.shape:
             raise ShapeMismatch(f"masked shares {t.shape} != {total.shape}")
         total = (total + t.data) & _MASK

@@ -110,7 +110,8 @@ def _store_partitions(fed: Federation, ds: FederatedDataset, targets=None):
 def train_federated(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     """Round-robin federated SGD: the leader sends parameters, the worker
     computes the batch gradient on its own rows, the leader applies the
-    update. One execute (parameters inline) and one fetch per step."""
+    update. One by-value execute per step: the parameters go inline and
+    the result comes back in its reply."""
     model = _init_model(ds, cfg)
     placed = _store_partitions(fed, ds)
     names = list(ds.partitions)
@@ -128,12 +129,11 @@ def train_federated(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
                 x_oid, y_oid, _ = placed[name]
                 idx = orders[name][b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 params = ("tensor", Tensor(model.params, Dtype.FLOAT64))
-                r_oid = fed.worker(name).execute(Command(
+                out = fed.execute_tensor(name, Command(
                     "fb_batch",
                     (params, Command.obj(x_oid), Command.obj(y_oid)),
                     {"dims": dims, "task": model.task, "indices": [int(i) for i in idx]},
-                ))
-                out = fed.fetch_tensor(name, r_oid, delete=True).data
+                )).data
                 loss, grad = out[0], out[1:]
                 model.params = model.params - cfg.lr * grad
                 trace.append({"step": step, "loss": float(loss),
@@ -149,8 +149,9 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     """Phase training per the sanitized-lot protocol: each phase picks one
     worker at random, which samples a lot from its own rows, clips
     per-example gradients and adds Gaussian noise locally; only the sanitized
-    sum crosses the transport, in one fetch after one execute that carries
-    the parameters inline. The accountant records q = L/N per phase."""
+    sum crosses the transport, in the reply to one by-value execute that
+    carries the parameters inline. The accountant records q = L/N per
+    phase."""
     if cfg.privacy is None:
         raise ConfigError("train_federated_dp needs a PrivacySpec")
     spec = cfg.privacy
@@ -183,13 +184,12 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
         name = names[int(pick_rng.integers(len(names)))]
         x_oid, y_oid, _ = placed[name]
         params = ("tensor", Tensor(model.params, Dtype.FLOAT64))
-        r_oid = fed.worker(name).execute(Command(
+        out = fed.execute_tensor(name, Command(
             "dp_phase",
             (params, Command.obj(x_oid), Command.obj(y_oid)),
             {"dims": dims, "task": model.task, "lot_size": L,
              "clip_norm": spec.clip_norm, "sigma": spec.sigma},
-        ))
-        out = fed.fetch_tensor(name, r_oid, delete=True).data
+        )).data
         loss, sanitized = out[0], out[1:]
         lr = cfg.dp_lr0 / (1.0 + t / cfg.dp_lr_tau)
         model.params = model.params - lr * (sanitized / L)
@@ -230,12 +230,9 @@ def fixed_forward(model: Model, X: np.ndarray,
     def sigmoid_fp(v):
         x2 = fixedpoint.truncate(tc.mul(v, v), cfg)
         x3 = fixedpoint.truncate(tc.mul(x2, v), cfg)
-        quarter = int(enc(np.array(0.25)).data)
-        neg48 = int(enc(np.array(-1.0 / 48.0)).data)
-        t1 = fixedpoint.truncate(tc.scale(v, quarter), cfg)
-        t2 = fixedpoint.truncate(tc.scale(x3, neg48), cfg)
-        half = int(enc(np.array(0.5)).data)
-        return tc.offset(tc.add(t1, t2), half)
+        t1 = fixedpoint.truncate(tc.scale(v, fixedpoint.encode_scalar(0.25, cfg)), cfg)
+        t2 = fixedpoint.truncate(tc.scale(x3, fixedpoint.encode_scalar(-1.0 / 48.0, cfg)), cfg)
+        return tc.offset(tc.add(t1, t2), fixedpoint.encode_scalar(0.5, cfg))
 
     xs = enc(X)
     z1 = tc.add(matmul_fp(xs, enc(w1)), enc(np.tile(b1, (B, 1))))
@@ -249,13 +246,10 @@ def fixed_forward(model: Model, X: np.ndarray,
 def _shared_sigmoid(sv, fed: Federation, mul_trunc, cfg: FixedPointConfig):
     x2 = mul_trunc("elementwise", sv, sv)
     x3 = mul_trunc("elementwise", x2, sv)
-
-    def enc_const(x):
-        return int(fixedpoint.encode(Tensor(np.array(x), Dtype.FLOAT64), cfg).data)
-
-    t1 = spdz.trunc_shared(spdz.public_op("mul", sv, enc_const(0.25)), fed, cfg)
-    t2 = spdz.trunc_shared(spdz.public_op("mul", x3, enc_const(-1.0 / 48.0)), fed, cfg)
-    return spdz.public_op("add", spdz.add_shared(t1, t2), enc_const(0.5))
+    enc = fixedpoint.encode_scalar
+    t1 = spdz.trunc_shared(spdz.public_op("mul", sv, enc(0.25, cfg)), fed, cfg)
+    t2 = spdz.trunc_shared(spdz.public_op("mul", x3, enc(-1.0 / 48.0, cfg)), fed, cfg)
+    return spdz.public_op("add", spdz.add_shared(t1, t2), enc(0.5, cfg))
 
 
 def mpc_triple_requirements(dims, batch: int, task: str):

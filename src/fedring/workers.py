@@ -3,15 +3,17 @@
 A worker owns an object store (ObjectId -> decoded chain node list), a
 seeded RNG, a reusable generator for expanding Beaver triples and a command
 executor. Bytes exist only where a chain crosses a transport: `store_object`
-decodes (and so validates) a payload once on arrival and `fetch_object`
-encodes on the way out. Commands read and write
+decodes (and so validates) a payload once on arrival, and `fetch_object`
+and a by-value `execute` encode on the way out. Commands read and write
 node lists with no codec, and so do worker-to-worker pushes between
 in-process workers; a socket peer encodes them for the wire.
 
 Virtual workers live in a process-local registry; socket workers serve the
 same operations over TCP with the FTNS framing. Both expose one handle
 interface (store / fetch / delete / execute) so the leader code is
-transport-agnostic.
+transport-agnostic. An execute either stores its result and returns the
+new id, or, by value, returns the result chain and stores nothing: one
+message where an execute and a fetch-delete would be two.
 
 Object ids: the leader allocates session ids below 2**32; each worker
 allocates internal ids above a name-derived base so the two ranges never
@@ -83,9 +85,9 @@ class TransportTap:
     def record(self, op: str, worker: str, oid: int = 0, chain_bytes: bytes = b"",
                tensors=()):
         """One message; `tensors` are the inline tensor arguments of an
-        execute, counted like the chain payload of a store or fetch. Sizes
-        and shapes come from tensor shapes and chain headers: nothing is
-        encoded or decoded."""
+        execute, counted like the chain payload of a store, a fetch or a
+        by-value execute's reply. Sizes and shapes come from tensor shapes
+        and chain headers: nothing is encoded or decoded."""
         shapes = tuple(t.shape for t in tensors)
         nbytes = len(chain_bytes) + sum(protocol.tensor_nbytes(t) for t in tensors)
         if chain_bytes:
@@ -140,9 +142,16 @@ class _TappedHandle:
         self._record("delete", oids[0] if oids else 0)
         self._delete(*oids)
 
-    def execute(self, cmd: Command) -> int:
-        self._record("execute", tensors=[val for tag, val in cmd.args if tag == "tensor"])
-        return self._execute(cmd)
+    def execute(self, cmd: Command, by_value: bool = False):
+        """The stored result's id; by value, the result chain's encoding,
+        recorded with the execute that brought it."""
+        tensors = [val for tag, val in cmd.args if tag == "tensor"]
+        if not by_value:
+            self._record("execute", tensors=tensors)
+            return self._execute(cmd)
+        payload = self._execute(cmd, True)
+        self._record("execute", 0, payload, tensors=tensors)
+        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +244,11 @@ class WorkerCore:
             raise KindMismatch(f"object {oid} on {self.name} has no local payload")
         return tail[1], frac_bits
 
-    def execute(self, cmd: Command) -> int:
+    def execute(self, cmd: Command, by_value: bool = False):
+        """Run a command and store its result under a fresh id, returned;
+        by value, return the result chain encoded for a transport and store
+        nothing. Take arguments are deleted only once the command has
+        succeeded."""
         fn, preserve = lookup(cmd.name)
         resolved = []
         taken = []
@@ -255,11 +268,14 @@ class WorkerCore:
         if preserve and first_frac is not None:
             nodes.append(("fixed_precision", first_frac))
         nodes.append(("local", result))
-        oid = self.allocate_id()
-        self._put(oid, nodes)
+        if by_value:
+            out = protocol.serialize_chain(nodes)
+        else:
+            out = self.allocate_id()
+            self._put(out, nodes)
         if taken:
             self.delete_object(*taken)
-        return oid
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +394,11 @@ class SocketClient:
     def delete(self, *oids: int):
         self.request(protocol.MSG_DELETE, struct.pack(f"<{len(oids)}Q", *oids))
 
-    def execute(self, cmd: Command) -> int:
-        reply = self.request(protocol.MSG_EXECUTE, protocol.serialize_command(cmd))
+    def execute(self, cmd: Command, by_value: bool = False):
+        msg_type = protocol.MSG_EXECUTE_VALUE if by_value else protocol.MSG_EXECUTE
+        reply = self.request(msg_type, protocol.serialize_command(cmd))
+        if by_value:
+            return reply.payload
         if len(reply.payload) != 8:
             raise TransportError("bad execute reply")
         return struct.unpack("<Q", reply.payload)[0]
@@ -488,6 +507,9 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             cmd = protocol.deserialize_command(msg.payload)
             oid = core.execute(cmd)
             return Message(protocol.MSG_RESULT, msg.request_id, struct.pack("<Q", oid))
+        if msg.msg_type == protocol.MSG_EXECUTE_VALUE:
+            payload = core.execute(protocol.deserialize_command(msg.payload), by_value=True)
+            return Message(protocol.MSG_RESULT, msg.request_id, payload)
         raise MalformedPayload(f"unserviceable msg_type {msg.msg_type}")
 
 
@@ -524,6 +546,11 @@ class Federation:
     def fetch_tensor(self, name: str, oid: int, delete: bool = False) -> Tensor:
         """Fetch an object and decode the tensor at its leaf."""
         return protocol.deserialize_chain(self.worker(name).fetch(oid, delete))[-1][1]
+
+    def execute_tensor(self, name: str, cmd: Command) -> Tensor:
+        """Run a command by value, one message, and decode the tensor at
+        the leaf of its result; the worker keeps nothing of the result."""
+        return protocol.deserialize_chain(self.worker(name).execute(cmd, by_value=True))[-1][1]
 
     def allocate_id(self) -> int:
         oid = next(self._counter)

@@ -187,16 +187,16 @@ class TestPointerDispatch:
         assert not thread.is_alive()
         assert same_bits(over_socket, lazy_chain(fed))
 
-    def test_chain_is_one_execute_and_one_fetch(self, tapped):
+    def test_chain_is_one_execute(self, tapped):
         """send, add, scale, neg, get: the three ops cost nothing until get(),
-        which sends one eval_expr and one fetch and leaves no object. A chain
-        of 3000 ops costs the same two messages."""
+        which sends one by-value eval_expr and leaves no object. A chain of
+        3000 ops costs the same one message."""
         fed, tap = tapped
         x = TensorChain.local([1.0, -2.0], fed=fed).send("alice")
         y = TensorChain.local([0.5, 4.0], fed=fed).send("alice")
         start, before = len(tap.events), object_counts(fed)
         out = dispatch("neg", dispatch("scale", dispatch("add", x, y), c=0.5)).get()
-        assert [e.op for e in tap.events[start:]] == ["execute", "fetch"]
+        assert [e.op for e in tap.events[start:]] == ["execute"]
         assert object_counts(fed) == before
         assert np.array_equal(out.tensor().data, [-0.75, -1.0])
         deep = x  # deeper than the interpreter's recursion limit
@@ -204,17 +204,17 @@ class TestPointerDispatch:
             deep = dispatch("offset", deep, c=1.0)
         start = len(tap.events)
         assert np.array_equal(deep.get().tensor().data, [3001.0, 2998.0])
-        assert [e.op for e in tap.events[start:]] == ["execute", "fetch"]
+        assert [e.op for e in tap.events[start:]] == ["execute"]
 
     def test_fixed_precision_share_of_lazy_chain(self, tapped):
-        """add then offset then share(): one eval_expr taken by make_shares,
-        and its fetch; the worker keeps only the operands and its share."""
+        """add then offset then share(): one eval_expr taken by a by-value
+        make_shares; the worker keeps only the operands and its share."""
         fed, tap = tapped
         a = TensorChain.local([1.5, -2.0], fed=fed).fix_precision().send("alice")
         b = TensorChain.local([2.0, 1.0], fed=fed).fix_precision().send("alice")
         start, before = tap.messages, object_counts(fed)
         shared = dispatch("offset", dispatch("add", a, b), c=0.25).share(PARTIES)
-        assert tap.messages == start + 3
+        assert tap.messages == start + 2
         after = object_counts(fed)
         assert {n: after[n] - before[n] for n in fed.names} == {"alice": 1, "bob": 1, "dealer": 0}
         assert np.array_equal(shared.get().float_precision().tensor().data, [3.75, -0.75])
@@ -270,16 +270,17 @@ class TestSharedChain:
 
     def test_remote_share_leader_blind(self, tapped):
         """Sharing a pointed-to tensor happens on the owning worker: one
-        execute and one fetch of the share ids and shape, never a fetch of
-        the secret."""
+        by-value execute whose reply holds only the share ids and the shape,
+        never a fetch of the secret."""
         fed, tap = tapped
         chain = TensorChain.local([[7.0, 8.0]], fed=fed).fix_precision().send("alice")
         secret_oid = chain.leaf[2][1]
         start = len(tap.events)
         shared = chain.share(PARTIES)
         events = tap.events[start:]
-        assert [e.op for e in events] == ["execute", "fetch"]
+        assert [e.op for e in events] == ["execute"]
         assert all(e.oid != secret_oid for e in events)
+        assert events[0].shapes == ((len(PARTIES) + 2,),)  # two ids, then (1, 2)
         assert [n[0] for n in shared.nodes] == ["fixed_precision", "shared"]
         assert shared.leaf[1].shape == (1, 2)
         assert fed.worker("alice").core.object_count() == 1  # the secret is consumed

@@ -191,8 +191,8 @@ class TestWorkerProcess:
             client.close()
         finally:
             proc.send_signal(signal.SIGINT)
-            code = proc.wait(timeout=10)
-        assert code == 0
+            proc.communicate(timeout=10)  # reaps the worker and closes its pipes
+        assert proc.returncode == 0
 
     def test_listening_line_means_bound(self):
         """Once "listening" is printed, one connect with no retry succeeds;
@@ -214,8 +214,8 @@ class TestWorkerProcess:
             client.close()
         finally:
             proc.send_signal(signal.SIGINT)
-            code = proc.wait(timeout=10)
-        assert code == 0
+            proc.communicate(timeout=10)  # reaps the worker and closes its pipes
+        assert proc.returncode == 0
 
     def test_occupied_port_exits_two(self):
         holder = socket.socket()

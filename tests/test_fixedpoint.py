@@ -8,6 +8,7 @@ from fedring.fixedpoint import (
     Q,
     decode,
     encode,
+    encode_scalar,
     to_signed,
     truncate,
     truncate_share,
@@ -45,6 +46,24 @@ class TestEncode:
         cfg = FixedPointConfig(frac_bits=1)  # grid of halves
         assert encode(f64([0.25]), cfg).data[0] == 1  # 0.5 rounds up
         assert encode(f64([-0.25]), cfg).data[0] == Q - 1  # -0.5 rounds down
+
+
+    def test_encode_scalar_matches_encode(self):
+        """Python-float rounding gives encode's residue bit for bit, on
+        random values, the constants of the shared sigmoid and ties."""
+        rng = np.random.default_rng(8)
+        values = list(rng.uniform(-1e3, 1e3, 500)) + list(rng.normal(0.0, 1e-5, 100))
+        values += [0.0, -0.0, 0.25, -1.0 / 48.0, 0.5, 2.0**-17, -(2.0**-17), 3 * 2.0**-17]
+        for cfg in (DEFAULT_CONFIG, FixedPointConfig(frac_bits=1), FixedPointConfig(frac_bits=30)):
+            for v in values:
+                assert encode_scalar(v, cfg) == int(encode(f64(v), cfg).data), (v, cfg)
+        c = np.float32(-1.0 / 48.0)
+        assert encode_scalar(c) == int(encode(f64(c)).data)
+
+    def test_encode_scalar_overflow(self):
+        for bad in (2.0**45, -(2.0**45), float("inf"), float("nan")):
+            with pytest.raises(OverflowRangeError):
+                encode_scalar(bad)
 
 
 class TestDecode:

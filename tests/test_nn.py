@@ -9,6 +9,7 @@ from fedring.nn import (
     init_params,
     param_count,
     project_hidden_max_norm,
+    sigmoid_poly,
     unflatten,
 )
 
@@ -119,3 +120,34 @@ class TestClipping:
         assert np.all(np.abs(b1) <= 1.0)
         ow1, ob1, ow2, ob2 = unflatten(p, DIMS)
         assert np.array_equal(w2, ow2) and np.array_equal(b2, ob2)
+
+    def test_project_hidden_max_norm_fresh_and_exact(self):
+        """The result is a new array, bit-equal to clipping a copy and
+        concatenating its parts, and the input is left as it was."""
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            p = init_params(DIMS, rng, weight_std=float(rng.uniform(0.1, 3.0)))
+            p[DIMS[0] * DIMS[1]:][: DIMS[1]] = rng.normal(0.0, 2.0, DIMS[1])
+            before = p.copy()
+            out = project_hidden_max_norm(p, DIMS, 1.0)
+            assert not np.shares_memory(out, p)
+            assert np.array_equal(p, before)
+            w1, b1, w2, b2 = (a.copy() for a in unflatten(p, DIMS))
+            w1 *= np.minimum(1.0, 1.0 / np.maximum(np.linalg.norm(w1, axis=0), 1e-300))
+            np.clip(b1, -1.0, 1.0, out=b1)
+            want = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+            assert out.tobytes() == want.tobytes()
+
+
+class TestSigmoidPoly:
+    def test_matches_literal_polynomial(self):
+        """x * x * x in place of x**3 moves a result by at most 4e-16 for
+        |x| <= 4, inside the range where the polynomial approximates the
+        sigmoid."""
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.normal(0.0, 1.0, 4096), rng.uniform(-4.0, 4.0, 4096)])
+        x = np.clip(x, -4.0, 4.0)
+        literal = 0.5 + x / 4.0 - x**3 / 48.0
+        assert np.max(np.abs(sigmoid_poly(x) - literal)) <= 4e-16
+        assert sigmoid_poly(np.array([0.0, 2.0, -2.0])).tolist() == [0.5, 0.8333333333333334,
+                                                                     0.16666666666666666]

@@ -50,6 +50,15 @@ class TestFrames:
         assert frame[5] == 1
         assert len(frame) == 24
 
+    def test_execute_value_type(self):
+        """EXECUTE_VALUE is msg_type 7 and leaves EXECUTE frames as they were."""
+        payload = serialize_command(Command("eval_expr", (Command.obj(3),), {"prog": [0, 0]}))
+        frame = encode_frame(Message(protocol.MSG_EXECUTE_VALUE, 5, payload))
+        assert frame[5] == 7
+        assert decode_frame(frame) == (Message(7, 5, payload), len(frame))
+        execute = encode_frame(Message(protocol.MSG_EXECUTE, 5, payload))
+        assert execute == frame[:5] + bytes([4]) + frame[6:]
+
     def test_bad_magic(self):
         frame = bytearray(encode_frame(Message(1, 1)))
         frame[0] = 0
@@ -179,6 +188,13 @@ class TestCommandCodec:
         assert back.name == cmd.name
         assert back.args == cmd.args
         assert back.kwargs == cmd.kwargs
+
+    def test_int_list_kwarg_refuses_non_integers(self):
+        for bad in ([1, 2.5], [1, "2"], [[1]], [1 << 63]):
+            with pytest.raises(errors.MalformedPayload):
+                serialize_command(Command("x", (), {"indices": bad}))
+        back = deserialize_command(serialize_command(Command("x", (), {"t": (True, -(1 << 63))})))
+        assert back.kwargs == {"t": [1, -(1 << 63)]}
 
     def test_empty_command(self):
         cmd = Command("neg", (Command.obj(1),))

@@ -219,7 +219,7 @@ class TestBeaver:
             matmul_shared(m, n, one_triple(fed, "elementwise", (2,)), fed)
 
     def test_one_round_consumes_triple(self):
-        """One multiplication: an open command and a fetch per party, then a
+        """One multiplication: a by-value open command per party, then a
         combine per party with eps/delta inline; the triple objects are gone."""
         tap = TransportTap()
         fed, registry = virtual_federation(["alice", "bob", "dealer"], seed=7, tap=tap)
@@ -231,9 +231,9 @@ class TestBeaver:
         before = len(tap.events)
         zs = beaver_mul(add_shared(xs, xs), ys, triple, fed)
         ops = [e.op for e in tap.events[before:]]
-        assert ops.count("execute") == 4 and ops.count("fetch") == 2 and len(ops) == 6
-        combines = [e for e in tap.events[before:] if e.op == "execute" and e.shapes]
-        assert [e.shapes for e in combines] == [((3,), (3,))] * 2  # eps, delta inline
+        assert ops == ["execute"] * 4
+        # each open's reply is x - a || y - b; each combine sends eps, delta inline
+        assert [e.shapes for e in tap.events[before:]] == [((6,),)] * 2 + [((3,), (3,))] * 2
         for p in PARTIES:  # +1 product, -1 triple object
             assert registry.get(p).object_count() == counts[p]
         assert np.array_equal(reconstruct(zs, fed).data, [20, 42, 220])
@@ -453,7 +453,7 @@ class TestLazyExpressions:
         t = trunc_shared(public_op("mul", xs, int(enc([4.0]).data[0])), fed)
         assert tap.messages == before
         got = decode(reconstruct(t, fed)).data
-        assert tap.messages == before + 4  # one eval_expr and one fetch per party
+        assert tap.messages == before + 2  # one by-value eval_expr per party
         assert np.max(np.abs(got - 4 * vals)) <= 2.0**-14
 
     def test_leaves_resolved_once(self):

@@ -89,15 +89,15 @@ class TestFederated:
         assert len(trace) == expected
 
 
-def assert_message_pair_per_step(tap, registry, ds, steps):
-    """After the partition stores, each step is one execute carrying the
-    parameters inline and one fetch of its result; the workers end with
-    their partitions only."""
+def assert_one_message_per_step(tap, registry, ds, steps):
+    """After the partition stores, each step is one by-value execute that
+    carries the parameters inline and brings back [loss, gradient]; the
+    workers end with their partitions only."""
     stores = 2 * len(ds.partitions)
     assert [e.op for e in tap.events[:stores]] == ["store"] * stores
-    assert [e.op for e in tap.events[stores:]] == ["execute", "fetch"] * steps
+    assert [e.op for e in tap.events[stores:]] == ["execute"] * steps
     n_params = nn.param_count((ds.n_features, TrainConfig().hidden, 1))
-    assert all(e.shapes == ((n_params,),) for e in tap.events[stores::2])
+    assert all(e.shapes == ((n_params,), (n_params + 1,)) for e in tap.events[stores:])
     assert sum(w.object_count() for w in registry.workers.values()) == stores
 
 
@@ -107,7 +107,7 @@ class TestMessagesPerStep:
         tap = TransportTap()
         fed, registry = virtual_federation(["alice", "bob"], seed=1, tap=tap)
         _, trace = train_federated(fed, ds, TrainConfig(seed=1, epochs=2))
-        assert_message_pair_per_step(tap, registry, ds, len(trace))
+        assert_one_message_per_step(tap, registry, ds, len(trace))
 
     def test_federated_dp(self):
         ds = pima(["alice", "bob"])
@@ -115,7 +115,7 @@ class TestMessagesPerStep:
         fed, registry = virtual_federation(["alice", "bob"], seed=1, tap=tap)
         spec = PrivacySpec(q=0.1, sigma=2.0, clip_norm=1.0, delta=1e-5, steps=20)
         _, trace, _ = train_federated_dp(fed, ds, TrainConfig(seed=1, privacy=spec))
-        assert_message_pair_per_step(tap, registry, ds, len(trace))
+        assert_one_message_per_step(tap, registry, ds, len(trace))
 
 
 class TestFederatedDP:
@@ -243,7 +243,7 @@ class TestMPCForward:
 
 
     def test_pass_budget_boston(self):
-        """One pass over the Boston test set (B=101): at most 40 messages,
+        """One pass over the Boston test set (B=101): at most 30 messages,
         exactly 8 openings, and each party ends with the objects it started
         with minus the 4 triple objects the pass consumed."""
         ds = boston(["solo"])
@@ -258,7 +258,7 @@ class TestMPCForward:
             counts = {n: w.object_count() for n, w in registry.workers.items()}
             messages, openings = tap.messages, tap.openings
             mpc_forward(model, ds.test_X, fed, parties, pool, rng)
-            assert tap.messages - messages <= 40
+            assert tap.messages - messages <= 30
             assert tap.openings - openings == 8
             assert {n: w.object_count() - counts[n] for n, w in registry.workers.items()} == {
                 "alice": -4, "bob": -4, "dealer": 0}
@@ -309,7 +309,7 @@ class TestMPCForward:
 
     def test_tap_reads_headers_only(self, monkeypatch):
         """Over one Boston pass the tap records what encoding each inline
-        tensor and decoding each chain would give (40 events, 656,960 B, the
+        tensor and decoding each chain would give (30 events, 656,960 B, the
         same shapes), and record makes no codec call."""
         ds = boston(["solo"])
         model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
@@ -347,14 +347,15 @@ class TestMPCForward:
         mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
         events = tap.events[start:]
         assert events == reference
-        assert len(events) == 40
+        assert len(events) == 30
         assert sum(e.nbytes for e in events) == 656_960
         assert sum(codec_calls.values()) == 0
 
     def test_codec_only_at_transport_boundary(self, monkeypatch):
         """Workers keep decoded chains: over one Boston pass on virtual
-        workers, each leader store or fetch encodes once and decodes once,
-        and no execute or worker-to-worker push touches the codec."""
+        workers, each leader store or by-value execute encodes once and
+        decodes once, and no other execute, fetch or worker-to-worker push
+        touches the codec."""
         ds = boston(["solo"])
         model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
         fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=9)
@@ -365,7 +366,7 @@ class TestMPCForward:
 
         def spy(key, fn):
             def counted(*args, **kwargs):
-                calls[key] += 1
+                calls[key + "_value" * kwargs.get("by_value", False)] += 1
                 return fn(*args, **kwargs)
             return counted
 
@@ -378,7 +379,8 @@ class TestMPCForward:
             for op in ("store", "fetch", "execute"):
                 monkeypatch.setattr(h, op, spy(op, getattr(h, op)))
         mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
-        assert calls["store"] + calls["fetch"] == 20
+        assert calls["store"] + calls["execute_value"] == 20
+        assert calls["fetch"] == 0
         assert calls["execute"] > 0
         assert calls["encode"] == calls["decode"] == 20
 

@@ -11,6 +11,7 @@ from fedring.errors import (
     DuplicateObject,
     MalformedPayload,
     ObjectNotFound,
+    RemoteError,
     ShapeMismatch,
     UnknownCommand,
     WorkerUnknown,
@@ -346,6 +347,98 @@ class TestSocketWorker:
             assert head[5] == protocol.MSG_RESULT
             assert struct.unpack("<Q", head[6:14])[0] == rid
         sock.close()
+
+
+@pytest.fixture(params=["virtual", "socket"])
+def handle_and_core(request):
+    """A tapped leader handle over one worker, and that worker's core."""
+    tap = TransportTap()
+    if request.param == "virtual":
+        fed, registry = virtual_federation(["alice"], 0, tap)
+        yield fed.worker("alice"), registry.get("alice")
+        return
+    core = WorkerCore("alice", seed=0)
+    srv = make_server("127.0.0.1", 0, core)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    fed = socket_federation({"alice": srv.server_address}, tap)
+    try:
+        yield fed.worker("alice"), core
+    finally:
+        fed.close()
+        srv.shutdown()
+        srv.server_close()
+
+
+class TestExecuteByValue:
+    def test_reply_is_the_chain_and_nothing_is_stored(self, handle_and_core):
+        """The reply is the result chain, prefix included; the worker keeps
+        no result, allocates no id, and deletes a take argument."""
+        h, core = handle_and_core
+        h.store(1, serialize_chain([
+            ("fixed_precision", 16),
+            ("local", Tensor(np.array([65536], dtype=np.uint64), Dtype.RING64)),
+        ]))
+        h.store(2, local_payload([1.0, 2.0]))
+        reply = h.execute(eval_cmd("add", Command.obj(1), Command.obj(1)), by_value=True)
+        nodes = protocol.deserialize_chain(reply)
+        assert nodes[0] == ("fixed_precision", 16)
+        assert nodes[-1][1].data.tolist() == [131072]
+        inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
+        reply = h.execute(eval_cmd("add", ("take", 2), ("tensor", inline)), by_value=True)
+        assert protocol.deserialize_chain(reply)[-1][1].data.tolist() == [11.0, 22.0]
+        assert core.object_count() == 1
+        with pytest.raises(ObjectNotFound):
+            h.fetch(2)
+        assert core.allocate_id() == WorkerCore("alice", 0).allocate_id()
+
+    def test_tap_records_reply_on_the_execute(self, handle_and_core):
+        h, _ = handle_and_core
+        h.store(1, local_payload([[1.0, 2.0, 3.0]]))
+        inline = Tensor(np.ones((1, 3)), Dtype.FLOAT64)
+        reply = h.execute(eval_cmd("add", Command.obj(1), ("tensor", inline)), by_value=True)
+        event = h.tap.events[-1]
+        assert (event.op, event.oid) == ("execute", 0)
+        assert event.shapes == ((1, 3), (1, 3))
+        assert event.nbytes == len(protocol.serialize_tensor(inline)) + len(reply)
+        assert h.tap.messages == 2
+
+    def test_failure_keeps_take_objects(self, handle_and_core):
+        h, core = handle_and_core
+        h.store(1, local_payload([1.0, 2.0]))
+        h.store(2, local_payload([3.0]))
+        with pytest.raises((ShapeMismatch, RemoteError)):  # a socket reply carries no type
+            h.execute(eval_cmd("add", ("take", 1), Command.obj(2)), by_value=True)
+        with pytest.raises(ObjectNotFound):
+            h.execute(eval_cmd("add", ("take", 1), Command.obj(99)), by_value=True)
+        assert core.object_count() == 2  # a failed command consumes nothing
+        assert h.fetch(1) == local_payload([1.0, 2.0])
+
+    def test_socket_error_in_band(self, server):
+        host, port = server.server_address
+        c = SocketClient(host, port)
+        c.store(1, local_payload([1.0, 2.0]))
+        with pytest.raises(ObjectNotFound):
+            c.execute(eval_cmd("neg", Command.obj(99)), by_value=True)
+        with pytest.raises(UnknownCommand):
+            c.execute(Command("frobnicate", ()), by_value=True)
+        reply = c.execute(eval_cmd("neg", Command.obj(1)), by_value=True)
+        assert protocol.deserialize_chain(reply)[-1][1].data.tolist() == [-1.0, -2.0]
+        assert server.worker_core.object_count() == 1
+        c.close()
+
+    def test_truncated_payload_is_malformed(self, server):
+        host, port = server.server_address
+        c = SocketClient(host, port)
+        c.store(1, X)
+        payload = protocol.serialize_command(eval_cmd("neg", ("take", 1)))
+        for cut in (1, 8, len(payload) - 1):
+            with pytest.raises(MalformedPayload):
+                c.request(protocol.MSG_EXECUTE_VALUE, payload[:cut])
+        assert server.worker_core.object_count() == 1
+        assert c.request(protocol.MSG_EXECUTE_VALUE, payload).payload == local_payload([-1.0])
+        assert server.worker_core.object_count() == 0
+        c.close()
 
 
 def _recv(sock, n):
