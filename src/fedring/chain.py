@@ -11,13 +11,16 @@ to learn it:
                                  expression over the worker's objects;
     ('shared', ShareVector)      parties, per-party share expressions and
                                  shape; linear results stay lazy.
-Pointer and share expressions share one format and one compiler
-(commands.compile_expr). Operations on pointers send nothing: get() or
-share() evaluates the whole expression with one eval_expr command, and a
-shape or dtype error in it surfaces there. A lazy result reads its operands
-when it is consumed, not when it is built, so consuming an operand first
-(say with its own get()) makes the later evaluation fail with
-ObjectNotFound.
+The ops a chain dispatches, and their arity, come from one table
+(commands.OPS), and every leaf kind runs them with one interpreter. A local
+op runs commands.run_expr on the leader. Pointer and share expressions
+share one format and one compiler (commands.compile_expr). Operations on
+pointers send nothing: get() evaluates the whole expression with one
+by-value eval_expr command and share() with one make_shares command that
+carries it as its program, and a shape or dtype error in it surfaces there.
+A lazy result reads its operands when it is consumed, not when it is
+built, so consuming an operand first (say with its own get()) makes the
+later evaluation fail with ObjectNotFound.
 
 `send` keeps the chain's prefix above the pointer, so a fixed-precision
 tensor stays fixed precision on its worker. Workers do not truncate, so
@@ -30,24 +33,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint, protocol, spdz
-from . import tensor as tc
-from .commands import compile_expr
+from .commands import OPS, compile_expr, run_expr
 from .errors import ConfigError, KindMismatch, UnknownCommand
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from .tensor import Dtype, Tensor
 from .workers import Federation
 
-# commands dispatchable through Local chains, mapped onto tensor-core kernels
-_LOCAL_BINARY = {
-    "add": tc.add,
-    "sub": tc.sub,
-    "mul": tc.mul,
-    "matmul": tc.matmul,
-}
-_LOCAL_UNARY = {
-    "neg": tc.neg,
-    "sigmoid_poly": tc.sigmoid_poly,
-}
+# OPS entries a chain does not dispatch: the compilers pick trunc, fscale,
+# foffset, save and load, and a ref names an operand
+_NOT_DISPATCHED = ("ref", "trunc", "fscale", "foffset", "save", "load")
 
 
 def validate_chain(nodes):
@@ -119,14 +113,6 @@ class TensorChain:
         fed.worker(target).store(oid, protocol.serialize_chain(self.nodes))
         return self._with_leaf(("pointer", target, ("ref", oid)))
 
-    def _evaluate(self, fed: Federation) -> int:
-        """The id of the pointer leaf's value: a stored object as it is, a
-        lazy expression evaluated by one eval_expr command."""
-        _, worker, expr = self.leaf
-        if expr[0] == "ref":
-            return expr[1]
-        return fed.worker(worker).execute(compile_expr([expr]))
-
     def get(self) -> "TensorChain":
         """Fetch (and remotely delete) a stored payload, evaluate a lazy one
         by value (one message, nothing stored), or reconstruct (and delete)
@@ -163,11 +149,12 @@ class TensorChain:
     # -- sharing -----------------------------------------------------------
     def share(self, parties, rng: np.random.Generator | None = None) -> "TensorChain":
         """Split into additive shares. Local chains are split by the leader;
-        a pointed-to payload is split and consumed on its worker, and only
-        the share ids and the shape return to the leader."""
+        a pointed-to payload is split on its worker by one command, which
+        consumes a stored payload and evaluates a lazy one, and only the
+        share ids and the shape return to the leader."""
         fed = self._require_fed()
         if self.leaf[0] == "pointer":
-            sv = spdz.share_remote(self.leaf[1], self._evaluate(fed), parties, fed)
+            sv = spdz.share_remote(self.leaf[1], self.leaf[2], parties, fed)
             return self._with_leaf(("shared", sv))
         if self.leaf[0] != "local":
             raise KindMismatch(f"cannot share a {self.leaf[0]} chain")
@@ -185,9 +172,16 @@ class TensorChain:
 def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> TensorChain:
     """Forward a command down the chain: FixedPrecision applies the
     fixed-point calling convention (truncate after mul/matmul/float scale)
-    then forwards; at the leaf, Local runs the native kernel, Pointer builds
-    a lazy expression and Shared runs the SPDZ protocol. Operands must have the
-    same prefix and the same leaf kind."""
+    then forwards; at the leaf, Local runs the op through the interpreter,
+    Pointer builds a lazy expression and Shared runs the SPDZ protocol. The
+    name and arity are checked against commands.OPS first. Operands must
+    have the same prefix and the same leaf kind; scale and offset take their
+    public constant as c."""
+    if name not in OPS or name in _NOT_DISPATCHED:
+        raise UnknownCommand(name)
+    _, arity, consts = OPS[name]
+    if 1 + len(others) != arity:
+        raise KindMismatch(f"{name} takes {arity} operand(s), not {1 + len(others)}")
     for other in others:
         if other.nodes[:-1] != head.nodes[:-1] or other.leaf[0] != head.leaf[0]:
             raise KindMismatch(
@@ -195,42 +189,17 @@ def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> Te
                 "send/share operands explicitly")
     if head.kind == "fixed_precision":
         return _dispatch_fixed(name, head, others, kwargs)
+    if head.kind == "shared":
+        return _dispatch_shared(name, head, others, kwargs)
+    chains = (head,) + others
+    const = (kwargs["c"],) if consts else ()
     if head.kind == "local":
-        return _dispatch_local(name, head, others, kwargs)
-    if head.kind == "pointer":
-        return _dispatch_pointer(name, head, others, kwargs)
-    return _dispatch_shared(name, head, others, kwargs)
-
-
-def _dispatch_local(name, head, others, kwargs):
-    if name in _LOCAL_BINARY:
-        (other,) = others
-        return TensorChain([("local", _LOCAL_BINARY[name](head.tensor(), other.tensor()))], head.fed)
-    if name in _LOCAL_UNARY:
-        return TensorChain([("local", _LOCAL_UNARY[name](head.tensor()))], head.fed)
-    if name == "scale":
-        return TensorChain([("local", tc.scale(head.tensor(), kwargs["c"]))], head.fed)
-    if name == "offset":
-        return TensorChain([("local", tc.offset(head.tensor(), kwargs["c"]))], head.fed)
-    raise UnknownCommand(name)
-
-
-def _dispatch_pointer(name, head, others, kwargs):
-    if name in _LOCAL_BINARY:
-        arity, consts = 2, ()
-    elif name in _LOCAL_UNARY:
-        arity, consts = 1, ()
-    elif name in ("scale", "offset"):
-        arity, consts = 1, (kwargs["c"],)
-    else:
-        raise UnknownCommand(name)
-    if 1 + len(others) != arity:
-        raise KindMismatch(f"{name} takes {arity} operand(s), not {1 + len(others)}")
+        expr = (name,) + tuple(("ref", i) for i in range(arity)) + const
+        return head._with_leaf(("local", run_expr(expr, [c.tensor() for c in chains])))
     worker = head.leaf[1]
     if any(other.leaf[1] != worker for other in others):
         raise KindMismatch("pointer operands live on different workers")
-    operands = tuple(chain.leaf[2] for chain in (head,) + others)
-    return head._with_leaf(("pointer", worker, (name,) + operands + consts))
+    return head._with_leaf(("pointer", worker, (name,) + tuple(c.leaf[2] for c in chains) + const))
 
 
 def _dispatch_fixed(name, head, others, kwargs):
@@ -239,7 +208,7 @@ def _dispatch_fixed(name, head, others, kwargs):
     c = kwargs.get("c")
     if name in ("add", "sub", "neg"):
         out = dispatch(name, *inner)
-    elif name == "scale" and not isinstance(c, float):
+    elif name == "scale" and isinstance(c, (int, np.integer)):
         out = dispatch("scale", *inner, c=int(c))
     elif name == "offset":
         out = dispatch("offset", *inner, c=fixedpoint.encode_scalar(c, cfg))

@@ -2,9 +2,13 @@
 
 Every command receives resolved tensors and returns one tensor; the worker
 stores it under a fresh id, or, for a by-value execute, replies with it and
-stores nothing. Arithmetic on stored objects, for shares and pointers
-alike, is one command: `compile_expr` turns expression trees into an
-`eval_expr` postfix program, which `_run_prog` interprets. Commands
+stores nothing. Arithmetic, for local tensors, pointers and shares alike,
+runs one interpreter: `OPS` is the one table of ops, `compile_expr` turns
+expression trees into a postfix program and `_run_prog` interprets it. On a
+worker the program is one `eval_expr` command, or the operand program that
+`beaver_open` and `make_shares` carry; on the leader, `run_expr` runs it
+over local tensors. A subexpression reached twice is computed once: the
+program `save`s it in a slot the first time and `load`s it after. Commands
 never see other workers' secrets: share and triple generation push shares
 directly to the peer workers and hand back only object ids.
 
@@ -59,18 +63,22 @@ def _want_tensor(v, i):
     return v
 
 
-# eval_expr opcodes, each followed by its integer operands:
+# The op table: name -> (opcode, operands, constants). A program is postfix:
+# each op pops its operands, reads its integer constants from the words after
+# its opcode and pushes one value.
 #   ref i (push leaf i) | add | sub | neg | scale c | offset c | trunc p role
 #   | mul | matmul | sigmoid_poly | fscale f | foffset f
+#   | save s (keep the top value in slot s; pops nothing) | load s (push it)
 # c is an integer constant; f is the IEEE-754 bit pattern of a float constant,
 # read as an int64. New opcodes go at the end, so existing programs keep
 # their bytes.
-_REF, _ADD, _SUB, _NEG, _SCALE, _OFFSET, _TRUNC = range(7)
-_MUL, _MATMUL, _SIGMOID, _FSCALE, _FOFFSET = range(7, 12)
-EXPR_OPCODES = {"ref": _REF, "add": _ADD, "sub": _SUB, "neg": _NEG,
-                "scale": _SCALE, "offset": _OFFSET, "trunc": _TRUNC,
-                "mul": _MUL, "matmul": _MATMUL, "sigmoid_poly": _SIGMOID,
-                "fscale": _FSCALE, "foffset": _FOFFSET}
+(_REF, _ADD, _SUB, _NEG, _SCALE, _OFFSET, _TRUNC, _MUL, _MATMUL, _SIGMOID,
+ _FSCALE, _FOFFSET, _SAVE, _LOAD) = range(14)
+OPS = {"ref": (_REF, 0, 1), "add": (_ADD, 2, 0), "sub": (_SUB, 2, 0),
+       "neg": (_NEG, 1, 0), "scale": (_SCALE, 1, 1), "offset": (_OFFSET, 1, 1),
+       "trunc": (_TRUNC, 1, 2), "mul": (_MUL, 2, 0), "matmul": (_MATMUL, 2, 0),
+       "sigmoid_poly": (_SIGMOID, 1, 0), "fscale": (_FSCALE, 1, 1),
+       "foffset": (_FOFFSET, 1, 1), "save": (_SAVE, 0, 1), "load": (_LOAD, 0, 1)}
 
 
 def _float_bits(x: float) -> int:
@@ -85,37 +93,50 @@ def compile_expr(exprs) -> Command:
     """Expression trees over stored objects as one eval_expr command: each
     distinct leaf object becomes one argument, the trees one postfix program
     whose values are left on the stack in order. The walk keeps its own
-    stack, so a tree may be deeper than Python's recursion limit.
+    stack, so a tree may be deeper than Python's recursion limit. A subtree
+    object reached again is loaded from the slot its first evaluation saved
+    to, so a DAG compiles to a program linear in its distinct nodes.
 
     A tree is ('ref', oid) | ('add'|'sub'|'mul'|'matmul', a, b)
     | ('neg'|'sigmoid_poly', a) | ('scale'|'offset', a, c)
     | ('trunc', a, frac_bits, role). An integer c is a ring constant; any
     other c is a float and compiles to fscale or foffset."""
     leaves: dict = {}
-    prog: list = []
+    codes: dict = {}  # id of each tree compiled so far -> its opcode list
+    slots: dict = {}  # id of each tree reached twice -> its save slot
+    chunks: list = []
     todo = list(reversed(exprs))  # trees, and opcode lists that follow their subtrees
     while todo:
         expr = todo.pop()
         if type(expr) is not tuple:
-            prog += expr
+            chunks.append(expr)
             continue
         op = expr[0]
         if op == "ref":
-            prog += (_REF, leaves.setdefault(expr[1], len(leaves)))
+            chunks.append((_REF, leaves.setdefault(expr[1], len(leaves))))
             continue
-        if op not in EXPR_OPCODES:
+        key = id(expr)
+        if key in codes:
+            if key not in slots:
+                slots[key] = len(slots)
+                codes[key] += (_SAVE, slots[key])
+            chunks.append((_LOAD, slots[key]))
+            continue
+        if op not in OPS:
             raise ConfigError(f"unknown expression {op!r}")
-        code = [EXPR_OPCODES[op]]
+        code = [OPS[op][0]]
         subtrees = []
         for v in expr[1:]:
             if type(v) is tuple:
                 subtrees.append(v)
             elif op in ("scale", "offset") and not isinstance(v, (int, np.integer)):
-                code = [EXPR_OPCODES["f" + op], _float_bits(float(v))]
+                code = [OPS["f" + op][0], _float_bits(float(v))]
             else:
                 code.append(int(v))
+        codes[key] = code
         todo.append(code)
         todo += reversed(subtrees)
+    prog = [word for chunk in chunks for word in chunk]
     return Command("eval_expr", tuple(Command.obj(oid) for oid in leaves), {"prog": prog})
 
 
@@ -123,6 +144,7 @@ def _run_prog(args, prog) -> list:
     """The values a postfix program over the leaf tensors in args leaves on
     the stack, in order."""
     stack = []
+    saved = {}
     pos = 0
     try:
         while pos < len(prog):
@@ -155,11 +177,25 @@ def _run_prog(args, prog) -> list:
                 kernel = tc.scale if op == _FSCALE else tc.offset
                 stack.append(kernel(stack.pop(), _bits_float(prog[pos + 1])))
                 pos += 2
+            elif op == _SAVE:
+                saved[prog[pos + 1]] = stack[-1]
+                pos += 2
+            elif op == _LOAD:
+                stack.append(saved[prog[pos + 1]])
+                pos += 2
             else:
                 raise MalformedPayload(f"unknown eval_expr opcode {op}")
-    except IndexError:
+    except (IndexError, KeyError):
         raise MalformedPayload(f"eval_expr program is malformed at {pos}") from None
     return stack
+
+
+def run_expr(expr, tensors) -> Tensor:
+    """One expression over local tensors, ('ref', i) naming tensors[i], run
+    by the interpreter the workers run."""
+    cmd = compile_expr([expr])
+    (value,) = _run_prog([tensors[oid] for _, oid in cmd.args], cmd.kwargs["prog"])
+    return value
 
 
 @register("eval_expr")
@@ -177,20 +213,24 @@ def _eval_expr(ctx, args, kwargs):
 
 def _push_share(ctx, party: str, arr: np.ndarray) -> int:
     oid = ctx.allocate_id()
-    ctx.peer(party).store(oid, [("local", Tensor._own(arr, Dtype.RING64))])
+    ctx.peer(party).push(oid, [("local", Tensor._own(arr, Dtype.RING64))])
     return oid
 
 
 @register("make_shares", preserve_prefix=False)
 def _make_shares(ctx, args, kwargs):
-    """Split a Ring64 tensor into additive shares and push one to each
-    party; returns the per-party object ids followed by the tensor's shape,
-    the only metadata the leader needs. Pass the tensor as a take argument
-    so the secret does not outlive its shares."""
-    x = _want_tensor(args[0], 0)
+    """Split the one Ring64 value that a program (compile_expr) over the
+    leaf tensors in args leaves into additive shares and push one to each
+    party; returns the per-party object ids followed by the value's shape,
+    the only metadata the leader needs. Pass a stored secret as a take
+    argument so it does not outlive its shares."""
     parties = [p for p in str(kwargs["parties"]).split(",") if p]
     if len(parties) < 2:
         raise ConfigError("need at least 2 parties")
+    stack = _run_prog(args, kwargs["prog"])
+    if len(stack) != 1:
+        raise MalformedPayload(f"make_shares shares one value, not {len(stack)}")
+    (x,) = stack
     if x.dtype is not Dtype.RING64:
         raise ShapeMismatch("make_shares expects a Ring64 tensor (fix precision first)")
     shares = tc.split_shares(ctx.rng, x.data, len(parties))
@@ -314,7 +354,7 @@ def _beaver_open(ctx, args, kwargs):
     masked = np.empty(na + nb, dtype=np.uint64)
     np.subtract(stack[0].data.ravel(), abc[:na], out=masked[:na])
     np.subtract(stack[1].data.ravel(), abc[na:na + nb], out=masked[na:])
-    ctx.peer(ctx.name).store(int(kwargs["keep"]), [("local", Tensor._own(abc, Dtype.RING64))])
+    ctx.push(int(kwargs["keep"]), [("local", Tensor._own(abc, Dtype.RING64))])
     return Tensor._own(masked, Dtype.RING64)
 
 

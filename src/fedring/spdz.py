@@ -107,15 +107,19 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> Shar
     return ShareVector(parties, tuple(exprs), x.shape)
 
 
-def share_remote(owner: str, oid: int, parties, fed: Federation) -> ShareVector:
-    """Split a worker-resident Ring64 tensor without the leader seeing it:
-    the owner splits it locally, pushes shares to its peers and deletes it;
-    only the share object ids and the shape return to the leader, in the
-    reply to one by-value execute."""
+def share_remote(owner: str, expr, parties, fed: Federation) -> ShareVector:
+    """Split a worker-resident Ring64 value without the leader seeing it:
+    the owner evaluates `expr`, a pointer expression over its objects,
+    splits the value locally and pushes shares to its peers; only the share
+    object ids and the shape return to the leader, in the reply to one
+    by-value execute. A stored object (a bare ('ref', oid)) is taken, so the
+    secret does not outlive its shares; a lazy expression's operands stay."""
     parties = tuple(parties)
     if len(parties) < 2:
         raise ConfigError("need at least 2 parties")
-    cmd = Command("make_shares", (("take", oid),), {"parties": ",".join(parties)})
+    prog = compile_expr([expr])
+    args = (("take", expr[1]),) if expr[0] == "ref" else prog.args
+    cmd = Command("make_shares", args, {**prog.kwargs, "parties": ",".join(parties)})
     meta = [int(v) for v in fed.execute_tensor(owner, cmd).data]
     exprs = tuple(("ref", v) for v in meta[: len(parties)])
     return ShareVector(parties, exprs, tuple(meta[len(parties):]))

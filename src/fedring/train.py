@@ -46,7 +46,6 @@ class TrainConfig:
     dp_lr_tau: float = 150.0
     dp_avg_frac: float = 0.7
     dp_max_norm: float = 1.0
-    dp_standardize_targets: bool = True
 
     def dims(self, n_features: int):
         return (n_features, self.hidden, 1)
@@ -162,7 +161,7 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
 
     target_scale = (0.0, 1.0)
     targets = None
-    if ds.task == TASK_REGRESSION and cfg.dp_standardize_targets:
+    if ds.task == TASK_REGRESSION:
         # heavy noise needs targets on the unit scale; predictions are mapped
         # back to raw units at evaluation time
         _, y_all = ds.train_arrays()

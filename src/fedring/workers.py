@@ -157,16 +157,6 @@ class _TappedHandle:
 # ---------------------------------------------------------------------------
 # worker core (shared by virtual and socket servers)
 
-class _PeerPush:
-    """Minimal peer view used by worker-side commands: store a node list."""
-
-    def __init__(self, store_fn):
-        self._store_fn = store_fn
-
-    def store(self, oid: int, nodes: list):
-        self._store_fn(oid, nodes)
-
-
 class WorkerCore:
     """One worker: object store, RNG, id allocator and command executor."""
 
@@ -186,13 +176,15 @@ class WorkerCore:
     def store_object(self, oid: int, payload: bytes):
         """Decode a chain arriving from a transport and store it; a
         malformed payload raises MalformedPayload and stores nothing."""
-        self._put(oid, protocol.deserialize_chain(payload))
+        self.push(oid, protocol.deserialize_chain(payload))
 
     def fetch_object(self, oid: int, delete: bool = False) -> bytes:
         """The stored chain, encoded for a transport."""
         return protocol.serialize_chain(self._get(oid, delete))
 
-    def _put(self, oid: int, nodes: list):
+    def push(self, oid: int, nodes: list):
+        """Store a decoded node list: a chain that arrived, a command's
+        result, or a share a peer (or this worker's own command) pushes."""
         with self._lock:
             if oid in self._objects:
                 raise DuplicateObject(f"object {oid} already stored on {self.name}")
@@ -226,8 +218,10 @@ class WorkerCore:
         return next(self._counter)
 
     def peer(self, name: str):
+        """Where a command pushes an object for `name`: this worker itself,
+        or a peer, which has the same `push`."""
         if name == self.name:
-            return _PeerPush(self._put)
+            return self
         if name not in self.peers:
             raise WorkerUnknown(f"{self.name} has no peer {name!r}")
         return self.peers[name]
@@ -272,7 +266,7 @@ class WorkerCore:
             out = protocol.serialize_chain(nodes)
         else:
             out = self.allocate_id()
-            self._put(out, nodes)
+            self.push(out, nodes)
         if taken:
             self.delete_object(*taken)
         return out
@@ -291,7 +285,7 @@ class VirtualRegistry:
         if name in self.workers:
             raise DuplicateObject(f"worker {name!r} already registered")
         w = WorkerCore(name, seed)
-        w.peers = _RegistryPeers(self, name)
+        w.peers = self.workers  # live: peers may be created in any order
         self.workers[name] = w
         return w
 
@@ -299,20 +293,6 @@ class VirtualRegistry:
         if name not in self.workers:
             raise WorkerUnknown(name)
         return self.workers[name]
-
-
-class _RegistryPeers:
-    """Lazy peer map over a registry (workers may be created in any order)."""
-
-    def __init__(self, registry: VirtualRegistry, owner: str):
-        self._registry = registry
-        self._owner = owner
-
-    def __contains__(self, name):
-        return name != self._owner and name in self._registry.workers
-
-    def __getitem__(self, name):
-        return _PeerPush(self._registry.get(name)._put)
 
 
 class VirtualHandle(_TappedHandle):
@@ -432,7 +412,7 @@ class _LazySocketPeer:
         self._client = None
         self._lock = threading.Lock()
 
-    def store(self, oid: int, nodes: list):
+    def push(self, oid: int, nodes: list):
         payload = protocol.serialize_chain(nodes)
         with self._lock:
             if self._client is None:

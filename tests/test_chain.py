@@ -5,6 +5,7 @@ import pytest
 
 from fedring import spdz
 from fedring.chain import TensorChain, dispatch, validate_chain
+from fedring.commands import compile_expr
 from fedring.errors import KindMismatch, ObjectNotFound, UnknownCommand
 from fedring.protocol import serialize_chain
 from fedring.spdz import ShareVector
@@ -79,6 +80,18 @@ class TestDispatchLocal:
     def test_unknown_command(self):
         with pytest.raises(UnknownCommand):
             dispatch("frobnicate", TensorChain.local([1.0]))
+
+    @pytest.mark.parametrize("name", ["ref", "trunc", "fscale", "save", "load"])
+    def test_compiler_ops_not_dispatched(self, name):
+        """Only chain ops dispatch: the compilers' own opcodes do not."""
+        with pytest.raises(UnknownCommand):
+            dispatch(name, TensorChain.local([1.0]), c=2)
+
+    @pytest.mark.parametrize("name,n", [("add", 1), ("sub", 3), ("neg", 2), ("scale", 2)])
+    def test_wrong_arity(self, name, n):
+        operands = [TensorChain.local([1.0])] * n
+        with pytest.raises(KindMismatch):
+            dispatch(name, *operands, c=2)
 
     def test_kind_mismatch(self, fed):
         a = TensorChain.local([1.0], fed=fed)
@@ -207,17 +220,32 @@ class TestPointerDispatch:
         assert [e.op for e in tap.events[start:]] == ["execute"]
 
     def test_fixed_precision_share_of_lazy_chain(self, tapped):
-        """add then offset then share(): one eval_expr taken by a by-value
-        make_shares; the worker keeps only the operands and its share."""
+        """add then offset then share(): one by-value make_shares that runs
+        the expression as its program; the worker keeps only the operands
+        and its share."""
         fed, tap = tapped
         a = TensorChain.local([1.5, -2.0], fed=fed).fix_precision().send("alice")
         b = TensorChain.local([2.0, 1.0], fed=fed).fix_precision().send("alice")
         start, before = tap.messages, object_counts(fed)
         shared = dispatch("offset", dispatch("add", a, b), c=0.25).share(PARTIES)
-        assert tap.messages == start + 2
+        assert tap.messages == start + 1
         after = object_counts(fed)
         assert {n: after[n] - before[n] for n in fed.names} == {"alice": 1, "bob": 1, "dealer": 0}
         assert np.array_equal(shared.get().float_precision().tensor().data, [3.75, -0.75])
+
+    def test_reused_subexpression_compiled_once(self, tapped):
+        """Doubling a pointer 18 times reuses each value twice: the program
+        grows by one op and a save/load pair per doubling, not 2^18-fold,
+        and get() is still one execute with the right value."""
+        fed, tap = tapped
+        y = TensorChain.local([1.0, -0.5], fed=fed).send("alice")
+        for _ in range(18):
+            y = dispatch("add", y, y)
+        prog = compile_expr([y.leaf[2]]).kwargs["prog"]
+        assert len(prog) == 2 + 3 + 17 * 5
+        start = len(tap.events)
+        assert np.array_equal(y.get().tensor().data, [2.0**18, -(2.0**17)])
+        assert [e.op for e in tap.events[start:]] == ["execute"]
 
     def test_lazy_result_reads_operands_when_consumed(self, fed):
         a = TensorChain.local([1.0], fed=fed).send("alice")
@@ -251,6 +279,14 @@ class TestFixedPrecision:
         out = dispatch("mul", a, b)
         assert out.kind == "fixed_precision"
         assert abs(out.float_precision().tensor().data[0] - 3.0) <= 2.0**-15
+
+    def test_numpy_float_scale_is_a_float(self):
+        """A numpy float scales like a Python float, not like int(c)."""
+        chain = TensorChain.local([1.5, -3.0]).fix_precision()
+        want = dispatch("scale", chain, c=0.5).float_precision().tensor().data
+        got = dispatch("scale", chain, c=np.float32(0.5)).float_precision().tensor().data
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, [0.75, -1.5])
 
     def test_requires_local_float(self):
         with pytest.raises(KindMismatch):
@@ -326,7 +362,8 @@ class TestFixedPrecisionPointer:
         assert [n[0] for n in back.nodes] == ["fixed_precision", "local"]
         assert back.float_precision().tensor().data[0] == 1.5
 
-    @pytest.mark.parametrize("name,kwargs", [("mul", {}), ("matmul", {}), ("scale", {"c": 0.5})])
+    @pytest.mark.parametrize("name,kwargs", [("mul", {}), ("matmul", {}), ("scale", {"c": 0.5}),
+                                             ("scale", {"c": np.float32(0.5)})])
     def test_products_rejected_before_sending(self, tapped, name, kwargs):
         fed, tap = tapped
         a = TensorChain.local([[1.5]], fed=fed).fix_precision().send("alice")

@@ -237,6 +237,22 @@ class TestWorkerProcess:
         assert code == 1
 
 
+class TestPerfbenchNames:
+    def test_tracer_installs(self):
+        """perfbench traces the library by wrapping module, class and
+        registry names; installing its leader-side spans fails here, not in
+        a traced benchmark run, when one of those names is renamed away."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            os.path.join(root, d) for d in ("src", "perfbench")))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from spans import Tracer, install_leader_side; install_leader_side(Tracer())"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestBenchmark:
     def test_fields_and_shape(self, capsys):
         code, out, _ = run_main(capsys, "benchmark", "--seed", "1",

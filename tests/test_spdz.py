@@ -463,7 +463,8 @@ class TestLazyExpressions:
         assert cmd.args == (("obj", 7), ("obj", 9))
         assert cmd.kwargs["prog"] == [0, 0, 0, 1, 2, 0, 0, 0, 1, 6, 16, 1, 2]
 
-    @pytest.mark.parametrize("prog", [[], [9], [1], [0, 5], [0, 0, 6, 16], [12]])
+    @pytest.mark.parametrize("prog", [[], [9], [1], [0, 5], [0, 0, 6, 16], [14],
+                                      [13, 0], [12, 0]])
     def test_malformed_program(self, prog):
         from fedring.errors import MalformedPayload
         from fedring.protocol import Command, serialize_chain

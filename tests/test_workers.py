@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedring import protocol
-from fedring.commands import EXPR_OPCODES
+from fedring.commands import OPS
 from fedring.errors import (
     DuplicateObject,
     MalformedPayload,
@@ -36,8 +36,8 @@ def local_payload(values, dtype=Dtype.FLOAT64):
 
 def eval_cmd(op, *args):
     """An eval_expr command applying one opcode to all its arguments."""
-    prog = [v for i in range(len(args)) for v in (EXPR_OPCODES["ref"], i)]
-    return Command("eval_expr", args, {"prog": prog + [EXPR_OPCODES[op]]})
+    prog = [v for i in range(len(args)) for v in (OPS["ref"][0], i)]
+    return Command("eval_expr", args, {"prog": prog + [OPS[op][0]]})
 
 
 X = local_payload([1.0])
