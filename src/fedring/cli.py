@@ -21,7 +21,6 @@ from .errors import (
     BindError,
     ConfigError,
     FedringError,
-    NumericalError,
     ParseError,
     RemoteError,
     SchemaError,
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
     except (TransportError, RemoteError) as e:
         print(f"fedring: transport error: {e}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (NumericalError, Unachievable) as e:
+    except Unachievable as e:
         print(f"fedring: numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ParseError, SchemaError, FedringError, ValueError) as e:

@@ -4,12 +4,9 @@ moments accountant for the subsampled Gaussian mechanism.
 The ledger uses the exact integer-order log-moment of the mechanism with
 mixture density mu = (1-q) N(0, s^2) + q N(1, s^2): a finite binomial sum
 (Mironov, Talwar & Zhang 2019; Abadi et al. 2016, section 3.2), evaluated
-for all orders at once in log space (`log_moments`). `log_moment` is the
-windowed quadrature of the same moment, kept as an independent reference;
-its window [-20 s, 1 + 20 s] under-reports at small sigma and large lambda,
-so nothing on the accounting path calls it. Epsilon follows from the
-standard tail bound eps = min_lambda (alpha_total(lambda) + ln(1/delta)) /
-lambda.
+for all orders at once in log space (`log_moments`; `log_moment` reads one
+order). Epsilon follows from the standard tail bound
+eps = min_lambda (alpha_total(lambda) + ln(1/delta)) / lambda.
 """
 
 from __future__ import annotations
@@ -17,20 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr
+from scipy.special import gammaln, logsumexp
 
-from .errors import (
-    ConfigError,
-    EmptyLedger,
-    EmptyLot,
-    NumericalError,
-    Unachievable,
-)
+from .errors import ConfigError, EmptyLedger, EmptyLot, Unachievable
 from .nn import clip_rows
 
 DEFAULT_ORDERS = tuple(range(1, 33))
-INTEGRATION_POINTS = 200_001
-INTEGRATION_HALF_WIDTHS = 20.0
 
 
 @dataclass(frozen=True)
@@ -71,78 +60,9 @@ def sanitize_lot(
     return total
 
 
-def log_moment(
-    q: float,
-    sigma: float,
-    lam: int,
-    n_points: int = INTEGRATION_POINTS,
-) -> float:
-    """Log-moment alpha(lambda) of the subsampled Gaussian mechanism by
-    windowed quadrature: the reference for `log_moments`, not used by the
-    ledger.
-
-    Max over both privacy-loss directions, trapezoid rule on
-    z in [-20 sigma, 1 + 20 sigma]. Both moments have the form
-    E_{mu0}[e^(a d) - 1] with d = log(mu / mu0): a = -lambda for the
-    mu0-vs-mu direction and a = lambda + 1 for the other (since
-    mu dz = mu0 e^d dz). The O(q) linear part a * E_{mu0}[d] is split off
-    and its dominant piece integrated in closed form (it is
-    a q * Int(mu1 - mu0), a normal-CDF expression over the window), so the
-    quadrature only sees O(q^2) integrands and tiny moments (alpha ~ q^2)
-    keep full relative precision. Exponents too large for linear space are
-    accumulated through log-sum-exp.
-    """
-    if lam < 1:
-        raise ConfigError(f"lambda={lam} must be >= 1")
-    if not 0.0 < q <= 1.0 or sigma <= 0.0:
-        raise ConfigError(f"invalid (q={q}, sigma={sigma})")
-    lo = -INTEGRATION_HALF_WIDTHS * sigma
-    hi = 1.0 + INTEGRATION_HALF_WIDTHS * sigma
-    z = np.linspace(lo, hi, n_points)
-    w = np.full(n_points, z[1] - z[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    log_mu0 = -0.5 * np.log(2.0 * np.pi * sigma * sigma) - 0.5 * (z / sigma) ** 2
-    log_w_mu0 = np.log(w) + log_mu0
-    w_mu0 = np.exp(log_w_mu0)
-    s = (2.0 * z - 1.0) / (2.0 * sigma * sigma)  # log(mu1 / mu0)
-    u = q * np.expm1(s)  # mu/mu0 - 1
-    d = np.log1p(u)
-    # d = u - r with r = O(u^2); Int mu0 u = q * Int (mu1 - mu0), closed form
-    r_sum = float(np.sum(w_mu0 * (u - d)))
-    lin = q * float(
-        (ndtr((hi - 1.0) / sigma) - ndtr((lo - 1.0) / sigma))
-        - (ndtr(hi / sigma) - ndtr(lo / sigma))
-    )
-
-    def expectation_minus_one(a: float) -> float:
-        """E_mu0[e^(a d)] - 1 over the window, as log1p-ready float."""
-        x = a * d
-        big = x > 300.0
-        # e^x - 1 - x is O(x^2) where x is small and ~e^x where x is big
-        small = float(np.sum(w_mu0[~big] * (np.expm1(x[~big]) - x[~big])))
-        total = a * (lin - r_sum) + small
-        if np.any(big):
-            tail = float(logsumexp(log_w_mu0[big] + x[big]))
-            if tail > 700.0:  # exp would overflow; the tail dominates alpha
-                return np.inf
-            total += np.exp(tail)
-        return total
-
-    def log1p_or_log(a: float) -> float:
-        x = a * d
-        big = x > 300.0
-        i = expectation_minus_one(a)
-        if np.isfinite(i):
-            return float(np.log1p(i)) if i > -1.0 else -np.inf
-        # tail too large for linear space: alpha equals the tail log-sum
-        return float(logsumexp(log_w_mu0[big] + x[big]))
-
-    alpha = max(log1p_or_log(-float(lam)), log1p_or_log(float(lam + 1)))
-    if not np.isfinite(alpha):
-        raise NumericalError(f"log-moment overflowed at (q={q}, sigma={sigma}, lam={lam})")
-    # quadrature jitter can leave a tiny negative value at q -> 0
-    return float(max(alpha, 0.0))
+def log_moment(q: float, sigma: float, lam: int) -> float:
+    """Log-moment alpha(lambda) at one integer order (see `log_moments`)."""
+    return float(log_moments(q, sigma, (lam,))[0])
 
 
 def log_moments(q: float, sigma: float, orders) -> np.ndarray:

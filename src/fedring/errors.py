@@ -89,10 +89,6 @@ class Unachievable(FedringError):
     """No noise multiplier in the search range meets the epsilon target."""
 
 
-class NumericalError(FedringError):
-    pass
-
-
 class LotTooLarge(FedringError):
     pass
 

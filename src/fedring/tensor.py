@@ -178,10 +178,3 @@ def sigmoid_poly(t: Tensor) -> Tensor:
     if t.dtype is not Dtype.FLOAT64:
         raise DtypeMismatch("sigmoid_poly operates on Float64")
     return Tensor._own(nn.sigmoid_poly(t.data), Dtype.FLOAT64)
-
-
-def sigmoid_poly_deriv(t: Tensor) -> Tensor:
-    """d/dx of sigmoid_poly: 1/4 - x**2/16 (nn.sigmoid_poly_deriv)."""
-    if t.dtype is not Dtype.FLOAT64:
-        raise DtypeMismatch("sigmoid_poly_deriv operates on Float64")
-    return Tensor._own(nn.sigmoid_poly_deriv(t.data), Dtype.FLOAT64)

@@ -29,6 +29,15 @@ from .tensor import Dtype, Tensor
 from .workers import Federation
 
 
+# DP recipe (kept stable under heavy noise; see README for rationale):
+# harmonic lr decay, tail iterate averaging, hidden max-norm projection,
+# and internally standardized regression targets.
+DP_LR0 = 0.15
+DP_LR_TAU = 150.0
+DP_AVG_FRAC = 0.7
+DP_MAX_NORM = 1.0
+
+
 @dataclass
 class TrainConfig:
     dataset: str = "boston"
@@ -39,13 +48,6 @@ class TrainConfig:
     hidden: int = 32
     privacy: PrivacySpec | None = None
     lot_size: int = 32
-    # DP recipe (kept stable under heavy noise; see README for rationale):
-    # harmonic lr decay, tail iterate averaging, hidden max-norm projection,
-    # and internally standardized regression targets.
-    dp_lr0: float = 0.15
-    dp_lr_tau: float = 150.0
-    dp_avg_frac: float = 0.7
-    dp_max_norm: float = 1.0
 
     def dims(self, n_features: int):
         return (n_features, self.hidden, 1)
@@ -175,7 +177,7 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     pick_rng = np.random.default_rng([cfg.seed, 4])
     dims = list(model.dims)
     T = spec.steps
-    avg_from = T - int(round(T * cfg.dp_avg_frac))
+    avg_from = T - int(round(T * DP_AVG_FRAC))
     acc, n_acc = None, 0
     trace = []
     t0 = time.monotonic()
@@ -190,11 +192,10 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
              "clip_norm": spec.clip_norm, "sigma": spec.sigma},
         )).data
         loss, sanitized = out[0], out[1:]
-        lr = cfg.dp_lr0 / (1.0 + t / cfg.dp_lr_tau)
+        lr = DP_LR0 / (1.0 + t / DP_LR_TAU)
         model.params = model.params - lr * (sanitized / L)
-        if np.isfinite(cfg.dp_max_norm):
-            model.params = nn.project_hidden_max_norm(model.params, model.dims, cfg.dp_max_norm)
-        if t >= avg_from and cfg.dp_avg_frac > 0.0:
+        model.params = nn.project_hidden_max_norm(model.params, model.dims, DP_MAX_NORM)
+        if t >= avg_from:
             acc = model.params.copy() if acc is None else acc + model.params
             n_acc += 1
         trace.append({"step": t, "loss": float(loss),

@@ -14,7 +14,7 @@ import pytest
 from fedring import nn, protocol, spdz
 from fedring.cli import run_benchmark
 from fedring.data import bundled_path, load_dataset
-from fedring.dp import calibrate_sigma, epsilon_for, log_moment, PrivacySpec
+from fedring.dp import calibrate_sigma, epsilon_for, log_moments, PrivacySpec
 from fedring.fixedpoint import DEFAULT_CONFIG, Q, decode, encode, to_signed
 from fedring.tensor import Dtype, Tensor
 from fedring.train import (
@@ -27,6 +27,8 @@ from fedring.train import (
     train_federated_dp,
 )
 from fedring.workers import TransportTap, make_server, socket_federation, virtual_federation
+
+from dp_oracle import oracle_log_moment
 
 SEEDS = (1, 3, 4)
 DELTA = 1e-5
@@ -195,35 +197,13 @@ def test_criterion_5_mpc_correctness(capsys):
            f"trunc x1000 {trunc_ok}; linear ops message-free {linear_free}")
 
 
-def oracle_log_moments(q: float, sigma: float, orders, n_points: int) -> np.ndarray:
-    """Independent 50x-finer trapezoid evaluation of the log-moments.
-
-    Straight expm1/log1p evaluation of E_mu0[(mu/mu0)^a] - 1 for
-    a = -lambda and a = lambda + 1 (mu dz = mu0 e^d dz); a plain
-    logsumexp of the full integrand cannot resolve alpha ~ 1e-8 against
-    the roundoff of summing 1e7 terms around 1."""
-    z = np.linspace(-20.0 * sigma, 1.0 + 20.0 * sigma, n_points)
-    w = np.full(n_points, z[1] - z[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    mu0_w = w * np.exp(-0.5 * (z / sigma) ** 2) / (np.sqrt(2.0 * np.pi) * sigma)
-    s = (2.0 * z - 1.0) / (2.0 * sigma * sigma)
-    d = np.log1p(q * np.expm1(s))
-    out = []
-    for lam in orders:
-        i1 = float(np.sum(mu0_w * np.expm1(-lam * d)))
-        i2 = float(np.sum(mu0_w * np.expm1((lam + 1) * d)))
-        out.append(max(float(np.log1p(max(i1, i2))), 0.0))
-    return np.array(out)
-
-
 def test_criterion_6_accountant(capsys):
     orders = list(range(1, 33))
     worst = 0.0
     for q in (1e-3, 1e-2, 1e-1):
         for sigma in (1.0, 2.0, 4.0, 8.0):
-            got = np.array([log_moment(q, sigma, lam) for lam in orders])
-            want = oracle_log_moments(q, sigma, orders, 10_000_001)
+            got = log_moments(q, sigma, orders)
+            want = np.array([oracle_log_moment(q, sigma, lam, 20) for lam in orders])
             rel = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300))
             worst = max(worst, float(rel))
     oracle_ok = worst < 1e-5
@@ -244,7 +224,7 @@ def test_criterion_6_accountant(capsys):
 
     ok = oracle_ok and mono and tight
     report(capsys, 6, ok,
-           f"log_moment vs 50x-finer oracle worst rel err {worst:.2e} < 1e-5; "
+           f"log_moments vs mpmath quadrature oracle worst rel err {worst:.2e} < 1e-5; "
            f"epsilon monotone in (T, sigma, q): {mono}; "
            f"calibrate_sigma tight for eps in (0.5, 1, 2, 4): {tight}")
 

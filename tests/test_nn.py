@@ -10,6 +10,7 @@ from fedring.nn import (
     param_count,
     project_hidden_max_norm,
     sigmoid_poly,
+    sigmoid_poly_deriv,
     unflatten,
 )
 
@@ -151,3 +152,9 @@ class TestSigmoidPoly:
         assert np.max(np.abs(sigmoid_poly(x) - literal)) <= 4e-16
         assert sigmoid_poly(np.array([0.0, 2.0, -2.0])).tolist() == [0.5, 0.8333333333333334,
                                                                      0.16666666666666666]
+
+    def test_deriv(self):
+        x = np.linspace(-3, 3, 101)
+        h = 1e-6
+        num = (sigmoid_poly(x + h) - sigmoid_poly(x - h)) / (2 * h)
+        assert np.allclose(sigmoid_poly_deriv(x), num, atol=1e-8)

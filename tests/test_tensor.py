@@ -14,7 +14,6 @@ from fedring.tensor import (
     offset,
     scale,
     sigmoid_poly,
-    sigmoid_poly_deriv,
     sub,
 )
 
@@ -136,12 +135,6 @@ class TestSigmoidPoly:
         assert np.all((s >= 0.0) & (s <= 1.0))
         assert sigmoid_poly(f64([4.3])).data[0] < 0.0  # unclamped past the root
 
-    def test_deriv(self):
-        x = np.linspace(-3, 3, 101)
-        h = 1e-6
-        num = (sigmoid_poly(f64(x + h)).data - sigmoid_poly(f64(x - h)).data) / (2 * h)
-        assert np.allclose(sigmoid_poly_deriv(f64(x)).data, num, atol=1e-8)
-
 
 class TestTensorType:
     def test_ring_mask_on_construction(self):
@@ -199,7 +192,6 @@ class TestKernelResults:
     def test_sigmoid_and_zero_d(self):
         a = f64(np.linspace(-2, 2, 5))
         self.check(sigmoid_poly(a), a)
-        self.check(sigmoid_poly_deriv(a), a)
         z = r64(np.array(Q - 1, dtype=np.uint64))
         out = add(z, z)
         self.check(out, z)

@@ -149,41 +149,36 @@ class TestFederatedDP:
         assert evaluate(model, ds) < 90.0  # better than predicting the mean
 
     def test_sigma_zero_update_bound(self):
-        """Without noise each parameter update is bounded by lr * C (the
-        sanitized sum has norm at most L*C and is divided by L)."""
+        """Without noise each parameter update before projection is bounded
+        by lr * C: the sanitized sum of a lot of L has norm at most L * C
+        and is divided by L. C is small enough that every row is clipped."""
         ds = pima(["alice", "bob"])
         fed, _ = virtual_federation(["alice", "bob"], seed=3)
-        spec = PrivacySpec(q=0.1, sigma=0.0, clip_norm=1.0, delta=1e-5, steps=40)
-        cfg = TrainConfig(seed=3, privacy=spec, dp_avg_frac=0.0,
-                          dp_max_norm=float("inf"))
-        model, trace, eps = train_federated_dp(fed, ds, cfg)
-        assert eps == float("inf")
-        # replay the run and check every update norm
-        fed2, _ = virtual_federation(["alice", "bob"], seed=3)
-        params = []
+        spec = PrivacySpec(q=0.1, sigma=0.0, clip_norm=0.01, delta=1e-5, steps=40)
+        cfg = TrainConfig(seed=3, privacy=spec)
+        sums = []
+        orig = fed.execute_tensor
 
-        orig = fed2.fetch_tensor
-
-        def spy(name, oid, delete=False):
-            out = orig(name, oid, delete)
-            params.append(out.data[1:])
+        def spy(name, cmd):
+            out = orig(name, cmd)
+            sums.append(out.data[1:])
             return out
 
-        fed2.fetch_tensor = spy
-        train_federated_dp(fed2, ds, cfg)
-        for t, sanitized in enumerate(params):
-            lr = cfg.dp_lr0 / (1.0 + t / cfg.dp_lr_tau)
-            assert np.linalg.norm(lr * sanitized / cfg.lot_size) <= lr * spec.clip_norm + 1e-9
+        fed.execute_tensor = spy
+        _, _, eps = train_federated_dp(fed, ds, cfg)
+        assert eps == float("inf")
+        assert len(sums) == spec.steps
+        for sanitized in sums:
+            assert np.linalg.norm(sanitized / cfg.lot_size) <= spec.clip_norm + 1e-9
 
     def test_sigma_zero_matches_local_lot_sgd(self):
-        """sigma=0 with a huge clip norm and the stability recipe disabled is
-        exactly lot SGD computed locally from the same streams."""
+        """sigma=0 with a huge clip norm is exactly lot SGD under the DP
+        recipe (lr decay, hidden max-norm projection, tail averaging),
+        computed locally from the same streams."""
         ds = pima(["alice", "bob"])
         cfg = TrainConfig(
             seed=7,
             privacy=PrivacySpec(q=0.1, sigma=0.0, clip_norm=1e9, delta=1e-5, steps=25),
-            dp_avg_frac=0.0,
-            dp_max_norm=float("inf"),
         )
         fed, _ = virtual_federation(["alice", "bob"], seed=7)
         model, _, _ = train_federated_dp(fed, ds, cfg)
@@ -196,15 +191,21 @@ class TestFederatedDP:
         params = nn.init_params(dims, np.random.default_rng([cfg.seed, 2]))
         pick = np.random.default_rng([cfg.seed, 4])
         wrngs = {n: worker_rng(7, n) for n in names}
-        for t in range(cfg.privacy.steps):
+        T = cfg.privacy.steps
+        avg_from = T - int(round(T * train.DP_AVG_FRAC))
+        tail = []
+        for t in range(T):
             name = names[int(pick.integers(len(names)))]
             X, y = ds.partitions[name]
             lot = wrngs[name].choice(len(y), size=cfg.lot_size, replace=False)
             _, G = nn.forward_backward(params, dims, ds.task, X[lot], y[lot],
                                        per_example=True)
-            lr = cfg.dp_lr0 / (1.0 + t / cfg.dp_lr_tau)
+            lr = train.DP_LR0 / (1.0 + t / train.DP_LR_TAU)
             params = params - lr * G.mean(axis=0)
-        assert np.allclose(model.params, params, atol=1e-12)
+            params = nn.project_hidden_max_norm(params, dims, train.DP_MAX_NORM)
+            if t >= avg_from:
+                tail.append(params)
+        assert np.allclose(model.params, np.mean(tail, axis=0), atol=1e-12)
 
 
 class TestMPCForward:
