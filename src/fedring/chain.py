@@ -2,9 +2,10 @@
 chain of nodes (Local / Pointer / FixedPrecision / Shared), with command
 dispatch forwarded node to node and chain rewrites on send/get.
 
-Chains are kept as top-down node lists; the head is implied. The leaf holds
-everything the leader knows about the payload, and nothing is fetched back
-to learn it:
+Chains are kept as top-down node lists, on the leader only; the head is
+implied. A worker holds plain tensors, so the whole chain above a payload,
+and its prefix in particular, stays here. The leaf holds everything the
+leader knows about the payload, and nothing is fetched back to learn it:
     ('local', Tensor)            the payload itself;
     ('pointer', worker, expr)    the payload on a worker: expr is
                                  ('ref', oid) for a stored object, or a lazy
@@ -22,8 +23,9 @@ A lazy result reads its operands when it is consumed, not when it is
 built, so consuming an operand first (say with its own get()) makes the
 later evaluation fail with ObjectNotFound.
 
-`send` keeps the chain's prefix above the pointer, so a fixed-precision
-tensor stays fixed precision on its worker. Workers do not truncate, so
+`send` stores the leaf tensor alone and keeps the chain's prefix above the
+pointer, so a sent fixed-precision tensor stays fixed precision on the
+leader's side and get() restores it. Workers do not truncate, so
 fixed-precision mul, matmul and float scale on a pointer are rejected with
 KindMismatch before anything is sent; get() or share() it first.
 """
@@ -104,13 +106,13 @@ class TensorChain:
 
     # -- send / get ----------------------------------------------------------
     def send(self, target: str) -> "TensorChain":
-        """Serialize the whole chain to the target worker; locally the leaf
+        """Store the leaf tensor on the target worker; locally the leaf
         becomes a Pointer under the same prefix and the payload is released."""
         if self.leaf[0] != "local":
             raise KindMismatch(f"cannot send a {self.leaf[0]} chain")
         fed = self._require_fed()
         oid = fed.allocate_id()
-        fed.worker(target).store(oid, protocol.serialize_chain(self.nodes))
+        fed.worker(target).store(oid, protocol.serialize_chain(self.tensor()))
         return self._with_leaf(("pointer", target, ("ref", oid)))
 
     def get(self) -> "TensorChain":
@@ -122,11 +124,9 @@ class TensorChain:
             _, worker, expr = self.leaf
             if expr[0] != "ref":
                 value = fed.execute_tensor(worker, compile_expr([expr]))
-                return self._with_leaf(("local", value))
-            leaf = protocol.deserialize_chain(fed.worker(worker).fetch(expr[1], delete=True))[-1]
-            if leaf[0] != "local":
-                raise KindMismatch(f"object {expr[1]} on {worker} holds a {leaf[0]}, not a tensor")
-            return self._with_leaf(leaf)
+            else:
+                value = fed.fetch_tensor(worker, expr[1], delete=True)
+            return self._with_leaf(("local", value))
         if self.leaf[0] == "shared":
             return self._with_leaf(("local", spdz.reconstruct(self.leaf[1], fed, delete=True)))
         raise KindMismatch(f"cannot get a {self.leaf[0]} chain")

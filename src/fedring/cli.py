@@ -174,7 +174,7 @@ def cmd_dealer(args) -> int:
     from .protocol import deserialize_chain
 
     # [count, n_parties]: each id names a party's one object for that triple
-    ids = deserialize_chain(reply)[-1][1].data
+    ids = deserialize_chain(reply).data
     print(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "kind": args.kind,

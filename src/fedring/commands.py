@@ -43,9 +43,11 @@ from .tensor import Dtype, Tensor
 REGISTRY: dict = {}
 
 
-def register(name, preserve_prefix=True):
+def register(name):
     def deco(fn):
-        REGISTRY[name] = (fn, preserve_prefix)
+        # the constant second field keeps the 2-tuples perfbench/spans.py
+        # unpacks (ROADMAP item 4)
+        REGISTRY[name] = (fn, False)
         return fn
 
     return deco
@@ -54,7 +56,7 @@ def register(name, preserve_prefix=True):
 def lookup(name: str):
     if name not in REGISTRY:
         raise UnknownCommand(name)
-    return REGISTRY[name]
+    return REGISTRY[name][0]
 
 
 def _want_tensor(v, i):
@@ -213,11 +215,11 @@ def _eval_expr(ctx, args, kwargs):
 
 def _push_share(ctx, party: str, arr: np.ndarray) -> int:
     oid = ctx.allocate_id()
-    ctx.peer(party).push(oid, [("local", Tensor._own(arr, Dtype.RING64))])
+    ctx.peer(party).push(oid, Tensor._own(arr, Dtype.RING64))
     return oid
 
 
-@register("make_shares", preserve_prefix=False)
+@register("make_shares")
 def _make_shares(ctx, args, kwargs):
     """Split the one Ring64 value that a program (compile_expr) over the
     leaf tensors in args leaves into additive shares and push one to each
@@ -289,7 +291,7 @@ def _product(kind: str):
     return np.matmul if kind == "matmul" else np.multiply
 
 
-@register("gen_triples", preserve_prefix=False)
+@register("gen_triples")
 def _gen_triples(ctx, args, kwargs):
     """Dealer preprocessing: make `count` seed-compressed triples and push
     each party one object per triple; returns the object ids shaped
@@ -337,7 +339,7 @@ def _expand_triple(ctx, obj: Tensor, sizes) -> np.ndarray:
                         f"{nc} product elements")
 
 
-@register("beaver_open", preserve_prefix=False)
+@register("beaver_open")
 def _beaver_open(ctx, args, kwargs):
     """A party's part of a Beaver open round. The last argument is its
     triple object (pass it as a take argument); the others are the leaves of
@@ -354,7 +356,7 @@ def _beaver_open(ctx, args, kwargs):
     masked = np.empty(na + nb, dtype=np.uint64)
     np.subtract(stack[0].data.ravel(), abc[:na], out=masked[:na])
     np.subtract(stack[1].data.ravel(), abc[na:na + nb], out=masked[na:])
-    ctx.push(int(kwargs["keep"]), [("local", Tensor._own(abc, Dtype.RING64))])
+    ctx.push(int(kwargs["keep"]), Tensor._own(abc, Dtype.RING64))
     return Tensor._own(masked, Dtype.RING64)
 
 
@@ -393,7 +395,7 @@ def _batch_args(args, kwargs):
     return params, X, y, dims, task
 
 
-@register("fb_batch", preserve_prefix=False)
+@register("fb_batch")
 def _fb_batch(ctx, args, kwargs):
     """Forward/backward over the given row indices of the resident
     partition; returns [loss, batch gradient...]."""
@@ -403,7 +405,7 @@ def _fb_batch(ctx, args, kwargs):
     return Tensor._own(np.concatenate([[loss], grad]), Dtype.FLOAT64)
 
 
-@register("dp_phase", preserve_prefix=False)
+@register("dp_phase")
 def _dp_phase(ctx, args, kwargs):
     """One DP phase: sample a lot locally, compute per-example gradients,
     clip, sum and add Gaussian noise. Only the sanitized sum (plus the

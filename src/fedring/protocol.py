@@ -1,27 +1,26 @@
-"""Binary wire protocol: framing plus tensor / chain / command codecs.
+"""Binary wire protocol: framing plus tensor / object / command codecs.
 
 Frame layout (little-endian throughout):
 
     magic    4 bytes  b"FTNS"
-    version  u8       1
+    version  u8       2
     msg_type u8       1=STORE 2=GET 3=DELETE 4=EXECUTE 5=RESULT 6=ERROR
                       7=EXECUTE_VALUE
     request_id  u64
     payload_len u64     at most MAX_PAYLOAD
     payload     payload_len bytes
 
-Request payloads: STORE oid u64 then a chain; GET oid u64 then a delete
+Request payloads: STORE oid u64 then an object; GET oid u64 then a delete
 flag u8; DELETE one or more oids, u64 each; EXECUTE and EXECUTE_VALUE a
 command. An EXECUTE RESULT carries the new object's oid u64, a GET RESULT
-the chain. An EXECUTE_VALUE RESULT carries the result chain, as a GET
+the object. An EXECUTE_VALUE RESULT carries the result object, as a GET
 RESULT does: the worker stores no result and allocates no id, and deletes
-the command's take arguments only once it has succeeded. A worker decodes
-a STORE chain on arrival, so a malformed one is refused with Malformed and
-nothing is stored.
+the command's take arguments only once it has succeeded.
 
-Chain payload: node count u8, then per node, top-down, a kind u8 (0=Local
-then a tensor, 1=Pointer then a name and an oid u64, 2=FixedPrecision then
-frac_bits u8). A name is its UTF-8 length u8 then its bytes.
+An object payload is exactly one tensor: a worker object is a tensor, and
+the chain above it stays on the leader. A worker decodes a STORE object on
+arrival, so a malformed one, or one followed by trailing bytes, is refused
+with Malformed and nothing is stored.
 
 Tensor payload: dtype u8 (0=Float64, 1=Ring64), ndim u8, dims u32 each,
 elements 8 bytes each (Float64 as IEEE-754 bits, Ring64 as u64).
@@ -41,7 +40,7 @@ from . import errors
 from .tensor import Dtype, Tensor
 
 MAGIC = b"FTNS"
-VERSION = 1
+VERSION = 2
 HEADER_LEN = 22
 MAX_PAYLOAD = 1 << 28
 
@@ -190,97 +189,30 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     return Tensor._own(data.copy(), dtype), end
 
 
-def _tensor_shape(buf: bytes, offset: int) -> tuple[tuple, int]:
-    _, dims, _, end = _tensor_header(buf, offset)
-    return dims, end
-
-
 # ---------------------------------------------------------------------------
-# chain codec (node kinds top-down, head implied)
+# object codec: a STORE payload, a GET reply and an EXECUTE_VALUE reply are
+# each one tensor. The chain names stay because perfbench/spans.py wraps
+# them (ROADMAP item 4).
 
-NODE_LOCAL = 0
-NODE_POINTER = 1
-NODE_FIXED_PRECISION = 2
-
-
-def _pack_name(name: str) -> bytes:
-    raw = name.encode("utf-8")
-    if not 0 < len(raw) <= 64:
-        raise errors.MalformedPayload(f"bad worker name {name!r}")
-    return struct.pack("<B", len(raw)) + raw
+def serialize_chain(t: Tensor) -> bytes:
+    """An object payload: the tensor's encoding."""
+    return serialize_tensor(t)
 
 
-def _unpack_name(buf: bytes, pos: int) -> tuple[str, int]:
-    if len(buf) < pos + 1:
-        raise errors.MalformedPayload("truncated name")
-    n = buf[pos]
-    if len(buf) < pos + 1 + n:
-        raise errors.MalformedPayload("truncated name")
-    return buf[pos + 1 : pos + 1 + n].decode("utf-8"), pos + 1 + n
+def deserialize_chain(buf: bytes) -> Tensor:
+    """Decode an object payload strictly: any malformed input, trailing
+    bytes included, raises MalformedPayload. Workers decode STORE payloads
+    with it on arrival."""
+    t, end = deserialize_tensor(buf)
+    if end != len(buf):
+        raise errors.MalformedPayload("trailing bytes after object")
+    return t
 
 
-def serialize_chain(nodes: list) -> bytes:
-    """nodes: list of ('local', Tensor) | ('pointer', name, oid) |
-    ('fixed_precision', frac_bits). A shared chain holds a leader-side
-    ShareVector and is never serialized."""
-    out = [struct.pack("<B", len(nodes))]
-    for node in nodes:
-        tag = node[0]
-        if tag == "local":
-            out.append(struct.pack("<B", NODE_LOCAL))
-            out.extend(_tensor_parts(node[1]))
-        elif tag == "pointer":
-            out.append(struct.pack("<B", NODE_POINTER))
-            out.append(_pack_name(node[1]) + struct.pack("<Q", node[2]))
-        elif tag == "fixed_precision":
-            out.append(struct.pack("<BB", NODE_FIXED_PRECISION, node[1]))
-        else:
-            raise errors.MalformedPayload(f"unknown node tag {tag!r}")
-    return b"".join(out)
-
-
-def deserialize_chain(buf: bytes) -> list:
-    """Decode and validate a chain; any malformed input raises
-    MalformedPayload. Workers decode STORE payloads with it on arrival."""
-    return _read_chain(buf, deserialize_tensor)
-
-
-def chain_shapes(buf: bytes) -> tuple:
-    """Shapes of a chain's local tensors, read from their headers without
+def object_shape(buf: bytes) -> tuple:
+    """An object payload's shape, read from its tensor header without
     decoding or copying the elements."""
-    return tuple(node[1] for node in _read_chain(buf, _tensor_shape) if node[0] == "local")
-
-
-def _read_chain(buf: bytes, read_tensor) -> list:
-    """The chain parser; `read_tensor(buf, offset)` gives each local node's
-    value and the next offset."""
-    if not buf or not buf[0]:
-        raise errors.MalformedPayload("empty chain")
-    try:
-        count = buf[0]
-        pos = 1
-        nodes = []
-        for _ in range(count):
-            kind = buf[pos]
-            pos += 1
-            if kind == NODE_LOCAL:
-                t, pos = read_tensor(buf, pos)
-                nodes.append(("local", t))
-            elif kind == NODE_POINTER:
-                name, pos = _unpack_name(buf, pos)
-                (oid,) = struct.unpack_from("<Q", buf, pos)
-                pos += 8
-                nodes.append(("pointer", name, oid))
-            elif kind == NODE_FIXED_PRECISION:
-                nodes.append(("fixed_precision", buf[pos]))
-                pos += 1
-            else:
-                raise errors.MalformedPayload(f"unknown node kind {kind}")
-    except (IndexError, struct.error, UnicodeDecodeError) as e:
-        raise errors.MalformedPayload(f"truncated chain: {e}") from None
-    if pos != len(buf):
-        raise errors.MalformedPayload("trailing bytes after chain")
-    return nodes
+    return _tensor_header(buf, 0)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ _MASK = np.uint64(Q - 1)
 # scale, offset and trunc; scale and offset constants are ring residues (ints)
 
 
-def _local_chain(t: Tensor) -> bytes:
-    return protocol.serialize_chain([("local", t)])
-
-
 @dataclass(frozen=True)
 class ShareVector:
     """One secret: an ordered party list and one share expression per party."""
@@ -102,7 +98,7 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> Shar
     exprs = []
     for party, s in zip(parties, split_shares(rng, x.data, len(parties))):
         oid = fed.allocate_id()
-        fed.worker(party).store(oid, _local_chain(Tensor(s, Dtype.RING64)))
+        fed.worker(party).store(oid, protocol.serialize_chain(Tensor(s, Dtype.RING64)))
         exprs.append(("ref", oid))
     return ShareVector(parties, tuple(exprs), x.shape)
 

@@ -102,8 +102,8 @@ def _store_partitions(fed: Federation, ds: FederatedDataset, targets=None):
         y_out = y if targets is None else targets[name]
         x_oid, y_oid = fed.allocate_id(), fed.allocate_id()
         handle = fed.worker(name)
-        handle.store(x_oid, serialize_chain([("local", Tensor(X, Dtype.FLOAT64))]))
-        handle.store(y_oid, serialize_chain([("local", Tensor(y_out, Dtype.FLOAT64))]))
+        handle.store(x_oid, serialize_chain(Tensor(X, Dtype.FLOAT64)))
+        handle.store(y_oid, serialize_chain(Tensor(y_out, Dtype.FLOAT64)))
         placed[name] = (x_oid, y_oid, len(y))
     return placed
 

@@ -1,23 +1,26 @@
 """Workers and transports.
 
-A worker owns an object store (ObjectId -> decoded chain node list), a
-seeded RNG, a reusable generator for expanding Beaver triples and a command
-executor. Bytes exist only where a chain crosses a transport: `store_object`
-decodes (and so validates) a payload once on arrival, and `fetch_object`
-and a by-value `execute` encode on the way out. Commands read and write
-node lists with no codec, and so do worker-to-worker pushes between
-in-process workers; a socket peer encodes them for the wire.
+A worker owns an object store (ObjectId -> Tensor), a seeded RNG, a
+reusable generator for expanding Beaver triples and a command executor. A
+worker holds tensors, not chains: the chain above each tensor (pointer,
+fixed precision, shares) is the leader's. Bytes exist only where a tensor
+crosses a transport: `store_object` decodes (and so validates) a payload
+once on arrival, and `fetch_object` and a by-value `execute` encode on the
+way out. Commands read and write tensors with no codec, and so do
+worker-to-worker pushes between in-process workers; a socket peer encodes
+them for the wire.
 
 Virtual workers live in a process-local registry; socket workers serve the
 same operations over TCP with the FTNS framing. Both expose one handle
 interface (store / fetch / delete / execute) so the leader code is
 transport-agnostic. An execute either stores its result and returns the
-new id, or, by value, returns the result chain and stores nothing: one
+new id, or, by value, returns the result tensor and stores nothing: one
 message where an execute and a fetch-delete would be two.
 
 Object ids: the leader allocates session ids below 2**32; each worker
 allocates internal ids above a name-derived base so the two ranges never
-collide across parties.
+collide. Two workers whose names give the same base would collide with each
+other, so a registry or a worker with peers refuses such a pair.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .commands import TriplePRG, lookup
 from .errors import (
     BadMagic,
     BindError,
+    ConfigError,
     DuplicateObject,
-    KindMismatch,
     MalformedPayload,
     ObjectNotFound,
     TransportError,
@@ -54,6 +57,20 @@ def _validate_name(name: str):
     raw = name.encode("utf-8")
     if not 0 < len(raw) <= 64:
         raise WorkerUnknown(f"invalid worker name {name!r}")
+
+
+def _id_base(name: str) -> int:
+    """Where a worker starts numbering its own objects."""
+    return (1 + (zlib.crc32(name.encode("utf-8")) & 0xFFFF)) << 32
+
+
+def _check_id_ranges(name: str, others):
+    """Refuse a worker whose object ids would start where another's do: the
+    ids one pushes to the other could then collide with the other's own."""
+    for other in others:
+        if other != name and _id_base(other) == _id_base(name):
+            raise ConfigError(f"workers {name!r} and {other!r} number their objects "
+                              "from the same base; rename one")
 
 
 def worker_rng(seed: int, name: str) -> np.random.Generator:
@@ -82,17 +99,17 @@ class TransportTap:
         self.events: list[TapEvent] = []
         self.openings = 0
 
-    def record(self, op: str, worker: str, oid: int = 0, chain_bytes: bytes = b"",
+    def record(self, op: str, worker: str, oid: int = 0, payload: bytes = b"",
                tensors=()):
         """One message; `tensors` are the inline tensor arguments of an
-        execute, counted like the chain payload of a store, a fetch or a
+        execute, counted like the object payload of a store, a fetch or a
         by-value execute's reply. Sizes and shapes come from tensor shapes
-        and chain headers: nothing is encoded or decoded."""
+        and tensor headers: nothing is encoded or decoded."""
         shapes = tuple(t.shape for t in tensors)
-        nbytes = len(chain_bytes) + sum(protocol.tensor_nbytes(t) for t in tensors)
-        if chain_bytes:
+        nbytes = len(payload) + sum(protocol.tensor_nbytes(t) for t in tensors)
+        if payload:
             try:
-                shapes += protocol.chain_shapes(chain_bytes)
+                shapes += (protocol.object_shape(payload),)
             except MalformedPayload:
                 pass  # the worker refuses it; the message is still counted
         self.events.append(TapEvent(op, worker, oid, nbytes, shapes))
@@ -143,7 +160,7 @@ class _TappedHandle:
         self._delete(*oids)
 
     def execute(self, cmd: Command, by_value: bool = False):
-        """The stored result's id; by value, the result chain's encoding,
+        """The stored result's id; by value, the result tensor's encoding,
         recorded with the execute that brought it."""
         tensors = [val for tag, val in cmd.args if tag == "tensor"]
         if not by_value:
@@ -166,31 +183,31 @@ class WorkerCore:
         self.seed = seed
         self.rng = worker_rng(seed, name)
         self.triple_prg = TriplePRG()
-        self._objects: dict[int, list] = {}
+        self._objects: dict[int, Tensor] = {}
         self._lock = threading.RLock()
-        base = (1 + (zlib.crc32(name.encode("utf-8")) & 0xFFFF)) << 32
-        self._counter = itertools.count(base)
+        self._counter = itertools.count(_id_base(name))
         self.peers = dict(peers or {})
+        _check_id_ranges(name, self.peers)
 
     # -- store ----------------------------------------------------------
     def store_object(self, oid: int, payload: bytes):
-        """Decode a chain arriving from a transport and store it; a
+        """Decode a tensor arriving from a transport and store it; a
         malformed payload raises MalformedPayload and stores nothing."""
         self.push(oid, protocol.deserialize_chain(payload))
 
     def fetch_object(self, oid: int, delete: bool = False) -> bytes:
-        """The stored chain, encoded for a transport."""
+        """The stored tensor, encoded for a transport."""
         return protocol.serialize_chain(self._get(oid, delete))
 
-    def push(self, oid: int, nodes: list):
-        """Store a decoded node list: a chain that arrived, a command's
-        result, or a share a peer (or this worker's own command) pushes."""
+    def push(self, oid: int, t: Tensor):
+        """Store a decoded tensor: one that arrived, a command's result, or
+        a share a peer (or this worker's own command) pushes."""
         with self._lock:
             if oid in self._objects:
                 raise DuplicateObject(f"object {oid} already stored on {self.name}")
-            self._objects[oid] = nodes
+            self._objects[oid] = t
 
-    def _get(self, oid: int, delete: bool = False) -> list:
+    def _get(self, oid: int, delete: bool = False) -> Tensor:
         with self._lock:
             if oid not in self._objects:
                 raise ObjectNotFound(f"object {oid} not on {self.name}")
@@ -227,46 +244,20 @@ class WorkerCore:
         return self.peers[name]
 
     # -- execution --------------------------------------------------------
-    def _resolve(self, oid: int):
-        nodes = self._get(oid)
-        frac_bits = None
-        for node in nodes:
-            if node[0] == "fixed_precision":
-                frac_bits = node[1]
-        tail = nodes[-1]
-        if tail[0] != "local":
-            raise KindMismatch(f"object {oid} on {self.name} has no local payload")
-        return tail[1], frac_bits
-
     def execute(self, cmd: Command, by_value: bool = False):
         """Run a command and store its result under a fresh id, returned;
-        by value, return the result chain encoded for a transport and store
+        by value, return the result tensor encoded for a transport and store
         nothing. Take arguments are deleted only once the command has
         succeeded."""
-        fn, preserve = lookup(cmd.name)
-        resolved = []
-        taken = []
-        first_frac = None
-        for tag, val in cmd.args:
-            if tag in ("obj", "take"):
-                t, frac = self._resolve(val)
-                if first_frac is None and frac is not None and not resolved:
-                    first_frac = frac
-                resolved.append(t)
-                if tag == "take":
-                    taken.append(val)
-            else:
-                resolved.append(val)
-        result = fn(self, tuple(resolved), cmd.kwargs)
-        nodes = []
-        if preserve and first_frac is not None:
-            nodes.append(("fixed_precision", first_frac))
-        nodes.append(("local", result))
+        fn = lookup(cmd.name)
+        args = tuple(self._get(val) if tag in ("obj", "take") else val for tag, val in cmd.args)
+        result = fn(self, args, cmd.kwargs)
         if by_value:
-            out = protocol.serialize_chain(nodes)
+            out = protocol.serialize_chain(result)
         else:
             out = self.allocate_id()
-            self.push(out, nodes)
+            self.push(out, result)
+        taken = [val for tag, val in cmd.args if tag == "take"]
         if taken:
             self.delete_object(*taken)
         return out
@@ -284,6 +275,7 @@ class VirtualRegistry:
     def create(self, name: str, seed: int) -> WorkerCore:
         if name in self.workers:
             raise DuplicateObject(f"worker {name!r} already registered")
+        _check_id_ranges(name, self.workers)
         w = WorkerCore(name, seed)
         w.peers = self.workers  # live: peers may be created in any order
         self.workers[name] = w
@@ -405,15 +397,15 @@ class SocketHandle(_TappedHandle):
 
 class _LazySocketPeer:
     """Deferred peer connection for worker-to-worker share pushes; encodes
-    each pushed node list for the wire."""
+    each pushed tensor for the wire."""
 
     def __init__(self, host: str, port: int):
         self.host, self.port = host, port
         self._client = None
         self._lock = threading.Lock()
 
-    def push(self, oid: int, nodes: list):
-        payload = protocol.serialize_chain(nodes)
+    def push(self, oid: int, t: Tensor):
+        payload = protocol.serialize_chain(t)
         with self._lock:
             if self._client is None:
                 self._client = SocketClient(self.host, self.port)
@@ -524,13 +516,13 @@ class Federation:
         return self.handles[name]
 
     def fetch_tensor(self, name: str, oid: int, delete: bool = False) -> Tensor:
-        """Fetch an object and decode the tensor at its leaf."""
-        return protocol.deserialize_chain(self.worker(name).fetch(oid, delete))[-1][1]
+        """Fetch an object and decode it."""
+        return protocol.deserialize_chain(self.worker(name).fetch(oid, delete))
 
     def execute_tensor(self, name: str, cmd: Command) -> Tensor:
-        """Run a command by value, one message, and decode the tensor at
-        the leaf of its result; the worker keeps nothing of the result."""
-        return protocol.deserialize_chain(self.worker(name).execute(cmd, by_value=True))[-1][1]
+        """Run a command by value, one message, and decode its result; the
+        worker keeps nothing of the result."""
+        return protocol.deserialize_chain(self.worker(name).execute(cmd, by_value=True))
 
     def allocate_id(self) -> int:
         oid = next(self._counter)

@@ -252,6 +252,27 @@ class TestPerfbenchNames:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("workload,expected", [
+        ("mpc-infer", {"workers.msgs_per_step": 30, "spdz.openings_per_step": 8,
+                       "workers.objects_end": -800, "workers.bytes_per_step": 656_920}),
+        ("dp-calibrated", {"workers.msgs_per_step": 1}),
+    ])
+    def test_traced_run(self, workload, expected):
+        """A one-second traced benchmark run passes its gates and counts the
+        messages, openings, objects and bytes the protocol promises."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+             "--seed", "1", "--seconds", "1", "--trace", "1"],
+            capture_output=True, text=True, cwd=root, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True
+        assert result["failed"] == 0
+        for name, value in expected.items():
+            assert result["metrics"][name]["value"] == value, name
+
 
 class TestBenchmark:
     def test_fields_and_shape(self, capsys):

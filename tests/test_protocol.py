@@ -46,7 +46,7 @@ class TestFrames:
     def test_header_layout(self):
         frame = encode_frame(Message(protocol.MSG_STORE, 7, b"xy"))
         assert frame[:4] == b"FTNS"
-        assert frame[4] == 1
+        assert frame[4] == 2
         assert frame[5] == 1
         assert len(frame) == 24
 
@@ -69,9 +69,10 @@ class TestFrames:
         with pytest.raises(errors.MalformedPayload):
             encode_frame(Message(9, 1))
         frame = bytearray(encode_frame(Message(1, 1)))
-        frame[4] = 2
-        with pytest.raises(errors.MalformedPayload):
-            decode_frame(bytes(frame))
+        for version in (1, 3):  # 1: the chain payloads before objects were tensors
+            frame[4] = version
+            with pytest.raises(errors.MalformedPayload, match="unsupported version"):
+                decode_frame(bytes(frame))
 
     def test_short_payload(self):
         frame = encode_frame(Message(1, 1, b"abcd"))
@@ -81,7 +82,8 @@ class TestFrames:
     def test_payload_bound(self, monkeypatch):
         """A header claiming more than MAX_PAYLOAD is rejected from the header
         alone; the encoder refuses to build such a frame."""
-        head = protocol.MAGIC + struct.pack("<BBQQ", 1, protocol.MSG_STORE, 3, 1 << 40)
+        head = protocol.MAGIC + struct.pack("<BBQQ", protocol.VERSION, protocol.MSG_STORE, 3,
+                                            1 << 40)
         with pytest.raises(errors.MalformedPayload, match="exceeds"):
             decode_header(head)
         assert decode_header(encode_frame(Message(1, 3, b"ab"))) == (1, 3, 2)
@@ -134,46 +136,40 @@ class TestTensorCodec:
 
 
 class TestChainCodec:
+    """The object codec, under the chain names perfbench wraps: an object
+    payload is exactly one tensor's encoding."""
+
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
-        nodes = [
-            ("fixed_precision", 16),
-            ("local", rand_tensor(rng)),
-        ]
-        assert deserialize_chain(serialize_chain(nodes)) == nodes
-        nodes = [("pointer", "alice", 42)]
-        assert deserialize_chain(serialize_chain(nodes)) == nodes
-
-    def test_shared_node_rejected(self):
-        """Shared chains hold a leader-side ShareVector and have no wire
-        form: kind 3 is an unknown node kind."""
-        with pytest.raises(errors.MalformedPayload, match="unknown node tag"):
-            serialize_chain([("fixed_precision", 8), ("shared", [("alice", 1), ("bob", 2)])])
-        raw = bytes([2, protocol.NODE_FIXED_PRECISION, 8, 3, 2])
-        raw += bytes([5]) + b"alice" + struct.pack("<Q", 1)
-        raw += bytes([3]) + b"bob" + struct.pack("<Q", 2)
-        with pytest.raises(errors.MalformedPayload, match="unknown node kind 3"):
-            deserialize_chain(raw)
+        for _ in range(50):
+            t = rand_tensor(rng)
+            raw = serialize_chain(t)
+            assert raw == serialize_tensor(t)
+            assert deserialize_chain(raw) == t
+            assert protocol.object_shape(raw) == t.shape
 
     def test_truncated_node_is_malformed(self):
-        raw = serialize_chain([("fixed_precision", 8), ("pointer", "alice", 42)])
-        for cut in range(1, len(raw)):
+        """Every cut of a payload, through the dims or the data, is refused."""
+        raw = serialize_chain(Tensor(np.arange(6.0).reshape(2, 3), Dtype.FLOAT64))
+        for cut in range(len(raw)):
             with pytest.raises(errors.MalformedPayload):
                 deserialize_chain(raw[:cut])
 
     def test_trailing_bytes(self):
-        raw = serialize_chain([("pointer", "a", 1)]) + b"x"
-        with pytest.raises(errors.MalformedPayload):
-            deserialize_chain(raw)
+        raw = serialize_chain(Tensor(np.array([1.0]), Dtype.FLOAT64))
+        with pytest.raises(errors.MalformedPayload, match="trailing"):
+            deserialize_chain(raw + b"x")
+        with pytest.raises(errors.MalformedPayload, match="trailing"):
+            deserialize_chain(bytes([1, 0]) + raw)  # a version-1 one-node Local chain
 
     def test_empty(self):
-        for raw in (b"", b"\x00"):  # no bytes, or a count of zero nodes
+        for raw in (b"", b"\x00"):  # no bytes, or a dtype with no ndim
             with pytest.raises(errors.MalformedPayload):
                 deserialize_chain(raw)
 
-    def test_bad_name(self):
-        with pytest.raises(errors.MalformedPayload):
-            serialize_chain([("pointer", "x" * 65, 1)])
+    def test_unknown_dtype(self):
+        with pytest.raises(errors.MalformedPayload, match="dtype"):
+            deserialize_chain(bytes([2, 0]) + b"\x00" * 8)
 
 
 class TestCommandCodec:

@@ -471,7 +471,7 @@ class TestLazyExpressions:
         from fedring.workers import WorkerCore
 
         w = WorkerCore("a", 0)
-        w.store_object(1, serialize_chain([("local", r64([1, 2]))]))
+        w.store_object(1, serialize_chain(r64([1, 2])))
         with pytest.raises(MalformedPayload):
             w.execute(Command("eval_expr", (Command.obj(1),), {"prog": prog}))
         assert w.object_count() == 1
@@ -481,7 +481,7 @@ class TestLazyExpressions:
         from fedring.workers import WorkerCore
 
         w = WorkerCore("a", 0)
-        w.store_object(1, serialize_chain([("local", r64([1, 2]))]))
+        w.store_object(1, serialize_chain(r64([1, 2])))
         with pytest.raises(ConfigError):
             w.execute(Command("eval_expr", (Command.obj(1),), {"prog": [0, 0, 6, 16, 2]}))
 

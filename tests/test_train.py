@@ -9,6 +9,8 @@ from fedring import commands, nn, protocol, spdz, train
 from fedring.data import bundled_path, load_dataset
 from fedring.dp import PrivacySpec
 from fedring.errors import ConfigError, LotTooLarge
+from fedring.protocol import Command
+from fedring.tensor import Dtype, Tensor
 from fedring.train import (
     TrainConfig,
     evaluate,
@@ -171,6 +173,27 @@ class TestFederatedDP:
         for sanitized in sums:
             assert np.linalg.norm(sanitized / cfg.lot_size) <= spec.clip_norm + 1e-9
 
+    def test_dp_phase_clips_each_row(self):
+        """The DP phase clips each per-example gradient to C: with a 1-row
+        partition, a lot of 1 and no noise, the reply's gradient is that
+        row's gradient clipped, and the raw gradient is far above C."""
+        ds = pima(["solo"])
+        X, y = (a[:1] for a in ds.partitions["solo"])
+        dims = TrainConfig().dims(ds.n_features)
+        params = nn.init_params(dims, np.random.default_rng(0))
+        C = 0.01
+        w = WorkerCore("alice", 0)
+        w.store_object(1, protocol.serialize_chain(Tensor(X, Dtype.FLOAT64)))
+        w.store_object(2, protocol.serialize_chain(Tensor(y, Dtype.FLOAT64)))
+        reply = w.execute(Command(
+            "dp_phase", (("tensor", Tensor(params, Dtype.FLOAT64)), Command.obj(1),
+                         Command.obj(2)),
+            {"dims": list(dims), "task": ds.task, "lot_size": 1, "clip_norm": C,
+             "sigma": 0.0}), by_value=True)
+        _, G = nn.forward_backward(params, dims, ds.task, X, y, per_example=True)
+        assert np.linalg.norm(G[0]) > 10 * C
+        assert np.array_equal(protocol.deserialize_chain(reply).data[1:], nn.clip_rows(G, C)[0])
+
     def test_sigma_zero_matches_local_lot_sgd(self):
         """sigma=0 with a huge clip norm is exactly lot SGD under the DP
         recipe (lr decay, hidden max-norm projection, tail averaging),
@@ -282,7 +305,7 @@ class TestMPCForward:
         for name in ("alice", "bob"):
             core = registry.get(name)
             assert core.object_count() == 400
-            held[name] = sum(nodes[-1][1].size for nodes in core._objects.values())
+            held[name] = sum(t.size for t in core._objects.values())
         assert held == {"alice": 400 * commands.SEED_WORDS,
                         "bob": 400 * commands.SEED_WORDS + 100 * c_per_pass}
         assert registry.get("dealer").object_count() == 0
@@ -310,8 +333,8 @@ class TestMPCForward:
 
     def test_tap_reads_headers_only(self, monkeypatch):
         """Over one Boston pass the tap records what encoding each inline
-        tensor and decoding each chain would give (30 events, 656,960 B, the
-        same shapes), and record makes no codec call."""
+        tensor and decoding each object would give (30 events, 656,920 B,
+        the same shapes), and record makes no codec call."""
         ds = boston(["solo"])
         model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
         tap = TransportTap()
@@ -330,17 +353,16 @@ class TestMPCForward:
         record = TransportTap.record
         reference = []
 
-        def spied(self, op, worker, oid=0, chain_bytes=b"", tensors=()):
+        def spied(self, op, worker, oid=0, payload=b"", tensors=()):
             inside[0] = True
             try:
-                record(self, op, worker, oid, chain_bytes, tensors)
+                record(self, op, worker, oid, payload, tensors)
             finally:
                 inside[0] = False
             shapes = tuple(t.shape for t in tensors)
-            nbytes = len(chain_bytes) + sum(len(protocol.serialize_tensor(t)) for t in tensors)
-            if chain_bytes:
-                shapes += tuple(n[1].shape for n in protocol.deserialize_chain(chain_bytes)
-                                if n[0] == "local")
+            nbytes = len(payload) + sum(len(protocol.serialize_tensor(t)) for t in tensors)
+            if payload:
+                shapes += (protocol.deserialize_chain(payload).shape,)
             reference.append(TapEvent(op, worker, oid, nbytes, shapes))
 
         monkeypatch.setattr(TransportTap, "record", spied)
@@ -349,11 +371,11 @@ class TestMPCForward:
         events = tap.events[start:]
         assert events == reference
         assert len(events) == 30
-        assert sum(e.nbytes for e in events) == 656_960
+        assert sum(e.nbytes for e in events) == 656_920
         assert sum(codec_calls.values()) == 0
 
     def test_codec_only_at_transport_boundary(self, monkeypatch):
-        """Workers keep decoded chains: over one Boston pass on virtual
+        """Workers keep decoded tensors: over one Boston pass on virtual
         workers, each leader store or by-value execute encodes once and
         decodes once, and no other execute, fetch or worker-to-worker push
         touches the codec."""

@@ -8,6 +8,7 @@ import pytest
 from fedring import protocol
 from fedring.commands import OPS
 from fedring.errors import (
+    ConfigError,
     DuplicateObject,
     MalformedPayload,
     ObjectNotFound,
@@ -31,7 +32,7 @@ from fedring.workers import (
 
 
 def local_payload(values, dtype=Dtype.FLOAT64):
-    return serialize_chain([("local", Tensor(np.asarray(values), dtype))])
+    return serialize_chain(Tensor(np.asarray(values), dtype))
 
 
 def eval_cmd(op, *args):
@@ -43,8 +44,9 @@ def eval_cmd(op, *args):
 X = local_payload([1.0])
 Y = local_payload([2.0])
 
-# each payload is refused with MalformedPayload: opaque bytes, no nodes, a
-# truncated tensor, the retired kind-3 (shared) node, a bad name, trailing bytes
+# each payload is refused with MalformedPayload: opaque bytes, no ndim,
+# truncated data, truncated dims, a dim with no data behind it, an unknown
+# dtype, trailing bytes, and X in the version-1 one-node Local chain envelope
 MALFORMED = (
     b"x",
     b"",
@@ -52,7 +54,9 @@ MALFORMED = (
     X[:-1],
     bytes([1, 3, 1, 1, ord("a")]) + struct.pack("<Q", 1),
     bytes([1, 1, 2, 0xFF, 0xFE]) + struct.pack("<Q", 1),
+    bytes([2, 0]) + b"\x00" * 8,
     X + b"\x00",
+    bytes([1, 0]) + X,
 )
 
 
@@ -125,6 +129,23 @@ class TestObjectStore:
         with pytest.raises(WorkerUnknown):
             WorkerCore("x" * 65, 0)
 
+    def test_id_range_collision_refused(self):
+        """"yjc" and "dealer" number their objects from the same base, so a
+        triple the dealer pushes to yjc could land on an id yjc has already
+        used; a registry and a worker with peers both refuse the pair."""
+        assert WorkerCore("yjc", 0).allocate_id() == WorkerCore("dealer", 0).allocate_id()
+        with pytest.raises(ConfigError, match="'dealer' and 'yjc'"):
+            virtual_federation(["yjc", "bob", "dealer"], 9)
+        reg = VirtualRegistry()
+        reg.create("dealer", 0)
+        reg.create("bob", 0)
+        with pytest.raises(ConfigError, match="'yjc' and 'dealer'"):
+            reg.create("yjc", 0)
+        assert list(reg.workers) == ["dealer", "bob"]
+        with pytest.raises(ConfigError, match="'dealer' and 'yjc'"):
+            WorkerCore("dealer", 0, {"yjc": None, "bob": None})
+        WorkerCore("dealer", 0, {"alice": None, "bob": None})
+
 
 class TestExecute:
     def test_add(self):
@@ -132,8 +153,7 @@ class TestExecute:
         w.store_object(1, local_payload([1.0, 2.0]))
         w.store_object(2, local_payload([3.0, 4.0]))
         oid = w.execute(eval_cmd("add", Command.obj(1), Command.obj(2)))
-        nodes = protocol.deserialize_chain(w.fetch_object(oid))
-        assert np.array_equal(nodes[-1][1].data, [4.0, 6.0])
+        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(oid)).data, [4.0, 6.0])
 
     def test_missing_arg(self):
         w = WorkerCore("a", 0)
@@ -145,18 +165,6 @@ class TestExecute:
         with pytest.raises(UnknownCommand):
             w.execute(Command("frobnicate", ()))
 
-    def test_fixed_precision_prefix_preserved(self):
-        w = WorkerCore("a", 0)
-        payload = serialize_chain([
-            ("fixed_precision", 16),
-            ("local", Tensor(np.array([65536], dtype=np.uint64), Dtype.RING64)),
-        ])
-        w.store_object(1, payload)
-        oid = w.execute(eval_cmd("add", Command.obj(1), Command.obj(1)))
-        nodes = protocol.deserialize_chain(w.fetch_object(oid))
-        assert nodes[0] == ("fixed_precision", 16)
-        assert nodes[-1][1].data[0] == 131072
-
     def test_take_deleted_after_success_only(self):
         w = WorkerCore("a", 0)
         w.store_object(1, local_payload([1.0, 2.0]))
@@ -166,8 +174,7 @@ class TestExecute:
         assert w.object_count() == 2  # a failed command consumes nothing
         inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
         oid = w.execute(eval_cmd("add", ("take", 1), ("tensor", inline)))
-        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(oid))[-1][1].data,
-                              [11.0, 22.0])
+        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(oid)).data, [11.0, 22.0])
         with pytest.raises(ObjectNotFound):
             w.fetch_object(1)
 
@@ -234,8 +241,7 @@ class TestSocketWorker:
         c.store(1, local_payload([1.0, 2.0]))
         c.store(2, local_payload([3.0, 4.0]))
         oid = c.execute(eval_cmd("add", Command.obj(1), Command.obj(2)))
-        nodes = protocol.deserialize_chain(c.fetch(oid))
-        assert np.array_equal(nodes[-1][1].data, [4.0, 6.0])
+        assert np.array_equal(protocol.deserialize_chain(c.fetch(oid)).data, [4.0, 6.0])
         c.close()
 
     def test_error_replies_in_band(self, server):
@@ -251,7 +257,7 @@ class TestSocketWorker:
         c.close()
 
     def test_malformed_store_replied_in_band(self, server):
-        """A STORE whose chain does not decode is refused in-band; nothing
+        """A STORE whose object does not decode is refused in-band; nothing
         is stored and the connection stays usable."""
         host, port = server.server_address
         c = SocketClient(host, port)
@@ -286,11 +292,29 @@ class TestSocketWorker:
         before any payload is read, then the connection closes."""
         host, port = server.server_address
         sock = socket.create_connection((host, port), timeout=10)
-        sock.sendall(protocol.MAGIC + struct.pack("<BBQQ", 1, protocol.MSG_STORE, 9, 1 << 40))
+        sock.sendall(protocol.MAGIC + struct.pack("<BBQQ", protocol.VERSION, protocol.MSG_STORE,
+                                                  9, 1 << 40))
         head = _recv(sock, 22)
         assert head[5] == protocol.MSG_ERROR
         (plen,) = struct.unpack("<Q", head[14:22])
         assert struct.unpack("<I", _recv(sock, plen)[:4])[0] == protocol.ERR_MALFORMED
+        assert sock.recv(1) == b""
+        sock.close()
+        assert server.worker_core.object_count() == 0
+
+    def test_version_1_frame_refused(self, server):
+        """A version-1 STORE frame, whose payload is a chain, is answered
+        with Malformed from its header alone and stores nothing; the
+        connection then closes, since its payload length is not trusted."""
+        host, port = server.server_address
+        sock = socket.create_connection((host, port), timeout=10)
+        payload = struct.pack("<Q", 3) + bytes([1, 0]) + X
+        frame = protocol.encode_frame(Message(protocol.MSG_STORE, 4, payload))
+        sock.sendall(frame[:4] + bytes([1]) + frame[5:])
+        head = _recv(sock, 22)
+        assert head[5] == protocol.MSG_ERROR
+        (plen,) = struct.unpack("<Q", head[14:22])
+        assert b"unsupported version 1" in _recv(sock, plen)
         assert sock.recv(1) == b""
         sock.close()
         assert server.worker_core.object_count() == 0
@@ -372,21 +396,16 @@ def handle_and_core(request):
 
 class TestExecuteByValue:
     def test_reply_is_the_chain_and_nothing_is_stored(self, handle_and_core):
-        """The reply is the result chain, prefix included; the worker keeps
-        no result, allocates no id, and deletes a take argument."""
+        """The reply is the result tensor; the worker keeps no result,
+        allocates no id, and deletes a take argument."""
         h, core = handle_and_core
-        h.store(1, serialize_chain([
-            ("fixed_precision", 16),
-            ("local", Tensor(np.array([65536], dtype=np.uint64), Dtype.RING64)),
-        ]))
+        h.store(1, local_payload([65536], Dtype.RING64))
         h.store(2, local_payload([1.0, 2.0]))
         reply = h.execute(eval_cmd("add", Command.obj(1), Command.obj(1)), by_value=True)
-        nodes = protocol.deserialize_chain(reply)
-        assert nodes[0] == ("fixed_precision", 16)
-        assert nodes[-1][1].data.tolist() == [131072]
+        assert reply == local_payload([131072], Dtype.RING64)
         inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
         reply = h.execute(eval_cmd("add", ("take", 2), ("tensor", inline)), by_value=True)
-        assert protocol.deserialize_chain(reply)[-1][1].data.tolist() == [11.0, 22.0]
+        assert protocol.deserialize_chain(reply).data.tolist() == [11.0, 22.0]
         assert core.object_count() == 1
         with pytest.raises(ObjectNotFound):
             h.fetch(2)
@@ -423,7 +442,7 @@ class TestExecuteByValue:
         with pytest.raises(UnknownCommand):
             c.execute(Command("frobnicate", ()), by_value=True)
         reply = c.execute(eval_cmd("neg", Command.obj(1)), by_value=True)
-        assert protocol.deserialize_chain(reply)[-1][1].data.tolist() == [-1.0, -2.0]
+        assert protocol.deserialize_chain(reply).data.tolist() == [-1.0, -2.0]
         assert server.worker_core.object_count() == 1
         c.close()
 
