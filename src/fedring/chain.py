@@ -151,7 +151,7 @@ class TensorChain:
         """Split into additive shares. Local chains are split by the leader;
         a pointed-to payload is split on its worker by one command, which
         consumes a stored payload and evaluates a lazy one, and only the
-        share ids and the shape return to the leader."""
+        shape returns to the leader, which chose the share ids."""
         fed = self._require_fed()
         if self.leaf[0] == "pointer":
             sv = spdz.share_remote(self.leaf[1], self.leaf[2], parties, fed)

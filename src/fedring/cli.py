@@ -147,41 +147,33 @@ def cmd_worker(args) -> int:
 
 
 def cmd_dealer(args) -> int:
-    if args.count < 1:
-        raise ConfigError("--count must be >= 1")
+    """The dealer runs in this process and gen_triples checks the request
+    before its first push; object ids start at LEADER_ID_SPAN, above any
+    leader session's."""
     parties = [s for s in args.parties.split(",") if s]
-    if len(parties) < 2:
-        raise ConfigError("need at least 2 parties")
     shape = [int(s) for s in args.shape.split(",") if s]
-    if args.kind == "matmul" and len(shape) != 3:
-        raise ConfigError("matmul triples need --shape m,k,n")
-    endpoints = _parse_endpoints(args.endpoints)
-    missing = [p for p in parties if p not in endpoints]
-    if missing:
-        raise ConfigError(f"no endpoint for parties: {missing}")
-    seed = _default_seed(args.seed)
-    peers = {name: workers._LazySocketPeer(h, p) for name, (h, p) in endpoints.items()}
-    dealer = workers.WorkerCore("dealer", seed, peers)
+    peers = {name: workers._LazySocketPeer(h, p)
+             for name, (h, p) in _parse_endpoints(args.endpoints).items()}
+    dealer = workers.WorkerCore("dealer", _default_seed(args.seed), peers)
+    n = len(parties)
+    ids = [workers.LEADER_ID_SPAN + i for i in range(args.count * n)]
     try:
-        reply = dealer.execute(Command(
+        dealer.execute(Command(
             "gen_triples", (),
             {"kind": args.kind, "shape": shape, "parties": ",".join(parties),
-             "count": args.count},
-        ), by_value=True)
+             "count": args.count, "ids": ids},
+        ))
     finally:
         for peer in peers.values():
             peer.close()
-    from .protocol import deserialize_chain
-
-    # [count, n_parties]: each id names a party's one object for that triple
-    ids = deserialize_chain(reply).data
     print(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "kind": args.kind,
         "shape": shape,
         "parties": parties,
         "count": args.count,
-        "share_ids": ids.astype(np.int64).tolist(),
+        # [count, n_parties]: each id names a party's one object for that triple
+        "share_ids": [ids[t * n:(t + 1) * n] for t in range(args.count)],
     }))
     return EXIT_OK
 
@@ -272,10 +264,13 @@ def run_train(args) -> dict:
     summary["wall_s"] = wall_s
     summary["steps"] = len(trace)
     if args.trace_out:
+        # no loss leaves a DP worker, so DP rows have none
+        header, row_fmt = (("step,wall_ms", "{step},{wall_ms:.3f}") if args.dp else
+                           ("step,loss,wall_ms", "{step},{loss:.9g},{wall_ms:.3f}"))
         with open(args.trace_out, "w") as f:
-            f.write("step,loss,wall_ms\n")
+            f.write(header + "\n")
             for row in trace:
-                f.write(f"{row['step']},{row['loss']:.9g},{row['wall_ms']:.3f}\n")
+                f.write(row_fmt.format(**row) + "\n")
     return summary
 
 

@@ -1,16 +1,17 @@
 """Command registry executed on workers, and the expression compiler.
 
 Every command receives resolved tensors and returns one tensor; the worker
-stores it under a fresh id, or, for a by-value execute, replies with it and
-stores nothing. Arithmetic, for local tensors, pointers and shares alike,
-runs one interpreter: `OPS` is the one table of ops, `compile_expr` turns
-expression trees into a postfix program and `_run_prog` interprets it. On a
-worker the program is one `eval_expr` command, or the operand program that
-`beaver_open` and `make_shares` carry; on the leader, `run_expr` runs it
-over local tensors. A subexpression reached twice is computed once: the
-program `save`s it in a slot the first time and `load`s it after. Commands
-never see other workers' secrets: share and triple generation push shares
-directly to the peer workers and hand back only object ids.
+stores it under the id the leader named, or, for a by-value execute,
+replies with it and stores nothing. Arithmetic, for local tensors, pointers
+and shares alike, runs one interpreter: `OPS` is the one table of ops,
+`compile_expr` turns expression trees into a postfix program and
+`_run_prog` interprets it. On a worker the program is one `eval_expr`
+command, or the operand program that `beaver_open` and `make_shares`
+carry; on the leader, `run_expr` runs it over local tensors. A
+subexpression reached twice is computed once: the program `save`s it in a
+slot the first time and `load`s it after. Commands never see other
+workers' secrets: share and triple generation push shares directly to the
+peer workers, under ids the leader sent, and hand back nothing secret.
 
 Beaver triples are seed-compressed. For each triple the dealer draws one
 seed of SEED_WORDS ring words per party from its worker RNG. Each party
@@ -213,31 +214,37 @@ def _eval_expr(ctx, args, kwargs):
     return Tensor._own(np.concatenate([t.data.ravel() for t in stack]), Dtype.RING64)
 
 
-def _push_share(ctx, party: str, arr: np.ndarray) -> int:
-    oid = ctx.allocate_id()
-    ctx.peer(party).push(oid, Tensor._own(arr, Dtype.RING64))
-    return oid
+def _share_targets(ctx, kwargs, per_party: int = 1):
+    """The peers of the parties named in kwargs and the leader's ids, which
+    must number `per_party` for each party; a party that is not a peer
+    raises here, before anything is pushed."""
+    names = [p for p in str(kwargs["parties"]).split(",") if p]
+    if len(names) < 2:
+        raise ConfigError("need at least 2 parties")
+    peers = [ctx.peer(p) for p in names]
+    ids = [int(v) for v in kwargs["ids"]]
+    if len(ids) != per_party * len(peers):
+        raise ConfigError(f"need {per_party * len(peers)} object ids, got {len(ids)}")
+    return peers, ids
 
 
 @register("make_shares")
 def _make_shares(ctx, args, kwargs):
     """Split the one Ring64 value that a program (compile_expr) over the
     leaf tensors in args leaves into additive shares and push one to each
-    party; returns the per-party object ids followed by the value's shape,
-    the only metadata the leader needs. Pass a stored secret as a take
-    argument so it does not outlive its shares."""
-    parties = [p for p in str(kwargs["parties"]).split(",") if p]
-    if len(parties) < 2:
-        raise ConfigError("need at least 2 parties")
+    party under the leader's `ids`, one per party; returns the value's
+    shape, the only metadata the leader needs. Pass a stored secret as a
+    take argument so it does not outlive its shares."""
+    peers, ids = _share_targets(ctx, kwargs)
     stack = _run_prog(args, kwargs["prog"])
     if len(stack) != 1:
         raise MalformedPayload(f"make_shares shares one value, not {len(stack)}")
     (x,) = stack
     if x.dtype is not Dtype.RING64:
         raise ShapeMismatch("make_shares expects a Ring64 tensor (fix precision first)")
-    shares = tc.split_shares(ctx.rng, x.data, len(parties))
-    oids = [_push_share(ctx, party, s) for party, s in zip(parties, shares)]
-    return Tensor(np.array(oids + list(x.shape), dtype=np.uint64), Dtype.RING64)
+    for peer, oid, s in zip(peers, ids, tc.split_shares(ctx.rng, x.data, len(peers))):
+        peer.push(oid, Tensor._own(s, Dtype.RING64))
+    return Tensor(np.array(x.shape, dtype=np.uint64), Dtype.RING64)
 
 
 # -- Beaver triples (format in the module docstring) -------------------------
@@ -294,20 +301,18 @@ def _product(kind: str):
 @register("gen_triples")
 def _gen_triples(ctx, args, kwargs):
     """Dealer preprocessing: make `count` seed-compressed triples and push
-    each party one object per triple; returns the object ids shaped
-    [count, n_parties]."""
+    each party one object per triple, triple t's object for party i under
+    the leader's ids[t * n_parties + i]. Everything is checked before the
+    first push. Returns an empty tensor: the leader already knows the ids."""
     kind = str(kwargs["kind"])
     sa, sb, sc = triple_shapes(kind, kwargs["shape"])
-    parties = [p for p in str(kwargs["parties"]).split(",") if p]
     count = int(kwargs["count"])
     if count < 1:
         raise ConfigError("count must be >= 1")
-    if len(parties) < 2:
-        raise ConfigError("need at least 2 parties")
+    peers, ids = _share_targets(ctx, kwargs, count)
     na, nb, nc = math.prod(sa), math.prod(sb), math.prod(sc)
-    n = len(parties)
+    n = len(peers)
     seeds = tc.random_ring(ctx.rng, (count, n, SEED_WORDS))
-    ids = np.zeros((count, n), dtype=np.uint64)
     for t in range(count):
         a = np.zeros(na, dtype=np.uint64)
         b = np.zeros(nb, dtype=np.uint64)
@@ -320,10 +325,10 @@ def _gen_triples(ctx, args, kwargs):
             if not last:
                 c -= abc[na + nb:]
         c += _product(kind)(a.reshape(sa), b.reshape(sb)).ravel()
-        for i, party in enumerate(parties):
+        for i, peer in enumerate(peers):
             obj = seeds[t, i].copy() if i < n - 1 else np.concatenate((seeds[t, i], c))
-            ids[t, i] = _push_share(ctx, party, obj)
-    return Tensor._own(ids, Dtype.RING64)
+            peer.push(ids[t * n + i], Tensor._own(obj, Dtype.RING64))
+    return Tensor._own(np.zeros(0, dtype=np.uint64), Dtype.RING64)
 
 
 def _expand_triple(ctx, obj: Tensor, sizes) -> np.ndarray:
@@ -408,8 +413,8 @@ def _fb_batch(ctx, args, kwargs):
 @register("dp_phase")
 def _dp_phase(ctx, args, kwargs):
     """One DP phase: sample a lot locally, compute per-example gradients,
-    clip, sum and add Gaussian noise. Only the sanitized sum (plus the
-    pre-noise lot loss for the trace) leaves the worker."""
+    clip, sum and add Gaussian noise. Only the sanitized sum leaves the
+    worker: no statistic computed before the noise does."""
     params, X, y, dims, task = _batch_args(args, kwargs)
     lot_size = int(kwargs["lot_size"])
     clip_norm = float(kwargs["clip_norm"])
@@ -419,6 +424,5 @@ def _dp_phase(ctx, args, kwargs):
     if lot_size > X.shape[0]:
         raise ConfigError(f"lot {lot_size} exceeds partition size {X.shape[0]}")
     idx = ctx.rng.choice(X.shape[0], size=lot_size, replace=False)
-    loss, G = nn.forward_backward(params, dims, task, X[idx], y[idx], per_example=True)
-    sanitized = sanitize_lot(G, clip_norm, sigma, ctx.rng)
-    return Tensor._own(np.concatenate([[loss], sanitized]), Dtype.FLOAT64)
+    _, G = nn.forward_backward(params, dims, task, X[idx], y[idx], per_example=True)
+    return Tensor._own(sanitize_lot(G, clip_norm, sigma, ctx.rng), Dtype.FLOAT64)

@@ -3,19 +3,22 @@
 Frame layout (little-endian throughout):
 
     magic    4 bytes  b"FTNS"
-    version  u8       2
+    version  u8       3
     msg_type u8       1=STORE 2=GET 3=DELETE 4=EXECUTE 5=RESULT 6=ERROR
-                      7=EXECUTE_VALUE
     request_id  u64
     payload_len u64     at most MAX_PAYLOAD
     payload     payload_len bytes
 
 Request payloads: STORE oid u64 then an object; GET oid u64 then a delete
-flag u8; DELETE one or more oids, u64 each; EXECUTE and EXECUTE_VALUE a
-command. An EXECUTE RESULT carries the new object's oid u64, a GET RESULT
-the object. An EXECUTE_VALUE RESULT carries the result object, as a GET
-RESULT does: the worker stores no result and allocates no id, and deletes
-the command's take arguments only once it has succeeded.
+flag u8; DELETE one or more oids, u64 each; EXECUTE a destination oid u64
+then a command. A GET RESULT carries the object. An EXECUTE with
+destination 0 runs by value: its RESULT carries the result object, as a
+GET RESULT does, and the worker stores nothing. With any other destination
+the worker stores the result under that id, which the leader chose, and
+the RESULT is empty; a destination already stored is refused with
+Duplicate before the command runs. Either way the worker deletes the
+command's take arguments only once it has succeeded. Every object id is
+the leader's: a worker allocates none.
 
 An object payload is exactly one tensor: a worker object is a tensor, and
 the chain above it stays on the leader. A worker decodes a STORE object on
@@ -40,7 +43,7 @@ from . import errors
 from .tensor import Dtype, Tensor
 
 MAGIC = b"FTNS"
-VERSION = 2
+VERSION = 3
 HEADER_LEN = 22
 MAX_PAYLOAD = 1 << 28
 
@@ -50,9 +53,7 @@ MSG_DELETE = 3
 MSG_EXECUTE = 4
 MSG_RESULT = 5
 MSG_ERROR = 6
-MSG_EXECUTE_VALUE = 7
-_VALID_TYPES = frozenset((MSG_STORE, MSG_GET, MSG_DELETE, MSG_EXECUTE, MSG_RESULT, MSG_ERROR,
-                          MSG_EXECUTE_VALUE))
+_VALID_TYPES = frozenset((MSG_STORE, MSG_GET, MSG_DELETE, MSG_EXECUTE, MSG_RESULT, MSG_ERROR))
 
 ERR_NOT_FOUND = 1
 ERR_DUPLICATE = 2
@@ -190,9 +191,9 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
 
 
 # ---------------------------------------------------------------------------
-# object codec: a STORE payload, a GET reply and an EXECUTE_VALUE reply are
-# each one tensor. The chain names stay because perfbench/spans.py wraps
-# them (ROADMAP item 4).
+# object codec: a STORE payload, a GET reply and the reply to an EXECUTE
+# with destination 0 are each one tensor. The chain names stay because
+# perfbench/spans.py wraps them (ROADMAP item 4).
 
 def serialize_chain(t: Tensor) -> bytes:
     """An object payload: the tensor's encoding."""

@@ -106,8 +106,8 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> Shar
 def share_remote(owner: str, expr, parties, fed: Federation) -> ShareVector:
     """Split a worker-resident Ring64 value without the leader seeing it:
     the owner evaluates `expr`, a pointer expression over its objects,
-    splits the value locally and pushes shares to its peers; only the share
-    object ids and the shape return to the leader, in the reply to one
+    splits the value locally and pushes shares to its peers under ids the
+    leader chose; only the shape returns to the leader, in the reply to one
     by-value execute. A stored object (a bare ('ref', oid)) is taken, so the
     secret does not outlive its shares; a lazy expression's operands stay."""
     parties = tuple(parties)
@@ -115,20 +115,22 @@ def share_remote(owner: str, expr, parties, fed: Federation) -> ShareVector:
         raise ConfigError("need at least 2 parties")
     prog = compile_expr([expr])
     args = (("take", expr[1]),) if expr[0] == "ref" else prog.args
-    cmd = Command("make_shares", args, {**prog.kwargs, "parties": ",".join(parties)})
-    meta = [int(v) for v in fed.execute_tensor(owner, cmd).data]
-    exprs = tuple(("ref", v) for v in meta[: len(parties)])
-    return ShareVector(parties, exprs, tuple(meta[len(parties):]))
+    ids = [fed.allocate_id() for _ in parties]
+    cmd = Command("make_shares", args,
+                  {**prog.kwargs, "parties": ",".join(parties), "ids": ids})
+    shape = tuple(int(v) for v in fed.execute_tensor(owner, cmd).data)
+    return ShareVector(parties, tuple(("ref", oid) for oid in ids), shape)
 
 
 def materialize(sv: ShareVector, fed: Federation) -> ShareVector:
     """Collapse each party's expression to a single stored object: one
     eval_expr command per party whose share is not one already."""
-    exprs = tuple(
-        expr if expr[0] == "ref" else ("ref", fed.worker(party).execute(compile_expr([expr])))
-        for party, expr in zip(sv.parties, sv.exprs)
-    )
-    return replace(sv, exprs=exprs)
+    exprs = list(sv.exprs)
+    for i, (party, expr) in enumerate(zip(sv.parties, sv.exprs)):
+        if expr[0] != "ref":
+            exprs[i] = ("ref", fed.allocate_id())
+            fed.worker(party).execute(compile_expr([expr]), exprs[i][1])
+    return replace(sv, exprs=tuple(exprs))
 
 
 def reconstruct(sv: ShareVector, fed: Federation, delete: bool = False) -> Tensor:
@@ -224,19 +226,23 @@ class TriplePool:
 
 def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, count: int):
     """Run triple preprocessing on the dealer worker; each party receives
-    one object per triple from the dealer and only object ids return."""
+    one object per triple from the dealer, under ids the leader chose, and
+    nothing returns."""
     parties = tuple(parties)
     if count < 1:
         raise ConfigError("count must be >= 1")
     shape = tuple(int(s) for s in shape)
     triple_shapes(kind, shape)  # rejects a bad kind or shape before sending
-    cmd = Command(
+    n = len(parties)
+    ids = [fed.allocate_id() for _ in range(count * n)]
+    fed.execute_tensor(dealer, Command(
         "gen_triples",
         (),
-        {"kind": kind, "shape": list(shape), "parties": ",".join(parties), "count": count},
-    )
-    ids = fed.execute_tensor(dealer, cmd).data  # [count, n]
-    return [BeaverTriple(kind, shape, parties, tuple(int(v) for v in row)) for row in ids]
+        {"kind": kind, "shape": list(shape), "parties": ",".join(parties), "count": count,
+         "ids": ids},
+    ))
+    return [BeaverTriple(kind, shape, parties, tuple(ids[t * n:(t + 1) * n]))
+            for t in range(count)]
 
 
 def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
@@ -276,16 +282,16 @@ def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federat
         raise PartyMismatch("triple parties differ from operand parties")
     triple.consumed = True
     keep = [fed.allocate_id() for _ in xs.parties]
+    out = [fed.allocate_id() for _ in xs.parties]
     eps, delta = _open_masked(xs, ys, triple, fed, keep)
-    exprs = []
     for i, party in enumerate(xs.parties):
         cmd = Command(
             "beaver_combine",
             (("take", keep[i]), ("tensor", eps), ("tensor", delta)),
             {"kind": kind, "shape": list(triple.shape), "lead": int(i == 0)},
         )
-        exprs.append(("ref", fed.worker(party).execute(cmd)))
-    return ShareVector(xs.parties, tuple(exprs), tuple(out_shape))
+        fed.worker(party).execute(cmd, out[i])
+    return ShareVector(xs.parties, tuple(("ref", oid) for oid in out), tuple(out_shape))
 
 
 def beaver_mul(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,

@@ -151,7 +151,8 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     worker at random, which samples a lot from its own rows, clips
     per-example gradients and adds Gaussian noise locally; only the sanitized
     sum crosses the transport, in the reply to one by-value execute that
-    carries the parameters inline. The accountant records q = L/N per
+    carries the parameters inline. The trace therefore has no loss: each
+    row is the step and its wall time. The accountant records q = L/N per
     phase."""
     if cfg.privacy is None:
         raise ConfigError("train_federated_dp needs a PrivacySpec")
@@ -185,21 +186,19 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
         name = names[int(pick_rng.integers(len(names)))]
         x_oid, y_oid, _ = placed[name]
         params = ("tensor", Tensor(model.params, Dtype.FLOAT64))
-        out = fed.execute_tensor(name, Command(
+        sanitized = fed.execute_tensor(name, Command(
             "dp_phase",
             (params, Command.obj(x_oid), Command.obj(y_oid)),
             {"dims": dims, "task": model.task, "lot_size": L,
              "clip_norm": spec.clip_norm, "sigma": spec.sigma},
         )).data
-        loss, sanitized = out[0], out[1:]
         lr = DP_LR0 / (1.0 + t / DP_LR_TAU)
         model.params = model.params - lr * (sanitized / L)
         model.params = nn.project_hidden_max_norm(model.params, model.dims, DP_MAX_NORM)
         if t >= avg_from:
             acc = model.params.copy() if acc is None else acc + model.params
             n_acc += 1
-        trace.append({"step": t, "loss": float(loss),
-                      "wall_ms": (time.monotonic() - t0) * 1e3})
+        trace.append({"step": t, "wall_ms": (time.monotonic() - t0) * 1e3})
     if n_acc:
         model.params = acc / n_acc
     if spec.sigma > 0:

@@ -5,22 +5,22 @@ reusable generator for expanding Beaver triples and a command executor. A
 worker holds tensors, not chains: the chain above each tensor (pointer,
 fixed precision, shares) is the leader's. Bytes exist only where a tensor
 crosses a transport: `store_object` decodes (and so validates) a payload
-once on arrival, and `fetch_object` and a by-value `execute` encode on the
-way out. Commands read and write tensors with no codec, and so do
-worker-to-worker pushes between in-process workers; a socket peer encodes
-them for the wire.
+once on arrival, and `fetch_object` and an execute that replies with its
+result encode on the way out. Commands read and write tensors with no codec,
+and so do worker-to-worker pushes between in-process workers; a socket peer
+encodes them for the wire.
 
 Virtual workers live in a process-local registry; socket workers serve the
 same operations over TCP with the FTNS framing. Both expose one handle
 interface (store / fetch / delete / execute) so the leader code is
-transport-agnostic. An execute either stores its result and returns the
-new id, or, by value, returns the result tensor and stores nothing: one
-message where an execute and a fetch-delete would be two.
+transport-agnostic. An execute names a destination: 0 returns the result
+tensor and stores nothing, one message where an execute and a fetch-delete
+would be two; any other id stores the result under it.
 
-Object ids: the leader allocates session ids below 2**32; each worker
-allocates internal ids above a name-derived base so the two ranges never
-collide. Two workers whose names give the same base would collide with each
-other, so a registry or a worker with peers refuses such a pair.
+Object ids: the leader names every object. `Federation.allocate_id` hands
+out session ids below LEADER_ID_SPAN, and commands that push objects to
+other workers (share and triple generation) push them under ids the leader
+sent; a worker allocates none of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .commands import TriplePRG, lookup
 from .errors import (
     BadMagic,
     BindError,
-    ConfigError,
     DuplicateObject,
     MalformedPayload,
     ObjectNotFound,
@@ -57,20 +56,6 @@ def _validate_name(name: str):
     raw = name.encode("utf-8")
     if not 0 < len(raw) <= 64:
         raise WorkerUnknown(f"invalid worker name {name!r}")
-
-
-def _id_base(name: str) -> int:
-    """Where a worker starts numbering its own objects."""
-    return (1 + (zlib.crc32(name.encode("utf-8")) & 0xFFFF)) << 32
-
-
-def _check_id_ranges(name: str, others):
-    """Refuse a worker whose object ids would start where another's do: the
-    ids one pushes to the other could then collide with the other's own."""
-    for other in others:
-        if other != name and _id_base(other) == _id_base(name):
-            raise ConfigError(f"workers {name!r} and {other!r} number their objects "
-                              "from the same base; rename one")
 
 
 def worker_rng(seed: int, name: str) -> np.random.Generator:
@@ -102,8 +87,8 @@ class TransportTap:
     def record(self, op: str, worker: str, oid: int = 0, payload: bytes = b"",
                tensors=()):
         """One message; `tensors` are the inline tensor arguments of an
-        execute, counted like the object payload of a store, a fetch or a
-        by-value execute's reply. Sizes and shapes come from tensor shapes
+        execute, counted like the object payload of a store, a fetch or an
+        execute's reply. Sizes and shapes come from tensor shapes
         and tensor headers: nothing is encoded or decoded."""
         shapes = tuple(t.shape for t in tensors)
         nbytes = len(payload) + sum(protocol.tensor_nbytes(t) for t in tensors)
@@ -159,15 +144,14 @@ class _TappedHandle:
         self._record("delete", oids[0] if oids else 0)
         self._delete(*oids)
 
-    def execute(self, cmd: Command, by_value: bool = False):
-        """The stored result's id; by value, the result tensor's encoding,
-        recorded with the execute that brought it."""
-        tensors = [val for tag, val in cmd.args if tag == "tensor"]
-        if not by_value:
-            self._record("execute", tensors=tensors)
-            return self._execute(cmd)
-        payload = self._execute(cmd, True)
-        self._record("execute", 0, payload, tensors=tensors)
+    def execute(self, cmd: Command, dest: int = 0) -> bytes:
+        """With dest 0, the result tensor's encoding, recorded with the
+        execute that brought it; otherwise the worker stores the result
+        under dest and the reply is empty."""
+        payload = self._execute(cmd, dest)
+        if self.tap is not None:
+            self.tap.record("execute", self.name, dest, payload,
+                            [val for tag, val in cmd.args if tag == "tensor"])
         return payload
 
 
@@ -175,7 +159,7 @@ class _TappedHandle:
 # worker core (shared by virtual and socket servers)
 
 class WorkerCore:
-    """One worker: object store, RNG, id allocator and command executor."""
+    """One worker: object store, RNG and command executor."""
 
     def __init__(self, name: str, seed: int, peers: dict | None = None):
         _validate_name(name)
@@ -185,9 +169,7 @@ class WorkerCore:
         self.triple_prg = TriplePRG()
         self._objects: dict[int, Tensor] = {}
         self._lock = threading.RLock()
-        self._counter = itertools.count(_id_base(name))
         self.peers = dict(peers or {})
-        _check_id_ranges(name, self.peers)
 
     # -- store ----------------------------------------------------------
     def store_object(self, oid: int, payload: bytes):
@@ -231,9 +213,6 @@ class WorkerCore:
             return len(self._objects)
 
     # -- command context --------------------------------------------------
-    def allocate_id(self) -> int:
-        return next(self._counter)
-
     def peer(self, name: str):
         """Where a command pushes an object for `name`: this worker itself,
         or a peer, which has the same `push`."""
@@ -244,19 +223,22 @@ class WorkerCore:
         return self.peers[name]
 
     # -- execution --------------------------------------------------------
-    def execute(self, cmd: Command, by_value: bool = False):
-        """Run a command and store its result under a fresh id, returned;
-        by value, return the result tensor encoded for a transport and store
-        nothing. Take arguments are deleted only once the command has
-        succeeded."""
+    def execute(self, cmd: Command, dest: int = 0) -> bytes:
+        """Run a command. With dest 0, return the result tensor encoded for a
+        transport and store nothing; otherwise store the result under the
+        leader's id dest and return b"". A dest already stored is refused
+        before the command runs. Take arguments are deleted only once the
+        command has succeeded."""
         fn = lookup(cmd.name)
+        if dest and dest in self._objects:
+            raise DuplicateObject(f"object {dest} already stored on {self.name}")
         args = tuple(self._get(val) if tag in ("obj", "take") else val for tag, val in cmd.args)
         result = fn(self, args, cmd.kwargs)
-        if by_value:
-            out = protocol.serialize_chain(result)
+        if dest:
+            self.push(dest, result)
+            out = b""
         else:
-            out = self.allocate_id()
-            self.push(out, result)
+            out = protocol.serialize_chain(result)
         taken = [val for tag, val in cmd.args if tag == "take"]
         if taken:
             self.delete_object(*taken)
@@ -275,7 +257,6 @@ class VirtualRegistry:
     def create(self, name: str, seed: int) -> WorkerCore:
         if name in self.workers:
             raise DuplicateObject(f"worker {name!r} already registered")
-        _check_id_ranges(name, self.workers)
         w = WorkerCore(name, seed)
         w.peers = self.workers  # live: peers may be created in any order
         self.workers[name] = w
@@ -366,14 +347,9 @@ class SocketClient:
     def delete(self, *oids: int):
         self.request(protocol.MSG_DELETE, struct.pack(f"<{len(oids)}Q", *oids))
 
-    def execute(self, cmd: Command, by_value: bool = False):
-        msg_type = protocol.MSG_EXECUTE_VALUE if by_value else protocol.MSG_EXECUTE
-        reply = self.request(msg_type, protocol.serialize_command(cmd))
-        if by_value:
-            return reply.payload
-        if len(reply.payload) != 8:
-            raise TransportError("bad execute reply")
-        return struct.unpack("<Q", reply.payload)[0]
+    def execute(self, cmd: Command, dest: int = 0) -> bytes:
+        payload = struct.pack("<Q", dest) + protocol.serialize_command(cmd)
+        return self.request(protocol.MSG_EXECUTE, payload).payload
 
     def close(self):
         try:
@@ -476,12 +452,11 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             core.delete_object(*struct.unpack(f"<{k}Q", msg.payload))
             return Message(protocol.MSG_RESULT, msg.request_id)
         if msg.msg_type == protocol.MSG_EXECUTE:
-            cmd = protocol.deserialize_command(msg.payload)
-            oid = core.execute(cmd)
-            return Message(protocol.MSG_RESULT, msg.request_id, struct.pack("<Q", oid))
-        if msg.msg_type == protocol.MSG_EXECUTE_VALUE:
-            payload = core.execute(protocol.deserialize_command(msg.payload), by_value=True)
-            return Message(protocol.MSG_RESULT, msg.request_id, payload)
+            if len(msg.payload) < 8:
+                raise MalformedPayload("short execute payload")
+            (dest,) = struct.unpack_from("<Q", msg.payload)
+            cmd = protocol.deserialize_command(msg.payload[8:])
+            return Message(protocol.MSG_RESULT, msg.request_id, core.execute(cmd, dest))
         raise MalformedPayload(f"unserviceable msg_type {msg.msg_type}")
 
 
@@ -499,7 +474,7 @@ def make_server(host: str, port: int, core: WorkerCore) -> _WorkerServer:
 # federation: the leader's view of its workers
 
 class Federation:
-    """Named worker handles plus the leader-session id allocator."""
+    """Named worker handles plus the one object-id allocator."""
 
     def __init__(self, handles, tap: TransportTap | None = None):
         self.handles = {h.name: h for h in handles}
@@ -520,9 +495,9 @@ class Federation:
         return protocol.deserialize_chain(self.worker(name).fetch(oid, delete))
 
     def execute_tensor(self, name: str, cmd: Command) -> Tensor:
-        """Run a command by value, one message, and decode its result; the
-        worker keeps nothing of the result."""
-        return protocol.deserialize_chain(self.worker(name).execute(cmd, by_value=True))
+        """Run a command, one message, and decode its result; the worker
+        keeps nothing of the result."""
+        return protocol.deserialize_chain(self.worker(name).execute(cmd))
 
     def allocate_id(self) -> int:
         oid = next(self._counter)

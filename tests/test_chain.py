@@ -299,8 +299,8 @@ class TestSharedChain:
 
     def test_remote_share_leader_blind(self, tapped):
         """Sharing a pointed-to tensor happens on the owning worker: one
-        by-value execute whose reply holds only the share ids and the shape,
-        never a fetch of the secret."""
+        by-value execute whose reply holds only the shape (the leader chose
+        the share ids), never a fetch of the secret."""
         fed, tap = tapped
         chain = TensorChain.local([[7.0, 8.0]], fed=fed).fix_precision().send("alice")
         secret_oid = chain.leaf[2][1]
@@ -309,7 +309,7 @@ class TestSharedChain:
         events = tap.events[start:]
         assert [e.op for e in events] == ["execute"]
         assert all(e.oid != secret_oid for e in events)
-        assert events[0].shapes == ((len(PARTIES) + 2,),)  # two ids, then (1, 2)
+        assert events[0].shapes == ((2,),)  # the shape (1, 2) alone
         assert [n[0] for n in shared.nodes] == ["fixed_precision", "shared"]
         assert shared.leaf[1].shape == (1, 2)
         assert fed.worker("alice").core.object_count() == 1  # the secret is consumed

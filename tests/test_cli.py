@@ -103,7 +103,7 @@ class TestTrain:
         assert summary["sigma"] == 2.5
         assert summary["epsilon"] > 0
         lines = trace.read_text().strip().splitlines()
-        assert lines[0] == "step,loss,wall_ms"
+        assert lines[0] == "step,wall_ms"  # no loss leaves a DP worker
         assert len(lines) == 51
 
     def test_csv_path_dataset(self, capsys):
@@ -127,6 +127,13 @@ class TestDealer:
                               "--endpoints", "a=127.0.0.1:1",
                               "--count", "1", "--shape", "2,2,2")
         assert code == 1
+
+    def test_matmul_needs_three_dims_exits_one(self, capsys):
+        code, _, err = run_main(capsys, "dealer", "--parties", "a,b",
+                                "--endpoints", "a=127.0.0.1:1,b=127.0.0.1:2",
+                                "--kind", "matmul", "--count", "1", "--shape", "2,2")
+        assert code == 1
+        assert "(m, k, n)" in err
 
     def test_share_ids_per_triple_and_party(self, capsys):
         """Against two in-process socket workers, share_ids is shaped

@@ -46,18 +46,21 @@ class TestFrames:
     def test_header_layout(self):
         frame = encode_frame(Message(protocol.MSG_STORE, 7, b"xy"))
         assert frame[:4] == b"FTNS"
-        assert frame[4] == 2
+        assert frame[4] == 3
         assert frame[5] == 1
         assert len(frame) == 24
 
-    def test_execute_value_type(self):
-        """EXECUTE_VALUE is msg_type 7 and leaves EXECUTE frames as they were."""
-        payload = serialize_command(Command("eval_expr", (Command.obj(3),), {"prog": [0, 0]}))
-        frame = encode_frame(Message(protocol.MSG_EXECUTE_VALUE, 5, payload))
-        assert frame[5] == 7
-        assert decode_frame(frame) == (Message(7, 5, payload), len(frame))
-        execute = encode_frame(Message(protocol.MSG_EXECUTE, 5, payload))
-        assert execute == frame[:5] + bytes([4]) + frame[6:]
+    def test_type_7_refused(self):
+        """EXECUTE is the one execute type: msg_type 7, version 2's by-value
+        EXECUTE, is refused on encode and on decode."""
+        payload = struct.pack("<Q", 0) + serialize_command(
+            Command("eval_expr", (Command.obj(3),), {"prog": [0, 0]}))
+        with pytest.raises(errors.MalformedPayload, match="bad msg_type 7"):
+            encode_frame(Message(7, 5, payload))
+        frame = encode_frame(Message(protocol.MSG_EXECUTE, 5, payload))
+        assert frame[5] == 4
+        with pytest.raises(errors.MalformedPayload, match="unknown msg_type 7"):
+            decode_frame(frame[:5] + bytes([7]) + frame[6:])
 
     def test_bad_magic(self):
         frame = bytearray(encode_frame(Message(1, 1)))
@@ -69,7 +72,8 @@ class TestFrames:
         with pytest.raises(errors.MalformedPayload):
             encode_frame(Message(9, 1))
         frame = bytearray(encode_frame(Message(1, 1)))
-        for version in (1, 3):  # 1: the chain payloads before objects were tensors
+        # 1: chain payloads; 2: worker-chosen ids and a second execute type
+        for version in (1, 2, 4):
             frame[4] = version
             with pytest.raises(errors.MalformedPayload, match="unsupported version"):
                 decode_frame(bytes(frame))

@@ -14,9 +14,10 @@ from fedring.errors import (
     ShapeMismatch,
     TripleReused,
     TripleShapeMismatch,
+    WorkerUnknown,
 )
 from fedring.fixedpoint import DEFAULT_CONFIG, Q, decode, encode, to_signed, truncate_share
-from fedring.protocol import Command
+from fedring.protocol import Command, serialize_chain
 from fedring.spdz import (
     BeaverTriple,
     TriplePool,
@@ -29,6 +30,7 @@ from fedring.spdz import (
     public_op,
     reconstruct,
     share,
+    share_remote,
     sub_shared,
     trunc_shared,
 )
@@ -98,6 +100,18 @@ class TestShareReconstruct:
         fed.worker("bob").delete(sv.exprs[1][1])
         with pytest.raises(ObjectNotFound):
             reconstruct(sv, fed)
+
+    def test_remote_share_to_unknown_party_strands_nothing(self, fed):
+        """make_shares resolves every party before its first push: sharing
+        to a party the owner does not know raises WorkerUnknown, no share is
+        stored anywhere, and the secret is not taken."""
+        secret = serialize_chain(r64([5, 6]))
+        fed.worker("bob").store(1, secret)
+        with pytest.raises(WorkerUnknown):
+            share_remote("bob", ("ref", 1), ("alice", "zed"), fed)
+        assert fed.worker("alice").core.object_count() == 0
+        assert fed.worker("bob").core.object_count() == 1
+        assert fed.worker("bob").fetch(1) == secret
 
     def test_share_wrap(self, fed):
         rng = np.random.default_rng(4)
@@ -312,18 +326,33 @@ class TestDealer:
         assert all(x != y for x, y in zip(stored[0], stored[2]))
 
     def test_seeds_distinct_reply_only_ids(self, fed):
-        """The gen_triples reply is one object id per triple and party, each
-        naming that party's stored object; seeds differ across parties and
-        across triples."""
+        """Only object ids cross for gen_triples, and the leader sends them:
+        triple t's object for party i is stored under ids[2t + i] and the
+        reply is empty. Seeds differ across parties and across triples."""
+        ids = list(range(500, 512))
         cmd = Command("gen_triples", (), {"kind": "elementwise", "shape": [3],
-                                          "parties": "alice,bob", "count": 6})
-        ids = fed.fetch_tensor("dealer", fed.worker("dealer").execute(cmd), delete=True).data
-        assert ids.shape == (6, 2)
+                                          "parties": "alice,bob", "count": 6, "ids": ids})
+        assert fed.execute_tensor("dealer", cmd).shape == (0,)
         seeds = set()
-        for row in ids:
-            for party, oid in zip(PARTIES, row):
-                seeds.add(tuple(fed.fetch_tensor(party, int(oid)).data[:SEED_WORDS].tolist()))
+        for t in range(6):
+            for i, party in enumerate(PARTIES):
+                obj = fed.fetch_tensor(party, ids[2 * t + i])
+                seeds.add(tuple(obj.data[:SEED_WORDS].tolist()))
         assert len(seeds) == 12
+
+    def test_request_checked_before_any_push(self):
+        """A bad party, id count or count is refused before the first
+        push: no party gains an object."""
+        fed, registry = virtual_federation(["alice", "bob", "dealer"], seed=7)
+        base = {"kind": "elementwise", "shape": [3], "parties": "alice,bob", "count": 2,
+                "ids": [1, 2, 3, 4]}
+        for bad, exc in (({"parties": "alice,zed"}, WorkerUnknown),
+                         ({"ids": [1, 2, 3]}, ConfigError),
+                         ({"count": 0, "ids": []}, ConfigError),
+                         ({"shape": [2, 2], "kind": "matmul"}, ConfigError)):
+            with pytest.raises(exc):
+                fed.execute_tensor("dealer", Command("gen_triples", (), {**base, **bad}))
+            assert [w.object_count() for w in registry.workers.values()] == [0, 0, 0]
 
     def test_bad_count(self, fed):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import math
 import threading
 
@@ -38,6 +39,28 @@ def boston(workers):
 
 def pima(workers):
     return load_dataset(bundled_path("pima"), "pima", workers, split_seed=0)
+
+
+@contextlib.contextmanager
+def socket_workers(names, seed):
+    """In-process socket workers, each wired to the others as peers;
+    yields their endpoints and cores."""
+    servers = [make_server("127.0.0.1", 0, WorkerCore(n, seed)) for n in names]
+    for s in servers:
+        threading.Thread(target=s.serve_forever, daemon=True).start()
+    endpoints = {n: s.server_address for n, s in zip(names, servers)}
+    cores = [s.worker_core for s in servers]
+    for core in cores:
+        core.peers = {n: _LazySocketPeer(*ep) for n, ep in endpoints.items() if n != core.name}
+    try:
+        yield endpoints, cores
+    finally:
+        for core in cores:
+            for peer in core.peers.values():
+                peer.close()
+        for s in servers:
+            s.shutdown()
+            s.server_close()
 
 
 class TestPlain:
@@ -91,15 +114,17 @@ class TestFederated:
         assert len(trace) == expected
 
 
-def assert_one_message_per_step(tap, registry, ds, steps):
+def assert_one_message_per_step(tap, registry, ds, steps, reply_extra):
     """After the partition stores, each step is one by-value execute that
-    carries the parameters inline and brings back [loss, gradient]; the
-    workers end with their partitions only."""
+    carries the parameters inline and brings back the gradient, after
+    `reply_extra` leading values; the workers end with their partitions
+    only."""
     stores = 2 * len(ds.partitions)
     assert [e.op for e in tap.events[:stores]] == ["store"] * stores
     assert [e.op for e in tap.events[stores:]] == ["execute"] * steps
     n_params = nn.param_count((ds.n_features, TrainConfig().hidden, 1))
-    assert all(e.shapes == ((n_params,), (n_params + 1,)) for e in tap.events[stores:])
+    shapes = ((n_params,), (n_params + reply_extra,))
+    assert all(e.shapes == shapes for e in tap.events[stores:])
     assert sum(w.object_count() for w in registry.workers.values()) == stores
 
 
@@ -109,7 +134,7 @@ class TestMessagesPerStep:
         tap = TransportTap()
         fed, registry = virtual_federation(["alice", "bob"], seed=1, tap=tap)
         _, trace = train_federated(fed, ds, TrainConfig(seed=1, epochs=2))
-        assert_one_message_per_step(tap, registry, ds, len(trace))
+        assert_one_message_per_step(tap, registry, ds, len(trace), reply_extra=1)  # the loss
 
     def test_federated_dp(self):
         ds = pima(["alice", "bob"])
@@ -117,7 +142,8 @@ class TestMessagesPerStep:
         fed, registry = virtual_federation(["alice", "bob"], seed=1, tap=tap)
         spec = PrivacySpec(q=0.1, sigma=2.0, clip_norm=1.0, delta=1e-5, steps=20)
         _, trace, _ = train_federated_dp(fed, ds, TrainConfig(seed=1, privacy=spec))
-        assert_one_message_per_step(tap, registry, ds, len(trace))
+        # the sanitized sum alone: no pre-noise statistic leaves the worker
+        assert_one_message_per_step(tap, registry, ds, len(trace), reply_extra=0)
 
 
 class TestFederatedDP:
@@ -136,19 +162,22 @@ class TestFederatedDP:
             train_federated_dp(fed, ds, TrainConfig(seed=1))
 
     def test_trace_shape(self):
-        """Mean loss over the first decile of phases exceeds the last decile:
-        the model is actually descending despite the noise."""
+        """The model descends despite the noise: held-out MSE after 500
+        phases is below that after 50 at the same seed. The trace has one
+        row per phase and no loss, which no worker sends."""
         ds = boston(["alice", "bob"])
-        fed, _ = virtual_federation(["alice", "bob"], seed=1)
-        spec = PrivacySpec(q=32 / ds.n_train, sigma=2.5, clip_norm=1.0,
-                           delta=1e-5, steps=500)
-        cfg = TrainConfig(seed=1, privacy=spec)
-        model, trace, eps = train_federated_dp(fed, ds, cfg)
-        losses = np.array([t["loss"] for t in trace])
-        k = len(losses) // 10
-        assert losses[:k].mean() > losses[-k:].mean()
+        mse = {}
+        for steps in (50, 500):
+            fed, _ = virtual_federation(["alice", "bob"], seed=1)
+            spec = PrivacySpec(q=32 / ds.n_train, sigma=2.5, clip_norm=1.0,
+                               delta=1e-5, steps=steps)
+            model, trace, eps = train_federated_dp(fed, ds, TrainConfig(seed=1, privacy=spec))
+            assert len(trace) == steps
+            assert all(row.keys() == {"step", "wall_ms"} for row in trace)
+            mse[steps] = evaluate(model, ds)
+        assert mse[500] < mse[50]
         assert 0.0 < eps < 20.0
-        assert evaluate(model, ds) < 90.0  # better than predicting the mean
+        assert mse[500] < 90.0  # better than predicting the mean
 
     def test_sigma_zero_update_bound(self):
         """Without noise each parameter update before projection is bounded
@@ -163,7 +192,7 @@ class TestFederatedDP:
 
         def spy(name, cmd):
             out = orig(name, cmd)
-            sums.append(out.data[1:])
+            sums.append(out.data)
             return out
 
         fed.execute_tensor = spy
@@ -189,10 +218,10 @@ class TestFederatedDP:
             "dp_phase", (("tensor", Tensor(params, Dtype.FLOAT64)), Command.obj(1),
                          Command.obj(2)),
             {"dims": list(dims), "task": ds.task, "lot_size": 1, "clip_norm": C,
-             "sigma": 0.0}), by_value=True)
+             "sigma": 0.0}))
         _, G = nn.forward_backward(params, dims, ds.task, X, y, per_example=True)
         assert np.linalg.norm(G[0]) > 10 * C
-        assert np.array_equal(protocol.deserialize_chain(reply).data[1:], nn.clip_rows(G, C)[0])
+        assert np.array_equal(protocol.deserialize_chain(reply).data, nn.clip_rows(G, C)[0])
 
     def test_sigma_zero_matches_local_lot_sgd(self):
         """sigma=0 with a huge clip norm is exactly lot SGD under the DP
@@ -389,8 +418,10 @@ class TestMPCForward:
 
         def spy(key, fn):
             def counted(*args, **kwargs):
-                calls[key + "_value" * kwargs.get("by_value", False)] += 1
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                # an execute replies with its result only by value
+                calls[key + "_value" * (key == "execute" and bool(out))] += 1
+                return out
             return counted
 
         encode = spy("encode", protocol.serialize_chain)
@@ -428,43 +459,57 @@ class TestMPCForward:
         model, _ = train_plain(ds, TrainConfig(dataset=dataset, seed=1, epochs=1))
         X = ds.test_X[:16]
         names = ("alice", "bob", "dealer")
-        servers = [make_server("127.0.0.1", 0, WorkerCore(n, 5)) for n in names]
-        threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
-        for t in threads:
-            t.start()
-        endpoints = {n: s.server_address for n, s in zip(names, servers)}
-        peers = []
-        for s in servers:
-            core = s.worker_core
-            core.peers = {n: _LazySocketPeer(*ep) for n, ep in endpoints.items() if n != core.name}
-            peers.extend(core.peers.values())
         outs, patterns, counts = [], [], []
-        sock_fed = None
-        try:
+        with socket_workers(names, 5) as (endpoints, sock_cores):
             sock_tap, virt_tap = TransportTap(), TransportTap()
             sock_fed = socket_federation(endpoints, sock_tap)
             virt_fed, registry = virtual_federation(names, seed=5, tap=virt_tap)
-            for fed, tap, cores in ((sock_fed, sock_tap, [s.worker_core for s in servers]),
-                                    (virt_fed, virt_tap, list(registry.workers.values()))):
-                pool = provision_triples(fed, "dealer", names[:2], model.dims, len(X),
-                                         model.task)
-                start = len(tap.events)
-                outs.append(mpc_forward(model, X, fed, names[:2], pool,
-                                        np.random.default_rng(6)))
-                patterns.append([(e.op, e.worker, e.nbytes, e.shapes)
-                                 for e in tap.events[start:]])
-                counts.append([c.object_count() for c in cores])
-        finally:
-            if sock_fed is not None:
+            try:
+                for fed, tap, cores in ((sock_fed, sock_tap, sock_cores),
+                                        (virt_fed, virt_tap, list(registry.workers.values()))):
+                    pool = provision_triples(fed, "dealer", names[:2], model.dims, len(X),
+                                             model.task)
+                    start = len(tap.events)
+                    outs.append(mpc_forward(model, X, fed, names[:2], pool,
+                                            np.random.default_rng(6)))
+                    patterns.append([(e.op, e.worker, e.nbytes, e.shapes)
+                                     for e in tap.events[start:]])
+                    counts.append([c.object_count() for c in cores])
+            finally:
                 sock_fed.close()
-            for peer in peers:
-                peer.close()
-            for s in servers:
-                s.shutdown()
-                s.server_close()
         assert outs[0].tobytes() == outs[1].tobytes()
         assert patterns[0] == patterns[1]
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("transport", ["virtual", "socket"])
+    def test_any_worker_names(self, transport):
+        """Parties "yjc" and "bob" with dealer "dealer" run three Boston
+        passes, each within 2^-10 of the fixed-point oracle. "yjc" and
+        "dealer" share the low 16 bits of their crc32, from which workers
+        once numbered their own objects, so their ids collided; the leader
+        now names every object."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
+        X = ds.test_X
+        names = ("yjc", "bob", "dealer")
+
+        def three_passes(fed):
+            pool = provision_triples(fed, "dealer", names[:2], model.dims, len(X), model.task,
+                                     passes=3)
+            return [mpc_forward(model, X, fed, names[:2], pool, np.random.default_rng(s))
+                    for s in (10, 11, 12)]
+
+        if transport == "virtual":
+            outs = three_passes(virtual_federation(names, seed=9)[0])
+        else:
+            with socket_workers(names, 9) as (endpoints, _):
+                fed = socket_federation(endpoints)
+                try:
+                    outs = three_passes(fed)
+                finally:
+                    fed.close()
+        oracle = fixed_forward(model, X)
+        assert all(np.max(np.abs(out - oracle)) < 2.0**-10 for out in outs)
 
 
 class TestEvaluate:

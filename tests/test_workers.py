@@ -8,7 +8,6 @@ import pytest
 from fedring import protocol
 from fedring.commands import OPS
 from fedring.errors import (
-    ConfigError,
     DuplicateObject,
     MalformedPayload,
     ObjectNotFound,
@@ -129,31 +128,14 @@ class TestObjectStore:
         with pytest.raises(WorkerUnknown):
             WorkerCore("x" * 65, 0)
 
-    def test_id_range_collision_refused(self):
-        """"yjc" and "dealer" number their objects from the same base, so a
-        triple the dealer pushes to yjc could land on an id yjc has already
-        used; a registry and a worker with peers both refuse the pair."""
-        assert WorkerCore("yjc", 0).allocate_id() == WorkerCore("dealer", 0).allocate_id()
-        with pytest.raises(ConfigError, match="'dealer' and 'yjc'"):
-            virtual_federation(["yjc", "bob", "dealer"], 9)
-        reg = VirtualRegistry()
-        reg.create("dealer", 0)
-        reg.create("bob", 0)
-        with pytest.raises(ConfigError, match="'yjc' and 'dealer'"):
-            reg.create("yjc", 0)
-        assert list(reg.workers) == ["dealer", "bob"]
-        with pytest.raises(ConfigError, match="'dealer' and 'yjc'"):
-            WorkerCore("dealer", 0, {"yjc": None, "bob": None})
-        WorkerCore("dealer", 0, {"alice": None, "bob": None})
-
 
 class TestExecute:
     def test_add(self):
         w = WorkerCore("a", 0)
         w.store_object(1, local_payload([1.0, 2.0]))
         w.store_object(2, local_payload([3.0, 4.0]))
-        oid = w.execute(eval_cmd("add", Command.obj(1), Command.obj(2)))
-        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(oid)).data, [4.0, 6.0])
+        assert w.execute(eval_cmd("add", Command.obj(1), Command.obj(2)), 3) == b""
+        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(3)).data, [4.0, 6.0])
 
     def test_missing_arg(self):
         w = WorkerCore("a", 0)
@@ -173,14 +155,10 @@ class TestExecute:
             w.execute(eval_cmd("add", ("take", 1), Command.obj(2)))
         assert w.object_count() == 2  # a failed command consumes nothing
         inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
-        oid = w.execute(eval_cmd("add", ("take", 1), ("tensor", inline)))
-        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(oid)).data, [11.0, 22.0])
+        w.execute(eval_cmd("add", ("take", 1), ("tensor", inline)), 3)
+        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(3)).data, [11.0, 22.0])
         with pytest.raises(ObjectNotFound):
             w.fetch_object(1)
-
-    def test_internal_ids_disjoint_from_leader_span(self):
-        w = WorkerCore("a", 0)
-        assert w.allocate_id() >= 1 << 32
 
 
 class TestVirtualRegistry:
@@ -217,9 +195,9 @@ class TestVirtualRegistry:
         h = fed.worker("alice")
         h.store(1, local_payload([[1.0, 2.0, 3.0]]))
         inline = Tensor(np.ones((1, 3)), Dtype.FLOAT64)
-        h.execute(eval_cmd("add", Command.obj(1), ("tensor", inline)))
+        h.execute(eval_cmd("add", Command.obj(1), ("tensor", inline)), 2)
         event = tap.events[-1]
-        assert event.op == "execute"
+        assert (event.op, event.oid) == ("execute", 2)
         assert event.shapes == ((1, 3),)
         assert event.nbytes == len(protocol.serialize_tensor(inline))
         h.delete(1)
@@ -240,8 +218,8 @@ class TestSocketWorker:
         c = SocketClient(host, port)
         c.store(1, local_payload([1.0, 2.0]))
         c.store(2, local_payload([3.0, 4.0]))
-        oid = c.execute(eval_cmd("add", Command.obj(1), Command.obj(2)))
-        assert np.array_equal(protocol.deserialize_chain(c.fetch(oid)).data, [4.0, 6.0])
+        assert c.execute(eval_cmd("add", Command.obj(1), Command.obj(2)), 3) == b""
+        assert np.array_equal(protocol.deserialize_chain(c.fetch(3)).data, [4.0, 6.0])
         c.close()
 
     def test_error_replies_in_band(self, server):
@@ -315,6 +293,24 @@ class TestSocketWorker:
         assert head[5] == protocol.MSG_ERROR
         (plen,) = struct.unpack("<Q", head[14:22])
         assert b"unsupported version 1" in _recv(sock, plen)
+        assert sock.recv(1) == b""
+        sock.close()
+        assert server.worker_core.object_count() == 0
+
+    def test_type_7_frame_refused(self, server):
+        """msg_type 7, the by-value EXECUTE of wire version 2, is refused
+        with Malformed from the header alone; nothing runs or is stored and
+        the connection closes."""
+        host, port = server.server_address
+        sock = socket.create_connection((host, port), timeout=10)
+        payload = protocol.serialize_command(eval_cmd("neg", ("tensor", Tensor(
+            np.ones(2), Dtype.FLOAT64))))
+        frame = protocol.encode_frame(Message(protocol.MSG_EXECUTE, 4, payload))
+        sock.sendall(frame[:5] + bytes([7]) + frame[6:])
+        head = _recv(sock, 22)
+        assert head[5] == protocol.MSG_ERROR
+        (plen,) = struct.unpack("<Q", head[14:22])
+        assert b"unknown msg_type 7" in _recv(sock, plen)
         assert sock.recv(1) == b""
         sock.close()
         assert server.worker_core.object_count() == 0
@@ -395,27 +391,28 @@ def handle_and_core(request):
 
 
 class TestExecuteByValue:
-    def test_reply_is_the_chain_and_nothing_is_stored(self, handle_and_core):
-        """The reply is the result tensor; the worker keeps no result,
-        allocates no id, and deletes a take argument."""
+    """An execute with destination 0 replies with its result."""
+
+    def test_reply_is_the_tensor_and_nothing_is_stored(self, handle_and_core):
+        """The reply is the result tensor; the worker keeps no result and
+        deletes a take argument."""
         h, core = handle_and_core
         h.store(1, local_payload([65536], Dtype.RING64))
         h.store(2, local_payload([1.0, 2.0]))
-        reply = h.execute(eval_cmd("add", Command.obj(1), Command.obj(1)), by_value=True)
+        reply = h.execute(eval_cmd("add", Command.obj(1), Command.obj(1)))
         assert reply == local_payload([131072], Dtype.RING64)
         inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
-        reply = h.execute(eval_cmd("add", ("take", 2), ("tensor", inline)), by_value=True)
+        reply = h.execute(eval_cmd("add", ("take", 2), ("tensor", inline)))
         assert protocol.deserialize_chain(reply).data.tolist() == [11.0, 22.0]
         assert core.object_count() == 1
         with pytest.raises(ObjectNotFound):
             h.fetch(2)
-        assert core.allocate_id() == WorkerCore("alice", 0).allocate_id()
 
     def test_tap_records_reply_on_the_execute(self, handle_and_core):
         h, _ = handle_and_core
         h.store(1, local_payload([[1.0, 2.0, 3.0]]))
         inline = Tensor(np.ones((1, 3)), Dtype.FLOAT64)
-        reply = h.execute(eval_cmd("add", Command.obj(1), ("tensor", inline)), by_value=True)
+        reply = h.execute(eval_cmd("add", Command.obj(1), ("tensor", inline)))
         event = h.tap.events[-1]
         assert (event.op, event.oid) == ("execute", 0)
         assert event.shapes == ((1, 3), (1, 3))
@@ -427,9 +424,9 @@ class TestExecuteByValue:
         h.store(1, local_payload([1.0, 2.0]))
         h.store(2, local_payload([3.0]))
         with pytest.raises((ShapeMismatch, RemoteError)):  # a socket reply carries no type
-            h.execute(eval_cmd("add", ("take", 1), Command.obj(2)), by_value=True)
+            h.execute(eval_cmd("add", ("take", 1), Command.obj(2)))
         with pytest.raises(ObjectNotFound):
-            h.execute(eval_cmd("add", ("take", 1), Command.obj(99)), by_value=True)
+            h.execute(eval_cmd("add", ("take", 1), Command.obj(99)))
         assert core.object_count() == 2  # a failed command consumes nothing
         assert h.fetch(1) == local_payload([1.0, 2.0])
 
@@ -438,10 +435,10 @@ class TestExecuteByValue:
         c = SocketClient(host, port)
         c.store(1, local_payload([1.0, 2.0]))
         with pytest.raises(ObjectNotFound):
-            c.execute(eval_cmd("neg", Command.obj(99)), by_value=True)
+            c.execute(eval_cmd("neg", Command.obj(99)))
         with pytest.raises(UnknownCommand):
-            c.execute(Command("frobnicate", ()), by_value=True)
-        reply = c.execute(eval_cmd("neg", Command.obj(1)), by_value=True)
+            c.execute(Command("frobnicate", ()))
+        reply = c.execute(eval_cmd("neg", Command.obj(1)))
         assert protocol.deserialize_chain(reply).data.tolist() == [-1.0, -2.0]
         assert server.worker_core.object_count() == 1
         c.close()
@@ -450,13 +447,58 @@ class TestExecuteByValue:
         host, port = server.server_address
         c = SocketClient(host, port)
         c.store(1, X)
-        payload = protocol.serialize_command(eval_cmd("neg", ("take", 1)))
-        for cut in (1, 8, len(payload) - 1):
+        payload = struct.pack("<Q", 0) + protocol.serialize_command(eval_cmd("neg", ("take", 1)))
+        for cut in (0, 1, 7, 8, 9, 16, len(payload) - 1):
             with pytest.raises(MalformedPayload):
-                c.request(protocol.MSG_EXECUTE_VALUE, payload[:cut])
+                c.request(protocol.MSG_EXECUTE, payload[:cut])
         assert server.worker_core.object_count() == 1
-        assert c.request(protocol.MSG_EXECUTE_VALUE, payload).payload == local_payload([-1.0])
+        assert c.request(protocol.MSG_EXECUTE, payload).payload == local_payload([-1.0])
         assert server.worker_core.object_count() == 0
+        c.close()
+
+
+class TestExecuteDestination:
+    """An execute with a nonzero destination stores its result under that
+    leader id and replies empty."""
+
+    def test_stored_under_the_leader_id(self, handle_and_core):
+        h, core = handle_and_core
+        h.store(1, local_payload([1.0, 2.0]))
+        inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
+        assert h.execute(eval_cmd("add", ("take", 1), ("tensor", inline)), 1 << 40) == b""
+        assert protocol.deserialize_chain(h.fetch(1 << 40)).data.tolist() == [11.0, 22.0]
+        assert core.object_count() == 1
+        event = h.tap.events[-2]
+        assert (event.op, event.oid, event.shapes) == ("execute", 1 << 40, ((2,),))
+        assert event.nbytes == len(protocol.serialize_tensor(inline))
+
+    def test_duplicate_destination_consumes_nothing(self, handle_and_core):
+        """A destination that is already stored raises DuplicateObject
+        before the command runs: the take argument and the stored object
+        both stay as they were."""
+        h, core = handle_and_core
+        h.store(1, local_payload([1.0, 2.0]))
+        h.store(2, local_payload([5.0]))
+        with pytest.raises(DuplicateObject):
+            h.execute(eval_cmd("neg", ("take", 1)), 2)
+        assert core.object_count() == 2
+        assert h.fetch(1) == local_payload([1.0, 2.0])
+        assert h.fetch(2) == local_payload([5.0])
+
+    def test_short_payload_is_malformed(self, server):
+        """A socket EXECUTE payload under 8 bytes has no destination: it is
+        refused with Malformed, nothing is stored, and the connection stays
+        usable."""
+        host, port = server.server_address
+        c = SocketClient(host, port)
+        c.store(1, X)
+        for payload in (b"", b"\x00", b"\x05" * 7):
+            with pytest.raises(MalformedPayload, match="short execute payload"):
+                c.request(protocol.MSG_EXECUTE, payload)
+        assert server.worker_core.object_count() == 1
+        c.execute(eval_cmd("neg", ("take", 1)), 5)
+        assert c.fetch(5) == local_payload([-1.0])
+        assert server.worker_core.object_count() == 1
         c.close()
 
 
@@ -480,8 +522,8 @@ class TestTransportEquivalence:
             h = fed.worker("alice")
             h.store(201, local_payload([[1.0, 2.0], [3.0, 4.0]]))
             h.store(202, local_payload([[5.0, 6.0], [7.0, 8.0]]))
-            oid = h.execute(eval_cmd("matmul", Command.obj(201), Command.obj(202)))
-            out = h.fetch(oid, delete=True)
+            h.execute(eval_cmd("matmul", Command.obj(201), Command.obj(202)), 203)
+            out = h.fetch(203, delete=True)
             h.delete(201)
             return out
 
