@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fixedpoint, protocol, spdz
+from . import fixedpoint, spdz
 from .commands import OPS, compile_expr, run_expr
 from .errors import ConfigError, KindMismatch, UnknownCommand
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
@@ -112,7 +112,7 @@ class TensorChain:
             raise KindMismatch(f"cannot send a {self.leaf[0]} chain")
         fed = self._require_fed()
         oid = fed.allocate_id()
-        fed.worker(target).store(oid, protocol.serialize_chain(self.tensor()))
+        fed.worker(target).store(oid, self.tensor())
         return self._with_leaf(("pointer", target, ("ref", oid)))
 
     def get(self) -> "TensorChain":

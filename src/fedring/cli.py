@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
 import threading
 import time
@@ -63,13 +64,6 @@ def _parse_endpoints(text: str):
     return out
 
 
-def _default_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("FEDRING_SEED")
-    return int(env) if env else 1
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="fedring", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -77,7 +71,7 @@ def build_parser() -> _Parser:
     w = sub.add_parser("worker", help="serve a socket worker until SIGINT")
     w.add_argument("--id", required=True, help="worker name")
     w.add_argument("--listen", required=True, help="host:port to bind")
-    w.add_argument("--seed", type=int, default=None)
+    w.add_argument("--seed", type=int, default=1)
     w.add_argument("--peers", default="", help="peer workers as name=host:port,...")
 
     d = sub.add_parser("dealer", help="generate Beaver triples on running workers")
@@ -86,7 +80,7 @@ def build_parser() -> _Parser:
     d.add_argument("--count", type=int, required=True)
     d.add_argument("--kind", choices=("elementwise", "matmul"), default="matmul")
     d.add_argument("--shape", required=True, help="comma-separated dims (m,k,n for matmul)")
-    d.add_argument("--seed", type=int, default=None)
+    d.add_argument("--seed", type=int, default=1)
 
     a = sub.add_parser("accountant", help="moments accountant: epsilon or sigma")
     a.add_argument("--q", type=float, required=True)
@@ -103,7 +97,7 @@ def build_parser() -> _Parser:
     t.add_argument("--mode", choices=("plain", "virtual", "socket"), default="virtual")
     t.add_argument("--workers", default="alice,bob", help="comma-separated names")
     t.add_argument("--endpoints", default="", help="socket mode: name=host:port,...")
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=int, default=1)
     t.add_argument("--split-seed", type=int, default=0)
     t.add_argument("--epochs", type=int, default=10)
     t.add_argument("--lr", type=float, default=0.01)
@@ -119,7 +113,7 @@ def build_parser() -> _Parser:
     t.add_argument("--trace-out", default=None, help="write the metrics trace CSV here")
 
     b = sub.add_parser("benchmark", help="virtual vs socket vs DP timing comparison")
-    b.add_argument("--seed", type=int, default=None)
+    b.add_argument("--seed", type=int, default=1)
     b.add_argument("--epochs", type=int, default=10)
     b.add_argument("--phases", type=int, default=500)
     b.add_argument("--runs", type=int, default=3, help="median over this many runs")
@@ -131,10 +125,9 @@ def build_parser() -> _Parser:
 
 def cmd_worker(args) -> int:
     host, port = _parse_addr(args.listen)
-    seed = _default_seed(args.seed)
     peers = {name: workers._LazySocketPeer(h, p)
              for name, (h, p) in _parse_endpoints(args.peers).items()}
-    core = workers.WorkerCore(args.id, seed, peers)
+    core = workers.WorkerCore(args.id, args.seed, peers)
     with workers.make_server(host, port, core) as server:
         bound_host, bound_port = server.server_address[:2]
         # announced only once bound, so a reader may connect at once
@@ -148,15 +141,18 @@ def cmd_worker(args) -> int:
 
 def cmd_dealer(args) -> int:
     """The dealer runs in this process and gen_triples checks the request
-    before its first push; object ids start at LEADER_ID_SPAN, above any
-    leader session's."""
+    before its first push. Object ids run up from a base drawn fresh for
+    each run in [LEADER_ID_SPAN, 2**62), above any leader session's, so
+    runs against the same workers do not collide, whatever their seeds;
+    every id stays below 2**63, as the int64 kwarg codec requires."""
     parties = [s for s in args.parties.split(",") if s]
     shape = [int(s) for s in args.shape.split(",") if s]
     peers = {name: workers._LazySocketPeer(h, p)
              for name, (h, p) in _parse_endpoints(args.endpoints).items()}
-    dealer = workers.WorkerCore("dealer", _default_seed(args.seed), peers)
+    dealer = workers.WorkerCore("dealer", args.seed, peers)
     n = len(parties)
-    ids = [workers.LEADER_ID_SPAN + i for i in range(args.count * n)]
+    base = workers.LEADER_ID_SPAN + secrets.randbelow((1 << 62) - workers.LEADER_ID_SPAN)
+    ids = [base + i for i in range(args.count * n)]
     try:
         dealer.execute(Command(
             "gen_triples", (),
@@ -207,13 +203,13 @@ def _build_federation(args, names, tap=None):
         if missing:
             raise ConfigError(f"no endpoint for workers: {missing}")
         return workers.socket_federation({n: endpoints[n] for n in names}, tap)
-    fed, _registry = workers.virtual_federation(names, _default_seed(args.seed), tap)
+    fed, _registry = workers.virtual_federation(names, args.seed, tap)
     return fed
 
 
 def run_train(args) -> dict:
     path, kind = _resolve_dataset(args)
-    seed = _default_seed(args.seed)
+    seed = args.seed
     names = [s for s in args.workers.split(",") if s]
     if args.mode == "plain":
         names = names[:1] or ["local"]
@@ -313,12 +309,11 @@ def _bench_once(mode, seed, epochs, phases):
 
 
 def run_benchmark(args) -> dict:
-    seed = _default_seed(args.seed)
     results = {}
     for mode in ("virtual", "socket", "virtual_dp"):
         walls, batch_ms = [], []
         for _ in range(args.runs):
-            w, b = _bench_once(mode, seed, args.epochs, args.phases)
+            w, b = _bench_once(mode, args.seed, args.epochs, args.phases)
             walls.append(w)
             batch_ms.append(b)
         results[mode] = {"wall_s": float(np.median(walls)),
@@ -326,7 +321,7 @@ def run_benchmark(args) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "dataset": "boston",
-        "seed": seed,
+        "seed": args.seed,
         "runs": args.runs,
         "virtual": results["virtual"],
         "socket": results["socket"],

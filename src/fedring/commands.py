@@ -143,6 +143,13 @@ def compile_expr(exprs) -> Command:
     return Command("eval_expr", tuple(Command.obj(oid) for oid in leaves), {"prog": prog})
 
 
+def identity(arg) -> Command:
+    """The one-argument program that returns its argument: over an inline
+    tensor with a destination it is a store, over ('obj', oid) or
+    ('take', oid) by value it is a fetch."""
+    return Command("eval_expr", (arg,), {"prog": [_REF, 0]})
+
+
 def _run_prog(args, prog) -> list:
     """The values a postfix program over the leaf tensors in args leaves on
     the stack, in order."""

@@ -3,27 +3,33 @@
 Frame layout (little-endian throughout):
 
     magic    4 bytes  b"FTNS"
-    version  u8       3
-    msg_type u8       1=STORE 2=GET 3=DELETE 4=EXECUTE 5=RESULT 6=ERROR
+    version  u8       4
+    msg_type u8       3=DELETE 4=EXECUTE 5=RESULT 6=ERROR
     request_id  u64
     payload_len u64     at most MAX_PAYLOAD
     payload     payload_len bytes
 
-Request payloads: STORE oid u64 then an object; GET oid u64 then a delete
-flag u8; DELETE one or more oids, u64 each; EXECUTE a destination oid u64
-then a command. A GET RESULT carries the object. An EXECUTE with
-destination 0 runs by value: its RESULT carries the result object, as a
-GET RESULT does, and the worker stores nothing. With any other destination
-the worker stores the result under that id, which the leader chose, and
-the RESULT is empty; a destination already stored is refused with
-Duplicate before the command runs. Either way the worker deletes the
+Types 1 and 2, the STORE and GET of earlier versions, are refused like
+any unknown type: a store and a fetch are executes. Request payloads:
+DELETE one or more oids, u64 each; EXECUTE a destination oid u64 then a
+command. An EXECUTE with destination 0 runs by value: its RESULT carries
+the result object and the worker stores nothing. With any other
+destination the worker stores the result under that id, which the leader
+chose, and the RESULT is empty; a destination already stored is refused
+with Duplicate before the command runs. Either way the worker deletes the
 command's take arguments only once it has succeeded. Every object id is
 the leader's: a worker allocates none.
 
+A store is the identity program (`commands.identity`) over an inline
+tensor, with the new object's id as destination; a fetch is the same
+program over ('obj', oid), or over ('take', oid) to delete the object as
+it is read, with destination 0.
+
 An object payload is exactly one tensor: a worker object is a tensor, and
-the chain above it stays on the leader. A worker decodes a STORE object on
-arrival, so a malformed one, or one followed by trailing bytes, is refused
-with Malformed and nothing is stored.
+the chain above it stays on the leader. A worker decodes an EXECUTE's
+inline tensors on arrival, so a malformed one, or a command followed by
+trailing bytes, is refused with Malformed before anything runs or is
+stored.
 
 Tensor payload: dtype u8 (0=Float64, 1=Ring64), ndim u8, dims u32 each,
 elements 8 bytes each (Float64 as IEEE-754 bits, Ring64 as u64).
@@ -43,17 +49,15 @@ from . import errors
 from .tensor import Dtype, Tensor
 
 MAGIC = b"FTNS"
-VERSION = 3
+VERSION = 4
 HEADER_LEN = 22
 MAX_PAYLOAD = 1 << 28
 
-MSG_STORE = 1
-MSG_GET = 2
 MSG_DELETE = 3
 MSG_EXECUTE = 4
 MSG_RESULT = 5
 MSG_ERROR = 6
-_VALID_TYPES = frozenset((MSG_STORE, MSG_GET, MSG_DELETE, MSG_EXECUTE, MSG_RESULT, MSG_ERROR))
+_VALID_TYPES = frozenset((MSG_DELETE, MSG_EXECUTE, MSG_RESULT, MSG_ERROR))
 
 ERR_NOT_FOUND = 1
 ERR_DUPLICATE = 2
@@ -191,9 +195,8 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
 
 
 # ---------------------------------------------------------------------------
-# object codec: a STORE payload, a GET reply and the reply to an EXECUTE
-# with destination 0 are each one tensor. The chain names stay because
-# perfbench/spans.py wraps them (ROADMAP item 4).
+# object codec: the reply to an EXECUTE with destination 0 is one tensor.
+# The chain names stay because perfbench/spans.py wraps them (ROADMAP item 4).
 
 def serialize_chain(t: Tensor) -> bytes:
     """An object payload: the tensor's encoding."""
@@ -202,8 +205,8 @@ def serialize_chain(t: Tensor) -> bytes:
 
 def deserialize_chain(buf: bytes) -> Tensor:
     """Decode an object payload strictly: any malformed input, trailing
-    bytes included, raises MalformedPayload. Workers decode STORE payloads
-    with it on arrival."""
+    bytes included, raises MalformedPayload. The leader decodes by-value
+    replies with it."""
     t, end = deserialize_tensor(buf)
     if end != len(buf):
         raise errors.MalformedPayload("trailing bytes after object")

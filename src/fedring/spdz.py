@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import protocol
 from .commands import compile_expr, triple_shapes
 from .errors import (
     ConfigError,
@@ -98,7 +97,7 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> Shar
     exprs = []
     for party, s in zip(parties, split_shares(rng, x.data, len(parties))):
         oid = fed.allocate_id()
-        fed.worker(party).store(oid, protocol.serialize_chain(Tensor(s, Dtype.RING64)))
+        fed.worker(party).store(oid, Tensor(s, Dtype.RING64))
         exprs.append(("ref", oid))
     return ShareVector(parties, tuple(exprs), x.shape)
 

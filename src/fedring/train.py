@@ -24,7 +24,8 @@ from .dp import MomentLedger, PrivacySpec
 from .errors import ConfigError, LotTooLarge
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from .nn import TASK_BINARY, TASK_REGRESSION, Model
-from .protocol import Command, serialize_chain
+from .protocol import Command
+from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
 from .tensor import Dtype, Tensor
 from .workers import Federation
 
@@ -102,8 +103,8 @@ def _store_partitions(fed: Federation, ds: FederatedDataset, targets=None):
         y_out = y if targets is None else targets[name]
         x_oid, y_oid = fed.allocate_id(), fed.allocate_id()
         handle = fed.worker(name)
-        handle.store(x_oid, serialize_chain(Tensor(X, Dtype.FLOAT64)))
-        handle.store(y_oid, serialize_chain(Tensor(y_out, Dtype.FLOAT64)))
+        handle.store(x_oid, Tensor(X, Dtype.FLOAT64))
+        handle.store(y_oid, Tensor(y_out, Dtype.FLOAT64))
         placed[name] = (x_oid, y_oid, len(y))
     return placed
 

@@ -3,19 +3,24 @@
 A worker owns an object store (ObjectId -> Tensor), a seeded RNG, a
 reusable generator for expanding Beaver triples and a command executor. A
 worker holds tensors, not chains: the chain above each tensor (pointer,
-fixed precision, shares) is the leader's. Bytes exist only where a tensor
-crosses a transport: `store_object` decodes (and so validates) a payload
-once on arrival, and `fetch_object` and an execute that replies with its
-result encode on the way out. Commands read and write tensors with no codec,
-and so do worker-to-worker pushes between in-process workers; a socket peer
-encodes them for the wire.
+fixed precision, shares) is the leader's. A tensor is encoded only where it
+crosses a transport: a socket worker decodes (and so validates) an
+execute's inline tensors once on arrival, and an execute that replies with
+its result encodes it on the way out. Commands read and write tensors with
+no codec, and so do the leader's stores and worker-to-worker pushes between
+in-process workers; a socket peer encodes them for the wire.
+
+A worker serves two requests: execute and delete. An execute names a
+destination: 0 returns the result tensor and stores nothing, one message
+where an execute and a fetch-delete would be two; any other id stores the
+result under it. A store is the identity program over an inline tensor
+with the new id as destination, and a fetch the identity program over the
+object by value.
 
 Virtual workers live in a process-local registry; socket workers serve the
 same operations over TCP with the FTNS framing. Both expose one handle
 interface (store / fetch / delete / execute) so the leader code is
-transport-agnostic. An execute names a destination: 0 returns the result
-tensor and stores nothing, one message where an execute and a fetch-delete
-would be two; any other id stores the result under it.
+transport-agnostic.
 
 Object ids: the leader names every object. `Federation.allocate_id` hands
 out session ids below LEADER_ID_SPAN, and commands that push objects to
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import protocol
-from .commands import TriplePRG, lookup
+from .commands import TriplePRG, identity, lookup
 from .errors import (
     BadMagic,
     BindError,
@@ -86,10 +91,11 @@ class TransportTap:
 
     def record(self, op: str, worker: str, oid: int = 0, payload: bytes = b"",
                tensors=()):
-        """One message; `tensors` are the inline tensor arguments of an
-        execute, counted like the object payload of a store, a fetch or an
-        execute's reply. Sizes and shapes come from tensor shapes
-        and tensor headers: nothing is encoded or decoded."""
+        """One message; `tensors` are the tensor a store carries or the
+        inline tensor arguments of an execute, counted like the object
+        payload of a fetch or an execute's reply. Sizes and shapes come
+        from tensor shapes and tensor headers: nothing is encoded or
+        decoded."""
         shapes = tuple(t.shape for t in tensors)
         nbytes = len(payload) + sum(protocol.tensor_nbytes(t) for t in tensors)
         if payload:
@@ -118,25 +124,28 @@ class TransportTap:
 
 
 class _TappedHandle:
-    """The leader's view of one worker, for any transport: store / fetch /
-    delete / execute go to the transport's calls and each is recorded on
-    the tap, if there is one. Subclasses only choose the transport."""
+    """The leader's view of one worker, for any transport: delete and
+    execute go to the transport's calls, store and fetch are executes of
+    the identity program, and each is recorded on the tap, if there is
+    one. Subclasses only choose the transport."""
 
     def __init__(self, name: str, tap: TransportTap | None, ops):
         self.name = name
         self.tap = tap
-        self._store, self._fetch, self._delete, self._execute = ops
+        self._delete, self._execute = ops
 
     def _record(self, op: str, *args, **kwargs):
         if self.tap is not None:
             self.tap.record(op, self.name, *args, **kwargs)
 
-    def store(self, oid: int, payload: bytes):
-        self._record("store", oid, payload)
-        self._store(oid, payload)
+    def store(self, oid: int, t: Tensor):
+        """Store t on the worker under oid."""
+        self._record("store", oid, tensors=(t,))
+        self._execute(identity(("tensor", t)), oid)
 
     def fetch(self, oid: int, delete: bool = False) -> bytes:
-        payload = self._fetch(oid, delete)
+        """The object's encoding; with delete, the worker drops it."""
+        payload = self._execute(identity(("take" if delete else "obj", oid)))
         self._record("fetch", oid, payload)
         return payload
 
@@ -172,29 +181,18 @@ class WorkerCore:
         self.peers = dict(peers or {})
 
     # -- store ----------------------------------------------------------
-    def store_object(self, oid: int, payload: bytes):
-        """Decode a tensor arriving from a transport and store it; a
-        malformed payload raises MalformedPayload and stores nothing."""
-        self.push(oid, protocol.deserialize_chain(payload))
-
-    def fetch_object(self, oid: int, delete: bool = False) -> bytes:
-        """The stored tensor, encoded for a transport."""
-        return protocol.serialize_chain(self._get(oid, delete))
-
     def push(self, oid: int, t: Tensor):
-        """Store a decoded tensor: one that arrived, a command's result, or
-        a share a peer (or this worker's own command) pushes."""
+        """Store a tensor: a command's result, or a share a peer (or this
+        worker's own command) pushes."""
         with self._lock:
             if oid in self._objects:
                 raise DuplicateObject(f"object {oid} already stored on {self.name}")
             self._objects[oid] = t
 
-    def _get(self, oid: int, delete: bool = False) -> Tensor:
+    def _get(self, oid: int) -> Tensor:
         with self._lock:
             if oid not in self._objects:
                 raise ObjectNotFound(f"object {oid} not on {self.name}")
-            if delete:
-                return self._objects.pop(oid)
             return self._objects[oid]
 
     def delete_object(self, *oids: int):
@@ -273,8 +271,7 @@ class VirtualHandle(_TappedHandle):
 
     def __init__(self, core: WorkerCore, tap: TransportTap | None = None):
         self.core = core
-        super().__init__(core.name, tap, (core.store_object, core.fetch_object,
-                                          core.delete_object, core.execute))
+        super().__init__(core.name, tap, (core.delete_object, core.execute))
 
     def close(self):
         pass
@@ -337,13 +334,6 @@ class SocketClient:
             raise TransportError(f"unexpected reply type {reply.msg_type}")
         return reply
 
-    def store(self, oid: int, payload: bytes):
-        self.request(protocol.MSG_STORE, struct.pack("<Q", oid) + payload)
-
-    def fetch(self, oid: int, delete: bool = False) -> bytes:
-        reply = self.request(protocol.MSG_GET, struct.pack("<QB", oid, int(delete)))
-        return reply.payload
-
     def delete(self, *oids: int):
         self.request(protocol.MSG_DELETE, struct.pack(f"<{len(oids)}Q", *oids))
 
@@ -365,15 +355,15 @@ class SocketHandle(_TappedHandle):
         _validate_name(name)
         self.client = SocketClient(host, port)
         c = self.client
-        super().__init__(name, tap, (c.store, c.fetch, c.delete, c.execute))
+        super().__init__(name, tap, (c.delete, c.execute))
 
     def close(self):
         self.client.close()
 
 
 class _LazySocketPeer:
-    """Deferred peer connection for worker-to-worker share pushes; encodes
-    each pushed tensor for the wire."""
+    """Deferred peer connection for worker-to-worker share pushes: each
+    push is a store, the identity execute over the tensor inline."""
 
     def __init__(self, host: str, port: int):
         self.host, self.port = host, port
@@ -381,11 +371,10 @@ class _LazySocketPeer:
         self._lock = threading.Lock()
 
     def push(self, oid: int, t: Tensor):
-        payload = protocol.serialize_chain(t)
         with self._lock:
             if self._client is None:
                 self._client = SocketClient(self.host, self.port)
-            self._client.store(oid, payload)
+            self._client.execute(identity(("tensor", t)), oid)
 
     def close(self):
         with self._lock:
@@ -433,18 +422,6 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
 
     @staticmethod
     def _dispatch(core: WorkerCore, msg: Message) -> Message:
-        if msg.msg_type == protocol.MSG_STORE:
-            if len(msg.payload) < 8:
-                raise MalformedPayload("short store payload")
-            (oid,) = struct.unpack_from("<Q", msg.payload)
-            core.store_object(oid, msg.payload[8:])
-            return Message(protocol.MSG_RESULT, msg.request_id)
-        if msg.msg_type == protocol.MSG_GET:
-            if len(msg.payload) != 9:
-                raise MalformedPayload("bad get payload")
-            oid, delete = struct.unpack("<QB", msg.payload)
-            return Message(protocol.MSG_RESULT, msg.request_id,
-                           core.fetch_object(oid, bool(delete)))
         if msg.msg_type == protocol.MSG_DELETE:
             k, ragged = divmod(len(msg.payload), 8)
             if k == 0 or ragged:

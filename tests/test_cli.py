@@ -12,7 +12,7 @@ import pytest
 from fedring.cli import main
 from fedring.errors import TransportError
 
-from test_workers import local_payload
+from test_workers import fetch, local, local_payload, store
 from fedring.workers import SocketClient, WorkerCore, make_server
 
 
@@ -138,7 +138,9 @@ class TestDealer:
     def test_share_ids_per_triple_and_party(self, capsys):
         """Against two in-process socket workers, share_ids is shaped
         [count, n_parties], each id names an object on its party, and each
-        party gains exactly `count` objects."""
+        party gains exactly `count` objects per run. A second run against
+        the same workers, with the same seed, names none of the first run's
+        ids."""
         cores = [WorkerCore(name, 1) for name in ("a", "b")]
         servers = [make_server("127.0.0.1", 0, core) for core in cores]
         threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
@@ -146,10 +148,12 @@ class TestDealer:
             t.start()
         endpoints = ",".join(f"{core.name}={s.server_address[0]}:{s.server_address[1]}"
                              for core, s in zip(cores, servers))
+        runs = []
         try:
-            code, out, _ = run_main(capsys, "dealer", "--parties", "a,b",
-                                    "--endpoints", endpoints, "--kind", "matmul",
-                                    "--shape", "2,3,2", "--count", "3", "--seed", "4")
+            for _ in range(2):
+                runs.append(run_main(capsys, "dealer", "--parties", "a,b",
+                                     "--endpoints", endpoints, "--kind", "matmul",
+                                     "--shape", "2,3,2", "--count", "3", "--seed", "4"))
         finally:
             for s in servers:
                 s.shutdown()
@@ -157,13 +161,15 @@ class TestDealer:
             for t in threads:
                 t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
-        assert code == 0
-        ids = json.loads(out)["share_ids"]
-        assert [len(row) for row in ids] == [2, 2, 2]
-        assert [core.object_count() for core in cores] == [3, 3]
-        for core, column in zip(cores, zip(*ids)):
+        assert [code for code, _, _ in runs] == [0, 0]
+        first, second = (json.loads(out)["share_ids"] for _, out, _ in runs)
+        assert [len(row) for row in first] == [len(row) for row in second] == [2, 2, 2]
+        assert not {oid for row in first for oid in row} & {oid for row in second for oid in row}
+        assert [core.object_count() for core in cores] == [6, 6]
+        for core, column in zip(cores, zip(*first, *second)):
             for oid in column:
-                assert core.fetch_object(oid)
+                assert oid < 1 << 63
+                assert fetch(core, oid)
 
 
 def free_port():
@@ -192,9 +198,8 @@ class TestWorkerProcess:
                 except TransportError:
                     time.sleep(0.05)
             assert client is not None, "worker never came up"
-            payload = local_payload([1.0, 2.0])
-            client.store(1, payload)
-            assert client.fetch(1) == payload
+            store(client, 1, local([1.0, 2.0]))
+            assert fetch(client, 1) == local_payload([1.0, 2.0])
             client.close()
         finally:
             proc.send_signal(signal.SIGINT)
@@ -215,9 +220,8 @@ class TestWorkerProcess:
             port = int(line.rsplit(":", 1)[1])
             assert port > 0
             client = SocketClient("127.0.0.1", port)
-            payload = local_payload([3.0])
-            client.store(1, payload)
-            assert client.fetch(1) == payload
+            store(client, 1, local([3.0]))
+            assert fetch(client, 1) == local_payload([3.0])
             client.close()
         finally:
             proc.send_signal(signal.SIGINT)

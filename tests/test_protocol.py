@@ -35,7 +35,7 @@ class TestFrames:
         rng = np.random.default_rng(0)
         for _ in range(200):
             m = Message(
-                int(rng.integers(1, 7)),
+                int(rng.integers(3, 7)),
                 int(rng.integers(0, 1 << 63)),
                 bytes(rng.integers(0, 256, size=rng.integers(0, 64), dtype=np.uint8)),
             )
@@ -44,26 +44,28 @@ class TestFrames:
             assert used == protocol.HEADER_LEN + len(m.payload)
 
     def test_header_layout(self):
-        frame = encode_frame(Message(protocol.MSG_STORE, 7, b"xy"))
+        frame = encode_frame(Message(protocol.MSG_EXECUTE, 7, b"xy"))
         assert frame[:4] == b"FTNS"
-        assert frame[4] == 3
-        assert frame[5] == 1
+        assert frame[4] == 4
+        assert frame[5] == 4
         assert len(frame) == 24
 
     def test_type_7_refused(self):
-        """EXECUTE is the one execute type: msg_type 7, version 2's by-value
-        EXECUTE, is refused on encode and on decode."""
+        """EXECUTE is the one request that runs a command: msg_types 1 and
+        2, version 3's STORE and GET, and 7, version 2's by-value EXECUTE,
+        are each refused on encode and on decode."""
         payload = struct.pack("<Q", 0) + serialize_command(
             Command("eval_expr", (Command.obj(3),), {"prog": [0, 0]}))
-        with pytest.raises(errors.MalformedPayload, match="bad msg_type 7"):
-            encode_frame(Message(7, 5, payload))
         frame = encode_frame(Message(protocol.MSG_EXECUTE, 5, payload))
         assert frame[5] == 4
-        with pytest.raises(errors.MalformedPayload, match="unknown msg_type 7"):
-            decode_frame(frame[:5] + bytes([7]) + frame[6:])
+        for msg_type in (1, 2, 7):
+            with pytest.raises(errors.MalformedPayload, match=f"bad msg_type {msg_type}"):
+                encode_frame(Message(msg_type, 5, payload))
+            with pytest.raises(errors.MalformedPayload, match=f"unknown msg_type {msg_type}"):
+                decode_frame(frame[:5] + bytes([msg_type]) + frame[6:])
 
     def test_bad_magic(self):
-        frame = bytearray(encode_frame(Message(1, 1)))
+        frame = bytearray(encode_frame(Message(protocol.MSG_EXECUTE, 1)))
         frame[0] = 0
         with pytest.raises(errors.MalformedPayload):
             decode_frame(bytes(frame))
@@ -71,30 +73,31 @@ class TestFrames:
     def test_unknown_type_and_version(self):
         with pytest.raises(errors.MalformedPayload):
             encode_frame(Message(9, 1))
-        frame = bytearray(encode_frame(Message(1, 1)))
-        # 1: chain payloads; 2: worker-chosen ids and a second execute type
-        for version in (1, 2, 4):
+        frame = bytearray(encode_frame(Message(protocol.MSG_EXECUTE, 1)))
+        # 1: chain payloads; 2: worker-chosen ids and a second execute type;
+        # 3: STORE and GET requests
+        for version in (1, 2, 3, 5):
             frame[4] = version
             with pytest.raises(errors.MalformedPayload, match="unsupported version"):
                 decode_frame(bytes(frame))
 
     def test_short_payload(self):
-        frame = encode_frame(Message(1, 1, b"abcd"))
+        frame = encode_frame(Message(protocol.MSG_EXECUTE, 1, b"abcd"))
         with pytest.raises(errors.MalformedPayload):
             decode_frame(frame[:-1])
 
     def test_payload_bound(self, monkeypatch):
         """A header claiming more than MAX_PAYLOAD is rejected from the header
         alone; the encoder refuses to build such a frame."""
-        head = protocol.MAGIC + struct.pack("<BBQQ", protocol.VERSION, protocol.MSG_STORE, 3,
+        head = protocol.MAGIC + struct.pack("<BBQQ", protocol.VERSION, protocol.MSG_EXECUTE, 3,
                                             1 << 40)
         with pytest.raises(errors.MalformedPayload, match="exceeds"):
             decode_header(head)
-        assert decode_header(encode_frame(Message(1, 3, b"ab"))) == (1, 3, 2)
+        assert decode_header(encode_frame(Message(protocol.MSG_EXECUTE, 3, b"ab"))) == (4, 3, 2)
         monkeypatch.setattr(protocol, "MAX_PAYLOAD", 8)
         with pytest.raises(errors.MalformedPayload):
-            encode_frame(Message(protocol.MSG_STORE, 1, b"x" * 9))
-        encode_frame(Message(protocol.MSG_STORE, 1, b"x" * 8))
+            encode_frame(Message(protocol.MSG_EXECUTE, 1, b"x" * 9))
+        encode_frame(Message(protocol.MSG_EXECUTE, 1, b"x" * 8))
 
     def test_bad_magic_is_its_own_kind(self):
         with pytest.raises(errors.BadMagic):
@@ -139,7 +142,7 @@ class TestTensorCodec:
         assert t.data.tolist() == [(1 << 62) - 1, 0]
 
 
-class TestChainCodec:
+class TestObjectCodec:
     """The object codec, under the chain names perfbench wraps: an object
     payload is exactly one tensor's encoding."""
 
@@ -152,7 +155,7 @@ class TestChainCodec:
             assert deserialize_chain(raw) == t
             assert protocol.object_shape(raw) == t.shape
 
-    def test_truncated_node_is_malformed(self):
+    def test_truncated_object_is_malformed(self):
         """Every cut of a payload, through the dims or the data, is refused."""
         raw = serialize_chain(Tensor(np.arange(6.0).reshape(2, 3), Dtype.FLOAT64))
         for cut in range(len(raw)):

@@ -105,13 +105,13 @@ class TestShareReconstruct:
         """make_shares resolves every party before its first push: sharing
         to a party the owner does not know raises WorkerUnknown, no share is
         stored anywhere, and the secret is not taken."""
-        secret = serialize_chain(r64([5, 6]))
+        secret = r64([5, 6])
         fed.worker("bob").store(1, secret)
         with pytest.raises(WorkerUnknown):
             share_remote("bob", ("ref", 1), ("alice", "zed"), fed)
         assert fed.worker("alice").core.object_count() == 0
         assert fed.worker("bob").core.object_count() == 1
-        assert fed.worker("bob").fetch(1) == secret
+        assert fed.worker("bob").fetch(1) == serialize_chain(secret)
 
     def test_share_wrap(self, fed):
         rng = np.random.default_rng(4)
@@ -496,21 +496,21 @@ class TestLazyExpressions:
                                       [13, 0], [12, 0]])
     def test_malformed_program(self, prog):
         from fedring.errors import MalformedPayload
-        from fedring.protocol import Command, serialize_chain
+        from fedring.protocol import Command
         from fedring.workers import WorkerCore
 
         w = WorkerCore("a", 0)
-        w.store_object(1, serialize_chain(r64([1, 2])))
+        w.push(1, r64([1, 2]))
         with pytest.raises(MalformedPayload):
             w.execute(Command("eval_expr", (Command.obj(1),), {"prog": prog}))
         assert w.object_count() == 1
 
     def test_fused_truncation_rejects_third_party(self):
-        from fedring.protocol import Command, serialize_chain
+        from fedring.protocol import Command
         from fedring.workers import WorkerCore
 
         w = WorkerCore("a", 0)
-        w.store_object(1, serialize_chain(r64([1, 2])))
+        w.push(1, r64([1, 2]))
         with pytest.raises(ConfigError):
             w.execute(Command("eval_expr", (Command.obj(1),), {"prog": [0, 0, 6, 16, 2]}))
 

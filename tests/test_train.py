@@ -212,8 +212,8 @@ class TestFederatedDP:
         params = nn.init_params(dims, np.random.default_rng(0))
         C = 0.01
         w = WorkerCore("alice", 0)
-        w.store_object(1, protocol.serialize_chain(Tensor(X, Dtype.FLOAT64)))
-        w.store_object(2, protocol.serialize_chain(Tensor(y, Dtype.FLOAT64)))
+        w.push(1, Tensor(X, Dtype.FLOAT64))
+        w.push(2, Tensor(y, Dtype.FLOAT64))
         reply = w.execute(Command(
             "dp_phase", (("tensor", Tensor(params, Dtype.FLOAT64)), Command.obj(1),
                          Command.obj(2)),
@@ -405,9 +405,9 @@ class TestMPCForward:
 
     def test_codec_only_at_transport_boundary(self, monkeypatch):
         """Workers keep decoded tensors: over one Boston pass on virtual
-        workers, each leader store or by-value execute encodes once and
-        decodes once, and no other execute, fetch or worker-to-worker push
-        touches the codec."""
+        workers, each by-value execute encodes once and decodes once, and
+        no store, other execute, fetch or worker-to-worker push touches the
+        codec."""
         ds = boston(["solo"])
         model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
         fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=9)
@@ -433,10 +433,10 @@ class TestMPCForward:
             for op in ("store", "fetch", "execute"):
                 monkeypatch.setattr(h, op, spy(op, getattr(h, op)))
         mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
-        assert calls["store"] + calls["execute_value"] == 20
+        assert calls["store"] == calls["execute_value"] == 10
         assert calls["fetch"] == 0
         assert calls["execute"] > 0
-        assert calls["encode"] == calls["decode"] == 20
+        assert calls["encode"] == calls["decode"] == 10
 
     def test_three_parties_rejected(self):
         ds = boston(["solo"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedring import protocol
-from fedring.commands import OPS
+from fedring.commands import OPS, identity
 from fedring.errors import (
     DuplicateObject,
     MalformedPayload,
@@ -30,8 +30,21 @@ from fedring.workers import (
 )
 
 
+def local(values, dtype=Dtype.FLOAT64):
+    return Tensor(np.asarray(values), dtype)
+
+
 def local_payload(values, dtype=Dtype.FLOAT64):
-    return serialize_chain(Tensor(np.asarray(values), dtype))
+    return serialize_chain(local(values, dtype))
+
+
+def store(worker, oid, t):
+    """A leader store over a bare worker core or socket client."""
+    worker.execute(identity(("tensor", t)), oid)
+
+
+def fetch(worker, oid, delete=False):
+    return worker.execute(identity(("take" if delete else "obj", oid)))
 
 
 def eval_cmd(op, *args):
@@ -40,23 +53,33 @@ def eval_cmd(op, *args):
     return Command("eval_expr", args, {"prog": prog + [OPS[op][0]]})
 
 
-X = local_payload([1.0])
-Y = local_payload([2.0])
+X = local([1.0])
+Y = local([2.0])
+XB = serialize_chain(X)
 
-# each payload is refused with MalformedPayload: opaque bytes, no ndim,
-# truncated data, truncated dims, a dim with no data behind it, an unknown
-# dtype, trailing bytes, and X in the version-1 one-node Local chain envelope
+# each is refused with MalformedPayload in place of a store's inline tensor:
+# opaque bytes, no ndim, truncated data, truncated dims, a dim with no data
+# behind it, an unknown dtype, trailing bytes, and X in the version-1
+# one-node Local chain envelope
 MALFORMED = (
     b"x",
     b"",
     b"\x00",
-    X[:-1],
+    XB[:-1],
     bytes([1, 3, 1, 1, ord("a")]) + struct.pack("<Q", 1),
     bytes([1, 1, 2, 0xFF, 0xFE]) + struct.pack("<Q", 1),
     bytes([2, 0]) + b"\x00" * 8,
-    X + b"\x00",
-    bytes([1, 0]) + X,
+    XB + b"\x00",
+    bytes([1, 0]) + XB,
 )
+
+
+def inline_store(raw: bytes) -> bytes:
+    """The command bytes of a store of X with `raw` in place of X's
+    encoding."""
+    cmd = protocol.serialize_command(identity(("tensor", X)))
+    at = cmd.index(bytes([protocol.ARG_TENSOR]) + XB) + 1
+    return cmd[:at] + raw + cmd[at + len(XB):]
 
 
 @pytest.fixture
@@ -73,38 +96,38 @@ def server():
 class TestObjectStore:
     def test_store_fetch_roundtrip(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, X)
-        assert w.fetch_object(1) == X
+        store(w, 1, X)
+        assert fetch(w, 1) == XB
 
     def test_duplicate(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, X)
+        store(w, 1, X)
         with pytest.raises(DuplicateObject):
-            w.store_object(1, Y)
+            store(w, 1, Y)
 
     def test_fetch_delete_moves(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, X)
-        assert w.fetch_object(1, delete=True) == X
+        store(w, 1, X)
+        assert fetch(w, 1, delete=True) == XB
         with pytest.raises(ObjectNotFound):
-            w.fetch_object(1, delete=True)
+            fetch(w, 1, delete=True)
 
     def test_fetch_read_semantics(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, X)
-        assert w.fetch_object(1) == w.fetch_object(1)
+        store(w, 1, X)
+        assert fetch(w, 1) == fetch(w, 1)
 
     def test_unknown(self):
         w = WorkerCore("a", 0)
         with pytest.raises(ObjectNotFound):
-            w.fetch_object(42)
+            fetch(w, 42)
         with pytest.raises(ObjectNotFound):
             w.delete_object(42)
 
     def test_delete_many_all_or_nothing(self):
         w = WorkerCore("a", 0)
         for oid in (1, 2, 3):
-            w.store_object(oid, X)
+            store(w, oid, X)
         with pytest.raises(ObjectNotFound):
             w.delete_object(1, 2, 99)
         assert w.object_count() == 3
@@ -115,12 +138,14 @@ class TestObjectStore:
 
     @pytest.mark.parametrize("bad", MALFORMED)
     def test_malformed_store_stores_nothing(self, bad):
+        """A store whose inline tensor does not decode is refused as the
+        worker decodes the command, before anything runs or is stored."""
         w = WorkerCore("a", 0)
         with pytest.raises(MalformedPayload):
-            w.store_object(1, bad)
+            w.execute(protocol.deserialize_command(inline_store(bad)), 1)
         assert w.object_count() == 0
-        w.store_object(1, X)  # the id is still free
-        assert w.fetch_object(1) == X
+        store(w, 1, X)  # the id is still free
+        assert fetch(w, 1) == XB
 
     def test_bad_name(self):
         with pytest.raises(WorkerUnknown):
@@ -132,10 +157,10 @@ class TestObjectStore:
 class TestExecute:
     def test_add(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, local_payload([1.0, 2.0]))
-        w.store_object(2, local_payload([3.0, 4.0]))
+        store(w, 1, local([1.0, 2.0]))
+        store(w, 2, local([3.0, 4.0]))
         assert w.execute(eval_cmd("add", Command.obj(1), Command.obj(2)), 3) == b""
-        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(3)).data, [4.0, 6.0])
+        assert np.array_equal(protocol.deserialize_chain(fetch(w, 3)).data, [4.0, 6.0])
 
     def test_missing_arg(self):
         w = WorkerCore("a", 0)
@@ -149,16 +174,16 @@ class TestExecute:
 
     def test_take_deleted_after_success_only(self):
         w = WorkerCore("a", 0)
-        w.store_object(1, local_payload([1.0, 2.0]))
-        w.store_object(2, local_payload([3.0]))
+        store(w, 1, local([1.0, 2.0]))
+        store(w, 2, local([3.0]))
         with pytest.raises(ShapeMismatch):
             w.execute(eval_cmd("add", ("take", 1), Command.obj(2)))
         assert w.object_count() == 2  # a failed command consumes nothing
         inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
         w.execute(eval_cmd("add", ("take", 1), ("tensor", inline)), 3)
-        assert np.array_equal(protocol.deserialize_chain(w.fetch_object(3)).data, [11.0, 22.0])
+        assert np.array_equal(protocol.deserialize_chain(fetch(w, 3)).data, [11.0, 22.0])
         with pytest.raises(ObjectNotFound):
-            w.fetch_object(1)
+            fetch(w, 1)
 
 
 class TestVirtualRegistry:
@@ -168,7 +193,7 @@ class TestVirtualRegistry:
         h1 = VirtualHandle(reg.get("alice"))
         h2 = VirtualHandle(reg.get("alice"))
         h1.store(5, X)
-        assert h2.fetch(5) == X
+        assert h2.fetch(5) == XB
 
     def test_duplicate_worker(self):
         reg = VirtualRegistry()
@@ -180,9 +205,9 @@ class TestVirtualRegistry:
         tap = TransportTap()
         fed, _ = virtual_federation(["alice"], 0, tap)
         h = fed.worker("alice")
-        h.store(1, local_payload([1.0]))
+        h.store(1, local([1.0]))
         h.fetch(1)
-        h.store(2, local_payload([2.0]))
+        h.store(2, local([2.0]))
         h.execute(eval_cmd("add", Command.obj(1), Command.obj(2)))
         assert tap.count("store") == 2
         assert tap.count("fetch") == 1
@@ -193,7 +218,7 @@ class TestVirtualRegistry:
         tap = TransportTap()
         fed, _ = virtual_federation(["alice"], 0, tap)
         h = fed.worker("alice")
-        h.store(1, local_payload([[1.0, 2.0, 3.0]]))
+        h.store(1, local([[1.0, 2.0, 3.0]]))
         inline = Tensor(np.ones((1, 3)), Dtype.FLOAT64)
         h.execute(eval_cmd("add", Command.obj(1), ("tensor", inline)), 2)
         event = tap.events[-1]
@@ -208,43 +233,43 @@ class TestSocketWorker:
     def test_store_get_roundtrip(self, server):
         host, port = server.server_address
         c = SocketClient(host, port)
-        payload = local_payload([1.0, 2.0, 3.0])
-        c.store(11, payload)
-        assert c.fetch(11) == payload
+        t = local([1.0, 2.0, 3.0])
+        store(c, 11, t)
+        assert protocol.deserialize_chain(fetch(c, 11)) == t
         c.close()
 
     def test_execute_remote(self, server):
         host, port = server.server_address
         c = SocketClient(host, port)
-        c.store(1, local_payload([1.0, 2.0]))
-        c.store(2, local_payload([3.0, 4.0]))
+        store(c, 1, local([1.0, 2.0]))
+        store(c, 2, local([3.0, 4.0]))
         assert c.execute(eval_cmd("add", Command.obj(1), Command.obj(2)), 3) == b""
-        assert np.array_equal(protocol.deserialize_chain(c.fetch(3)).data, [4.0, 6.0])
+        assert np.array_equal(protocol.deserialize_chain(fetch(c, 3)).data, [4.0, 6.0])
         c.close()
 
     def test_error_replies_in_band(self, server):
         host, port = server.server_address
         c = SocketClient(host, port)
         with pytest.raises(ObjectNotFound):
-            c.fetch(999)
-        c.store(1, X)
+            fetch(c, 999)
+        store(c, 1, X)
         with pytest.raises(DuplicateObject):
-            c.store(1, Y)
+            store(c, 1, Y)
         # connection still works after errors
-        assert c.fetch(1) == X
+        assert fetch(c, 1) == XB
         c.close()
 
     def test_malformed_store_replied_in_band(self, server):
-        """A STORE whose object does not decode is refused in-band; nothing
-        is stored and the connection stays usable."""
+        """A store whose inline tensor does not decode is refused in-band;
+        nothing is stored and the connection stays usable."""
         host, port = server.server_address
         c = SocketClient(host, port)
         for bad in MALFORMED:
             with pytest.raises(MalformedPayload):
-                c.store(1, bad)
+                c.request(protocol.MSG_EXECUTE, struct.pack("<Q", 1) + inline_store(bad))
             assert server.worker_core.object_count() == 0
-        c.store(1, X)
-        assert c.fetch(1) == X
+        store(c, 1, X)
+        assert fetch(c, 1) == XB
         assert server.worker_core.object_count() == 1
         c.close()
 
@@ -258,7 +283,8 @@ class TestSocketWorker:
         payload = _recv(sock, plen)
         assert struct.unpack("<I", payload[:4])[0] == protocol.ERR_MALFORMED
         # now a valid frame on the same connection
-        frame = protocol.encode_frame(Message(protocol.MSG_STORE, 5, struct.pack("<Q", 3) + X))
+        frame = protocol.encode_frame(Message(protocol.MSG_EXECUTE, 5, struct.pack("<Q", 3)
+                                              + protocol.serialize_command(identity(("tensor", X)))))
         sock.sendall(frame)
         head = _recv(sock, 22)
         assert head[5] == protocol.MSG_RESULT
@@ -270,7 +296,7 @@ class TestSocketWorker:
         before any payload is read, then the connection closes."""
         host, port = server.server_address
         sock = socket.create_connection((host, port), timeout=10)
-        sock.sendall(protocol.MAGIC + struct.pack("<BBQQ", protocol.VERSION, protocol.MSG_STORE,
+        sock.sendall(protocol.MAGIC + struct.pack("<BBQQ", protocol.VERSION, protocol.MSG_EXECUTE,
                                                   9, 1 << 40))
         head = _recv(sock, 22)
         assert head[5] == protocol.MSG_ERROR
@@ -286,9 +312,8 @@ class TestSocketWorker:
         connection then closes, since its payload length is not trusted."""
         host, port = server.server_address
         sock = socket.create_connection((host, port), timeout=10)
-        payload = struct.pack("<Q", 3) + bytes([1, 0]) + X
-        frame = protocol.encode_frame(Message(protocol.MSG_STORE, 4, payload))
-        sock.sendall(frame[:4] + bytes([1]) + frame[5:])
+        payload = struct.pack("<Q", 3) + bytes([1, 0]) + XB
+        sock.sendall(protocol.MAGIC + struct.pack("<BBQQ", 1, 1, 4, len(payload)) + payload)
         head = _recv(sock, 22)
         assert head[5] == protocol.MSG_ERROR
         (plen,) = struct.unpack("<Q", head[14:22])
@@ -298,33 +323,34 @@ class TestSocketWorker:
         assert server.worker_core.object_count() == 0
 
     def test_type_7_frame_refused(self, server):
-        """msg_type 7, the by-value EXECUTE of wire version 2, is refused
-        with Malformed from the header alone; nothing runs or is stored and
-        the connection closes."""
+        """msg_types 1 and 2, the STORE and GET of wire version 3, and 7,
+        the by-value EXECUTE of version 2, are each refused with Malformed
+        from the header alone; nothing runs or is stored and the connection
+        closes."""
         host, port = server.server_address
-        sock = socket.create_connection((host, port), timeout=10)
-        payload = protocol.serialize_command(eval_cmd("neg", ("tensor", Tensor(
-            np.ones(2), Dtype.FLOAT64))))
+        payload = struct.pack("<Q", 3) + protocol.serialize_command(identity(("tensor", X)))
         frame = protocol.encode_frame(Message(protocol.MSG_EXECUTE, 4, payload))
-        sock.sendall(frame[:5] + bytes([7]) + frame[6:])
-        head = _recv(sock, 22)
-        assert head[5] == protocol.MSG_ERROR
-        (plen,) = struct.unpack("<Q", head[14:22])
-        assert b"unknown msg_type 7" in _recv(sock, plen)
-        assert sock.recv(1) == b""
-        sock.close()
+        for msg_type in (1, 2, 7):
+            sock = socket.create_connection((host, port), timeout=10)
+            sock.sendall(frame[:5] + bytes([msg_type]) + frame[6:])
+            head = _recv(sock, 22)
+            assert head[5] == protocol.MSG_ERROR
+            (plen,) = struct.unpack("<Q", head[14:22])
+            assert f"unknown msg_type {msg_type}".encode() in _recv(sock, plen)
+            assert sock.recv(1) == b""
+            sock.close()
         assert server.worker_core.object_count() == 0
 
     def test_multi_id_delete(self, server):
         host, port = server.server_address
         c = SocketClient(host, port)
         for oid in (1, 2, 3):
-            c.store(oid, X)
+            store(c, oid, X)
         c.delete(1, 3)
         assert server.worker_core.object_count() == 1
         with pytest.raises(ObjectNotFound):
             c.delete(2, 3)  # all or nothing
-        assert c.fetch(2) == X
+        assert fetch(c, 2) == XB
         for bad in (b"", struct.pack("<Q", 2) + b"\x00" * 4):  # k=0, ragged
             with pytest.raises(MalformedPayload):
                 c.request(protocol.MSG_DELETE, bad)
@@ -340,7 +366,7 @@ class TestSocketWorker:
             try:
                 c = SocketClient(host, port)
                 for i in range(20):
-                    c.store(base + i, local_payload([float(i)]))
+                    store(c, base + i, local([float(i)]))
                 c.close()
             except Exception as e:  # pragma: no cover
                 errors.append(e)
@@ -357,9 +383,10 @@ class TestSocketWorker:
         host, port = server.server_address
         sock = socket.create_connection((host, port))
         # pipeline three stores, then read three replies: order preserved
+        cmd = protocol.serialize_command(identity(("tensor", X)))
         for rid in (10, 11, 12):
             sock.sendall(protocol.encode_frame(
-                Message(protocol.MSG_STORE, rid, struct.pack("<Q", 100 + rid) + X)))
+                Message(protocol.MSG_EXECUTE, rid, struct.pack("<Q", 100 + rid) + cmd)))
         for rid in (10, 11, 12):
             head = _recv(sock, 22)
             (plen,) = struct.unpack("<Q", head[14:22])
@@ -397,8 +424,8 @@ class TestExecuteByValue:
         """The reply is the result tensor; the worker keeps no result and
         deletes a take argument."""
         h, core = handle_and_core
-        h.store(1, local_payload([65536], Dtype.RING64))
-        h.store(2, local_payload([1.0, 2.0]))
+        h.store(1, local([65536], Dtype.RING64))
+        h.store(2, local([1.0, 2.0]))
         reply = h.execute(eval_cmd("add", Command.obj(1), Command.obj(1)))
         assert reply == local_payload([131072], Dtype.RING64)
         inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
@@ -410,7 +437,7 @@ class TestExecuteByValue:
 
     def test_tap_records_reply_on_the_execute(self, handle_and_core):
         h, _ = handle_and_core
-        h.store(1, local_payload([[1.0, 2.0, 3.0]]))
+        h.store(1, local([[1.0, 2.0, 3.0]]))
         inline = Tensor(np.ones((1, 3)), Dtype.FLOAT64)
         reply = h.execute(eval_cmd("add", Command.obj(1), ("tensor", inline)))
         event = h.tap.events[-1]
@@ -421,8 +448,8 @@ class TestExecuteByValue:
 
     def test_failure_keeps_take_objects(self, handle_and_core):
         h, core = handle_and_core
-        h.store(1, local_payload([1.0, 2.0]))
-        h.store(2, local_payload([3.0]))
+        h.store(1, local([1.0, 2.0]))
+        h.store(2, local([3.0]))
         with pytest.raises((ShapeMismatch, RemoteError)):  # a socket reply carries no type
             h.execute(eval_cmd("add", ("take", 1), Command.obj(2)))
         with pytest.raises(ObjectNotFound):
@@ -433,7 +460,7 @@ class TestExecuteByValue:
     def test_socket_error_in_band(self, server):
         host, port = server.server_address
         c = SocketClient(host, port)
-        c.store(1, local_payload([1.0, 2.0]))
+        store(c, 1, local([1.0, 2.0]))
         with pytest.raises(ObjectNotFound):
             c.execute(eval_cmd("neg", Command.obj(99)))
         with pytest.raises(UnknownCommand):
@@ -446,7 +473,7 @@ class TestExecuteByValue:
     def test_truncated_payload_is_malformed(self, server):
         host, port = server.server_address
         c = SocketClient(host, port)
-        c.store(1, X)
+        store(c, 1, X)
         payload = struct.pack("<Q", 0) + protocol.serialize_command(eval_cmd("neg", ("take", 1)))
         for cut in (0, 1, 7, 8, 9, 16, len(payload) - 1):
             with pytest.raises(MalformedPayload):
@@ -463,7 +490,7 @@ class TestExecuteDestination:
 
     def test_stored_under_the_leader_id(self, handle_and_core):
         h, core = handle_and_core
-        h.store(1, local_payload([1.0, 2.0]))
+        h.store(1, local([1.0, 2.0]))
         inline = Tensor(np.array([10.0, 20.0]), Dtype.FLOAT64)
         assert h.execute(eval_cmd("add", ("take", 1), ("tensor", inline)), 1 << 40) == b""
         assert protocol.deserialize_chain(h.fetch(1 << 40)).data.tolist() == [11.0, 22.0]
@@ -477,8 +504,8 @@ class TestExecuteDestination:
         before the command runs: the take argument and the stored object
         both stay as they were."""
         h, core = handle_and_core
-        h.store(1, local_payload([1.0, 2.0]))
-        h.store(2, local_payload([5.0]))
+        h.store(1, local([1.0, 2.0]))
+        h.store(2, local([5.0]))
         with pytest.raises(DuplicateObject):
             h.execute(eval_cmd("neg", ("take", 1)), 2)
         assert core.object_count() == 2
@@ -491,13 +518,13 @@ class TestExecuteDestination:
         usable."""
         host, port = server.server_address
         c = SocketClient(host, port)
-        c.store(1, X)
+        store(c, 1, X)
         for payload in (b"", b"\x00", b"\x05" * 7):
             with pytest.raises(MalformedPayload, match="short execute payload"):
                 c.request(protocol.MSG_EXECUTE, payload)
         assert server.worker_core.object_count() == 1
         c.execute(eval_cmd("neg", ("take", 1)), 5)
-        assert c.fetch(5) == local_payload([-1.0])
+        assert fetch(c, 5) == local_payload([-1.0])
         assert server.worker_core.object_count() == 1
         c.close()
 
@@ -520,8 +547,8 @@ class TestTransportEquivalence:
 
         def script(fed):
             h = fed.worker("alice")
-            h.store(201, local_payload([[1.0, 2.0], [3.0, 4.0]]))
-            h.store(202, local_payload([[5.0, 6.0], [7.0, 8.0]]))
+            h.store(201, local([[1.0, 2.0], [3.0, 4.0]]))
+            h.store(202, local([[5.0, 6.0], [7.0, 8.0]]))
             h.execute(eval_cmd("matmul", Command.obj(201), Command.obj(202)), 203)
             out = h.fetch(203, delete=True)
             h.delete(201)
