@@ -6,7 +6,6 @@ moments accountant, and small-MLP training loops.
 """
 
 from .tensor import Dtype, RING_MODULUS, Tensor
-from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from .dp import (
     MomentLedger,
     PrivacySpec,
@@ -32,8 +31,6 @@ __all__ = [
     "Dtype",
     "RING_MODULUS",
     "Tensor",
-    "FixedPointConfig",
-    "DEFAULT_CONFIG",
     "PrivacySpec",
     "MomentLedger",
     "log_moment",

@@ -37,7 +37,6 @@ import numpy as np
 from . import fixedpoint, spdz
 from .commands import OPS, compile_expr, run_expr
 from .errors import ConfigError, KindMismatch, UnknownCommand
-from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from .tensor import Dtype, Tensor
 from .workers import Federation
 
@@ -132,19 +131,16 @@ class TensorChain:
         raise KindMismatch(f"cannot get a {self.leaf[0]} chain")
 
     # -- fixed precision -------------------------------------------------------
-    def fix_precision(self, cfg: FixedPointConfig = DEFAULT_CONFIG) -> "TensorChain":
+    def fix_precision(self) -> "TensorChain":
         if self.kind != "local" or self.tensor().dtype is not Dtype.FLOAT64:
             raise KindMismatch("fix_precision needs a Local Float64 chain")
-        encoded = fixedpoint.encode(self.tensor(), cfg)
-        return TensorChain(
-            [("fixed_precision", cfg.frac_bits), ("local", encoded)], self.fed
-        )
+        encoded = fixedpoint.encode(self.tensor())
+        return TensorChain([("fixed_precision",), ("local", encoded)], self.fed)
 
     def float_precision(self) -> "TensorChain":
         if self.kind != "fixed_precision" or self.leaf[0] != "local":
             raise KindMismatch("float_precision needs FixedPrecision over Local")
-        cfg = FixedPointConfig(frac_bits=self.nodes[0][1])
-        return TensorChain([("local", fixedpoint.decode(self.leaf[1], cfg))], self.fed)
+        return TensorChain([("local", fixedpoint.decode(self.leaf[1]))], self.fed)
 
     # -- sharing -----------------------------------------------------------
     def share(self, parties, rng: np.random.Generator | None = None) -> "TensorChain":
@@ -203,7 +199,6 @@ def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> Te
 
 
 def _dispatch_fixed(name, head, others, kwargs):
-    cfg = FixedPointConfig(frac_bits=head.nodes[0][1])
     inner = [TensorChain(c.nodes[1:], c.fed) for c in (head,) + others]
     c = kwargs.get("c")
     if name in ("add", "sub", "neg"):
@@ -211,27 +206,27 @@ def _dispatch_fixed(name, head, others, kwargs):
     elif name == "scale" and isinstance(c, (int, np.integer)):
         out = dispatch("scale", *inner, c=int(c))
     elif name == "offset":
-        out = dispatch("offset", *inner, c=fixedpoint.encode_scalar(c, cfg))
+        out = dispatch("offset", *inner, c=fixedpoint.encode_scalar(c))
     elif name in ("mul", "matmul", "scale"):
         if head.leaf[0] == "pointer":
             raise KindMismatch(f"fixed-precision {name} on a pointer needs a truncation "
                                "the worker does not run; get() or share() it first")
         if name == "scale":  # public float: encode the constant, multiply, truncate
-            raw = dispatch("scale", *inner, c=fixedpoint.encode_scalar(c, cfg))
+            raw = dispatch("scale", *inner, c=fixedpoint.encode_scalar(c))
         else:
             raw = dispatch(name, *inner, **kwargs)
-        out = _truncate_chain(raw, cfg)
+        out = _truncate_chain(raw)
     else:
         raise UnknownCommand(f"{name} under fixed_precision")
-    return TensorChain([("fixed_precision", cfg.frac_bits)] + out.nodes, head.fed)
+    return TensorChain([("fixed_precision",)] + out.nodes, head.fed)
 
 
-def _truncate_chain(raw: TensorChain, cfg: FixedPointConfig) -> TensorChain:
+def _truncate_chain(raw: TensorChain) -> TensorChain:
     if raw.kind == "local":
-        return TensorChain([("local", fixedpoint.truncate(raw.tensor(), cfg))], raw.fed)
+        return TensorChain([("local", fixedpoint.truncate(raw.tensor()))], raw.fed)
     fed = raw._require_fed()
     prod = raw.leaf[1]
-    sv = spdz.trunc_shared(prod, fed, cfg)
+    sv = spdz.trunc_shared(prod)
     if prod.is_materialized():
         # a Beaver product nothing else refers to: keep only its truncation
         sv = spdz.materialize(sv, fed)

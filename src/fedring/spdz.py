@@ -37,7 +37,7 @@ from .errors import (
     TripleReused,
     TripleShapeMismatch,
 )
-from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig, Q
+from .fixedpoint import FRAC_BITS, Q
 from .protocol import Command
 from .tensor import Dtype, Tensor, split_shares
 from .workers import Federation
@@ -308,9 +308,8 @@ def matmul_shared(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
     return _beaver(xs, ys, triple, fed, "matmul", out_shape)
 
 
-def trunc_shared(sv: ShareVector, fed: Federation,
-                 cfg: FixedPointConfig = DEFAULT_CONFIG) -> ShareVector:
-    """Two-party local truncation by 2**frac_bits: party 0 shifts its share,
+def trunc_shared(sv: ShareVector) -> ShareVector:
+    """Two-party local truncation by 2**FRAC_BITS: party 0 shifts its share,
     party 1 the ring complement of its share (fixedpoint.truncate_share).
     Within one ulp except with probability ~2^(l+1-62) for an l-bit secret.
     With any other party count the result is wrong, not merely less exact
@@ -318,7 +317,7 @@ def trunc_shared(sv: ShareVector, fed: Federation,
     rejected with ConfigError.
 
     Lazy like the linear layer: the shift runs inside the command that next
-    consumes the value, so this sends nothing and `fed` is not used."""
+    consumes the value, so this sends nothing."""
     require_two_parties(sv.parties)
-    exprs = tuple(("trunc", e, cfg.frac_bits, role) for role, e in enumerate(sv.exprs))
+    exprs = tuple(("trunc", e, FRAC_BITS, role) for role, e in enumerate(sv.exprs))
     return replace(sv, exprs=exprs)

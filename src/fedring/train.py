@@ -22,7 +22,6 @@ from . import fixedpoint, nn, spdz, tensor as tc
 from .data import FederatedDataset
 from .dp import MomentLedger, PrivacySpec
 from .errors import ConfigError, LotTooLarge
-from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from .nn import TASK_BINARY, TASK_REGRESSION, Model
 from .protocol import Command
 from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
@@ -214,25 +213,24 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 # MPC shared inference
 
-def fixed_forward(model: Model, X: np.ndarray,
-                  cfg: FixedPointConfig = DEFAULT_CONFIG) -> np.ndarray:
+def fixed_forward(model: Model, X: np.ndarray) -> np.ndarray:
     """Plaintext fixed-point forward pass: the oracle the shared pass must
     match. Every multiplication truncates immediately, like the MPC path."""
     w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)
     B = X.shape[0]
 
     def enc(a):
-        return fixedpoint.encode(Tensor(np.asarray(a, dtype=np.float64), Dtype.FLOAT64), cfg)
+        return fixedpoint.encode(Tensor(np.asarray(a, dtype=np.float64), Dtype.FLOAT64))
 
     def matmul_fp(a, b):
-        return fixedpoint.truncate(tc.matmul(a, b), cfg)
+        return fixedpoint.truncate(tc.matmul(a, b))
 
     def sigmoid_fp(v):
-        x2 = fixedpoint.truncate(tc.mul(v, v), cfg)
-        x3 = fixedpoint.truncate(tc.mul(x2, v), cfg)
-        t1 = fixedpoint.truncate(tc.scale(v, fixedpoint.encode_scalar(0.25, cfg)), cfg)
-        t2 = fixedpoint.truncate(tc.scale(x3, fixedpoint.encode_scalar(-1.0 / 48.0, cfg)), cfg)
-        return tc.offset(tc.add(t1, t2), fixedpoint.encode_scalar(0.5, cfg))
+        x2 = fixedpoint.truncate(tc.mul(v, v))
+        x3 = fixedpoint.truncate(tc.mul(x2, v))
+        t1 = fixedpoint.truncate(tc.scale(v, fixedpoint.encode_scalar(0.25)))
+        t2 = fixedpoint.truncate(tc.scale(x3, fixedpoint.encode_scalar(-1.0 / 48.0)))
+        return tc.offset(tc.add(t1, t2), fixedpoint.encode_scalar(0.5))
 
     xs = enc(X)
     z1 = tc.add(matmul_fp(xs, enc(w1)), enc(np.tile(b1, (B, 1))))
@@ -240,16 +238,16 @@ def fixed_forward(model: Model, X: np.ndarray,
     z2 = tc.add(matmul_fp(a1, enc(w2)), enc(np.tile(b2, (B, 1))))
     if model.task == TASK_BINARY:
         z2 = sigmoid_fp(z2)
-    return np.asarray(fixedpoint.decode(z2, cfg).data)[:, 0]
+    return np.asarray(fixedpoint.decode(z2).data)[:, 0]
 
 
-def _shared_sigmoid(sv, fed: Federation, mul_trunc, cfg: FixedPointConfig):
+def _shared_sigmoid(sv, mul_trunc):
     x2 = mul_trunc("elementwise", sv, sv)
     x3 = mul_trunc("elementwise", x2, sv)
     enc = fixedpoint.encode_scalar
-    t1 = spdz.trunc_shared(spdz.public_op("mul", sv, enc(0.25, cfg)), fed, cfg)
-    t2 = spdz.trunc_shared(spdz.public_op("mul", x3, enc(-1.0 / 48.0, cfg)), fed, cfg)
-    return spdz.public_op("add", spdz.add_shared(t1, t2), enc(0.5, cfg))
+    t1 = spdz.trunc_shared(spdz.public_op("mul", sv, enc(0.25)))
+    t2 = spdz.trunc_shared(spdz.public_op("mul", x3, enc(-1.0 / 48.0)))
+    return spdz.public_op("add", spdz.add_shared(t1, t2), enc(0.5))
 
 
 def mpc_triple_requirements(dims, batch: int, task: str):
@@ -276,8 +274,7 @@ def provision_triples(fed: Federation, dealer: str, parties, dims, batch: int,
 
 
 def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
-                pool: spdz.TriplePool, rng: np.random.Generator,
-                cfg: FixedPointConfig = DEFAULT_CONFIG) -> np.ndarray:
+                pool: spdz.TriplePool, rng: np.random.Generator) -> np.ndarray:
     """Forward pass on secret-shared weights and inputs; reconstruction plus
     decode matches fixed_forward within accumulated truncation error. Every
     object the pass stores or consumes on the parties is deleted by the end:
@@ -290,7 +287,7 @@ def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
     B = X.shape[0]
 
     def enc_share(a):
-        t = fixedpoint.encode(Tensor(np.asarray(a, dtype=np.float64), Dtype.FLOAT64), cfg)
+        t = fixedpoint.encode(Tensor(np.asarray(a, dtype=np.float64), Dtype.FLOAT64))
         return spdz.share(t, parties, fed, rng)
 
     made = [enc_share(a) for a in (X, w1, np.tile(b1, (B, 1)), w2, np.tile(b2, (B, 1)))]
@@ -302,13 +299,13 @@ def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
         else:
             prod = spdz.beaver_mul(x, y, pool.take(kind, x.shape), fed)
         made.append(prod)
-        return spdz.trunc_shared(prod, fed, cfg)
+        return spdz.trunc_shared(prod)
 
     z1 = spdz.add_shared(mul_trunc("matmul", xs, w1s), b1s)
-    a1 = _shared_sigmoid(z1, fed, mul_trunc, cfg)
+    a1 = _shared_sigmoid(z1, mul_trunc)
     z2 = spdz.add_shared(mul_trunc("matmul", a1, w2s), b2s)
     if model.task == TASK_BINARY:
-        z2 = _shared_sigmoid(z2, fed, mul_trunc, cfg)
+        z2 = _shared_sigmoid(z2, mul_trunc)
     out = spdz.reconstruct(z2, fed)
     spdz.free(made, fed)
-    return np.asarray(fixedpoint.decode(out, cfg).data)[:, 0]
+    return np.asarray(fixedpoint.decode(out).data)[:, 0]

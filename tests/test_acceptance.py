@@ -15,7 +15,7 @@ from fedring import nn, protocol, spdz
 from fedring.cli import run_benchmark
 from fedring.data import bundled_path, load_dataset
 from fedring.dp import calibrate_sigma, epsilon_for, log_moments, PrivacySpec
-from fedring.fixedpoint import DEFAULT_CONFIG, Q, decode, encode, to_signed
+from fedring.fixedpoint import FRAC_BITS, Q, decode, encode, to_signed
 from fedring.tensor import Dtype, Tensor
 from fedring.train import (
     TrainConfig,
@@ -173,9 +173,9 @@ def test_criterion_5_mpc_correctness(capsys):
         mm_ok &= np.array_equal(spdz.reconstruct(zs, fed, delete=True).data, (a @ b) & mask)
 
     vals = rng.uniform(-1000, 1000, size=1000)
-    sv = spdz.trunc_shared(spdz.share(encode(Tensor(vals, Dtype.FLOAT64)), parties, fed, rng), fed)
+    sv = spdz.trunc_shared(spdz.share(encode(Tensor(vals, Dtype.FLOAT64)), parties, fed, rng))
     got = to_signed(spdz.reconstruct(sv, fed, delete=True))
-    want = to_signed(encode(Tensor(vals, Dtype.FLOAT64))) >> DEFAULT_CONFIG.frac_bits
+    want = to_signed(encode(Tensor(vals, Dtype.FLOAT64))) >> FRAC_BITS
     trunc_ok = bool(np.max(np.abs(got - want)) <= 1)
 
     # linear ops cross zero transport messages

@@ -48,8 +48,8 @@ class TestValidator:
         t = Tensor(np.array([1.0]), Dtype.FLOAT64)
         assert validate_chain([("local", t)])
         assert validate_chain([("pointer", "alice", ("ref", 1))])
-        assert validate_chain([("fixed_precision", 16), ("local", t)])
-        assert validate_chain([("fixed_precision", 16), ("pointer", "alice", ("ref", 1))])
+        assert validate_chain([("fixed_precision",), ("local", t)])
+        assert validate_chain([("fixed_precision",), ("pointer", "alice", ("ref", 1))])
         assert validate_chain([("shared", sv(("alice", 1), ("bob", 2)))])
 
     def test_pointer_has_no_child(self):
@@ -59,7 +59,7 @@ class TestValidator:
 
     def test_fixed_precision_needs_child(self):
         with pytest.raises(KindMismatch):
-            validate_chain([("fixed_precision", 16)])
+            validate_chain([("fixed_precision",)])
 
     def test_shared_needs_distinct_workers(self):
         with pytest.raises(KindMismatch):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from fedring.chain import TensorChain
 from fedring.errors import OverflowRangeError
 from fedring.fixedpoint import (
-    DEFAULT_CONFIG,
-    FixedPointConfig,
+    FRAC_BITS,
     Q,
     decode,
     encode,
@@ -41,12 +41,16 @@ class TestEncode:
             encode(f64([2.0**45]))
         with pytest.raises(OverflowRangeError):
             encode(Tensor(np.array([1], dtype=np.uint64), Dtype.RING64))
+        for bad in ([float("nan")], [1.0, float("nan")]):
+            with pytest.raises(OverflowRangeError):
+                encode(f64(bad))
+        with pytest.raises(OverflowRangeError):
+            TensorChain.local([float("nan"), 2.0]).fix_precision()
 
     def test_half_away_from_zero(self):
-        cfg = FixedPointConfig(frac_bits=1)  # grid of halves
-        assert encode(f64([0.25]), cfg).data[0] == 1  # 0.5 rounds up
-        assert encode(f64([-0.25]), cfg).data[0] == Q - 1  # -0.5 rounds down
-
+        half_ulp = 2.0 ** -(FRAC_BITS + 1)
+        assert encode(f64([half_ulp])).data[0] == 1  # 0.5 rounds up
+        assert encode(f64([-half_ulp])).data[0] == Q - 1  # -0.5 rounds down
 
     def test_encode_scalar_matches_encode(self):
         """Python-float rounding gives encode's residue bit for bit, on
@@ -54,9 +58,8 @@ class TestEncode:
         rng = np.random.default_rng(8)
         values = list(rng.uniform(-1e3, 1e3, 500)) + list(rng.normal(0.0, 1e-5, 100))
         values += [0.0, -0.0, 0.25, -1.0 / 48.0, 0.5, 2.0**-17, -(2.0**-17), 3 * 2.0**-17]
-        for cfg in (DEFAULT_CONFIG, FixedPointConfig(frac_bits=1), FixedPointConfig(frac_bits=30)):
-            for v in values:
-                assert encode_scalar(v, cfg) == int(encode(f64(v), cfg).data), (v, cfg)
+        for v in values:
+            assert encode_scalar(v) == int(encode(f64(v)).data), v
         c = np.float32(-1.0 / 48.0)
         assert encode_scalar(c) == int(encode(f64(c)).data)
 
@@ -113,6 +116,17 @@ class TestTruncate:
         ys = rng.integers(-(2**26), 2**26, size=1000) / 2.0**16
         got = decode(truncate(mul(encode(f64(xs)), encode(f64(ys))))).data
         assert np.max(np.abs(got - xs * ys)) <= 2.0**-15
+
+    def test_product_range_edge(self):
+        """Just under |x*y| = 2**29, the top of the plaintext product range
+        the module states, truncation still lands within one ulp of the
+        encoded product."""
+        rng = np.random.default_rng(5)
+        xs = rng.integers(2**29, 2**31, size=1000) / 2.0**16
+        ys = np.floor((2.0**29 - 1) / xs * 2.0**16) / 2.0**16 * rng.choice([-1, 1], size=1000)
+        assert np.all(np.abs(xs * ys) < 2.0**29) and np.all(np.abs(xs * ys) > 2.0**29 - 2)
+        got = to_signed(truncate(mul(encode(f64(xs)), encode(f64(ys)))))
+        assert np.max(np.abs(got - to_signed(encode(f64(xs * ys))))) <= 1
 
 
 class TestHomomorphism:

@@ -16,7 +16,7 @@ from fedring.errors import (
     TripleShapeMismatch,
     WorkerUnknown,
 )
-from fedring.fixedpoint import DEFAULT_CONFIG, Q, decode, encode, to_signed, truncate_share
+from fedring.fixedpoint import FRAC_BITS, Q, decode, encode, to_signed, truncate_share
 from fedring.protocol import Command, serialize_chain
 from fedring.spdz import (
     BeaverTriple,
@@ -180,7 +180,7 @@ class TestBeaver:
         xs = share(enc([1.5]), PARTIES, fed, rng)
         ys = share(enc([2.0]), PARTIES, fed, rng)
         zs = beaver_mul(xs, ys, one_triple(fed, "elementwise", (1,)), fed)
-        zs = trunc_shared(zs, fed)
+        zs = trunc_shared(zs)
         got = decode(reconstruct(zs, fed)).data[0]
         assert abs(got - 3.0) <= 2.0**-15
 
@@ -208,7 +208,7 @@ class TestBeaver:
         xs = share(enc(a), PARTIES, fed, rng)
         ys = share(enc(b), PARTIES, fed, rng)
         zs = matmul_shared(xs, ys, one_triple(fed, "matmul", (2, 4, 3)), fed)
-        got = decode(reconstruct(trunc_shared(zs, fed), fed)).data
+        got = decode(reconstruct(trunc_shared(zs), fed)).data
         assert np.max(np.abs(got - a @ b)) < 1e-3
 
     def test_triple_reuse_rejected(self, fed):
@@ -424,14 +424,14 @@ class TestTruncation:
         rng = np.random.default_rng(17)
         xs = rng.uniform(-1000, 1000, size=1000)
         prod = enc(xs)  # stands in for a post-multiplication value
-        sv = trunc_shared(share(prod, PARTIES, fed, rng), fed)
+        sv = trunc_shared(share(prod, PARTIES, fed, rng))
         got = to_signed(reconstruct(sv, fed))
-        want = to_signed(prod) >> DEFAULT_CONFIG.frac_bits
+        want = to_signed(prod) >> FRAC_BITS
         assert np.max(np.abs(got - want)) <= 1
 
     def test_zero_secret(self, fed):
         rng = np.random.default_rng(18)
-        sv = trunc_shared(share(r64(np.zeros(5, dtype=np.uint64)), PARTIES, fed, rng), fed)
+        sv = trunc_shared(share(r64(np.zeros(5, dtype=np.uint64)), PARTIES, fed, rng))
         assert np.max(np.abs(to_signed(reconstruct(sv, fed)))) <= 1
 
     def test_monte_carlo_failure_rate(self, fed):
@@ -440,9 +440,9 @@ class TestTruncation:
         rng = np.random.default_rng(19)
         vals = rng.integers(-(1 << 30), 1 << 30, size=100_000)
         secret = r64(vals & (Q - 1))
-        sv = trunc_shared(share(secret, PARTIES, fed, rng), fed)
+        sv = trunc_shared(share(secret, PARTIES, fed, rng))
         got = to_signed(reconstruct(sv, fed))
-        want = vals >> DEFAULT_CONFIG.frac_bits
+        want = vals >> FRAC_BITS
         assert np.all(np.abs(got - want) <= 1)
 
     def test_three_parties_rejected(self, fed):
@@ -452,7 +452,7 @@ class TestTruncation:
         rng = np.random.default_rng(23)
         sv = share(enc(rng.uniform(-100, 100, size=1000)), ("alice", "bob", "dealer"), fed, rng)
         with pytest.raises(ConfigError):
-            trunc_shared(sv, fed)
+            trunc_shared(sv)
 
 
 class TestLazyExpressions:
@@ -479,7 +479,7 @@ class TestLazyExpressions:
         vals = rng.uniform(-50, 50, size=20)
         xs = share(enc(vals), PARTIES, fed, rng)
         before = tap.messages
-        t = trunc_shared(public_op("mul", xs, int(enc([4.0]).data[0])), fed)
+        t = trunc_shared(public_op("mul", xs, int(enc([4.0]).data[0])))
         assert tap.messages == before
         got = decode(reconstruct(t, fed)).data
         assert tap.messages == before + 2  # one by-value eval_expr per party
