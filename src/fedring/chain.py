@@ -122,9 +122,9 @@ class TensorChain:
         if self.leaf[0] == "pointer":
             _, worker, expr = self.leaf
             if expr[0] != "ref":
-                value = fed.execute_tensor(worker, compile_expr([expr]))
+                value = fed.worker(worker).execute(compile_expr([expr]))
             else:
-                value = fed.fetch_tensor(worker, expr[1], delete=True)
+                value = fed.worker(worker).fetch(expr[1], delete=True)
             return self._with_leaf(("local", value))
         if self.leaf[0] == "shared":
             return self._with_leaf(("local", spdz.reconstruct(self.leaf[1], fed, delete=True)))

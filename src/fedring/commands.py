@@ -47,7 +47,7 @@ REGISTRY: dict = {}
 def register(name):
     def deco(fn):
         # the constant second field keeps the 2-tuples perfbench/spans.py
-        # unpacks (ROADMAP item 4)
+        # unpacks (ROADMAP item 3(c))
         REGISTRY[name] = (fn, False)
         return fn
 
@@ -160,7 +160,10 @@ def _run_prog(args, prog) -> list:
         while pos < len(prog):
             op = prog[pos]
             if op == _REF:
-                stack.append(_want_tensor(args[prog[pos + 1]], prog[pos + 1]))
+                i = prog[pos + 1]
+                if not 0 <= i < len(args):
+                    raise MalformedPayload(f"eval_expr ref {i} names no leaf")
+                stack.append(_want_tensor(args[i], i))
                 pos += 2
             elif op in (_ADD, _SUB):
                 b, a = stack.pop(), stack.pop()
@@ -174,7 +177,10 @@ def _run_prog(args, prog) -> list:
                 stack.append(kernel(stack.pop(), prog[pos + 1]))
                 pos += 2
             elif op == _TRUNC:
-                stack.append(truncate_share(stack.pop(), prog[pos + 1], prog[pos + 2]))
+                p = prog[pos + 1]
+                if not 0 <= p < 62:  # a shift by the ring's 62 bits or more keeps nothing
+                    raise MalformedPayload(f"eval_expr trunc shift {p} is outside [0, 62)")
+                stack.append(truncate_share(stack.pop(), p, prog[pos + 2]))
                 pos += 3
             elif op in (_MUL, _MATMUL):
                 b, a = stack.pop(), stack.pop()

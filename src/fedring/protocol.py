@@ -164,9 +164,9 @@ def tensor_nbytes(t: Tensor) -> int:
     return 2 + 4 * t.ndim + 8 * t.size
 
 
-def _tensor_header(buf: bytes, offset: int) -> tuple[Dtype, tuple, int, int]:
-    """Validate the tensor header at offset and that its elements follow;
-    returns (dtype, dims, offset of the elements, next offset)."""
+def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
+    """Decode a tensor starting at offset, once its header is valid and its
+    elements follow; returns (tensor, next offset)."""
     try:
         dtype_b, ndim = struct.unpack_from("<BB", buf, offset)
     except struct.error as e:
@@ -183,20 +183,16 @@ def _tensor_header(buf: bytes, offset: int) -> tuple[Dtype, tuple, int, int]:
         count *= d
     if len(buf) < pos + 8 * count:
         raise errors.MalformedPayload("truncated data")
-    return _BYTE_TO_DTYPE[dtype_b], dims, pos, pos + 8 * count
-
-
-def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
-    """Decode a tensor starting at offset; returns (tensor, next offset)."""
-    dtype, dims, pos, end = _tensor_header(buf, offset)
+    dtype = _BYTE_TO_DTYPE[dtype_b]
     wire = "<f8" if dtype is Dtype.FLOAT64 else "<u8"
-    data = np.frombuffer(buf, dtype=wire, count=(end - pos) // 8, offset=pos).reshape(dims)
-    return Tensor._own(data.copy(), dtype), end
+    data = np.frombuffer(buf, dtype=wire, count=count, offset=pos).reshape(dims)
+    return Tensor._own(data.copy(), dtype), pos + 8 * count
 
 
 # ---------------------------------------------------------------------------
-# object codec: the reply to an EXECUTE with destination 0 is one tensor.
-# The chain names stay because perfbench/spans.py wraps them (ROADMAP item 4).
+# object codec: a socket worker's reply to an EXECUTE with destination 0 is
+# one tensor; only the socket transport encodes or decodes it. The chain
+# names stay because perfbench/spans.py wraps them (ROADMAP item 3(c)).
 
 def serialize_chain(t: Tensor) -> bytes:
     """An object payload: the tensor's encoding."""
@@ -205,18 +201,12 @@ def serialize_chain(t: Tensor) -> bytes:
 
 def deserialize_chain(buf: bytes) -> Tensor:
     """Decode an object payload strictly: any malformed input, trailing
-    bytes included, raises MalformedPayload. The leader decodes by-value
-    replies with it."""
+    bytes included, raises MalformedPayload. A socket client decodes
+    by-value replies with it."""
     t, end = deserialize_tensor(buf)
     if end != len(buf):
         raise errors.MalformedPayload("trailing bytes after object")
     return t
-
-
-def object_shape(buf: bytes) -> tuple:
-    """An object payload's shape, read from its tensor header without
-    decoding or copying the elements."""
-    return _tensor_header(buf, 0)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +276,10 @@ def serialize_command(cmd: Command) -> bytes:
     return b"".join(out)
 
 
-def deserialize_command(buf: bytes) -> Command:
+def deserialize_command(buf: bytes, offset: int = 0) -> Command:
+    """Decode the command that fills buf from offset to its end."""
     try:
-        pos = 0
+        pos = offset
         n = buf[pos]
         pos += 1
         name = buf[pos : pos + n].decode("utf-8")

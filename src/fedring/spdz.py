@@ -117,7 +117,7 @@ def share_remote(owner: str, expr, parties, fed: Federation) -> ShareVector:
     ids = [fed.allocate_id() for _ in parties]
     cmd = Command("make_shares", args,
                   {**prog.kwargs, "parties": ",".join(parties), "ids": ids})
-    shape = tuple(int(v) for v in fed.execute_tensor(owner, cmd).data)
+    shape = tuple(int(v) for v in fed.worker(owner).execute(cmd).data)
     return ShareVector(parties, tuple(("ref", oid) for oid in ids), shape)
 
 
@@ -139,9 +139,9 @@ def reconstruct(sv: ShareVector, fed: Federation, delete: bool = False) -> Tenso
     total = np.zeros(sv.shape, dtype=np.uint64)
     for party, expr in zip(sv.parties, sv.exprs):
         if expr[0] == "ref":
-            t = fed.fetch_tensor(party, expr[1], delete)
+            t = fed.worker(party).fetch(expr[1], delete)
         else:
-            t = fed.execute_tensor(party, compile_expr([expr]))
+            t = fed.worker(party).execute(compile_expr([expr]))
         if t.shape != sv.shape:
             raise ShapeMismatch(f"share shape {t.shape} != {sv.shape}")
         total = (total + t.data) & _MASK
@@ -234,7 +234,7 @@ def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, cou
     triple_shapes(kind, shape)  # rejects a bad kind or shape before sending
     n = len(parties)
     ids = [fed.allocate_id() for _ in range(count * n)]
-    fed.execute_tensor(dealer, Command(
+    fed.worker(dealer).execute(Command(
         "gen_triples",
         (),
         {"kind": kind, "shape": list(shape), "parties": ",".join(parties), "count": count,
@@ -256,7 +256,7 @@ def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
         cmd = Command("beaver_open", prog.args + (("take", triple.refs[i]),),
                       {**prog.kwargs, "kind": triple.kind, "shape": list(triple.shape),
                        "keep": keep[i]})
-        t = fed.execute_tensor(party, cmd)
+        t = fed.worker(party).execute(cmd)
         if t.shape != total.shape:
             raise ShapeMismatch(f"masked shares {t.shape} != {total.shape}")
         total = (total + t.data) & _MASK

@@ -130,7 +130,7 @@ def train_federated(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
                 x_oid, y_oid, _ = placed[name]
                 idx = orders[name][b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 params = ("tensor", Tensor(model.params, Dtype.FLOAT64))
-                out = fed.execute_tensor(name, Command(
+                out = fed.worker(name).execute(Command(
                     "fb_batch",
                     (params, Command.obj(x_oid), Command.obj(y_oid)),
                     {"dims": dims, "task": model.task, "indices": [int(i) for i in idx]},
@@ -186,7 +186,7 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
         name = names[int(pick_rng.integers(len(names)))]
         x_oid, y_oid, _ = placed[name]
         params = ("tensor", Tensor(model.params, Dtype.FLOAT64))
-        sanitized = fed.execute_tensor(name, Command(
+        sanitized = fed.worker(name).execute(Command(
             "dp_phase",
             (params, Command.obj(x_oid), Command.obj(y_oid)),
             {"dims": dims, "task": model.task, "lot_size": L,

@@ -3,12 +3,12 @@
 A worker owns an object store (ObjectId -> Tensor), a seeded RNG, a
 reusable generator for expanding Beaver triples and a command executor. A
 worker holds tensors, not chains: the chain above each tensor (pointer,
-fixed precision, shares) is the leader's. A tensor is encoded only where it
-crosses a transport: a socket worker decodes (and so validates) an
-execute's inline tensors once on arrival, and an execute that replies with
-its result encodes it on the way out. Commands read and write tensors with
-no codec, and so do the leader's stores and worker-to-worker pushes between
-in-process workers; a socket peer encodes them for the wire.
+fixed precision, shares) is the leader's. Bytes exist only inside the
+socket transport: a socket client encodes an execute's inline tensors and
+decodes a by-value result, and a socket worker decodes (and so validates)
+inline tensors once on arrival and encodes a result on the way out.
+Commands, handles, the tap and pushes between in-process workers pass
+tensors with no codec; a socket peer encodes a push for the wire.
 
 A worker serves two requests: execute and delete. An execute names a
 destination: 0 returns the result tensor and stores nothing, one message
@@ -19,8 +19,8 @@ object by value.
 
 Virtual workers live in a process-local registry; socket workers serve the
 same operations over TCP with the FTNS framing. Both expose one handle
-interface (store / fetch / delete / execute) so the leader code is
-transport-agnostic.
+interface (store / fetch / delete / execute) that takes and returns
+tensors, so the leader code is transport-agnostic.
 
 Object ids: the leader names every object. `Federation.allocate_id` hands
 out session ids below LEADER_ID_SPAN, and commands that push objects to
@@ -89,21 +89,13 @@ class TransportTap:
         self.events: list[TapEvent] = []
         self.openings = 0
 
-    def record(self, op: str, worker: str, oid: int = 0, payload: bytes = b"",
-               tensors=()):
-        """One message; `tensors` are the tensor a store carries or the
-        inline tensor arguments of an execute, counted like the object
-        payload of a fetch or an execute's reply. Sizes and shapes come
-        from tensor shapes and tensor headers: nothing is encoded or
-        decoded."""
-        shapes = tuple(t.shape for t in tensors)
-        nbytes = len(payload) + sum(protocol.tensor_nbytes(t) for t in tensors)
-        if payload:
-            try:
-                shapes += (protocol.object_shape(payload),)
-            except MalformedPayload:
-                pass  # the worker refuses it; the message is still counted
-        self.events.append(TapEvent(op, worker, oid, nbytes, shapes))
+    def record(self, op: str, worker: str, oid: int = 0, tensors=()):
+        """One message and every tensor it carries: a store's tensor, an
+        execute's inline tensor arguments and then its by-value result, a
+        fetch's result. Each counts as the length of its encoding, from its
+        shape: nothing is encoded or decoded."""
+        nbytes = sum(protocol.tensor_nbytes(t) for t in tensors)
+        self.events.append(TapEvent(op, worker, oid, nbytes, tuple(t.shape for t in tensors)))
 
     def note_opening(self, count: int = 1):
         self.openings += count
@@ -134,34 +126,34 @@ class _TappedHandle:
         self.tap = tap
         self._delete, self._execute = ops
 
-    def _record(self, op: str, *args, **kwargs):
+    def _record(self, op: str, oid: int, tensors=()):
         if self.tap is not None:
-            self.tap.record(op, self.name, *args, **kwargs)
+            self.tap.record(op, self.name, oid, tensors)
 
     def store(self, oid: int, t: Tensor):
         """Store t on the worker under oid."""
-        self._record("store", oid, tensors=(t,))
+        self._record("store", oid, (t,))
         self._execute(identity(("tensor", t)), oid)
 
-    def fetch(self, oid: int, delete: bool = False) -> bytes:
-        """The object's encoding; with delete, the worker drops it."""
-        payload = self._execute(identity(("take" if delete else "obj", oid)))
-        self._record("fetch", oid, payload)
-        return payload
+    def fetch(self, oid: int, delete: bool = False) -> Tensor:
+        """The object; with delete, the worker drops it."""
+        t = self._execute(identity(("take" if delete else "obj", oid)))
+        self._record("fetch", oid, (t,))
+        return t
 
     def delete(self, *oids: int):
         self._record("delete", oids[0] if oids else 0)
         self._delete(*oids)
 
-    def execute(self, cmd: Command, dest: int = 0) -> bytes:
-        """With dest 0, the result tensor's encoding, recorded with the
-        execute that brought it; otherwise the worker stores the result
-        under dest and the reply is empty."""
-        payload = self._execute(cmd, dest)
+    def execute(self, cmd: Command, dest: int = 0) -> Tensor | None:
+        """With dest 0, the result tensor, recorded with the execute that
+        brought it; otherwise the worker stores the result under dest and
+        this returns None."""
+        result = self._execute(cmd, dest)
         if self.tap is not None:
-            self.tap.record("execute", self.name, dest, payload,
-                            [val for tag, val in cmd.args if tag == "tensor"])
-        return payload
+            carried = [val for tag, val in cmd.args if tag == "tensor"]
+            self._record("execute", dest, carried if result is None else carried + [result])
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +213,12 @@ class WorkerCore:
         return self.peers[name]
 
     # -- execution --------------------------------------------------------
-    def execute(self, cmd: Command, dest: int = 0) -> bytes:
-        """Run a command. With dest 0, return the result tensor encoded for a
-        transport and store nothing; otherwise store the result under the
-        leader's id dest and return b"". A dest already stored is refused
-        before the command runs. Take arguments are deleted only once the
-        command has succeeded."""
+    def execute(self, cmd: Command, dest: int = 0) -> Tensor | None:
+        """Run a command. With dest 0, return the result tensor and store
+        nothing; otherwise store the result under the leader's id dest and
+        return None. A dest already stored is refused before the command
+        runs. Take arguments are deleted only once the command has
+        succeeded."""
         fn = lookup(cmd.name)
         if dest and dest in self._objects:
             raise DuplicateObject(f"object {dest} already stored on {self.name}")
@@ -234,13 +226,11 @@ class WorkerCore:
         result = fn(self, args, cmd.kwargs)
         if dest:
             self.push(dest, result)
-            out = b""
-        else:
-            out = protocol.serialize_chain(result)
+            result = None
         taken = [val for tag, val in cmd.args if tag == "take"]
         if taken:
             self.delete_object(*taken)
-        return out
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +327,11 @@ class SocketClient:
     def delete(self, *oids: int):
         self.request(protocol.MSG_DELETE, struct.pack(f"<{len(oids)}Q", *oids))
 
-    def execute(self, cmd: Command, dest: int = 0) -> bytes:
+    def execute(self, cmd: Command, dest: int = 0) -> Tensor | None:
+        """As `WorkerCore.execute`: a by-value reply is decoded strictly."""
         payload = struct.pack("<Q", dest) + protocol.serialize_command(cmd)
-        return self.request(protocol.MSG_EXECUTE, payload).payload
+        reply = self.request(protocol.MSG_EXECUTE, payload)
+        return None if dest else protocol.deserialize_chain(reply.payload)
 
     def close(self):
         try:
@@ -432,8 +424,9 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             if len(msg.payload) < 8:
                 raise MalformedPayload("short execute payload")
             (dest,) = struct.unpack_from("<Q", msg.payload)
-            cmd = protocol.deserialize_command(msg.payload[8:])
-            return Message(protocol.MSG_RESULT, msg.request_id, core.execute(cmd, dest))
+            result = core.execute(protocol.deserialize_command(msg.payload, 8), dest)
+            payload = b"" if result is None else protocol.serialize_chain(result)
+            return Message(protocol.MSG_RESULT, msg.request_id, payload)
         raise MalformedPayload(f"unserviceable msg_type {msg.msg_type}")
 
 
@@ -466,15 +459,6 @@ class Federation:
         if name not in self.handles:
             raise WorkerUnknown(name)
         return self.handles[name]
-
-    def fetch_tensor(self, name: str, oid: int, delete: bool = False) -> Tensor:
-        """Fetch an object and decode it."""
-        return protocol.deserialize_chain(self.worker(name).fetch(oid, delete))
-
-    def execute_tensor(self, name: str, cmd: Command) -> Tensor:
-        """Run a command, one message, and decode its result; the worker
-        keeps nothing of the result."""
-        return protocol.deserialize_chain(self.worker(name).execute(cmd))
 
     def allocate_id(self) -> int:
         oid = next(self._counter)

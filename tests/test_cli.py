@@ -12,7 +12,7 @@ import pytest
 from fedring.cli import main
 from fedring.errors import TransportError
 
-from test_workers import fetch, local, local_payload, store
+from test_workers import bits, fetch, local, store
 from fedring.workers import SocketClient, WorkerCore, make_server
 
 
@@ -199,7 +199,7 @@ class TestWorkerProcess:
                     time.sleep(0.05)
             assert client is not None, "worker never came up"
             store(client, 1, local([1.0, 2.0]))
-            assert fetch(client, 1) == local_payload([1.0, 2.0])
+            assert bits(fetch(client, 1)) == bits(local([1.0, 2.0]))
             client.close()
         finally:
             proc.send_signal(signal.SIGINT)
@@ -221,7 +221,7 @@ class TestWorkerProcess:
             assert port > 0
             client = SocketClient("127.0.0.1", port)
             store(client, 1, local([3.0]))
-            assert fetch(client, 1) == local_payload([3.0])
+            assert bits(fetch(client, 1)) == bits(local([3.0]))
             client.close()
         finally:
             proc.send_signal(signal.SIGINT)

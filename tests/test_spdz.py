@@ -17,7 +17,7 @@ from fedring.errors import (
     WorkerUnknown,
 )
 from fedring.fixedpoint import FRAC_BITS, Q, decode, encode, to_signed, truncate_share
-from fedring.protocol import Command, serialize_chain
+from fedring.protocol import Command
 from fedring.spdz import (
     BeaverTriple,
     TriplePool,
@@ -36,6 +36,8 @@ from fedring.spdz import (
 )
 from fedring.tensor import Dtype, Tensor
 from fedring.workers import TransportTap, virtual_federation
+
+from test_workers import bits
 
 PARTIES = ("alice", "bob")
 
@@ -85,8 +87,8 @@ class TestShareReconstruct:
         sv = share(x, PARTIES, fed, rng)
         oracle = np.random.default_rng(2)
         s0 = oracle.integers(0, Q, size=2, dtype=np.uint64)
-        got0 = fed.fetch_tensor("alice", sv.exprs[0][1]).data
-        got1 = fed.fetch_tensor("bob", sv.exprs[1][1]).data
+        got0 = fed.worker("alice").fetch(sv.exprs[0][1]).data
+        got1 = fed.worker("bob").fetch(sv.exprs[1][1]).data
         assert np.array_equal(got0, s0)
         assert np.array_equal((got0 + got1) & np.uint64(Q - 1), x.data)
 
@@ -111,7 +113,7 @@ class TestShareReconstruct:
             share_remote("bob", ("ref", 1), ("alice", "zed"), fed)
         assert fed.worker("alice").core.object_count() == 0
         assert fed.worker("bob").core.object_count() == 1
-        assert fed.worker("bob").fetch(1) == serialize_chain(secret)
+        assert bits(fed.worker("bob").fetch(1)) == bits(secret)
 
     def test_share_wrap(self, fed):
         rng = np.random.default_rng(4)
@@ -281,7 +283,7 @@ def expand_stored(fed, t):
     a, b, c = (np.zeros(k, dtype=np.uint64) for k in (na, nb, nc))
     prg = TriplePRG()
     for i, (party, oid) in enumerate(zip(t.parties, t.refs)):
-        obj = fed.fetch_tensor(party, oid).data
+        obj = fed.worker(party).fetch(oid).data
         last = i == len(t.parties) - 1
         assert obj.shape == (SEED_WORDS + (nc if last else 0),)
         abc = prg.expand(obj[:SEED_WORDS], na + nb + (0 if last else nc))
@@ -319,7 +321,7 @@ class TestDealer:
         for seed in (42, 42, 43):
             fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=seed)
             t = dealer_generate(fed, "dealer", "elementwise", (3,), PARTIES, 1)[0]
-            stored.append([fed.fetch_tensor(p, oid).data.tolist()
+            stored.append([fed.worker(p).fetch(oid).data.tolist()
                            for p, oid in zip(t.parties, t.refs)])
             expanded.append([v.tolist() for v in expand_stored(fed, t)])
         assert stored[0] == stored[1] and expanded[0] == expanded[1]
@@ -332,11 +334,11 @@ class TestDealer:
         ids = list(range(500, 512))
         cmd = Command("gen_triples", (), {"kind": "elementwise", "shape": [3],
                                           "parties": "alice,bob", "count": 6, "ids": ids})
-        assert fed.execute_tensor("dealer", cmd).shape == (0,)
+        assert fed.worker("dealer").execute(cmd).shape == (0,)
         seeds = set()
         for t in range(6):
             for i, party in enumerate(PARTIES):
-                obj = fed.fetch_tensor(party, ids[2 * t + i])
+                obj = fed.worker(party).fetch(ids[2 * t + i])
                 seeds.add(tuple(obj.data[:SEED_WORDS].tolist()))
         assert len(seeds) == 12
 
@@ -351,7 +353,7 @@ class TestDealer:
                          ({"count": 0, "ids": []}, ConfigError),
                          ({"shape": [2, 2], "kind": "matmul"}, ConfigError)):
             with pytest.raises(exc):
-                fed.execute_tensor("dealer", Command("gen_triples", (), {**base, **bad}))
+                fed.worker("dealer").execute(Command("gen_triples", (), {**base, **bad}))
             assert [w.object_count() for w in registry.workers.values()] == [0, 0, 0]
 
     def test_bad_count(self, fed):
@@ -493,7 +495,8 @@ class TestLazyExpressions:
         assert cmd.kwargs["prog"] == [0, 0, 0, 1, 2, 0, 0, 0, 1, 6, 16, 1, 2]
 
     @pytest.mark.parametrize("prog", [[], [9], [1], [0, 5], [0, 0, 6, 16], [14],
-                                      [13, 0], [12, 0]])
+                                      [13, 0], [12, 0], [0, 0, 6, 64, 0], [0, 0, 6, 70, 1],
+                                      [0, 0, 6, -1, 0], [0, -1]])
     def test_malformed_program(self, prog):
         from fedring.errors import MalformedPayload
         from fedring.protocol import Command
@@ -547,7 +550,7 @@ class TestShareDistribution:
         rng = np.random.default_rng(20)
         secret = r64(np.full(10_000, 12345, dtype=np.uint64))
         sv = materialize(share(secret, PARTIES, fed, rng), fed)
-        s0 = fed.fetch_tensor("alice", sv.exprs[0][1]).data
+        s0 = fed.worker("alice").fetch(sv.exprs[0][1]).data
         bins = (s0 >> np.uint64(58)).astype(np.int64)  # top 4 bits -> 16 bins
         counts = np.bincount(bins, minlength=16)
         expected = 10_000 / 16

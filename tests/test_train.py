@@ -188,14 +188,16 @@ class TestFederatedDP:
         spec = PrivacySpec(q=0.1, sigma=0.0, clip_norm=0.01, delta=1e-5, steps=40)
         cfg = TrainConfig(seed=3, privacy=spec)
         sums = []
-        orig = fed.execute_tensor
 
-        def spy(name, cmd):
-            out = orig(name, cmd)
-            sums.append(out.data)
-            return out
+        def spy(execute):
+            def counted(cmd, dest=0):
+                out = execute(cmd, dest)
+                sums.append(out.data)
+                return out
+            return counted
 
-        fed.execute_tensor = spy
+        for h in fed.handles.values():
+            h.execute = spy(h.execute)
         _, _, eps = train_federated_dp(fed, ds, cfg)
         assert eps == float("inf")
         assert len(sums) == spec.steps
@@ -221,7 +223,7 @@ class TestFederatedDP:
              "sigma": 0.0}))
         _, G = nn.forward_backward(params, dims, ds.task, X, y, per_example=True)
         assert np.linalg.norm(G[0]) > 10 * C
-        assert np.array_equal(protocol.deserialize_chain(reply).data, nn.clip_rows(G, C)[0])
+        assert np.array_equal(reply.data, nn.clip_rows(G, C)[0])
 
     def test_sigma_zero_matches_local_lot_sgd(self):
         """sigma=0 with a huge clip norm is exactly lot SGD under the DP
@@ -361,9 +363,10 @@ class TestMPCForward:
         assert calls == {"alice": 4, "bob": 4}
 
     def test_tap_reads_headers_only(self, monkeypatch):
-        """Over one Boston pass the tap records what encoding each inline
-        tensor and decoding each object would give (30 events, 656,920 B,
-        the same shapes), and record makes no codec call."""
+        """Over one Boston pass the tap records the shape and the encoded
+        length of every tensor a message carries, by-value results
+        included (30 events, 656,920 B), and record makes no codec
+        call."""
         ds = boston(["solo"])
         model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
         tap = TransportTap()
@@ -382,17 +385,14 @@ class TestMPCForward:
         record = TransportTap.record
         reference = []
 
-        def spied(self, op, worker, oid=0, payload=b"", tensors=()):
+        def spied(self, op, worker, oid=0, tensors=()):
             inside[0] = True
             try:
-                record(self, op, worker, oid, payload, tensors)
+                record(self, op, worker, oid, tensors)
             finally:
                 inside[0] = False
-            shapes = tuple(t.shape for t in tensors)
-            nbytes = len(payload) + sum(len(protocol.serialize_tensor(t)) for t in tensors)
-            if payload:
-                shapes += (protocol.deserialize_chain(payload).shape,)
-            reference.append(TapEvent(op, worker, oid, nbytes, shapes))
+            nbytes = sum(len(protocol.serialize_tensor(t)) for t in tensors)
+            reference.append(TapEvent(op, worker, oid, nbytes, tuple(t.shape for t in tensors)))
 
         monkeypatch.setattr(TransportTap, "record", spied)
         start = len(tap.events)
@@ -403,40 +403,62 @@ class TestMPCForward:
         assert sum(e.nbytes for e in events) == 656_920
         assert sum(codec_calls.values()) == 0
 
-    def test_codec_only_at_transport_boundary(self, monkeypatch):
-        """Workers keep decoded tensors: over one Boston pass on virtual
-        workers, each by-value execute encodes once and decodes once, and
-        no store, other execute, fetch or worker-to-worker push touches the
-        codec."""
+    CODEC = ("serialize_tensor", "deserialize_tensor", "serialize_chain", "deserialize_chain",
+             "serialize_command", "deserialize_command", "encode_frame", "decode_frame")
+
+    def _one_pass_calls(self, monkeypatch, fed):
+        """One Boston pass over fed, with triples provisioned first. Returns
+        the handle calls (by-value executes as "execute_value") and the
+        codec calls made on the leader's thread."""
         ds = boston(["solo"])
         model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
-        fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=9)
         parties = ("alice", "bob")
         pool = provision_triples(fed, "dealer", parties, model.dims, len(ds.test_X),
                                  model.task)
-        calls = collections.Counter()
+        calls, codec = collections.Counter(), collections.Counter()
+        leader = threading.current_thread()
 
-        def spy(key, fn):
+        def spy(key, fn, tally):
             def counted(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                # an execute replies with its result only by value
-                calls[key + "_value" * (key == "execute" and bool(out))] += 1
+                if threading.current_thread() is leader:
+                    tally[key + "_value" * (key == "execute" and out is not None)] += 1
                 return out
             return counted
 
-        encode = spy("encode", protocol.serialize_chain)
-        for module in (protocol, train, commands):
-            monkeypatch.setattr(module, "serialize_chain", encode)
-        monkeypatch.setattr(protocol, "deserialize_chain",
-                            spy("decode", protocol.deserialize_chain))
+        for name in self.CODEC:
+            monkeypatch.setattr(protocol, name, spy(name, getattr(protocol, name), codec))
+        for module in (train, commands):
+            monkeypatch.setattr(module, "serialize_chain", protocol.serialize_chain)
         for h in fed.handles.values():
             for op in ("store", "fetch", "execute"):
-                monkeypatch.setattr(h, op, spy(op, getattr(h, op)))
+                monkeypatch.setattr(h, op, spy(op, getattr(h, op), calls))
         mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
+        return calls, codec
+
+    def test_codec_only_at_transport_boundary(self, monkeypatch):
+        """Workers and handles pass tensors: over one Boston pass on
+        virtual workers, nothing is encoded or decoded, by no store,
+        execute, fetch or worker-to-worker push."""
+        fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=9)
+        calls, codec = self._one_pass_calls(monkeypatch, fed)
         assert calls["store"] == calls["execute_value"] == 10
         assert calls["fetch"] == 0
         assert calls["execute"] > 0
-        assert calls["encode"] == calls["decode"] == 10
+        assert codec == {}
+
+    def test_socket_decodes_each_result_once(self, monkeypatch):
+        """Over one Boston pass on socket workers, the leader decodes
+        exactly one object per by-value execute and no other payload."""
+        with socket_workers(("alice", "bob", "dealer"), 9) as (endpoints, _):
+            fed = socket_federation(endpoints)
+            try:
+                calls, codec = self._one_pass_calls(monkeypatch, fed)
+            finally:
+                fed.close()
+        assert calls["store"] == calls["execute_value"] == 10
+        decodes = {name: n for name, n in codec.items() if name.startswith("de")}
+        assert decodes == {"deserialize_chain": 10, "deserialize_tensor": 10}
 
     def test_three_parties_rejected(self):
         ds = boston(["solo"])
