@@ -5,6 +5,11 @@ runtime with virtual and socket workers, differentially private SGD with a
 moments accountant, and small-MLP training loops.
 """
 
+# numpy 2 loads numpy.random on first use. Every run draws from it (the
+# data split, worker_rng), so the package loads it at import rather than
+# inside the first call that draws.
+import numpy.random  # noqa: F401
+
 from .tensor import Dtype, RING_MODULUS, Tensor
 from .dp import (
     MomentLedger,

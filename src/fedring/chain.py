@@ -27,7 +27,9 @@ later evaluation fail with ObjectNotFound.
 pointer, so a sent fixed-precision tensor stays fixed precision on the
 leader's side and get() restores it. Workers do not truncate, so
 fixed-precision mul, matmul and float scale on a pointer are rejected with
-KindMismatch before anything is sent; get() or share() it first.
+KindMismatch before anything is sent; get() or share() it first. On local
+chains the same products raise OverflowRangeError when their raw encoding
+would wrap the ring (|x*y| >= fixedpoint.MAX_PRODUCT).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import fixedpoint, spdz
 from .commands import OPS, compile_expr, run_expr
-from .errors import ConfigError, KindMismatch, UnknownCommand
+from .errors import ConfigError, KindMismatch, OverflowRangeError, UnknownCommand
 from .tensor import Dtype, Tensor
 from .workers import Federation
 
@@ -212,13 +214,29 @@ def _dispatch_fixed(name, head, others, kwargs):
             raise KindMismatch(f"fixed-precision {name} on a pointer needs a truncation "
                                "the worker does not run; get() or share() it first")
         if name == "scale":  # public float: encode the constant, multiply, truncate
-            raw = dispatch("scale", *inner, c=fixedpoint.encode_scalar(c))
+            c = fixedpoint.encode_scalar(c)
+            raw = dispatch("scale", *inner, c=c)
         else:
             raw = dispatch(name, *inner, **kwargs)
+        if raw.kind == "local":
+            _check_local_product(name, inner, c)
         out = _truncate_chain(raw)
     else:
         raise UnknownCommand(f"{name} under fixed_precision")
     return TensorChain([("fixed_precision",)] + out.nodes, head.fed)
+
+
+def _check_local_product(name, inner, c):
+    """Refuse a local product whose raw encoding wraps the ring. From the
+    decoded operands, |x|*|y| bounds it elementwise, |x|*|c| for a float
+    scale and |A| @ |B| per matmul output element."""
+    operands = [t.tensor() for t in inner]
+    if name == "scale":
+        operands.append(Tensor(np.array(c, dtype=np.uint64), Dtype.RING64))
+    a, b = (np.abs(fixedpoint.decode(t).data) for t in operands)
+    if not np.all((a @ b if name == "matmul" else a * b) < fixedpoint.MAX_PRODUCT):
+        raise OverflowRangeError(f"fixed-precision {name}: product magnitude >= "
+                                 f"2**{61 - 2 * fixedpoint.FRAC_BITS} wraps the ring")
 
 
 def _truncate_chain(raw: TensorChain) -> TensorChain:

@@ -177,10 +177,12 @@ def _run_prog(args, prog) -> list:
                 stack.append(kernel(stack.pop(), prog[pos + 1]))
                 pos += 2
             elif op == _TRUNC:
-                p = prog[pos + 1]
+                p, role = prog[pos + 1], prog[pos + 2]
                 if not 0 <= p < 62:  # a shift by the ring's 62 bits or more keeps nothing
                     raise MalformedPayload(f"eval_expr trunc shift {p} is outside [0, 62)")
-                stack.append(truncate_share(stack.pop(), p, prog[pos + 2]))
+                if role not in (0, 1):  # local share truncation is sound for two parties
+                    raise MalformedPayload(f"eval_expr trunc role {role} is not 0 or 1")
+                stack.append(truncate_share(stack.pop(), p, role))
                 pos += 3
             elif op in (_MUL, _MATMUL):
                 b, a = stack.pop(), stack.pop()
@@ -201,8 +203,10 @@ def _run_prog(args, prog) -> list:
                 pos += 2
             else:
                 raise MalformedPayload(f"unknown eval_expr opcode {op}")
-    except (IndexError, KeyError):
-        raise MalformedPayload(f"eval_expr program is malformed at {pos}") from None
+    except (IndexError, KeyError, TypeError, ValueError, OverflowError, struct.error) as e:
+        # a short or ill-typed program: a stack underflow, a missing word or
+        # slot, a non-integer word, a float constant that is no int64 pattern
+        raise MalformedPayload(f"eval_expr program is malformed at {pos}: {e}") from None
     return stack
 
 

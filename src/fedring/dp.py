@@ -5,16 +5,19 @@ The ledger uses the exact integer-order log-moment of the mechanism with
 mixture density mu = (1-q) N(0, s^2) + q N(1, s^2): a finite binomial sum
 (Mironov, Talwar & Zhang 2019; Abadi et al. 2016, section 3.2), evaluated
 for all orders at once in log space (`log_moments`; `log_moment` reads one
-order). Epsilon follows from the standard tail bound
+order). Its log-binomials log C(n, k) are differences of log-factorials
+read from a table of math.lgamma(i + 1), i = 0..max n, and its terms are
+summed by a max-shifted log-sum-exp in numpy, so the accountant needs no
+scipy. Epsilon follows from the standard tail bound
 eps = min_lambda (alpha_total(lambda) + ln(1/delta)) / lambda.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, EmptyLedger, EmptyLot, Unachievable
 from .nn import clip_rows
@@ -84,17 +87,20 @@ def log_moments(q: float, sigma: float, orders) -> np.ndarray:
         raise ConfigError(f"invalid (q={q}, sigma={sigma})")
     if q == 1.0:
         return lams * (lams + 1.0) / (2.0 * sigma * sigma)
-    n = lams[:, None] + 1.0
-    k = np.arange(2.0, n.max() + 1.0)[None, :]
-    n_k = np.maximum(n - k, 0.0)  # k > n is masked out below
+    n = lams.astype(np.int64)[:, None] + 1
+    k = np.arange(2, n.max() + 1)[None, :]
+    n_k = np.maximum(n - k, 0)  # k > n is masked out below
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n.max() + 1)])
     x = (k * k - k) / (2.0 * sigma * sigma)
     log_terms = (
-        gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n_k + 1.0)
+        log_fact[n] - log_fact[k] - log_fact[n_k]
         + n_k * np.log1p(-q) + k * np.log(q)
         + x + np.log(-np.expm1(-x))  # log expm1(x), exact for small and large x
     )
     log_terms = np.where(k <= n, log_terms, -np.inf)
-    return np.logaddexp(0.0, logsumexp(log_terms, axis=1))
+    top = log_terms.max(axis=1)
+    top[top == -np.inf] = 0.0  # sigma past ~1e154: x underflows and every term is -inf
+    return np.logaddexp(0.0, top + np.log(np.exp(log_terms - top[:, None]).sum(axis=1)))
 
 
 @dataclass

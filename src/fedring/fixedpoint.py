@@ -8,12 +8,13 @@ arithmetic relies on.
 Ranges. encode accepts |x| < MAX_MAGNITUDE = 2**45, so every encoding lies
 in the signed range (-Q/2, Q/2). A product of two encodings carries
 2 * FRAC_BITS fractional bits, so a plaintext product
-truncate(encode(x) * encode(y)) is right only while |x*y| < 2**29; above
-that the raw product wraps (1e5 * 1e5 reads 3.36e8). A shared product is
-tighter: local truncation of a secret with l = 32 + log2|x*y| raw bits
-misses by more than one ulp with probability ~2**(l+1-62). Over 200,000
-random two-party secrets that was 0 at l = 41, 1.35e-4 at l = 50, 1.2% at
-l = 56 and 19% at l = 60.
+truncate(encode(x) * encode(y)) is right only while |x*y| < MAX_PRODUCT =
+2**29; above that the raw product wraps (1e5 * 1e5 would read 3.36e8), so
+chain dispatch refuses such a local fixed-precision product. A shared
+product is tighter: local truncation of a secret with l = 32 + log2|x*y|
+raw bits misses by more than one ulp with probability ~2**(l+1-62). Over
+200,000 random two-party secrets that was 0 at l = 41, 1.35e-4 at l = 50,
+1.2% at l = 56 and 19% at l = 60.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ Q = RING_MODULUS
 FRAC_BITS = 16
 SCALE = 1 << FRAC_BITS
 MAX_MAGNITUDE = float(1 << (61 - FRAC_BITS))
+MAX_PRODUCT = float(1 << (61 - 2 * FRAC_BITS))
 _RANGE = f"magnitude >= 2**{61 - FRAC_BITS} not representable"
 
 

@@ -3,10 +3,11 @@ import threading
 import numpy as np
 import pytest
 
-from fedring import spdz
+from fedring import fixedpoint, spdz
+from fedring import tensor as tc
 from fedring.chain import TensorChain, dispatch, validate_chain
 from fedring.commands import compile_expr
-from fedring.errors import KindMismatch, ObjectNotFound, UnknownCommand
+from fedring.errors import KindMismatch, ObjectNotFound, OverflowRangeError, UnknownCommand
 from fedring.spdz import ShareVector
 from fedring.tensor import Dtype, Tensor
 from fedring.workers import (
@@ -272,6 +273,33 @@ class TestFixedPrecision:
         out = dispatch("mul", a, b)
         assert out.kind == "fixed_precision"
         assert abs(out.float_precision().tensor().data[0] - 3.0) <= 2.0**-15
+
+    def test_product_out_of_range_raises(self):
+        """A local product whose raw encoding wraps the ring raises instead
+        of reading wrong (1e5 * 1e5 read 3.363e8). matmul bounds each output
+        element by |A| @ |B|: every product here is 2**28, their sum 2**29."""
+        big = TensorChain.local([1e5]).fix_precision()
+        with pytest.raises(OverflowRangeError):
+            dispatch("mul", big, big)
+        with pytest.raises(OverflowRangeError):
+            dispatch("scale", big, c=-1e5)
+        a = TensorChain.local(np.full((2, 2), 2.0**14)).fix_precision()
+        with pytest.raises(OverflowRangeError):
+            dispatch("matmul", a, a)
+        with pytest.raises(OverflowRangeError):
+            dispatch("matmul", a, TensorChain.local([[2.0**14], [-2.0**14]]).fix_precision())
+
+    def test_product_in_range_unchanged(self):
+        """Just below 2**29 the product is the plain truncated ring product."""
+        x = np.array([[2.0**14, -2.0**14], [3.5, 0.0]])
+        y = np.array([[2.0**14 - 1.0, 2.0**14 - 1.0], [1.0, -7.25]])
+        fx, fy = (TensorChain.local(v).fix_precision() for v in (x, y))
+        ex, ey = (fixedpoint.encode(Tensor(v, Dtype.FLOAT64)) for v in (x, y))
+        for name, kernel in (("mul", tc.mul), ("matmul", tc.matmul)):
+            got = dispatch(name, fx, fy).leaf[1]
+            assert np.array_equal(got.data, fixedpoint.truncate(kernel(ex, ey)).data), name
+        got = dispatch("scale", fx, c=2.0**15 - 1.0).float_precision().tensor().data
+        assert np.array_equal(got, x * (2.0**15 - 1.0))
 
     def test_numpy_float_scale_is_a_float(self):
         """A numpy float scales like a Python float, not like int(c)."""

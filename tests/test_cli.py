@@ -248,6 +248,26 @@ class TestWorkerProcess:
         assert code == 1
 
 
+class TestImportFootprint:
+    def test_no_scipy_and_numpy_random_loaded(self):
+        """Every fedring process (leader, `fedring worker`, `fedring dealer`)
+        imports fedring.cli: no module it loads imports scipy, and numpy's
+        lazily loaded random module is loaded at import, not in the first
+        call that draws from it."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; import fedring, fedring.cli; "
+             "print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+        assert "numpy.random" in loaded
+
+
 class TestPerfbenchNames:
     def test_tracer_installs(self):
         """perfbench traces the library by wrapping module, class and

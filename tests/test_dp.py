@@ -123,6 +123,13 @@ class TestLogMoment:
         want = lams * (lams + 1) / (2.0 * sigma * sigma)
         assert np.allclose(log_moments(1.0 - 1e-9, sigma, DEFAULT_ORDERS), want, rtol=1e-6)
 
+    def test_huge_sigma_is_zero(self):
+        """Past sigma ~1e154, (k^2-k)/(2 sigma^2) underflows to 0 and every
+        term of the sum is -inf: the moment is 0, not NaN."""
+        with np.errstate(divide="ignore"):  # log(expm1(0)) = log(0)
+            assert log_moments(0.01, 1e155, (1, 32)).tolist() == [0.0, 0.0]
+            assert epsilon_for(0.01, 1e155, 100, 1e-5) == math.log(1e5) / 32
+
     def test_one_order(self):
         for q, sigma, lam in ((1e-3, 1.0, 32), (0.01, 4.0, 1), (0.3, 0.5, 17), (1.0, 2.0, 6)):
             assert log_moment(q, sigma, lam) == log_moments(q, sigma, (lam,))[0]
@@ -252,6 +259,14 @@ class TestCalibration:
             assert epsilon_for(q, sigma, steps, delta) <= eps
             if sigma > 0.5:
                 assert epsilon_for(q, sigma - 2e-3, steps, delta) > eps
+
+    @pytest.mark.parametrize("q,sigma", [(32 / 615, 12.701774597167969),
+                                         (32 / 405, 19.237228393554688)])
+    def test_acceptance_sigma_pinned(self, q, sigma):
+        """The sigma at eps 0.5 that criteria 2 (Pima) and 3 (Boston) train
+        with, and that the perfbench DP gates check, to the last bit: a
+        change to the accountant's arithmetic must not move the bisection."""
+        assert calibrate_sigma(0.5, 1e-5, q, 500) == sigma
 
     def test_unachievable(self):
         with pytest.raises(Unachievable):

@@ -496,7 +496,8 @@ class TestLazyExpressions:
 
     @pytest.mark.parametrize("prog", [[], [9], [1], [0, 5], [0, 0, 6, 16], [14],
                                       [13, 0], [12, 0], [0, 0, 6, 64, 0], [0, 0, 6, 70, 1],
-                                      [0, 0, 6, -1, 0], [0, -1]])
+                                      [0, 0, 6, -1, 0], [0, -1], [0, 0, 6, 16, 2],
+                                      [0, 0, 10, 2**64], [0, 0.5], [0, 0, 4, "x"]])
     def test_malformed_program(self, prog):
         from fedring.errors import MalformedPayload
         from fedring.protocol import Command
@@ -509,12 +510,13 @@ class TestLazyExpressions:
         assert w.object_count() == 1
 
     def test_fused_truncation_rejects_third_party(self):
+        from fedring.errors import MalformedPayload
         from fedring.protocol import Command
         from fedring.workers import WorkerCore
 
         w = WorkerCore("a", 0)
         w.push(1, r64([1, 2]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(MalformedPayload):
             w.execute(Command("eval_expr", (Command.obj(1),), {"prog": [0, 0, 6, 16, 2]}))
 
 
