@@ -187,10 +187,10 @@ def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> Te
                 "send/share operands explicitly")
     if head.kind == "fixed_precision":
         return _dispatch_fixed(name, head, others, kwargs)
-    if head.kind == "shared":
-        return _dispatch_shared(name, head, others, kwargs)
     chains = (head,) + others
     const = (kwargs["c"],) if consts else ()
+    if head.kind == "shared":
+        return _dispatch_shared(name, chains, const, kwargs)
     if head.kind == "local":
         expr = (name,) + tuple(("ref", i) for i in range(arity)) + const
         return head._with_leaf(("local", run_expr(expr, [c.tensor() for c in chains])))
@@ -252,26 +252,15 @@ def _truncate_chain(raw: TensorChain) -> TensorChain:
     return TensorChain([("shared", sv)], fed)
 
 
-def _dispatch_shared(name, head, others, kwargs):
-    fed = head._require_fed()
-    sv = head.leaf[1]
-    if name in ("add", "sub"):
-        (other,) = others
-        op = spdz.add_shared if name == "add" else spdz.sub_shared
-        out = op(sv, other.leaf[1])
-    elif name == "neg":
-        out = spdz.neg_shared(sv)
-    elif name == "scale":
-        out = spdz.public_op("mul", sv, int(kwargs["c"]))
-    elif name == "offset":
-        out = spdz.public_op("add", sv, int(kwargs["c"]))
-    elif name in ("mul", "matmul"):
-        (other,) = others
+def _dispatch_shared(name, chains, const, kwargs):
+    fed = chains[0]._require_fed()
+    svs = [c.leaf[1] for c in chains]
+    if name in ("mul", "matmul"):
         triple = kwargs.get("triple")
         if triple is None:
             raise ConfigError(f"shared {name} needs a Beaver triple")
         fn = spdz.beaver_mul if name == "mul" else spdz.matmul_shared
-        out = fn(sv, other.leaf[1], triple, fed)
+        out = fn(*svs, triple, fed)
     else:
-        raise UnknownCommand(f"{name} on shared chain")
+        out = spdz.linear(name, *svs, *const)
     return TensorChain([("shared", out)], fed)

@@ -36,7 +36,7 @@ from . import nn
 from . import tensor as tc
 from .dp import sanitize_lot
 from .errors import ConfigError, EmptyLot, MalformedPayload, ShapeMismatch, UnknownCommand
-from .fixedpoint import Q, truncate_share
+from .fixedpoint import truncate_share
 from .protocol import Command
 from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
 from .tensor import Dtype, Tensor
@@ -267,7 +267,6 @@ def _make_shares(ctx, args, kwargs):
 # -- Beaver triples (format in the module docstring) -------------------------
 
 SEED_WORDS = 4
-_RING_MASK = np.uint64(Q - 1)
 
 
 class TriplePRG:
@@ -293,7 +292,7 @@ class TriplePRG:
                 self._bitgen = np.random.PCG64(0)
             self._bitgen.state = state
             out = self._bitgen.random_raw(count)
-        np.bitwise_and(out, _RING_MASK, out=out)
+        np.bitwise_and(out, tc.RING_MASK, out=out)
         return out
 
 

@@ -92,6 +92,10 @@ def log_moments(q: float, sigma: float, orders) -> np.ndarray:
     n_k = np.maximum(n - k, 0)  # k > n is masked out below
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(n.max() + 1)])
     x = (k * k - k) / (2.0 * sigma * sigma)
+    if not x.all():
+        # sigma past ~1.3e154: sigma^2 overflows, every x is 0 and every term
+        # (a multiple of expm1(0) = 0) vanishes, so the log is never taken
+        return np.zeros(len(lams))
     log_terms = (
         log_fact[n] - log_fact[k] - log_fact[n_k]
         + n_k * np.log1p(-q) + k * np.log(q)
@@ -99,7 +103,6 @@ def log_moments(q: float, sigma: float, orders) -> np.ndarray:
     )
     log_terms = np.where(k <= n, log_terms, -np.inf)
     top = log_terms.max(axis=1)
-    top[top == -np.inf] = 0.0  # sigma past ~1e154: x underflows and every term is -inf
     return np.logaddexp(0.0, top + np.log(np.exp(log_terms - top[:, None]).sum(axis=1)))
 
 

@@ -185,7 +185,10 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
         raise errors.MalformedPayload("truncated data")
     dtype = _BYTE_TO_DTYPE[dtype_b]
     wire = "<f8" if dtype is Dtype.FLOAT64 else "<u8"
-    data = np.frombuffer(buf, dtype=wire, count=count, offset=pos).reshape(dims)
+    try:  # a zero dim lets the other dims pass the length check above
+        data = np.frombuffer(buf, dtype=wire, count=count, offset=pos).reshape(dims)
+    except ValueError as e:
+        raise errors.MalformedPayload(f"dims {dims}: {e}") from None
     return Tensor._own(data.copy(), dtype), pos + 8 * count
 
 
@@ -236,6 +239,14 @@ class Command:
     @staticmethod
     def obj(oid: int):
         return ("obj", oid)
+
+
+class _Kwargs(dict):
+    """A decoded command's kwargs: a kwarg the command needs and the payload
+    lacks is a malformed payload, not a KeyError."""
+
+    def __missing__(self, key):
+        raise errors.MalformedPayload(f"command payload has no {key!r} kwarg")
 
 
 def serialize_command(cmd: Command) -> bytes:
@@ -305,7 +316,7 @@ def deserialize_command(buf: bytes, offset: int = 0) -> Command:
                 raise errors.MalformedPayload(f"bad arg tag {tag}")
         (nkw,) = struct.unpack_from("<H", buf, pos)
         pos += 2
-        kwargs = {}
+        kwargs = _Kwargs()
         for _ in range(nkw):
             n = buf[pos]
             pos += 1

@@ -1,14 +1,17 @@
 """SPDZ-style additive secret sharing over Z_Q, orchestrated by the leader.
 
 Shares live on the workers; the leader holds only per-party references. The
-linear layer (add/sub/neg, public scale and offset) and local truncation are
-lazy: each party's share is a small expression tree over object ids, and the
-command that next consumes it (an opening, a reconstruction, `materialize`)
-carries the party's whole tree as one `eval_expr` postfix program. Linear
-operations and truncations therefore cross zero transport messages of their
-own; a truncation is folded into the next command.
+linear layer (`linear`: the add, sub, neg, scale and offset of
+commands.OPS) and local truncation are lazy: each party's share is a small
+expression tree over object ids, and the command that next consumes it (an
+opening, a reconstruction, `materialize`) carries the party's whole tree as
+one `eval_expr` postfix program. Linear operations and truncations
+therefore cross zero transport messages of their own; a truncation is
+folded into the next command.
 
-A Beaver multiplication is one open round plus one combine per party. The
+Every opening is one `_open`: a by-value command per party, whose replies
+the leader sums mod Q. A reconstruction opens the shares themselves; a
+Beaver multiplication is one open round plus one combine per party. The
 dealer's triples are seed-compressed (format in `commands`): each party
 holds one object per triple, its PCG64 seed, and the last party also its
 explicit share of c. In the open round each party runs one by-value
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .commands import compile_expr, triple_shapes
+from .commands import OPS, compile_expr, identity, triple_shapes
 from .errors import (
     ConfigError,
     InsufficientTriples,
@@ -36,16 +39,16 @@ from .errors import (
     ShapeMismatch,
     TripleReused,
     TripleShapeMismatch,
+    UnknownCommand,
 )
 from .fixedpoint import FRAC_BITS, Q
 from .protocol import Command
 from .tensor import Dtype, Tensor, split_shares
 from .workers import Federation
 
-_MASK = np.uint64(Q - 1)
-
-# share expressions are commands.compile_expr trees of ref, add, sub, neg,
-# scale, offset and trunc; scale and offset constants are ring residues (ints)
+# share expressions are commands.compile_expr trees of ref, trunc and the
+# linear ops; scale and offset constants are ring residues (ints)
+_LINEAR = ("add", "sub", "neg", "scale", "offset")
 
 
 @dataclass(frozen=True)
@@ -71,13 +74,6 @@ class ShareVector:
         if not self.is_materialized():
             raise ConfigError("share vector not materialized")
         return [(p, e[1]) for p, e in zip(self.parties, self.exprs)]
-
-
-def _check_parties(xs: ShareVector, ys: ShareVector):
-    if xs.parties != ys.parties:
-        raise PartyMismatch(f"{xs.parties} vs {ys.parties}")
-    if xs.shape != ys.shape:
-        raise ShapeMismatch(f"{xs.shape} vs {ys.shape}")
 
 
 def require_two_parties(parties):
@@ -132,20 +128,25 @@ def materialize(sv: ShareVector, fed: Federation) -> ShareVector:
     return replace(sv, exprs=tuple(exprs))
 
 
+def _open(fed: Federation, parties, cmds, shape) -> Tensor:
+    """Open a value through the leader (star topology): send each party its
+    by-value command and sum the replies mod Q. One message per party."""
+    total = np.zeros(shape, dtype=np.uint64)
+    for party, cmd in zip(parties, cmds):
+        t = fed.worker(party).execute(cmd)
+        if t.shape != total.shape:
+            raise ShapeMismatch(f"{party} replied {t.shape}, not {total.shape}")
+        total += t.data
+    return Tensor._own(total, Dtype.RING64)
+
+
 def reconstruct(sv: ShareVector, fed: Federation, delete: bool = False) -> Tensor:
-    """Sum the shares: a stored share is fetched, and deleted on `delete`;
-    a lazy one is evaluated by value and never stored. One message per
-    party."""
-    total = np.zeros(sv.shape, dtype=np.uint64)
-    for party, expr in zip(sv.parties, sv.exprs):
-        if expr[0] == "ref":
-            t = fed.worker(party).fetch(expr[1], delete)
-        else:
-            t = fed.worker(party).execute(compile_expr([expr]))
-        if t.shape != sv.shape:
-            raise ShapeMismatch(f"share shape {t.shape} != {sv.shape}")
-        total = (total + t.data) & _MASK
-    return Tensor(total, Dtype.RING64)
+    """Open the shares: a stored share is taken on `delete` (the worker
+    drops it) and read otherwise; a lazy one is evaluated and never
+    stored. One by-value execute per party."""
+    cmds = [identity(("take", e[1])) if delete and e[0] == "ref" else compile_expr([e])
+            for e in sv.exprs]
+    return _open(fed, sv.parties, cmds, sv.shape)
 
 
 def free(svs, fed: Federation):
@@ -161,34 +162,27 @@ def free(svs, fed: Federation):
 
 # -- linear layer (no communication) ----------------------------------------
 
-def add_shared(xs: ShareVector, ys: ShareVector) -> ShareVector:
-    _check_parties(xs, ys)
-    exprs = tuple(("add", a, b) for a, b in zip(xs.exprs, ys.exprs))
-    return replace(xs, exprs=exprs)
-
-
-def sub_shared(xs: ShareVector, ys: ShareVector) -> ShareVector:
-    _check_parties(xs, ys)
-    exprs = tuple(("sub", a, b) for a, b in zip(xs.exprs, ys.exprs))
-    return replace(xs, exprs=exprs)
-
-
-def neg_shared(xs: ShareVector) -> ShareVector:
-    return replace(xs, exprs=tuple(("neg", e) for e in xs.exprs))
-
-
-def public_op(op: str, xs: ShareVector, c: int) -> ShareVector:
-    """op='mul': scale every share by the public residue c; op='add': offset
-    exactly one designated party's share (adding to all would reconstruct to
-    x + n*c)."""
-    c = int(c) % Q
-    if op == "mul":
-        exprs = tuple(("scale", e, c) for e in xs.exprs)
-    elif op == "add":
-        exprs = (("offset", xs.exprs[0], c),) + xs.exprs[1:]
-    else:
-        raise ConfigError(f"public_op supports add/mul, not {op!r}")
-    return replace(xs, exprs=exprs)
+def linear(name: str, *operands) -> ShareVector:
+    """The linear op `name` of commands.OPS on shares, as one node per party:
+    its share vectors first, then its public ring constant, if it takes one.
+    offset adds the constant to the first party's share only (added to
+    every share it would reconstruct to x + n*c)."""
+    if name not in _LINEAR:
+        raise UnknownCommand(f"{name} on shares")
+    _, arity, consts = OPS[name]
+    if len(operands) != arity + consts:
+        raise ConfigError(f"{name} takes {arity} share vector(s) and {consts} constant(s)")
+    svs, const = operands[:arity], tuple(int(c) % Q for c in operands[arity:])
+    for ys in svs[1:]:
+        if ys.parties != svs[0].parties:
+            raise PartyMismatch(f"{svs[0].parties} vs {ys.parties}")
+        if ys.shape != svs[0].shape:
+            raise ShapeMismatch(f"{svs[0].shape} vs {ys.shape}")
+    per_party = list(zip(*(sv.exprs for sv in svs)))
+    exprs = [(name,) + es + const for es in per_party]
+    if name == "offset":
+        exprs[1:] = [es[0] for es in per_party[1:]]
+    return replace(svs[0], exprs=tuple(exprs))
 
 
 # -- Beaver triples ----------------------------------------------------------
@@ -244,28 +238,6 @@ def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, cou
             for t in range(count)]
 
 
-def _open_masked(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
-                 fed: Federation, keep):
-    """Open eps = x - a and delta = y - b through the leader (star topology):
-    one by-value beaver_open per party, two openings noted on the tap.
-    Party i keeps its expanded triple under keep[i]."""
-    nx = math.prod(xs.shape)
-    total = np.zeros(nx + math.prod(ys.shape), dtype=np.uint64)
-    for i, party in enumerate(xs.parties):
-        prog = compile_expr([xs.exprs[i], ys.exprs[i]])
-        cmd = Command("beaver_open", prog.args + (("take", triple.refs[i]),),
-                      {**prog.kwargs, "kind": triple.kind, "shape": list(triple.shape),
-                       "keep": keep[i]})
-        t = fed.worker(party).execute(cmd)
-        if t.shape != total.shape:
-            raise ShapeMismatch(f"masked shares {t.shape} != {total.shape}")
-        total = (total + t.data) & _MASK
-    if fed.tap is not None:
-        fed.tap.note_opening(2)
-    return (Tensor(total[:nx].reshape(xs.shape), Dtype.RING64),
-            Tensor(total[nx:].reshape(ys.shape), Dtype.RING64))
-
-
 def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federation,
             kind: str, out_shape) -> ShareVector:
     if triple.consumed:
@@ -282,7 +254,20 @@ def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federat
     triple.consumed = True
     keep = [fed.allocate_id() for _ in xs.parties]
     out = [fed.allocate_id() for _ in xs.parties]
-    eps, delta = _open_masked(xs, ys, triple, fed, keep)
+    # open eps = x - a and delta = y - b: each party's beaver_open keeps its
+    # expanded triple under keep[i] and replies with x_i - a_i || y_i - b_i
+    cmds = []
+    for i, (ex, ey) in enumerate(zip(xs.exprs, ys.exprs)):
+        prog = compile_expr([ex, ey])
+        cmds.append(Command("beaver_open", prog.args + (("take", triple.refs[i]),),
+                            {**prog.kwargs, "kind": kind, "shape": list(triple.shape),
+                             "keep": keep[i]}))
+    nx = math.prod(xs.shape)
+    masked = _open(fed, xs.parties, cmds, (nx + math.prod(ys.shape),)).data
+    if fed.tap is not None:
+        fed.tap.note_opening(2)
+    eps = Tensor(masked[:nx].reshape(xs.shape), Dtype.RING64)
+    delta = Tensor(masked[nx:].reshape(ys.shape), Dtype.RING64)
     for i, party in enumerate(xs.parties):
         cmd = Command(
             "beaver_combine",

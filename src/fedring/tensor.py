@@ -17,7 +17,7 @@ from . import nn
 from .errors import DtypeMismatch, ShapeMismatch
 
 RING_MODULUS = 1 << 62
-_RING_MASK = np.uint64(RING_MODULUS - 1)
+RING_MASK = np.uint64(RING_MODULUS - 1)
 
 
 class Dtype(enum.Enum):
@@ -49,7 +49,7 @@ class Tensor:
                 and arr.flags["C_CONTIGUOUS"]):
             return cls(arr, dtype)  # e.g. a 0-d ufunc result is a numpy scalar
         if dtype is Dtype.RING64:
-            np.bitwise_and(arr, _RING_MASK, out=arr)
+            np.bitwise_and(arr, RING_MASK, out=arr)
         arr.flags.writeable = False
         t = object.__new__(cls)
         object.__setattr__(t, "data", arr)
@@ -65,7 +65,7 @@ class Tensor:
         if arr.base is not None or arr is self.data:
             arr = arr.copy()
         if self.dtype is Dtype.RING64:
-            arr = np.asarray(arr & _RING_MASK)  # asarray: 0-d & scalar gives a numpy scalar
+            arr = np.asarray(arr & RING_MASK)  # asarray: 0-d & scalar gives a numpy scalar
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -169,8 +169,8 @@ def split_shares(rng: np.random.Generator, secret: np.ndarray, n: int) -> list:
     shares = [random_ring(rng, secret.shape) for _ in range(n - 1)]
     total = np.zeros(secret.shape, dtype=np.uint64)
     for s in shares:
-        total = (total + s) & _RING_MASK
-    return shares + [(secret - total) & _RING_MASK]
+        total = (total + s) & RING_MASK
+    return shares + [(secret - total) & RING_MASK]
 
 
 def sigmoid_poly(t: Tensor) -> Tensor:

@@ -152,8 +152,8 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     per-example gradients and adds Gaussian noise locally; only the sanitized
     sum crosses the transport, in the reply to one by-value execute that
     carries the parameters inline. The trace therefore has no loss: each
-    row is the step and its wall time. The accountant records q = L/N per
-    phase."""
+    row is the step and its wall time. The accountant records the spec's q
+    per phase, which must be the rate that runs, L/N."""
     if cfg.privacy is None:
         raise ConfigError("train_federated_dp needs a PrivacySpec")
     spec = cfg.privacy
@@ -161,6 +161,8 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
     min_part = min(len(y) for _, y in ds.partitions.values())
     if L > min_part:
         raise LotTooLarge(f"lot {L} exceeds smallest partition {min_part}")
+    if spec.q != L / ds.n_train:
+        raise ConfigError(f"spec q={spec.q} is not the sampling rate L/N = {L}/{ds.n_train}")
 
     target_scale = (0.0, 1.0)
     targets = None
@@ -203,7 +205,7 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
         model.params = acc / n_acc
     if spec.sigma > 0:
         ledger = MomentLedger()
-        ledger.record(L / ds.n_train, spec.sigma, count=T)
+        ledger.record(spec.q, spec.sigma, count=T)
         eps = ledger.epsilon(spec.delta)
     else:
         eps = float("inf")  # noiseless runs carry no privacy guarantee
@@ -245,9 +247,9 @@ def _shared_sigmoid(sv, mul_trunc):
     x2 = mul_trunc("elementwise", sv, sv)
     x3 = mul_trunc("elementwise", x2, sv)
     enc = fixedpoint.encode_scalar
-    t1 = spdz.trunc_shared(spdz.public_op("mul", sv, enc(0.25)))
-    t2 = spdz.trunc_shared(spdz.public_op("mul", x3, enc(-1.0 / 48.0)))
-    return spdz.public_op("add", spdz.add_shared(t1, t2), enc(0.5))
+    t1 = spdz.trunc_shared(spdz.linear("scale", sv, enc(0.25)))
+    t2 = spdz.trunc_shared(spdz.linear("scale", x3, enc(-1.0 / 48.0)))
+    return spdz.linear("offset", spdz.linear("add", t1, t2), enc(0.5))
 
 
 def mpc_triple_requirements(dims, batch: int, task: str):
@@ -301,9 +303,9 @@ def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
         made.append(prod)
         return spdz.trunc_shared(prod)
 
-    z1 = spdz.add_shared(mul_trunc("matmul", xs, w1s), b1s)
+    z1 = spdz.linear("add", mul_trunc("matmul", xs, w1s), b1s)
     a1 = _shared_sigmoid(z1, mul_trunc)
-    z2 = spdz.add_shared(mul_trunc("matmul", a1, w2s), b2s)
+    z2 = spdz.linear("add", mul_trunc("matmul", a1, w2s), b2s)
     if model.task == TASK_BINARY:
         z2 = _shared_sigmoid(z2, mul_trunc)
     out = spdz.reconstruct(z2, fed)

@@ -186,7 +186,7 @@ def test_criterion_5_mpc_correctness(capsys):
     ys = spdz.share(Tensor(rng.integers(0, Q, size=16, dtype=np.uint64), Dtype.RING64),
                     parties, fed2, rng)
     before = tap.messages
-    spdz.public_op("add", spdz.public_op("mul", spdz.add_shared(xs, ys), 7), 3)
+    spdz.linear("offset", spdz.linear("scale", spdz.linear("add", xs, ys), 7), 3)
     linear_free = tap.messages == before
 
     ok = (fwd_err < 2.0**-10 and share_ok and mul_ok and mm_ok and trunc_ok

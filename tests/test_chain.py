@@ -1,4 +1,8 @@
+import contextlib
+import io
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +360,28 @@ class TestSharedChain:
         got = out.get().float_precision().tensor().data
         assert np.array_equal(got, [4.0, 6.5])
 
+    def test_get_takes_each_share(self, tapped):
+        """Reconstructing a stored shared value is one by-value execute per
+        party that takes the party's share, and nothing else."""
+        fed, tap = tapped
+        rng = np.random.default_rng(8)
+        x = TensorChain.local([[1.5, -2.0]], fed=fed).fix_precision().share(PARTIES, rng)
+        start, before = len(tap.events), object_counts(fed)
+        back = x.get().float_precision()
+        assert [(e.op, e.shapes) for e in tap.events[start:]] == [("execute", ((1, 2),))] * 2
+        after = object_counts(fed)
+        assert {p: after[p] - before[p] for p in PARTIES} == {"alice": -1, "bob": -1}
+        assert np.array_equal(back.tensor().data, [[1.5, -2.0]])
+
+    def test_nonlinear_local_op_refused(self, tapped):
+        fed, tap = tapped
+        x = TensorChain.local([1.0], fed=fed).fix_precision().share(PARTIES,
+                                                                    np.random.default_rng(9))
+        start = tap.messages
+        with pytest.raises(UnknownCommand):
+            dispatch("sigmoid_poly", TensorChain(x.nodes[1:], fed))
+        assert tap.messages == start
+
     def test_mul_then_get_frees_everything(self, tapped):
         """Each party ends with only its consumed triple object gone: the
         expanded triple is taken by the combine, the raw Beaver product is
@@ -410,3 +436,17 @@ class TestFixedPrecisionPointer:
         out = dispatch(name, *operands, **kwargs)
         assert [n[0] for n in out.nodes] == ["fixed_precision", "pointer"]
         assert np.array_equal(out.get().float_precision().tensor().data, want)
+
+
+def test_readme_library_sketch():
+    """The README's two python blocks run as written, in one namespace:
+    a shared add and a Beaver multiplication, each reconstructed by get()."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    out = io.StringIO()
+    namespace: dict = {}
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    assert out.getvalue().splitlines() == ["[[2. 2.]]", "[[ 0.75 -8.  ]]"]

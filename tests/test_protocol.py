@@ -128,6 +128,13 @@ class TestTensorCodec:
         with pytest.raises(errors.MalformedPayload):
             deserialize_tensor(bytes([9, 0]) + b"\x00" * 8)
 
+    def test_zero_dim_beside_huge_dims(self):
+        """A zero dim makes the element count 0, so the length check
+        passes; numpy then refuses the shape (2^31)^2, which is malformed,
+        not a bare ValueError."""
+        with pytest.raises(errors.MalformedPayload):
+            deserialize_tensor(bytes([0, 3]) + struct.pack("<3I", 0, 1 << 31, 1 << 31))
+
     def test_decoded_tensor_owns_its_data(self):
         payload = bytearray(serialize_tensor(Tensor(np.arange(4.0), Dtype.FLOAT64)))
         t, _ = deserialize_tensor(payload)
@@ -197,6 +204,13 @@ class TestCommandCodec:
                 serialize_command(Command("x", (), {"indices": bad}))
         back = deserialize_command(serialize_command(Command("x", (), {"t": (True, -(1 << 63))})))
         assert back.kwargs == {"t": [1, -(1 << 63)]}
+
+    def test_missing_kwarg_is_malformed(self):
+        """A kwarg the command reads and the payload lacks is refused as
+        MalformedPayload, not a bare KeyError."""
+        cmd = deserialize_command(serialize_command(Command("eval_expr", (Command.obj(1),))))
+        with pytest.raises(errors.MalformedPayload, match="prog"):
+            cmd.kwargs["prog"]
 
     def test_empty_command(self):
         cmd = Command("neg", (Command.obj(1),))

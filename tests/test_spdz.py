@@ -14,6 +14,7 @@ from fedring.errors import (
     ShapeMismatch,
     TripleReused,
     TripleShapeMismatch,
+    UnknownCommand,
     WorkerUnknown,
 )
 from fedring.fixedpoint import FRAC_BITS, Q, decode, encode, to_signed, truncate_share
@@ -21,17 +22,14 @@ from fedring.protocol import Command
 from fedring.spdz import (
     BeaverTriple,
     TriplePool,
-    add_shared,
     beaver_mul,
     dealer_generate,
+    linear,
     matmul_shared,
     materialize,
-    neg_shared,
-    public_op,
     reconstruct,
     share,
     share_remote,
-    sub_shared,
     trunc_shared,
 )
 from fedring.tensor import Dtype, Tensor
@@ -130,39 +128,54 @@ class TestLinearLayer:
         xs = share(x, PARTIES, fed, rng)
         ys = share(y, PARTIES, fed, rng)
         before = tap.messages
-        zs = add_shared(xs, ys)
-        ws = sub_shared(xs, ys)
-        ns = neg_shared(xs)
-        ss = public_op("mul", xs, 3)
-        os_ = public_op("add", xs, 100)
-        assert tap.messages == before  # all five ops were free
+        zs = linear("add", xs, ys)
+        ws = linear("sub", xs, ys)
+        ns = linear("neg", xs)
+        ss = linear("scale", xs, 3)
+        os_ = linear("offset", xs, 100)
+        ms = linear("offset", xs, -100)  # a negative constant is its residue mod Q
+        assert tap.messages == before  # all six ops were free
         mask = np.uint64(Q - 1)
         assert np.array_equal(reconstruct(zs, fed).data, (x.data + y.data) & mask)
         assert np.array_equal(reconstruct(ws, fed).data, (x.data - y.data) & mask)
         assert np.array_equal(reconstruct(ns, fed).data, (np.uint64(0) - x.data) & mask)
         assert np.array_equal(reconstruct(ss, fed).data, (x.data * np.uint64(3)) & mask)
         assert np.array_equal(reconstruct(os_, fed).data, (x.data + np.uint64(100)) & mask)
+        assert np.array_equal(reconstruct(ms, fed).data, (x.data - np.uint64(100)) & mask)
 
     def test_public_identities(self, fed):
         rng = np.random.default_rng(6)
         x = r64(rng.integers(0, Q, size=4, dtype=np.uint64))
         xs = share(x, PARTIES, fed, rng)
-        assert reconstruct(public_op("mul", xs, 1), fed) == x
-        assert reconstruct(public_op("add", xs, 0), fed) == x
+        assert reconstruct(linear("scale", xs, 1), fed) == x
+        assert reconstruct(linear("offset", xs, 0), fed) == x
+
+    @pytest.mark.parametrize("name", ["mul", "matmul", "sigmoid_poly", "trunc", "ref"])
+    def test_nonlinear_op_is_unknown(self, fed, name):
+        xs = share(r64([1]), PARTIES, fed, np.random.default_rng(6))
+        with pytest.raises(UnknownCommand):
+            linear(name, xs, xs)
+
+    @pytest.mark.parametrize("name,n_extra", [("add", 0), ("neg", 1), ("scale", 0),
+                                              ("offset", 2)])
+    def test_operand_count_from_op_table(self, fed, name, n_extra):
+        xs = share(r64([1]), PARTIES, fed, np.random.default_rng(6))
+        with pytest.raises(ConfigError):
+            linear(name, xs, *([3] * n_extra))
 
     def test_party_mismatch(self, fed):
         rng = np.random.default_rng(7)
         xs = share(r64([1]), PARTIES, fed, rng)
         ys = share(r64([1]), ("bob", "dealer"), fed, rng)
         with pytest.raises(PartyMismatch):
-            add_shared(xs, ys)
+            linear("add", xs, ys)
 
     def test_shape_mismatch(self, fed):
         rng = np.random.default_rng(8)
         xs = share(r64([1, 2]), PARTIES, fed, rng)
         ys = share(r64([1]), PARTIES, fed, rng)
         with pytest.raises(ShapeMismatch):
-            add_shared(xs, ys)
+            linear("sub", xs, ys)
 
 
 def one_triple(fed, kind, shape):
@@ -245,7 +258,7 @@ class TestBeaver:
         triple = one_triple(fed, "elementwise", (3,))
         counts = {p: registry.get(p).object_count() for p in PARTIES}
         before = len(tap.events)
-        zs = beaver_mul(add_shared(xs, xs), ys, triple, fed)
+        zs = beaver_mul(linear("add", xs, xs), ys, triple, fed)
         ops = [e.op for e in tap.events[before:]]
         assert ops == ["execute"] * 4
         # each open's reply is x - a || y - b; each combine sends eps, delta inline
@@ -464,8 +477,8 @@ class TestLazyExpressions:
         x = r64(rng.integers(0, Q, size=(4, 3), dtype=np.uint64))
         y = r64(rng.integers(0, Q, size=(4, 3), dtype=np.uint64))
         xs, ys = share(x, PARTIES, fed, rng), share(y, PARTIES, fed, rng)
-        expr = public_op("add", sub_shared(public_op("mul", xs, 3), neg_shared(ys)), 5)
-        expr = add_shared(expr, xs)
+        expr = linear("offset", linear("sub", linear("scale", xs, 3), linear("neg", ys)), 5)
+        expr = linear("add", expr, xs)
         before = len(tap.events)
         done = materialize(expr, fed)
         assert [e.op for e in tap.events[before:]] == ["execute", "execute"]
@@ -481,7 +494,7 @@ class TestLazyExpressions:
         vals = rng.uniform(-50, 50, size=20)
         xs = share(enc(vals), PARTIES, fed, rng)
         before = tap.messages
-        t = trunc_shared(public_op("mul", xs, int(enc([4.0]).data[0])))
+        t = trunc_shared(linear("scale", xs, int(enc([4.0]).data[0])))
         assert tap.messages == before
         got = decode(reconstruct(t, fed)).data
         assert tap.messages == before + 2  # one by-value eval_expr per party
