@@ -1,7 +1,8 @@
 """fedring command line: worker serving, dealer preprocessing, the privacy
 accountant, training runs and the transport/DP timing benchmark.
 
-Exit codes: 0 ok, 1 usage/config, 2 bind, 3 transport, 4 numerical.
+Exit codes: 0 ok, 1 usage/config, 2 bind, 3 transport or RemoteError, 4
+numerical; a socket worker's own error exits as it would in-process.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from .errors import (
     BindError,
     ConfigError,
     FedringError,
-    ParseError,
     RemoteError,
-    SchemaError,
     TransportError,
     Unachievable,
 )
@@ -240,10 +239,7 @@ def run_train(args) -> dict:
             raise ConfigError("--dp needs --eps or --sigma")
         cfg.privacy = PrivacySpec(q=q, sigma=sigma, clip_norm=args.clip_norm,
                                   delta=args.delta, steps=args.phases)
-        if args.mode == "plain":
-            fed, _ = workers.virtual_federation(names, seed)
-        else:
-            fed = _build_federation(args, names)
+        fed = _build_federation(args, names)
         model, trace, eps = train.train_federated_dp(fed, ds, cfg)
         summary.update({"sigma": sigma, "epsilon": eps, "delta": args.delta,
                         "phases": args.phases, "lot_size": args.lot_size})
@@ -359,7 +355,7 @@ def main(argv=None) -> int:
     except Unachievable as e:
         print(f"fedring: numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ParseError, SchemaError, FedringError, ValueError) as e:
+    except (FedringError, ValueError) as e:
         print(f"fedring: {e}", file=sys.stderr)
         return EXIT_USAGE
 

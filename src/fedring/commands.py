@@ -37,7 +37,7 @@ from . import tensor as tc
 from .dp import sanitize_lot
 from .errors import ConfigError, EmptyLot, MalformedPayload, ShapeMismatch, UnknownCommand
 from .fixedpoint import truncate_share
-from .protocol import Command
+from .protocol import MAX_PAYLOAD, Command
 from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
 from .tensor import Dtype, Tensor
 
@@ -233,15 +233,16 @@ def _eval_expr(ctx, args, kwargs):
 
 def _share_targets(ctx, kwargs, per_party: int = 1):
     """The peers of the parties named in kwargs and the leader's ids, which
-    must number `per_party` for each party; a party that is not a peer
-    raises here, before anything is pushed."""
+    must be distinct and number `per_party` for each party; a party that is
+    not a peer raises here, before anything is pushed."""
     names = [p for p in str(kwargs["parties"]).split(",") if p]
     if len(names) < 2:
         raise ConfigError("need at least 2 parties")
     peers = [ctx.peer(p) for p in names]
     ids = [int(v) for v in kwargs["ids"]]
-    if len(ids) != per_party * len(peers):
-        raise ConfigError(f"need {per_party * len(peers)} object ids, got {len(ids)}")
+    if len(ids) != per_party * len(peers) or len(set(ids)) != len(ids):
+        raise ConfigError(f"need {per_party * len(peers)} distinct object ids, "
+                          f"got {len(set(ids))} of {len(ids)}")
     return peers, ids
 
 
@@ -318,8 +319,8 @@ def _product(kind: str):
 def _gen_triples(ctx, args, kwargs):
     """Dealer preprocessing: make `count` seed-compressed triples and push
     each party one object per triple, triple t's object for party i under
-    the leader's ids[t * n_parties + i]. Everything is checked before the
-    first push. Returns an empty tensor: the leader already knows the ids."""
+    the leader's ids[t * n_parties + i]. Everything, a triple's fit in one
+    frame too, is checked before the first push. Returns an empty tensor."""
     kind = str(kwargs["kind"])
     sa, sb, sc = triple_shapes(kind, kwargs["shape"])
     count = int(kwargs["count"])
@@ -327,6 +328,8 @@ def _gen_triples(ctx, args, kwargs):
         raise ConfigError("count must be >= 1")
     peers, ids = _share_targets(ctx, kwargs, count)
     na, nb, nc = math.prod(sa), math.prod(sb), math.prod(sc)
+    if min(sa + sb, default=0) < 0 or 8 * (na + nb + nc) > MAX_PAYLOAD:
+        raise ConfigError(f"no frame fits the {kind} triple of shapes {sa}, {sb}, {sc}")
     n = len(peers)
     seeds = tc.random_ring(ctx.rng, (count, n, SEED_WORDS))
     for t in range(count):
@@ -367,6 +370,8 @@ def _beaver_open(ctx, args, kwargs):
     a program that leaves the party's shares x_i and y_i. Expands the triple
     once, stores a_i || b_i || c_i under the leader's id `keep` for
     beaver_combine to take, and returns x_i - a_i || y_i - b_i."""
+    if not args:
+        raise MalformedPayload("beaver_open takes its triple object as its last argument")
     shapes = triple_shapes(str(kwargs["kind"]), kwargs["shape"])
     sizes = [math.prod(s) for s in shapes]
     stack = _run_prog(args[:-1], kwargs["prog"])
@@ -389,6 +394,8 @@ def _beaver_combine(ctx, args, kwargs):
     delta = y - b, passed inline. The lead party computes
     c + eps*(b + delta) + a*delta, two ring products with the same result
     mod Q."""
+    if len(args) != 3:
+        raise MalformedPayload(f"beaver_combine takes 3 arguments, not {len(args)}")
     abc, eps, delta = (_want_tensor(v, i).data for i, v in enumerate(args))
     kind = str(kwargs["kind"])
     sa, sb, sc = triple_shapes(kind, kwargs["shape"])
@@ -407,21 +414,28 @@ def _beaver_combine(ctx, args, kwargs):
     return Tensor._own(z, Dtype.RING64)
 
 
-def _batch_args(args, kwargs):
-    params = _want_tensor(args[0], 0).data
-    X = _want_tensor(args[1], 1).data
-    y = _want_tensor(args[2], 2).data
+def _batch_args(name, args, kwargs):
+    """(params, X, y, dims, task): X of dims[0] columns, y one per row."""
+    if len(args) != 3:
+        raise MalformedPayload(f"{name} takes 3 arguments, not {len(args)}")
+    params, X, y = (_want_tensor(v, i).data for i, v in enumerate(args))
     dims = tuple(int(d) for d in kwargs["dims"])
-    task = str(kwargs["task"])
-    return params, X, y, dims, task
+    if len(dims) != 3 or dims[1] < 1 or dims[2] != 1:
+        raise MalformedPayload(f"dims {dims} must be (input, hidden >= 1, 1)")
+    if X.ndim != 2 or X.shape[1] != dims[0] or y.shape != X.shape[:1]:
+        raise ShapeMismatch(f"partition X {X.shape}, y {y.shape} does not fit dims {dims}")
+    return params, X, y, dims, str(kwargs["task"])
 
 
 @register("fb_batch")
 def _fb_batch(ctx, args, kwargs):
     """Forward/backward over the given row indices of the resident
     partition; returns [loss, batch gradient...]."""
-    params, X, y, dims, task = _batch_args(args, kwargs)
-    idx = np.array([int(i) for i in kwargs["indices"]], dtype=np.int64)
+    params, X, y, dims, task = _batch_args("fb_batch", args, kwargs)
+    rows = [int(i) for i in kwargs["indices"]]
+    if not rows or min(rows) < 0 or max(rows) >= len(X):
+        raise MalformedPayload(f"batch indices must be a nonempty list in [0, {len(X)})")
+    idx = np.array(rows, dtype=np.int64)
     loss, grad = nn.forward_backward(params, dims, task, X[idx], y[idx])
     return Tensor._own(np.concatenate([[loss], grad]), Dtype.FLOAT64)
 
@@ -431,7 +445,7 @@ def _dp_phase(ctx, args, kwargs):
     """One DP phase: sample a lot locally, compute per-example gradients,
     clip, sum and add Gaussian noise. Only the sanitized sum leaves the
     worker: no statistic computed before the noise does."""
-    params, X, y, dims, task = _batch_args(args, kwargs)
+    params, X, y, dims, task = _batch_args("dp_phase", args, kwargs)
     lot_size = int(kwargs["lot_size"])
     clip_norm = float(kwargs["clip_norm"])
     sigma = float(kwargs["sigma"])

@@ -57,6 +57,8 @@ def sanitize_lot(
     G = np.asarray(per_example_grads, dtype=np.float64)
     if len(G) == 0:
         raise EmptyLot("sanitize_lot needs at least one gradient")
+    if not sigma >= 0.0:  # NaN too: it would release the sum with no noise
+        raise ConfigError(f"sigma {sigma} must be >= 0")
     total = clip_rows(G, clip_norm).sum(axis=0)
     if sigma > 0.0:
         total = total + rng.normal(0.0, sigma * clip_norm, total.shape)

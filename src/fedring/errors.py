@@ -22,7 +22,8 @@ class KindMismatch(FedringError):
 
 
 class RemoteError(FedringError):
-    """A worker-side failure, carrying the worker's error text."""
+    """A socket worker's fault that is no FedringError, headed by its type's
+    name, or an error reply that names no FedringError."""
 
 
 class TransportError(FedringError):

@@ -146,8 +146,8 @@ def forward_backward(
 def clip_rows(G: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale each row to L2 norm at most clip_norm, keeping its direction;
     rows within the bound and zero rows pass through unchanged."""
-    if clip_norm <= 0:
-        raise ConfigError("clip_norm must be positive")
+    if not clip_norm > 0:  # NaN too
+        raise ConfigError(f"clip_norm {clip_norm} must be positive")
     norms = np.linalg.norm(G, axis=1)
     factors = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
     return G * factors[:, None]

@@ -3,7 +3,7 @@
 Frame layout (little-endian throughout):
 
     magic    4 bytes  b"FTNS"
-    version  u8       4
+    version  u8       5
     msg_type u8       3=DELETE 4=EXECUTE 5=RESULT 6=ERROR
     request_id  u64
     payload_len u64     at most MAX_PAYLOAD
@@ -16,9 +16,9 @@ command. An EXECUTE with destination 0 runs by value: its RESULT carries
 the result object and the worker stores nothing. With any other
 destination the worker stores the result under that id, which the leader
 chose, and the RESULT is empty; a destination already stored is refused
-with Duplicate before the command runs. Either way the worker deletes the
-command's take arguments only once it has succeeded. Every object id is
-the leader's: a worker allocates none.
+with DuplicateObject before the command runs. Either way the worker
+deletes the command's take arguments only once it has succeeded. Every
+object id is the leader's: a worker allocates none.
 
 A store is the identity program (`commands.identity`) over an inline
 tensor, with the new object's id as destination; a fetch is the same
@@ -28,14 +28,15 @@ it is read, with destination 0.
 An object payload is exactly one tensor: a worker object is a tensor, and
 the chain above it stays on the leader. A worker decodes an EXECUTE's
 inline tensors on arrival, so a malformed one, or a command followed by
-trailing bytes, is refused with Malformed before anything runs or is
-stored.
+trailing bytes, is refused with MalformedPayload before anything runs or
+is stored.
 
 Tensor payload: dtype u8 (0=Float64, 1=Ring64), ndim u8, dims u32 each,
 elements 8 bytes each (Float64 as IEEE-754 bits, Ring64 as u64).
 
-ERROR payload: code u32 then a UTF-8 message. Codes: 1 NotFound,
-2 Duplicate, 3 UnknownCommand, 4 Malformed, 5 Internal.
+ERROR payload: name length u8, the ASCII name of the error's class in
+`fedring.errors`, then a UTF-8 message. An exception that is no
+FedringError crosses as RemoteError, headed by its type's name.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from . import errors
 from .tensor import Dtype, Tensor
 
 MAGIC = b"FTNS"
-VERSION = 4
+VERSION = 5
 HEADER_LEN = 22
 MAX_PAYLOAD = 1 << 28
 
@@ -58,28 +59,6 @@ MSG_EXECUTE = 4
 MSG_RESULT = 5
 MSG_ERROR = 6
 _VALID_TYPES = frozenset((MSG_DELETE, MSG_EXECUTE, MSG_RESULT, MSG_ERROR))
-
-ERR_NOT_FOUND = 1
-ERR_DUPLICATE = 2
-ERR_UNKNOWN_COMMAND = 3
-ERR_MALFORMED = 4
-ERR_INTERNAL = 5
-
-_CODE_TO_EXC = {
-    ERR_NOT_FOUND: errors.ObjectNotFound,
-    ERR_DUPLICATE: errors.DuplicateObject,
-    ERR_UNKNOWN_COMMAND: errors.UnknownCommand,
-    ERR_MALFORMED: errors.MalformedPayload,
-    ERR_INTERNAL: errors.RemoteError,
-}
-
-_EXC_TO_CODE = {
-    errors.ObjectNotFound: ERR_NOT_FOUND,
-    errors.DuplicateObject: ERR_DUPLICATE,
-    errors.UnknownCommand: ERR_UNKNOWN_COMMAND,
-    errors.MalformedPayload: ERR_MALFORMED,
-    errors.BadMagic: ERR_MALFORMED,
-}
 
 
 @dataclass(frozen=True)
@@ -128,16 +107,24 @@ def decode_frame(buf: bytes) -> tuple[Message, int]:
 
 
 def encode_error(exc: Exception) -> bytes:
-    code = _EXC_TO_CODE.get(type(exc), ERR_INTERNAL)
-    return struct.pack("<I", code) + str(exc).encode("utf-8")
+    if isinstance(exc, errors.FedringError):
+        name, msg = type(exc).__name__, str(exc)
+    else:
+        name, msg = "RemoteError", f"{type(exc).__name__}: {exc}"
+    raw = name.encode("ascii", "replace")[:255]
+    return bytes([len(raw)]) + raw + msg.encode("utf-8")
 
 
 def raise_error_payload(payload: bytes):
-    if len(payload) < 4:
+    """Raise the FedringError an ERROR payload names; a name that is not
+    one raises RemoteError."""
+    end = 1 + payload[0] if payload else 1
+    if len(payload) < end:
         raise errors.MalformedPayload("short error payload")
-    (code,) = struct.unpack("<I", payload[:4])
-    msg = payload[4:].decode("utf-8", "replace")
-    raise _CODE_TO_EXC.get(code, errors.RemoteError)(msg)
+    cls = getattr(errors, payload[1:end].decode("ascii", "replace"), None)
+    if not (isinstance(cls, type) and issubclass(cls, errors.FedringError)):
+        cls = errors.RemoteError
+    raise cls(payload[end:].decode("utf-8", "replace"))
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +228,6 @@ class Command:
         return ("obj", oid)
 
 
-class _Kwargs(dict):
-    """A decoded command's kwargs: a kwarg the command needs and the payload
-    lacks is a malformed payload, not a KeyError."""
-
-    def __missing__(self, key):
-        raise errors.MalformedPayload(f"command payload has no {key!r} kwarg")
-
-
 def serialize_command(cmd: Command) -> bytes:
     raw_name = cmd.name.encode("utf-8")
     out = [struct.pack("<B", len(raw_name)), raw_name, struct.pack("<B", len(cmd.args))]
@@ -267,9 +246,7 @@ def serialize_command(cmd: Command) -> bytes:
         raw_key = key.encode("utf-8")
         out.append(struct.pack("<B", len(raw_key)))
         out.append(raw_key)
-        if isinstance(val, bool):
-            out.append(struct.pack("<Bq", KW_INT, int(val)))
-        elif isinstance(val, int):
+        if isinstance(val, int):  # a bool too: True packs as 1
             out.append(struct.pack("<Bq", KW_INT, val))
         elif isinstance(val, float):
             out.append(struct.pack("<Bd", KW_FLOAT, val))
@@ -316,7 +293,7 @@ def deserialize_command(buf: bytes, offset: int = 0) -> Command:
                 raise errors.MalformedPayload(f"bad arg tag {tag}")
         (nkw,) = struct.unpack_from("<H", buf, pos)
         pos += 2
-        kwargs = _Kwargs()
+        kwargs = {}
         for _ in range(nkw):
             n = buf[pos]
             pos += 1

@@ -104,10 +104,9 @@ def share_remote(owner: str, expr, parties, fed: Federation) -> ShareVector:
     splits the value locally and pushes shares to its peers under ids the
     leader chose; only the shape returns to the leader, in the reply to one
     by-value execute. A stored object (a bare ('ref', oid)) is taken, so the
-    secret does not outlive its shares; a lazy expression's operands stay."""
+    secret does not outlive its shares; a lazy expression's operands stay.
+    The owner refuses fewer than two parties."""
     parties = tuple(parties)
-    if len(parties) < 2:
-        raise ConfigError("need at least 2 parties")
     prog = compile_expr([expr])
     args = (("take", expr[1]),) if expr[0] == "ref" else prog.args
     ids = [fed.allocate_id() for _ in parties]
@@ -220,12 +219,9 @@ class TriplePool:
 def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, count: int):
     """Run triple preprocessing on the dealer worker; each party receives
     one object per triple from the dealer, under ids the leader chose, and
-    nothing returns."""
+    nothing returns. The dealer refuses a bad kind, shape or count."""
     parties = tuple(parties)
-    if count < 1:
-        raise ConfigError("count must be >= 1")
     shape = tuple(int(s) for s in shape)
-    triple_shapes(kind, shape)  # rejects a bad kind or shape before sending
     n = len(parties)
     ids = [fed.allocate_id() for _ in range(count * n)]
     fed.worker(dealer).execute(Command(

@@ -223,7 +223,10 @@ class WorkerCore:
         if dest and dest in self._objects:
             raise DuplicateObject(f"object {dest} already stored on {self.name}")
         args = tuple(self._get(val) if tag in ("obj", "take") else val for tag, val in cmd.args)
-        result = fn(self, args, cmd.kwargs)
+        try:
+            result = fn(self, args, cmd.kwargs)
+        except KeyError as e:  # a command's only lookups that can miss are its kwargs
+            raise MalformedPayload(f"command has no {e} kwarg") from None
         if dest:
             self.push(dest, result)
             result = None

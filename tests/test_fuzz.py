@@ -1,8 +1,10 @@
 """Seeded fuzzing of what reaches a worker from the wire: random eval_expr
 programs on a WorkerCore, and random byte mutations of valid EXECUTE
-payloads on a live socket worker. A refusal must be a FedringError, must
-leave the worker's objects as they were, and must leave the connection
-serving. numpy's RNG drives every draw, so each run is the same run."""
+payloads, one for every command, on a live socket worker and on a
+WorkerCore alike. A refusal must be a FedringError of the same class on
+both, must leave the worker's objects as they were, and must leave the
+connection serving. numpy's RNG drives every draw, so each run is the same
+run."""
 
 import struct
 import threading
@@ -12,7 +14,7 @@ import pytest
 
 from fedring import protocol
 from fedring.commands import OPS
-from fedring.errors import FedringError
+from fedring.errors import FedringError, RemoteError
 from fedring.protocol import Command
 from fedring.tensor import Dtype, Tensor
 from fedring.workers import SocketClient, WorkerCore, make_server
@@ -24,14 +26,25 @@ REF = OPS["ref"][0]
 SENTINEL = 999  # an object no fuzzed command names
 
 
+def ring(rng, shape):
+    return Tensor(rng.integers(0, 1 << 62, shape, dtype=np.uint64), Dtype.RING64)
+
+
 def seed_objects(worker):
     """Float and ring vectors and a matrix of each, small enough that no
-    float product in a short program overflows, plus the sentinel."""
+    float product in a short program overflows, a 4x3 partition (5, 6), an
+    elementwise triple of shape (3,) for two parties that are both this
+    worker (7, 8), an expanded triple (9), and the sentinel."""
     rng = np.random.default_rng(0)
     store(worker, 1, Tensor(rng.uniform(-1, 1, 3), Dtype.FLOAT64))
     store(worker, 2, Tensor(rng.uniform(-1, 1, (3, 3)), Dtype.FLOAT64))
-    store(worker, 3, Tensor(rng.integers(0, 1 << 62, 3, dtype=np.uint64), Dtype.RING64))
-    store(worker, 4, Tensor(rng.integers(0, 1 << 62, (3, 3), dtype=np.uint64), Dtype.RING64))
+    store(worker, 3, ring(rng, 3))
+    store(worker, 4, ring(rng, (3, 3)))
+    store(worker, 5, Tensor(rng.uniform(-1, 1, (4, 3)), Dtype.FLOAT64))
+    store(worker, 6, Tensor(rng.uniform(0, 1, 4), Dtype.FLOAT64))
+    worker.execute(Command("gen_triples", (), {"kind": "elementwise", "shape": [3], "count": 1,
+                                               "parties": "alice,alice", "ids": [7, 8]}))
+    store(worker, 9, ring(rng, 9))
     store(worker, SENTINEL, Tensor(np.arange(3.0), Dtype.FLOAT64))
 
 
@@ -77,38 +90,72 @@ def test_random_programs_on_a_worker_core():
 
 
 def valid_payloads():
-    """EXECUTE payloads (destination id, then command) a leader sends:
-    a store, a fetch, and by-value and stored arithmetic over objects."""
+    """EXECUTE payloads (destination id, then command) a leader sends, for
+    every command: a store, a fetch, by-value and stored arithmetic over
+    objects, a training batch and a DP phase over the partition, share and
+    triple generation, and both Beaver rounds."""
+    rng = np.random.default_rng(3)
+    params = ("tensor", Tensor(rng.uniform(-0.5, 0.5, 11), Dtype.FLOAT64))
+    train = {"dims": [3, 2, 1], "task": "binary"}
+    triple = {"kind": "elementwise", "shape": [3]}
     cmds = [
-        (7, Command("eval_expr", (("tensor", Tensor(np.ones(3), Dtype.FLOAT64)),),
-                    {"prog": [REF, 0]})),
+        (30, Command("eval_expr", (("tensor", Tensor(np.ones(3), Dtype.FLOAT64)),),
+                     {"prog": [REF, 0]})),
         (0, Command("eval_expr", (Command.obj(1),), {"prog": [REF, 0]})),
         (0, Command("eval_expr", (Command.obj(3), Command.obj(3)),
                     {"prog": [REF, 0, REF, 1, OPS["add"][0], OPS["scale"][0], 3]})),
-        (8, Command("eval_expr", (Command.obj(2), Command.obj(2)),
-                    {"prog": [REF, 0, REF, 1, OPS["matmul"][0], OPS["sigmoid_poly"][0]]})),
+        (31, Command("eval_expr", (Command.obj(2), Command.obj(2)),
+                     {"prog": [REF, 0, REF, 1, OPS["matmul"][0], OPS["sigmoid_poly"][0]]})),
+        (0, Command("fb_batch", (params, Command.obj(5), Command.obj(6)),
+                    {**train, "indices": [0, 3, 2]})),
+        (0, Command("dp_phase", (params, Command.obj(5), Command.obj(6)),
+                    {**train, "lot_size": 2, "clip_norm": 1.0, "sigma": 1.5})),
+        (0, Command("make_shares", (Command.obj(3),),
+                    {"parties": "alice,alice", "ids": [20, 21], "prog": [REF, 0]})),
+        (0, Command("gen_triples", (), {**triple, "count": 2, "parties": "alice,alice",
+                                        "ids": [22, 23, 24, 25]})),
+        (0, Command("beaver_open", (Command.obj(3), Command.obj(7)),
+                    {**triple, "prog": [REF, 0, REF, 0], "keep": 26})),
+        (0, Command("beaver_combine", (Command.obj(9), ("tensor", ring(rng, 3)),
+                                       ("tensor", ring(rng, 3))), {**triple, "lead": 1})),
     ]
     return [struct.pack("<Q", dest) + protocol.serialize_command(c) for dest, c in cmds]
 
 
+def outcome(execute, payload):
+    """None if the payload is served, else the exception it raised."""
+    try:
+        execute(payload)
+    except Exception as e:  # noqa: BLE001  (compared, not swallowed)
+        return e
+    return None
+
+
+def mutate(rng, payload):
+    buf = bytearray(payload)
+    for _ in range(int(rng.integers(1, 4))):
+        kind = rng.integers(3)
+        at = int(rng.integers(len(buf)))
+        if kind == 0:
+            buf[at] = int(rng.integers(256))
+        elif kind == 1:
+            del buf[at]
+        else:
+            buf.insert(at, int(rng.integers(256)))
+    return bytes(buf)
+
+
 @pytest.fixture
-def live_worker(monkeypatch):
-    """A socket worker on a thread, and the exceptions it encodes as error
-    replies (the client sees only their code and text)."""
-    raised = []
-    encode = protocol.encode_error
-
-    def spy(exc):
-        raised.append(exc)
-        return encode(exc)
-
-    monkeypatch.setattr(protocol, "encode_error", spy)
+def live_worker():
+    """A socket worker on a thread, a client connected to it, and a
+    WorkerCore of the same name and seed to mirror it."""
     core = WorkerCore("alice", seed=0)
     srv = make_server("127.0.0.1", 0, core)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
     client = SocketClient(*srv.server_address)
+    mirror = WorkerCore("alice", seed=0)
     try:
-        yield core, client, raised
+        yield core, client, mirror
     finally:
         client.close()
         srv.shutdown()
@@ -116,33 +163,51 @@ def live_worker(monkeypatch):
 
 
 def test_mutated_execute_payloads_on_a_socket_worker(live_worker):
-    core, client, raised = live_worker
-    seed_objects(client)
-    payloads = valid_payloads()
-    for payload in payloads:  # each is served as sent
+    """Each mutated payload goes to the socket worker and to its mirror
+    core; a refusal is the same FedringError, with the same message, on
+    both, and never RemoteError."""
+    core, client, mirror = live_worker
+
+    def on_socket(payload):
         client.request(protocol.MSG_EXECUTE, payload)
-    client.delete(7, 8)
+
+    def on_core(payload):
+        (dest,) = struct.unpack_from("<Q", payload)
+        mirror.execute(protocol.deserialize_command(payload, 8), dest)
+
+    seed_objects(client)
+    seed_objects(mirror)
+    seeded = set(core._objects)
+
+    def restore():
+        """Drop what a served payload stored, on both workers."""
+        for w in (core, mirror):
+            made = set(w._objects) - seeded
+            if made:
+                w.delete_object(*made)
+
+    payloads = valid_payloads()
+    for payload in payloads:  # each is served as sent, on both
+        assert outcome(on_socket, payload) is None
+        assert outcome(on_core, payload) is None
+        restore()
     sentinel = bits(fetch(client, SENTINEL))
     rng = np.random.default_rng(2)
-    refused = 0
+    refused = set()
     for _ in range(300):
-        buf = bytearray(payloads[int(rng.integers(len(payloads)))])
-        for _ in range(int(rng.integers(1, 4))):
-            kind = rng.integers(3)
-            at = int(rng.integers(len(buf)))
-            if kind == 0:
-                buf[at] = int(rng.integers(256))
-            elif kind == 1:
-                del buf[at]
-            else:
-                buf.insert(at, int(rng.integers(256)))
+        i = int(rng.integers(len(payloads)))
+        buf = mutate(rng, payloads[i])
         before = core.object_count()
-        try:
-            client.request(protocol.MSG_EXECUTE, bytes(buf))
-        except FedringError:
-            refused += 1
-            assert core.object_count() == before
+        got = outcome(on_socket, buf)
+        want = outcome(on_core, buf)
+        assert not isinstance(got, RemoteError), (i, buf, got)
+        assert type(got) is type(want), (i, buf, got, want)
+        if got is None:
+            restore()
+            continue
+        assert isinstance(got, FedringError), (i, buf, got)
+        assert str(got) == str(want), (i, buf, got, want)
+        refused.add(i)
+        assert core.object_count() == mirror.object_count() == before
         assert bits(fetch(client, SENTINEL)) == sentinel
-    assert refused > 0
-    bad = [e for e in raised if not isinstance(e, FedringError)]
-    assert not bad, bad[:5]
+    assert refused == set(range(len(payloads)))

@@ -20,6 +20,7 @@ from fedring.protocol import (
     serialize_tensor,
 )
 from fedring.tensor import Dtype, Tensor
+from fedring.workers import WorkerCore
 
 
 def rand_tensor(rng):
@@ -46,7 +47,7 @@ class TestFrames:
     def test_header_layout(self):
         frame = encode_frame(Message(protocol.MSG_EXECUTE, 7, b"xy"))
         assert frame[:4] == b"FTNS"
-        assert frame[4] == 4
+        assert frame[4] == 5
         assert frame[5] == 4
         assert len(frame) == 24
 
@@ -75,8 +76,8 @@ class TestFrames:
             encode_frame(Message(9, 1))
         frame = bytearray(encode_frame(Message(protocol.MSG_EXECUTE, 1)))
         # 1: chain payloads; 2: worker-chosen ids and a second execute type;
-        # 3: STORE and GET requests
-        for version in (1, 2, 3, 5):
+        # 3: STORE and GET requests; 4: numeric error codes
+        for version in (1, 2, 3, 4, 6):
             frame[4] = version
             with pytest.raises(errors.MalformedPayload, match="unsupported version"):
                 decode_frame(bytes(frame))
@@ -102,7 +103,8 @@ class TestFrames:
     def test_bad_magic_is_its_own_kind(self):
         with pytest.raises(errors.BadMagic):
             decode_header(b"JUNK" + b"\x00" * 18)
-        assert encode_error(errors.BadMagic("x"))[0] == protocol.ERR_MALFORMED
+        with pytest.raises(errors.BadMagic, match="^x$"):
+            raise_error_payload(encode_error(errors.BadMagic("x")))
 
 
 class TestTensorCodec:
@@ -191,12 +193,15 @@ class TestCommandCodec:
             "fb_batch",
             (Command.obj(3),),
             {"dims": [13, 32, 1], "task": "regression", "lr": 0.01,
-             "indices": [1, 2, 3]},
+             "indices": [1, 2, 3], "lead": True},
         )
         back = deserialize_command(serialize_command(cmd))
         assert back.name == cmd.name
         assert back.args == cmd.args
         assert back.kwargs == cmd.kwargs
+        # a bool is an int kwarg: True packs, and decodes, as 1
+        assert serialize_command(cmd) == serialize_command(
+            Command(cmd.name, cmd.args, {**cmd.kwargs, "lead": 1}))
 
     def test_int_list_kwarg_refuses_non_integers(self):
         for bad in ([1, 2.5], [1, "2"], [[1]], [1 << 63]):
@@ -206,11 +211,13 @@ class TestCommandCodec:
         assert back.kwargs == {"t": [1, -(1 << 63)]}
 
     def test_missing_kwarg_is_malformed(self):
-        """A kwarg the command reads and the payload lacks is refused as
-        MalformedPayload, not a bare KeyError."""
+        """A kwarg the command reads and the payload lacks is refused by the
+        worker as MalformedPayload, not a bare KeyError."""
         cmd = deserialize_command(serialize_command(Command("eval_expr", (Command.obj(1),))))
-        with pytest.raises(errors.MalformedPayload, match="prog"):
-            cmd.kwargs["prog"]
+        worker = WorkerCore("alice", 0)
+        worker.push(1, Tensor(np.ones(2), Dtype.FLOAT64))
+        with pytest.raises(errors.MalformedPayload, match="^command has no 'prog' kwarg$"):
+            worker.execute(cmd)
 
     def test_empty_command(self):
         cmd = Command("neg", (Command.obj(1),))
@@ -264,19 +271,43 @@ class TestCommandCodec:
 
 
 class TestErrorCodec:
-    @pytest.mark.parametrize("exc,code", [
-        (errors.ObjectNotFound("x"), 1),
-        (errors.DuplicateObject("x"), 2),
-        (errors.UnknownCommand("x"), 3),
-        (errors.MalformedPayload("x"), 4),
-        (errors.ShapeMismatch("x"), 5),  # anything else maps to Internal
-    ])
-    def test_code_mapping(self, exc, code):
-        payload = encode_error(exc)
-        assert payload[0] == code
+    @pytest.mark.parametrize("cls", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.FedringError)
+    ], ids=lambda cls: cls.__name__)
+    def test_every_fedring_error_crosses_as_itself(self, cls):
+        payload = encode_error(cls("gone: é"))
+        name = cls.__name__.encode("ascii")
+        assert payload == bytes([len(name)]) + name + "gone: é".encode("utf-8")
+        with pytest.raises(cls) as info:
+            raise_error_payload(payload)
+        assert type(info.value) is cls
+        assert str(info.value) == "gone: é"
 
     def test_raise_roundtrip(self):
         with pytest.raises(errors.ObjectNotFound, match="gone"):
             raise_error_payload(encode_error(errors.ObjectNotFound("gone")))
         with pytest.raises(errors.RemoteError):
             raise_error_payload(encode_error(ValueError("boom")))
+
+    def test_other_exceptions_cross_as_remote_error(self):
+        payload = encode_error(IndexError("index 9 is out of bounds"))
+        assert payload[: 1 + payload[0]] == b"\x0bRemoteError"
+        with pytest.raises(errors.RemoteError) as info:
+            raise_error_payload(payload)
+        assert type(info.value) is errors.RemoteError
+        assert str(info.value) == "IndexError: index 9 is out of bounds"
+
+    @pytest.mark.parametrize("name", [b"ValueError", b"__class__", b"", b"Tensor",
+                                      b"\xffMalformedPayload", b"errors"])
+    def test_a_name_that_is_no_fedring_error_is_remote(self, name):
+        with pytest.raises(errors.RemoteError) as info:
+            raise_error_payload(bytes([len(name)]) + name + b"boom")
+        assert type(info.value) is errors.RemoteError
+        assert str(info.value) == "boom"
+
+    @pytest.mark.parametrize("payload", [b"", b"\x06Shape", b"\xff" + b"x" * 254],
+                             ids=["empty", "cut_name", "cut_long_name"])
+    def test_short_payload_is_malformed(self, payload):
+        with pytest.raises(errors.MalformedPayload, match="short error payload"):
+            raise_error_payload(payload)

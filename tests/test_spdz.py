@@ -101,6 +101,13 @@ class TestShareReconstruct:
         with pytest.raises(ObjectNotFound):
             reconstruct(sv, fed)
 
+    def test_remote_share_to_one_party_is_refused_by_the_owner(self, fed):
+        """The owner refuses one party before anything is pushed or taken."""
+        fed.worker("bob").store(1, r64([5, 6]))
+        with pytest.raises(ConfigError, match="^need at least 2 parties$"):
+            share_remote("bob", ("ref", 1), ("bob",), fed)
+        assert [fed.worker(p).core.object_count() for p in ("alice", "bob")] == [0, 1]
+
     def test_remote_share_to_unknown_party_strands_nothing(self, fed):
         """make_shares resolves every party before its first push: sharing
         to a party the owner does not know raises WorkerUnknown, no share is

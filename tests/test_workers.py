@@ -5,10 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from fedring import protocol
+from fedring import commands, protocol
 from fedring.commands import OPS, identity
 from fedring.errors import (
+    ConfigError,
     DuplicateObject,
+    EmptyLot,
     MalformedPayload,
     ObjectNotFound,
     RemoteError,
@@ -286,7 +288,7 @@ class TestSocketWorker:
         assert head[5] == protocol.MSG_ERROR
         (plen,) = struct.unpack("<Q", head[14:22])
         payload = _recv(sock, plen)
-        assert struct.unpack("<I", payload[:4])[0] == protocol.ERR_MALFORMED
+        assert payload[: 1 + payload[0]] == b"\x08BadMagic"
         # now a valid frame on the same connection
         frame = protocol.encode_frame(Message(protocol.MSG_EXECUTE, 5, struct.pack("<Q", 3)
                                               + protocol.serialize_command(identity(("tensor", X)))))
@@ -306,7 +308,7 @@ class TestSocketWorker:
         head = _recv(sock, 22)
         assert head[5] == protocol.MSG_ERROR
         (plen,) = struct.unpack("<Q", head[14:22])
-        assert struct.unpack("<I", _recv(sock, plen)[:4])[0] == protocol.ERR_MALFORMED
+        assert _recv(sock, plen).startswith(b"\x10MalformedPayload")
         assert sock.recv(1) == b""
         sock.close()
         assert server.worker_core.object_count() == 0
@@ -456,7 +458,7 @@ class TestExecuteByValue:
         h, core = handle_and_core
         h.store(1, local([1.0, 2.0]))
         h.store(2, local([3.0]))
-        with pytest.raises((ShapeMismatch, RemoteError)):  # a socket reply carries no type
+        with pytest.raises(ShapeMismatch):
             h.execute(eval_cmd("add", ("take", 1), Command.obj(2)))
         with pytest.raises(ObjectNotFound):
             h.execute(eval_cmd("add", ("take", 1), Command.obj(99)))
@@ -563,3 +565,113 @@ class TestTransportEquivalence:
 
         assert bits(script(fed_s)) == bits(script(fed_v))
         fed_s.close()
+
+
+# A 4x3 partition under ids 1 (X) and 2 (y), and the 11 parameters of dims
+# (3, 2, 1) inline, for the training commands.
+PARAMS = ("tensor", local(np.linspace(-0.5, 0.5, 11)))
+
+
+def train_cmd(name, **kwargs):
+    base = {"dims": [3, 2, 1], "task": "regression"}
+    if name == "fb_batch":
+        base["indices"] = [0, 2]
+    else:
+        base.update(lot_size=2, clip_norm=1.0, sigma=1.0)
+    return Command(name, (PARAMS, Command.obj(1), Command.obj(2)), {**base, **kwargs})
+
+
+def triples_cmd(**kwargs):
+    base = {"kind": "elementwise", "shape": [2], "count": 1, "parties": "alice,alice",
+            "ids": [50, 51]}
+    return Command("gen_triples", (), {**base, **kwargs})
+
+
+BATCH = "batch indices must be a nonempty list in [0, 4)"
+SAME_ERROR = {
+    "not_found": (lambda h: h.fetch(99), ObjectNotFound, "object 99 not on alice"),
+    "duplicate": (lambda h: h.store(1, X), DuplicateObject, "object 1 already stored on alice"),
+    "unknown": (lambda h: h.execute(Command("frobnicate", ())), UnknownCommand, "frobnicate"),
+    "no_prog": (lambda h: h.execute(Command("eval_expr", (Command.obj(1),))),
+                MalformedPayload, "command has no 'prog' kwarg"),
+    "shapes": (lambda h: h.execute(eval_cmd("add", Command.obj(1), Command.obj(2))),
+               ShapeMismatch, "(4, 3) vs (4,)"),
+    "config": (lambda h: h.execute(triples_cmd(count=0)), ConfigError, "count must be >= 1"),
+    # gen_triples refuses repeated ids, and a triple no frame can carry,
+    # before it allocates or pushes anything
+    "repeated_ids": (lambda h: h.execute(triples_cmd(ids=[50, 50])), ConfigError,
+                     "need 2 distinct object ids, got 1 of 2"),
+    "huge_triple": (lambda h: h.execute(triples_cmd(shape=[1 << 24])), ConfigError,
+                    "no frame fits the elementwise triple of shapes (16777216,), (16777216,), "
+                    "(16777216,)"),
+    "negative_dim": (lambda h: h.execute(triples_cmd(kind="matmul", shape=[-2, 3, -2])),
+                     ConfigError, "no frame fits the matmul triple of shapes (-2, 3), (3, -2), "
+                     "(-2, -2)"),
+    "empty_lot": (lambda h: h.execute(train_cmd("dp_phase", lot_size=0)),
+                  EmptyLot, "lot_size must be >= 1"),
+    # training commands check their inputs
+    "row_past_end": (lambda h: h.execute(train_cmd("fb_batch", indices=[0, 9])),
+                     MalformedPayload, BATCH),
+    "negative_row": (lambda h: h.execute(train_cmd("fb_batch", indices=[-1])),
+                     MalformedPayload, BATCH),
+    "no_rows": (lambda h: h.execute(train_cmd("fb_batch", indices=[])), MalformedPayload, BATCH),
+    **{f"{name}_{case}": (lambda h, name=name, dims=dims: h.execute(train_cmd(name, dims=dims)),
+                          cls, msg)
+       for name in ("fb_batch", "dp_phase")
+       for case, dims, cls, msg in [
+           ("wide", [5, 2, 1], ShapeMismatch,
+            "partition X (4, 3), y (4,) does not fit dims (5, 2, 1)"),
+           ("two_dims", [3, 2], MalformedPayload, "dims (3, 2) must be (input, hidden >= 1, 1)"),
+           ("two_outputs", [3, 2, 2], MalformedPayload,
+            "dims (3, 2, 2) must be (input, hidden >= 1, 1)")]},
+    "fb_batch_two_args": (lambda h: h.execute(Command("fb_batch", (PARAMS, Command.obj(1)))),
+                          MalformedPayload, "fb_batch takes 3 arguments, not 2"),
+    # dp_phase refuses a noise setting it cannot honour
+    "negative_sigma": (lambda h: h.execute(train_cmd("dp_phase", sigma=-1.0)),
+                       ConfigError, "sigma -1.0 must be >= 0"),
+    "nan_sigma": (lambda h: h.execute(train_cmd("dp_phase", sigma=float("nan"))),
+                  ConfigError, "sigma nan must be >= 0"),
+    "nan_clip_norm": (lambda h: h.execute(train_cmd("dp_phase", clip_norm=float("nan"))),
+                      ConfigError, "clip_norm nan must be positive"),
+    # Beaver commands refuse a wrong argument count
+    "open_no_args": (lambda h: h.execute(Command("beaver_open", (), {
+        "kind": "elementwise", "shape": [2], "prog": [], "keep": 60})),
+                     MalformedPayload, "beaver_open takes its triple object as its last argument"),
+    "combine_no_args": (lambda h: h.execute(Command("beaver_combine", (), {
+        "kind": "elementwise", "shape": [2]})),
+                        MalformedPayload, "beaver_combine takes 3 arguments, not 0"),
+}
+
+
+class TestSameErrorEitherTransport:
+    """A failing command raises the same class with the same message on a
+    virtual and on a socket handle, and leaves the worker's objects as they
+    were."""
+
+    @pytest.mark.parametrize("case", list(SAME_ERROR))
+    def test_same_class_and_message(self, handle_and_core, case):
+        h, core = handle_and_core
+        h.store(1, local(np.arange(12.0).reshape(4, 3)))
+        h.store(2, local([1.0, 0.0, -1.0, 2.0]))
+        call, cls, msg = SAME_ERROR[case]
+        with pytest.raises(cls) as info:
+            call(h)
+        assert type(info.value) is cls
+        assert str(info.value) == msg
+        assert core.object_count() == 2
+
+    def test_other_faults_arrive_as_remote_error(self, handle_and_core, monkeypatch):
+        """A worker fault that is no FedringError is itself in-process; a
+        socket client gets RemoteError headed by the fault's type name."""
+        def boom(ctx, args, kwargs):
+            raise IndexError("index 9 is out of bounds")
+
+        monkeypatch.setitem(commands.REGISTRY, "boom", (boom, False))
+        h, _ = handle_and_core
+        with pytest.raises((IndexError, RemoteError)) as info:
+            h.execute(Command("boom", ()))
+        if isinstance(h, VirtualHandle):
+            assert type(info.value) is IndexError
+        else:
+            assert type(info.value) is RemoteError
+            assert str(info.value) == "IndexError: index 9 is out of bounds"
