@@ -12,10 +12,10 @@ leader knows about the payload, and nothing is fetched back to learn it:
                                  expression over the worker's objects;
     ('shared', ShareVector)      parties, per-party share expressions and
                                  shape; linear results stay lazy.
-The ops a chain dispatches, and their arity, come from one table
-(commands.OPS), and every leaf kind runs them with one interpreter. A local
-op runs commands.run_expr on the leader. Pointer and share expressions
-share one format and one compiler (commands.compile_expr). Operations on
+The ops a chain dispatches, their arity and their kernels come from one
+table (commands.OPS). A local op calls its row's kernel on the leader, the
+kernel the workers' interpreter calls. Pointer and share expressions share
+one format and one compiler (commands.compile_expr). Operations on
 pointers send nothing: get() evaluates the whole expression with one
 by-value eval_expr command and share() with one make_shares command that
 carries it as its program, and a shape or dtype error in it surfaces there.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint, spdz
-from .commands import OPS, compile_expr, run_expr
+from .commands import OPS, compile_expr
 from .errors import ConfigError, KindMismatch, OverflowRangeError, UnknownCommand
 from .tensor import Dtype, Tensor
 from .workers import Federation
@@ -170,14 +170,14 @@ class TensorChain:
 def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> TensorChain:
     """Forward a command down the chain: FixedPrecision applies the
     fixed-point calling convention (truncate after mul/matmul/float scale)
-    then forwards; at the leaf, Local runs the op through the interpreter,
+    then forwards; at the leaf, Local calls the op's kernel,
     Pointer builds a lazy expression and Shared runs the SPDZ protocol. The
     name and arity are checked against commands.OPS first. Operands must
     have the same prefix and the same leaf kind; scale and offset take their
     public constant as c."""
     if name not in OPS or name in _NOT_DISPATCHED:
         raise UnknownCommand(name)
-    _, arity, consts = OPS[name]
+    _, arity, consts, kernel = OPS[name]
     if 1 + len(others) != arity:
         raise KindMismatch(f"{name} takes {arity} operand(s), not {1 + len(others)}")
     for other in others:
@@ -192,8 +192,7 @@ def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> Te
     if head.kind == "shared":
         return _dispatch_shared(name, chains, const, kwargs)
     if head.kind == "local":
-        expr = (name,) + tuple(("ref", i) for i in range(arity)) + const
-        return head._with_leaf(("local", run_expr(expr, [c.tensor() for c in chains])))
+        return head._with_leaf(("local", kernel(*(c.tensor() for c in chains), *const)))
     worker = head.leaf[1]
     if any(other.leaf[1] != worker for other in others):
         raise KindMismatch("pointer operands live on different workers")

@@ -2,16 +2,19 @@
 
 Every command receives resolved tensors and returns one tensor; the worker
 stores it under the id the leader named, or, for a by-value execute,
-replies with it and stores nothing. Arithmetic, for local tensors, pointers
-and shares alike, runs one interpreter: `OPS` is the one table of ops,
-`compile_expr` turns expression trees into a postfix program and
-`_run_prog` interprets it. On a worker the program is one `eval_expr`
-command, or the operand program that `beaver_open` and `make_shares`
-carry; on the leader, `run_expr` runs it over local tensors. A
-subexpression reached twice is computed once: the program `save`s it in a
-slot the first time and `load`s it after. Commands never see other
-workers' secrets: share and triple generation push shares directly to the
-peer workers, under ids the leader sent, and hand back nothing secret.
+replies with it and stores nothing. A command that also stores objects
+elsewhere (shares, triples, an expanded triple) returns its result and its
+pushes, `[(peer, id, tensor), ...]`, and the worker pushes them all or
+none (`WorkerCore.execute`). `OPS` is the one table of ops: each row's
+kernel is the one implementation of its op, called directly by the
+leader's local chains and through `_run_prog`, the postfix interpreter, on
+the workers. `compile_expr` turns expression trees over pointers and shares
+into a program: one `eval_expr` command, or the operand program that
+`beaver_open` and `make_shares` carry. A subexpression reached twice is
+computed once: the program `save`s it in a slot the first time and `load`s
+it after. Commands never see other workers' secrets: share and triple
+generation push shares directly to the peer workers, under ids the leader
+sent, and hand back nothing secret.
 
 Beaver triples are seed-compressed. For each triple the dealer draws one
 seed of SEED_WORDS ring words per party from its worker RNG. Each party
@@ -35,7 +38,14 @@ import numpy as np
 from . import nn
 from . import tensor as tc
 from .dp import sanitize_lot
-from .errors import ConfigError, EmptyLot, MalformedPayload, ShapeMismatch, UnknownCommand
+from .errors import (
+    ConfigError,
+    EmptyLot,
+    MalformedPayload,
+    OverflowRangeError,
+    ShapeMismatch,
+    UnknownCommand,
+)
 from .fixedpoint import truncate_share
 from .protocol import MAX_PAYLOAD, Command
 from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
@@ -66,30 +76,49 @@ def _want_tensor(v, i):
     return v
 
 
-# The op table: name -> (opcode, operands, constants). A program is postfix:
-# each op pops its operands, reads its integer constants from the words after
-# its opcode and pushes one value.
-#   ref i (push leaf i) | add | sub | neg | scale c | offset c | trunc p role
-#   | mul | matmul | sigmoid_poly | fscale f | foffset f
-#   | save s (keep the top value in slot s; pops nothing) | load s (push it)
-# c is an integer constant; f is the IEEE-754 bit pattern of a float constant,
-# read as an int64. New opcodes go at the end, so existing programs keep
-# their bytes.
-(_REF, _ADD, _SUB, _NEG, _SCALE, _OFFSET, _TRUNC, _MUL, _MATMUL, _SIGMOID,
- _FSCALE, _FOFFSET, _SAVE, _LOAD) = range(14)
-OPS = {"ref": (_REF, 0, 1), "add": (_ADD, 2, 0), "sub": (_SUB, 2, 0),
-       "neg": (_NEG, 1, 0), "scale": (_SCALE, 1, 1), "offset": (_OFFSET, 1, 1),
-       "trunc": (_TRUNC, 1, 2), "mul": (_MUL, 2, 0), "matmul": (_MATMUL, 2, 0),
-       "sigmoid_poly": (_SIGMOID, 1, 0), "fscale": (_FSCALE, 1, 1),
-       "foffset": (_FOFFSET, 1, 1), "save": (_SAVE, 0, 1), "load": (_LOAD, 0, 1)}
-
-
 def _float_bits(x: float) -> int:
     return struct.unpack("<q", struct.pack("<d", x))[0]
 
 
 def _bits_float(v: int) -> float:
     return struct.unpack("<d", struct.pack("<q", v))[0]
+
+
+def _trunc(a: Tensor, p: int, role: int) -> Tensor:
+    if not 0 <= p < 62:  # a shift by the ring's 62 bits or more keeps nothing
+        raise MalformedPayload(f"eval_expr trunc shift {p} is outside [0, 62)")
+    if role not in (0, 1):  # local share truncation is sound for two parties
+        raise MalformedPayload(f"eval_expr trunc role {role} is not 0 or 1")
+    return truncate_share(a, p, role)
+
+
+# The op table: name -> (opcode, operands, constants, kernel). A program is
+# postfix: each op pops its operands, reads its integer constants from the
+# words after its opcode and pushes kernel(*operands, *constants). In a
+# program, scale and offset take an integer constant; fscale and foffset the
+# IEEE-754 bit pattern of a float constant, read as an int64; trunc a shift
+# and a party role. ref i (push leaf i), save s (keep the top value in slot
+# s; pops nothing) and load s (push it) have no kernel: the interpreter runs
+# them itself. Opcodes are row numbers: new ops go at the end, so existing
+# programs keep their bytes.
+OPS = {name: (code, *row) for code, (name, *row) in enumerate([
+    ("ref", 0, 1, None),
+    ("add", 2, 0, tc.add),
+    ("sub", 2, 0, tc.sub),
+    ("neg", 1, 0, tc.neg),
+    ("scale", 1, 1, tc.scale),
+    ("offset", 1, 1, tc.offset),
+    ("trunc", 1, 2, _trunc),
+    ("mul", 2, 0, tc.mul),
+    ("matmul", 2, 0, tc.matmul),
+    ("sigmoid_poly", 1, 0, tc.sigmoid_poly),
+    ("fscale", 1, 1, lambda a, f: tc.scale(a, _bits_float(f))),
+    ("foffset", 1, 1, lambda a, f: tc.offset(a, _bits_float(f))),
+    ("save", 0, 1, None),
+    ("load", 0, 1, None),
+])}
+_REF, _SAVE, _LOAD = (OPS[name][0] for name in ("ref", "save", "load"))
+_BY_CODE = list(OPS.values())
 
 
 def compile_expr(exprs) -> Command:
@@ -159,63 +188,31 @@ def _run_prog(args, prog) -> list:
     try:
         while pos < len(prog):
             op = prog[pos]
-            if op == _REF:
+            if not 0 <= op < len(_BY_CODE):
+                raise MalformedPayload(f"unknown eval_expr opcode {op}")
+            _, n_in, n_const, kernel = _BY_CODE[op]
+            end = pos + 1 + n_const
+            if end > len(prog) or len(stack) < n_in:
+                raise MalformedPayload(f"eval_expr program is malformed at {pos}: "
+                                       f"opcode {op} lacks a word or an operand")
+            if kernel is not None:
+                cut = len(stack) - n_in
+                stack[cut:] = [kernel(*stack[cut:], *prog[pos + 1:end])]
+            elif op == _REF:
                 i = prog[pos + 1]
                 if not 0 <= i < len(args):
                     raise MalformedPayload(f"eval_expr ref {i} names no leaf")
                 stack.append(_want_tensor(args[i], i))
-                pos += 2
-            elif op in (_ADD, _SUB):
-                b, a = stack.pop(), stack.pop()
-                stack.append(tc.add(a, b) if op == _ADD else tc.sub(a, b))
-                pos += 1
-            elif op == _NEG:
-                stack.append(tc.neg(stack.pop()))
-                pos += 1
-            elif op in (_SCALE, _OFFSET):
-                kernel = tc.scale if op == _SCALE else tc.offset
-                stack.append(kernel(stack.pop(), prog[pos + 1]))
-                pos += 2
-            elif op == _TRUNC:
-                p, role = prog[pos + 1], prog[pos + 2]
-                if not 0 <= p < 62:  # a shift by the ring's 62 bits or more keeps nothing
-                    raise MalformedPayload(f"eval_expr trunc shift {p} is outside [0, 62)")
-                if role not in (0, 1):  # local share truncation is sound for two parties
-                    raise MalformedPayload(f"eval_expr trunc role {role} is not 0 or 1")
-                stack.append(truncate_share(stack.pop(), p, role))
-                pos += 3
-            elif op in (_MUL, _MATMUL):
-                b, a = stack.pop(), stack.pop()
-                stack.append(tc.mul(a, b) if op == _MUL else tc.matmul(a, b))
-                pos += 1
-            elif op == _SIGMOID:
-                stack.append(tc.sigmoid_poly(stack.pop()))
-                pos += 1
-            elif op in (_FSCALE, _FOFFSET):
-                kernel = tc.scale if op == _FSCALE else tc.offset
-                stack.append(kernel(stack.pop(), _bits_float(prog[pos + 1])))
-                pos += 2
             elif op == _SAVE:
                 saved[prog[pos + 1]] = stack[-1]
-                pos += 2
-            elif op == _LOAD:
-                stack.append(saved[prog[pos + 1]])
-                pos += 2
             else:
-                raise MalformedPayload(f"unknown eval_expr opcode {op}")
+                stack.append(saved[prog[pos + 1]])
+            pos = end
     except (IndexError, KeyError, TypeError, ValueError, OverflowError, struct.error) as e:
-        # a short or ill-typed program: a stack underflow, a missing word or
-        # slot, a non-integer word, a float constant that is no int64 pattern
+        # an ill-typed program: a save with an empty stack, a missing slot, a
+        # non-integer word, a float constant that is no int64 pattern
         raise MalformedPayload(f"eval_expr program is malformed at {pos}: {e}") from None
     return stack
-
-
-def run_expr(expr, tensors) -> Tensor:
-    """One expression over local tensors, ('ref', i) naming tensors[i], run
-    by the interpreter the workers run."""
-    cmd = compile_expr([expr])
-    (value,) = _run_prog([tensors[oid] for _, oid in cmd.args], cmd.kwargs["prog"])
-    return value
 
 
 @register("eval_expr")
@@ -249,10 +246,10 @@ def _share_targets(ctx, kwargs, per_party: int = 1):
 @register("make_shares")
 def _make_shares(ctx, args, kwargs):
     """Split the one Ring64 value that a program (compile_expr) over the
-    leaf tensors in args leaves into additive shares and push one to each
-    party under the leader's `ids`, one per party; returns the value's
-    shape, the only metadata the leader needs. Pass a stored secret as a
-    take argument so it does not outlive its shares."""
+    leaf tensors in args leaves into additive shares, one per party under
+    the leader's `ids`, to push; returns the value's shape, the only
+    metadata the leader needs. Pass a stored secret as a take argument so
+    it does not outlive its shares."""
     peers, ids = _share_targets(ctx, kwargs)
     stack = _run_prog(args, kwargs["prog"])
     if len(stack) != 1:
@@ -260,9 +257,9 @@ def _make_shares(ctx, args, kwargs):
     (x,) = stack
     if x.dtype is not Dtype.RING64:
         raise ShapeMismatch("make_shares expects a Ring64 tensor (fix precision first)")
-    for peer, oid, s in zip(peers, ids, tc.split_shares(ctx.rng, x.data, len(peers))):
-        peer.push(oid, Tensor._own(s, Dtype.RING64))
-    return Tensor(np.array(x.shape, dtype=np.uint64), Dtype.RING64)
+    shares = tc.split_shares(ctx.rng, x.data, len(peers))
+    return (Tensor(np.array(x.shape, dtype=np.uint64), Dtype.RING64),
+            [(peer, oid, Tensor._own(s, Dtype.RING64)) for peer, oid, s in zip(peers, ids, shares)])
 
 
 # -- Beaver triples (format in the module docstring) -------------------------
@@ -317,10 +314,10 @@ def _product(kind: str):
 
 @register("gen_triples")
 def _gen_triples(ctx, args, kwargs):
-    """Dealer preprocessing: make `count` seed-compressed triples and push
-    each party one object per triple, triple t's object for party i under
-    the leader's ids[t * n_parties + i]. Everything, a triple's fit in one
-    frame too, is checked before the first push. Returns an empty tensor."""
+    """Dealer preprocessing: make `count` seed-compressed triples, one
+    object per triple for each party to push, triple t's object for party i
+    under the leader's ids[t * n_parties + i]. A triple must fit in one
+    frame. Returns an empty tensor."""
     kind = str(kwargs["kind"])
     sa, sb, sc = triple_shapes(kind, kwargs["shape"])
     count = int(kwargs["count"])
@@ -332,6 +329,7 @@ def _gen_triples(ctx, args, kwargs):
         raise ConfigError(f"no frame fits the {kind} triple of shapes {sa}, {sb}, {sc}")
     n = len(peers)
     seeds = tc.random_ring(ctx.rng, (count, n, SEED_WORDS))
+    pushes = []
     for t in range(count):
         a = np.zeros(na, dtype=np.uint64)
         b = np.zeros(nb, dtype=np.uint64)
@@ -346,8 +344,8 @@ def _gen_triples(ctx, args, kwargs):
         c += _product(kind)(a.reshape(sa), b.reshape(sb)).ravel()
         for i, peer in enumerate(peers):
             obj = seeds[t, i].copy() if i < n - 1 else np.concatenate((seeds[t, i], c))
-            peer.push(ids[t * n + i], Tensor._own(obj, Dtype.RING64))
-    return Tensor._own(np.zeros(0, dtype=np.uint64), Dtype.RING64)
+            pushes.append((peer, ids[t * n + i], Tensor._own(obj, Dtype.RING64)))
+    return Tensor._own(np.zeros(0, dtype=np.uint64), Dtype.RING64), pushes
 
 
 def _expand_triple(ctx, obj: Tensor, sizes) -> np.ndarray:
@@ -368,7 +366,7 @@ def _beaver_open(ctx, args, kwargs):
     """A party's part of a Beaver open round. The last argument is its
     triple object (pass it as a take argument); the others are the leaves of
     a program that leaves the party's shares x_i and y_i. Expands the triple
-    once, stores a_i || b_i || c_i under the leader's id `keep` for
+    once, keeps a_i || b_i || c_i under the leader's id `keep` for
     beaver_combine to take, and returns x_i - a_i || y_i - b_i."""
     if not args:
         raise MalformedPayload("beaver_open takes its triple object as its last argument")
@@ -382,8 +380,8 @@ def _beaver_open(ctx, args, kwargs):
     masked = np.empty(na + nb, dtype=np.uint64)
     np.subtract(stack[0].data.ravel(), abc[:na], out=masked[:na])
     np.subtract(stack[1].data.ravel(), abc[na:na + nb], out=masked[na:])
-    ctx.push(int(kwargs["keep"]), Tensor._own(abc, Dtype.RING64))
-    return Tensor._own(masked, Dtype.RING64)
+    return (Tensor._own(masked, Dtype.RING64),
+            [(ctx, int(kwargs["keep"]), Tensor._own(abc, Dtype.RING64))])
 
 
 @register("beaver_combine")
@@ -424,7 +422,16 @@ def _batch_args(name, args, kwargs):
         raise MalformedPayload(f"dims {dims} must be (input, hidden >= 1, 1)")
     if X.ndim != 2 or X.shape[1] != dims[0] or y.shape != X.shape[:1]:
         raise ShapeMismatch(f"partition X {X.shape}, y {y.shape} does not fit dims {dims}")
+    if not np.isfinite(params).all():
+        raise OverflowRangeError(f"{name} parameters are not all finite")
     return params, X, y, dims, str(kwargs["task"])
+
+
+def _finite(name, out: np.ndarray) -> Tensor:
+    """A training command's reply, refused if any of it overflowed."""
+    if not np.isfinite(out).all():
+        raise OverflowRangeError(f"{name} result is not finite")
+    return Tensor._own(out, Dtype.FLOAT64)
 
 
 @register("fb_batch")
@@ -436,8 +443,9 @@ def _fb_batch(ctx, args, kwargs):
     if not rows or min(rows) < 0 or max(rows) >= len(X):
         raise MalformedPayload(f"batch indices must be a nonempty list in [0, {len(X)})")
     idx = np.array(rows, dtype=np.int64)
-    loss, grad = nn.forward_backward(params, dims, task, X[idx], y[idx])
-    return Tensor._own(np.concatenate([[loss], grad]), Dtype.FLOAT64)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        loss, grad = nn.forward_backward(params, dims, task, X[idx], y[idx])
+    return _finite("fb_batch", np.concatenate([[loss], grad]))
 
 
 @register("dp_phase")
@@ -454,5 +462,7 @@ def _dp_phase(ctx, args, kwargs):
     if lot_size > X.shape[0]:
         raise ConfigError(f"lot {lot_size} exceeds partition size {X.shape[0]}")
     idx = ctx.rng.choice(X.shape[0], size=lot_size, replace=False)
-    _, G = nn.forward_backward(params, dims, task, X[idx], y[idx], per_example=True)
-    return Tensor._own(sanitize_lot(G, clip_norm, sigma, ctx.rng), Dtype.FLOAT64)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        _, G = nn.forward_backward(params, dims, task, X[idx], y[idx], per_example=True)
+        noised = sanitize_lot(G, clip_norm, sigma, ctx.rng)
+    return _finite("dp_phase", noised)

@@ -75,7 +75,9 @@ class InsufficientTriples(FedringError):
 
 
 class OverflowRangeError(FedringError):
-    """Fixed-point encode input exceeds the representable magnitude."""
+    """A value past the range its computation represents: a fixed-point
+    encode or product that wraps the ring, a non-finite training input or
+    result."""
 
 
 class EmptyLot(FedringError):

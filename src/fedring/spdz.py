@@ -168,7 +168,7 @@ def linear(name: str, *operands) -> ShareVector:
     every share it would reconstruct to x + n*c)."""
     if name not in _LINEAR:
         raise UnknownCommand(f"{name} on shares")
-    _, arity, consts = OPS[name]
+    _, arity, consts, _ = OPS[name]
     if len(operands) != arity + consts:
         raise ConfigError(f"{name} takes {arity} share vector(s) and {consts} constant(s)")
     svs, const = operands[:arity], tuple(int(c) % Q for c in operands[arity:])

@@ -98,52 +98,44 @@ def _check_same_dtype(a: Tensor, b: Tensor):
         raise DtypeMismatch(f"{a.dtype.value} vs {b.dtype.value}")
 
 
-def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
-    """Pointwise add/sub/mul; shapes must match exactly (no broadcasting)."""
+def _pointwise(ufunc, a: Tensor, b: Tensor) -> Tensor:
+    """A numpy ufunc over two tensors of one dtype and one shape (no
+    broadcasting)."""
     _check_same_dtype(a, b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    if op == "add":
-        out = a.data + b.data
-    elif op == "sub":
-        out = a.data - b.data
-    elif op == "mul":
-        out = a.data * b.data
-    else:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    return Tensor._own(out, a.dtype)
+    return Tensor._own(ufunc(a.data, b.data), a.dtype)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("add", a, b)
+    return _pointwise(np.add, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("sub", a, b)
+    return _pointwise(np.subtract, a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("mul", a, b)
+    return _pointwise(np.multiply, a, b)
+
+
+def _public(a: Tensor, c):
+    """A public scalar in a's dtype: a ring residue or a float."""
+    return np.uint64(int(c) % RING_MODULUS) if a.dtype is Dtype.RING64 else float(c)
 
 
 def scale(a: Tensor, c) -> Tensor:
     """Multiply every element by a public scalar."""
-    if a.dtype is Dtype.RING64:
-        return Tensor._own(a.data * np.uint64(int(c) % RING_MODULUS), a.dtype)
-    return Tensor._own(a.data * float(c), a.dtype)
+    return Tensor._own(a.data * _public(a, c), a.dtype)
 
 
 def offset(a: Tensor, c) -> Tensor:
     """Add a public scalar to every element."""
-    if a.dtype is Dtype.RING64:
-        return Tensor._own(a.data + np.uint64(int(c) % RING_MODULUS), a.dtype)
-    return Tensor._own(a.data + float(c), a.dtype)
+    return Tensor._own(a.data + _public(a, c), a.dtype)
 
 
 def neg(a: Tensor) -> Tensor:
-    if a.dtype is Dtype.RING64:
-        return Tensor._own(np.uint64(0) - a.data, a.dtype)
-    return Tensor._own(-a.data, a.dtype)
+    return Tensor._own(np.negative(a.data), a.dtype)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

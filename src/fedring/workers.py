@@ -30,6 +30,7 @@ sent; a worker allocates none of its own.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import socket
 import socketserver
@@ -46,6 +47,7 @@ from .errors import (
     BadMagic,
     BindError,
     DuplicateObject,
+    FedringError,
     MalformedPayload,
     ObjectNotFound,
     TransportError,
@@ -58,8 +60,10 @@ LEADER_ID_SPAN = 1 << 32
 
 
 def _validate_name(name: str):
+    """1 to 64 UTF-8 bytes, and no ',' or '=': they separate the names in a
+    command's `parties` and in the CLI's name=host:port endpoints."""
     raw = name.encode("utf-8")
-    if not 0 < len(raw) <= 64:
+    if not 0 < len(raw) <= 64 or "," in name or "=" in name:
         raise WorkerUnknown(f"invalid worker name {name!r}")
 
 
@@ -212,13 +216,37 @@ class WorkerCore:
             raise WorkerUnknown(f"{self.name} has no peer {name!r}")
         return self.peers[name]
 
+    def _push_all(self, pushes):
+        """Push a command's objects, [(peer, id, tensor), ...], all or none:
+        an id outside [1, 2**64), where a socket peer would read 0 as a
+        by-value execute, or one this worker already holds is refused
+        before the first push, and a failed push deletes the ones before
+        it, then raises."""
+        bad = [oid for _, oid, _ in pushes if not 0 < oid < 1 << 64]
+        if bad:
+            raise MalformedPayload(f"push id {bad[0]} is outside [1, 2**64)")
+        held = [oid for peer, oid, _ in pushes if peer is self and oid in self._objects]
+        if held:
+            raise DuplicateObject(f"object {held[0]} already stored on {self.name}")
+        done: dict = {}
+        try:
+            for peer, oid, t in pushes:
+                peer.push(oid, t)
+                done.setdefault(peer, []).append(oid)
+        except Exception:
+            for peer, oids in done.items():
+                with contextlib.suppress(FedringError):  # the push's own error is the one raised
+                    peer.delete_object(*oids)
+            raise
+
     # -- execution --------------------------------------------------------
     def execute(self, cmd: Command, dest: int = 0) -> Tensor | None:
         """Run a command. With dest 0, return the result tensor and store
         nothing; otherwise store the result under the leader's id dest and
         return None. A dest already stored is refused before the command
-        runs. Take arguments are deleted only once the command has
-        succeeded."""
+        runs, and one the command also pushes before anything is pushed; a
+        command's pushes and the stored result land all or none. Take
+        arguments are deleted only once the command has succeeded."""
         fn = lookup(cmd.name)
         if dest and dest in self._objects:
             raise DuplicateObject(f"object {dest} already stored on {self.name}")
@@ -227,13 +255,17 @@ class WorkerCore:
             result = fn(self, args, cmd.kwargs)
         except KeyError as e:  # a command's only lookups that can miss are its kwargs
             raise MalformedPayload(f"command has no {e} kwarg") from None
-        if dest:
+        if type(result) is tuple:  # (result, pushes) from a command that pushes
+            result, pushes = result
+            if dest and any(oid == dest for _, oid, _ in pushes):
+                raise DuplicateObject(f"object {dest} is both pushed and the destination")
+            self._push_all(pushes + [(self, dest, result)] if dest else pushes)
+        elif dest:
             self.push(dest, result)
-            result = None
         taken = [val for tag, val in cmd.args if tag == "take"]
         if taken:
             self.delete_object(*taken)
-        return result
+        return None if dest else result
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +390,8 @@ class SocketHandle(_TappedHandle):
 
 class _LazySocketPeer:
     """Deferred peer connection for worker-to-worker share pushes: each
-    push is a store, the identity execute over the tensor inline."""
+    push is a store, the identity execute over the tensor inline, and
+    `delete_object` undoes pushes, as on a WorkerCore."""
 
     def __init__(self, host: str, port: int):
         self.host, self.port = host, port
@@ -370,6 +403,11 @@ class _LazySocketPeer:
             if self._client is None:
                 self._client = SocketClient(self.host, self.port)
             self._client.execute(identity(("tensor", t)), oid)
+
+    def delete_object(self, *oids: int):
+        """Undo pushes: called only after a push, so connected."""
+        with self._lock:
+            self._client.delete(*oids)
 
     def close(self):
         with self._lock:

@@ -10,7 +10,7 @@ import pytest
 from fedring import fixedpoint, spdz
 from fedring import tensor as tc
 from fedring.chain import TensorChain, dispatch, validate_chain
-from fedring.commands import compile_expr
+from fedring.commands import OPS, compile_expr
 from fedring.errors import KindMismatch, ObjectNotFound, OverflowRangeError, UnknownCommand
 from fedring.spdz import ShareVector
 from fedring.tensor import Dtype, Tensor
@@ -197,6 +197,32 @@ class TestPointerDispatch:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert same_bits(over_socket, lazy_chain(fed))
+
+    def test_ring_local_matches_worker(self, fed):
+        """A Ring64 local op calls its OPS kernel directly; a pointer op runs
+        the same kernel in the worker's interpreter. Both give the same
+        bits, wrapped mod Q, for every ring op a chain dispatches."""
+        rng = np.random.default_rng(2)
+
+        def ring(shape):
+            return TensorChain.local(tc.random_ring(rng, shape), Dtype.RING64)
+
+        def sent(chain):
+            return TensorChain([chain.leaf], fed).send("alice")
+
+        cases = [("add", (2, 3), (2, 3), {}), ("sub", (2, 3), (2, 3), {}),
+                 ("mul", (2, 3), (2, 3), {}), ("matmul", (2, 3), (3, 2), {}),
+                 ("neg", (5,), None, {}), ("scale", (5,), None, {"c": 3}),
+                 ("scale", (5,), None, {"c": -(1 << 61) - 7}),
+                 ("offset", (5,), None, {"c": (1 << 62) - 1}), ("offset", (5,), None, {"c": -9})]
+        for name, xs, ys, kwargs in cases:
+            ops = [ring(xs)] + ([ring(ys)] if ys else [])
+            local = dispatch(name, *ops, **kwargs).tensor()
+            remote = dispatch(name, *map(sent, ops), **kwargs).get().tensor()
+            assert local.dtype is remote.dtype is Dtype.RING64
+            assert local.data.shape == remote.data.shape
+            assert local.data.tobytes() == remote.data.tobytes(), name
+            assert int(local.data.max()) < tc.RING_MODULUS
 
     def test_chain_is_one_execute(self, tapped):
         """send, add, scale, neg, get: the three ops cost nothing until get(),
@@ -450,3 +476,20 @@ def test_readme_library_sketch():
         for block in blocks:
             exec(compile(block, "README.md", "exec"), namespace)
     assert out.getvalue().splitlines() == ["[[2. 2.]]", "[[ 0.75 -8.  ]]"]
+
+
+class TestOpTable:
+    def test_rows_are_pinned(self):
+        """Programs carry each op's opcode and constant words on the wire,
+        so every row's name, opcode, operand count and constant count is
+        fixed, in opcode order; ref, save and load are the interpreter's
+        own, and every other row has a kernel."""
+        rows = sorted((code, name, n_in, n_const, kernel is not None)
+                      for name, (code, n_in, n_const, kernel) in OPS.items())
+        assert rows == [
+            (0, "ref", 0, 1, False), (1, "add", 2, 0, True), (2, "sub", 2, 0, True),
+            (3, "neg", 1, 0, True), (4, "scale", 1, 1, True), (5, "offset", 1, 1, True),
+            (6, "trunc", 1, 2, True), (7, "mul", 2, 0, True), (8, "matmul", 2, 0, True),
+            (9, "sigmoid_poly", 1, 0, True), (10, "fscale", 1, 1, True),
+            (11, "foffset", 1, 1, True), (12, "save", 0, 1, False), (13, "load", 0, 1, False),
+        ]

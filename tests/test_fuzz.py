@@ -1,9 +1,9 @@
 """Seeded fuzzing of what reaches a worker from the wire: random eval_expr
 programs on a WorkerCore, and random byte mutations of valid EXECUTE
 payloads, one for every command, on a live socket worker and on a
-WorkerCore alike. A refusal must be a FedringError of the same class on
-both, must leave the worker's objects as they were, and must leave the
-connection serving. numpy's RNG drives every draw, so each run is the same
+WorkerCore alike, each with a peer it pushes to. A refusal must be a
+FedringError of the same class on both, must leave every worker's objects
+as they were, and must leave the connection serving. numpy's RNG drives every draw, so each run is the same
 run."""
 
 import struct
@@ -17,7 +17,7 @@ from fedring.commands import OPS
 from fedring.errors import FedringError, RemoteError
 from fedring.protocol import Command
 from fedring.tensor import Dtype, Tensor
-from fedring.workers import SocketClient, WorkerCore, make_server
+from fedring.workers import SocketClient, WorkerCore, _LazySocketPeer, make_server
 
 from test_workers import bits, fetch, store
 
@@ -111,8 +111,8 @@ def valid_payloads():
         (0, Command("dp_phase", (params, Command.obj(5), Command.obj(6)),
                     {**train, "lot_size": 2, "clip_norm": 1.0, "sigma": 1.5})),
         (0, Command("make_shares", (Command.obj(3),),
-                    {"parties": "alice,alice", "ids": [20, 21], "prog": [REF, 0]})),
-        (0, Command("gen_triples", (), {**triple, "count": 2, "parties": "alice,alice",
+                    {"parties": "alice,bob", "ids": [20, 21], "prog": [REF, 0]})),
+        (0, Command("gen_triples", (), {**triple, "count": 2, "parties": "alice,bob",
                                         "ids": [22, 23, 24, 25]})),
         (0, Command("beaver_open", (Command.obj(3), Command.obj(7)),
                     {**triple, "prog": [REF, 0, REF, 0], "keep": 26})),
@@ -147,26 +147,36 @@ def mutate(rng, payload):
 
 @pytest.fixture
 def live_worker():
-    """A socket worker on a thread, a client connected to it, and a
-    WorkerCore of the same name and seed to mirror it."""
-    core = WorkerCore("alice", seed=0)
+    """A socket worker on a thread whose peer bob is a second socket worker,
+    a client connected to the first, and WorkerCores of the same names and
+    seeds to mirror both."""
+    bob = WorkerCore("bob", seed=0)
+    bob_srv = make_server("127.0.0.1", 0, bob)
+    peer = _LazySocketPeer(*bob_srv.server_address)
+    core = WorkerCore("alice", 0, {"bob": peer})
     srv = make_server("127.0.0.1", 0, core)
-    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    for s in (srv, bob_srv):
+        threading.Thread(target=s.serve_forever, daemon=True).start()
     client = SocketClient(*srv.server_address)
-    mirror = WorkerCore("alice", seed=0)
+    mirror_bob = WorkerCore("bob", seed=0)
+    mirror = WorkerCore("alice", 0, {"bob": mirror_bob})
     try:
-        yield core, client, mirror
+        yield (core, bob), client, (mirror, mirror_bob)
     finally:
         client.close()
-        srv.shutdown()
-        srv.server_close()
+        peer.close()
+        for s in (srv, bob_srv):
+            s.shutdown()
+            s.server_close()
 
 
 def test_mutated_execute_payloads_on_a_socket_worker(live_worker):
     """Each mutated payload goes to the socket worker and to its mirror
     core; a refusal is the same FedringError, with the same message, on
-    both, and never RemoteError."""
-    core, client, mirror = live_worker
+    both, never RemoteError, and leaves every worker's objects, the peers'
+    too, as they were."""
+    (core, bob), client, (mirror, mirror_bob) = live_worker
+    workers = (core, bob, mirror, mirror_bob)
 
     def on_socket(payload):
         client.request(protocol.MSG_EXECUTE, payload)
@@ -177,14 +187,17 @@ def test_mutated_execute_payloads_on_a_socket_worker(live_worker):
 
     seed_objects(client)
     seed_objects(mirror)
-    seeded = set(core._objects)
+    seeded = [set(w._objects) for w in workers]
 
     def restore():
-        """Drop what a served payload stored, on both workers."""
-        for w in (core, mirror):
-            made = set(w._objects) - seeded
+        """Drop what a served payload stored, on every worker."""
+        for w, kept in zip(workers, seeded):
+            made = set(w._objects) - kept
             if made:
                 w.delete_object(*made)
+
+    def counts():
+        return [w.object_count() for w in workers]
 
     payloads = valid_payloads()
     for payload in payloads:  # each is served as sent, on both
@@ -197,7 +210,7 @@ def test_mutated_execute_payloads_on_a_socket_worker(live_worker):
     for _ in range(300):
         i = int(rng.integers(len(payloads)))
         buf = mutate(rng, payloads[i])
-        before = core.object_count()
+        before = counts()
         got = outcome(on_socket, buf)
         want = outcome(on_core, buf)
         assert not isinstance(got, RemoteError), (i, buf, got)
@@ -208,6 +221,6 @@ def test_mutated_execute_payloads_on_a_socket_worker(live_worker):
         assert isinstance(got, FedringError), (i, buf, got)
         assert str(got) == str(want), (i, buf, got, want)
         refused.add(i)
-        assert core.object_count() == mirror.object_count() == before
+        assert counts() == before, (i, buf, got)
         assert bits(fetch(client, SENTINEL)) == sentinel
     assert refused == set(range(len(payloads)))

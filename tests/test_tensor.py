@@ -7,7 +7,6 @@ from fedring.tensor import (
     RING_MODULUS,
     Tensor,
     add,
-    elementwise,
     matmul,
     mul,
     neg,
@@ -94,10 +93,6 @@ class TestElementwise:
 
     def test_sub(self):
         assert sub(r64([1]), r64([3])).data[0] == Q - 2
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            elementwise("div", f64([1.0]), f64([1.0]))
 
 
 class TestScalarOps:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedring import commands, protocol
+from fedring import tensor as tc
 from fedring.commands import OPS, identity
 from fedring.errors import (
     ConfigError,
@@ -13,6 +14,7 @@ from fedring.errors import (
     EmptyLot,
     MalformedPayload,
     ObjectNotFound,
+    OverflowRangeError,
     RemoteError,
     ShapeMismatch,
     UnknownCommand,
@@ -26,6 +28,7 @@ from fedring.workers import (
     VirtualHandle,
     VirtualRegistry,
     WorkerCore,
+    _LazySocketPeer,
     make_server,
     socket_federation,
     virtual_federation,
@@ -156,6 +159,15 @@ class TestObjectStore:
             WorkerCore("", 0)
         with pytest.raises(WorkerUnknown):
             WorkerCore("x" * 65, 0)
+
+    @pytest.mark.parametrize("names", [["a,b", "c"], ["a=b", "c"]])
+    def test_separator_in_name(self, names):
+        """',' separates a command's parties and '=' an endpoint's name
+        from its address, so a name holding one could never be reached:
+        "a,b" was accepted, and a share sent to it failed with "a,b has no
+        peer 'a'"."""
+        with pytest.raises(WorkerUnknown):
+            virtual_federation(names, 0)
 
 
 class TestExecute:
@@ -572,13 +584,18 @@ class TestTransportEquivalence:
 PARAMS = ("tensor", local(np.linspace(-0.5, 0.5, 11)))
 
 
-def train_cmd(name, **kwargs):
+def train_cmd(name, params=PARAMS, **kwargs):
     base = {"dims": [3, 2, 1], "task": "regression"}
     if name == "fb_batch":
         base["indices"] = [0, 2]
     else:
         base.update(lot_size=2, clip_norm=1.0, sigma=1.0)
-    return Command(name, (PARAMS, Command.obj(1), Command.obj(2)), {**base, **kwargs})
+    return Command(name, (params, Command.obj(1), Command.obj(2)), {**base, **kwargs})
+
+
+def shares_cmd(**kwargs):
+    base = {"parties": "alice,alice", "ids": [50, 51], "prog": [OPS["ref"][0], 0]}
+    return Command("make_shares", (("tensor", local([1, 2], Dtype.RING64)),), {**base, **kwargs})
 
 
 def triples_cmd(**kwargs):
@@ -626,6 +643,24 @@ SAME_ERROR = {
             "dims (3, 2, 2) must be (input, hidden >= 1, 1)")]},
     "fb_batch_two_args": (lambda h: h.execute(Command("fb_batch", (PARAMS, Command.obj(1)))),
                           MalformedPayload, "fb_batch takes 3 arguments, not 2"),
+    # training commands refuse non-finite parameters, and a result that
+    # overflowed (parameters of 1e200 gave a reply of infs and NaNs)
+    **{f"{name}_{case}": (lambda h, name=name, v=v: h.execute(
+        train_cmd(name, params=("tensor", local(np.full(11, v))))), OverflowRangeError, msg)
+       for name in ("fb_batch", "dp_phase")
+       for case, v, msg in [("nan_params", np.nan, f"{name} parameters are not all finite"),
+                            ("inf_params", -np.inf, f"{name} parameters are not all finite"),
+                            ("overflow", 1e200, f"{name} result is not finite")]},
+    # a command's pushes and its stored result land all or none: an id that
+    # collides is refused before the first push
+    "triples_dest_pushed": (lambda h: h.execute(triples_cmd(), 50), DuplicateObject,
+                            "object 50 is both pushed and the destination"),
+    "shares_dest_pushed": (lambda h: h.execute(shares_cmd(), 51), DuplicateObject,
+                           "object 51 is both pushed and the destination"),
+    "push_id_held": (lambda h: h.execute(triples_cmd(ids=[51, 1])), DuplicateObject,
+                     "object 1 already stored on alice"),
+    "push_id_zero": (lambda h: h.execute(shares_cmd(ids=[51, 0])), MalformedPayload,
+                     "push id 0 is outside [1, 2**64)"),
     # dp_phase refuses a noise setting it cannot honour
     "negative_sigma": (lambda h: h.execute(train_cmd("dp_phase", sigma=-1.0)),
                        ConfigError, "sigma -1.0 must be >= 0"),
@@ -675,3 +710,76 @@ class TestSameErrorEitherTransport:
         else:
             assert type(info.value) is RemoteError
             assert str(info.value) == "IndexError: index 9 is out of bounds"
+
+
+@pytest.fixture(params=["virtual", "socket"])
+def pusher_and_peer(request):
+    """Workers a and b, both with a leader handle, where a pushes to b in
+    process or through a socket peer."""
+    if request.param == "virtual":
+        fed, registry = virtual_federation(["a", "b"], 0)
+        yield fed, registry.get("a"), registry.get("b")
+        return
+    b = WorkerCore("b", 0)
+    b_srv = make_server("127.0.0.1", 0, b)
+    peer = _LazySocketPeer(*b_srv.server_address)
+    a = WorkerCore("a", 0, {"b": peer})
+    a_srv = make_server("127.0.0.1", 0, a)
+    for srv in (a_srv, b_srv):
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+    fed = socket_federation({"a": a_srv.server_address, "b": b_srv.server_address})
+    try:
+        yield fed, a, b
+    finally:
+        fed.close()
+        peer.close()
+        for srv in (a_srv, b_srv):
+            srv.shutdown()
+            srv.server_close()
+
+
+class TestPushesAllOrNothing:
+    """A command that pushes to peers either lands every push and its
+    result, or leaves every worker's objects as they were."""
+
+    SECRET = local([5, 6], Dtype.RING64)
+
+    def shares(self, fed, dest=0, ids=(20, 21)):
+        fed.worker("a").store(1, self.SECRET)
+        return fed.worker("a").execute(Command("make_shares", (Command.obj(1),), {
+            "parties": "a,b", "ids": list(ids), "prog": [OPS["ref"][0], 0]}), dest)
+
+    def test_destination_among_the_pushes(self, pusher_and_peer):
+        """Before: a pushed 20 and b 21, then the result's store under 20
+        failed, leaving both shares behind."""
+        fed, a, b = pusher_and_peer
+        with pytest.raises(DuplicateObject, match="object 20 is both pushed and the destination"):
+            self.shares(fed, dest=20)
+        assert (a.object_count(), b.object_count()) == (1, 0)
+
+    def test_failed_peer_push_deletes_earlier_pushes(self, pusher_and_peer):
+        fed, a, b = pusher_and_peer
+        fed.worker("b").store(21, X)
+        with pytest.raises(DuplicateObject, match="object 21 already stored on b"):
+            self.shares(fed)
+        assert (a.object_count(), b.object_count()) == (1, 1)
+        assert bits(fetch(a, 1)) == bits(self.SECRET)
+        assert bits(fetch(b, 21)) == bits(X)
+
+    def test_failed_triple_push_deletes_earlier_triples(self, pusher_and_peer):
+        """Triple 0 lands on both parties, then triple 1's push to b
+        collides: triple 0 and triple 1's push to a are deleted again."""
+        fed, a, b = pusher_and_peer
+        fed.worker("b").store(33, X)
+        with pytest.raises(DuplicateObject, match="object 33 already stored on b"):
+            fed.worker("a").execute(Command("gen_triples", (), {
+                "kind": "elementwise", "shape": [2], "count": 2, "parties": "a,b",
+                "ids": [30, 31, 32, 33]}))
+        assert (a.object_count(), b.object_count()) == (0, 1)
+
+    def test_served_pushes_land(self, pusher_and_peer):
+        fed, a, b = pusher_and_peer
+        shape = self.shares(fed, dest=22)
+        assert shape is None and a.object_count() == 3 and b.object_count() == 1
+        total = (fetch(a, 20).data + fetch(b, 21).data) & tc.RING_MASK
+        assert np.array_equal(total, self.SECRET.data)
