@@ -5,7 +5,8 @@ stores it under the id the leader named, or, for a by-value execute,
 replies with it and stores nothing. A command that also stores objects
 elsewhere (shares, triples, an expanded triple) returns its result and its
 pushes, `[(peer, id, tensor), ...]`, and the worker pushes them all or
-none (`WorkerCore.execute`). `OPS` is the one table of ops: each row's
+none (`WorkerCore.execute`); `store_parts` stores the parts of one inline
+tensor on its own worker that way. `OPS` is the one table of ops: each row's
 kernel is the one implementation of its op, called directly by the
 leader's local chains and through `_run_prog`, the postfix interpreter, on
 the workers. `compile_expr` turns expression trees over pointers and shares
@@ -29,6 +30,7 @@ order a, b, c. No cryptographic PRG is claimed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import threading
@@ -40,6 +42,8 @@ from . import tensor as tc
 from .dp import sanitize_lot
 from .errors import (
     ConfigError,
+    DtypeMismatch,
+    DuplicateObject,
     EmptyLot,
     MalformedPayload,
     OverflowRangeError,
@@ -260,6 +264,32 @@ def _make_shares(ctx, args, kwargs):
     shares = tc.split_shares(ctx.rng, x.data, len(peers))
     return (Tensor(np.array(x.shape, dtype=np.uint64), Dtype.RING64),
             [(peer, oid, Tensor._own(s, Dtype.RING64)) for peer, oid, s in zip(peers, ids, shares)])
+
+
+@register("store_parts")
+def _store_parts(ctx, args, kwargs):
+    """Store the consecutive parts of one Ring64 tensor (a party's share of
+    several secrets at once) under the leader's `ids`, part i of rank
+    ranks[i] taking its shape from the next ranks[i] words of `dims`; the
+    parts land all or none. Returns an empty tensor."""
+    if len(args) != 1:
+        raise MalformedPayload(f"store_parts takes 1 argument, not {len(args)}")
+    x = _want_tensor(args[0], 0)
+    if x.dtype is not Dtype.RING64:
+        raise DtypeMismatch("store_parts expects a Ring64 tensor")
+    ids = [int(v) for v in kwargs["ids"]]
+    ranks = [int(v) for v in kwargs["ranks"]]
+    dims = [int(v) for v in kwargs["dims"]]
+    if len(ids) != len(ranks):
+        raise MalformedPayload(f"{len(ids)} ids for {len(ranks)} parts")
+    if min(ranks, default=0) < 0 or sum(ranks) != len(dims):
+        raise MalformedPayload(f"ranks {ranks} do not cover {len(dims)} dims")
+    if len(set(ids)) != len(ids):
+        raise DuplicateObject(f"object ids {ids} repeat")
+    ends = list(itertools.accumulate(ranks))
+    parts = x.parts([dims[end - rank:end] for rank, end in zip(ranks, ends)])
+    return (Tensor._own(np.zeros(0, dtype=np.uint64), Dtype.RING64),
+            [(ctx, oid, part) for oid, part in zip(ids, parts)])
 
 
 # -- Beaver triples (format in the module docstring) -------------------------

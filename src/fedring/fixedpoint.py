@@ -38,13 +38,20 @@ def encode(x: Tensor) -> Tensor:
     """Float64 tensor -> Ring64 tensor of round(x * SCALE) mod Q."""
     if x.dtype is not Dtype.FLOAT64:
         raise OverflowRangeError("encode expects a Float64 tensor")
-    vals = x.data
-    if not np.all(np.abs(vals) < MAX_MAGNITUDE):  # NaN is refused too
+    # flat, so that a 0-d input stays an array through the in-place steps;
+    # scaling by a power of two is exact, so the bound applies after it
+    scaled = x.data.reshape(-1) * SCALE
+    mag = np.abs(scaled)
+    if not (mag < MAX_MAGNITUDE * SCALE).all():  # NaN is refused too
         raise OverflowRangeError(_RANGE)
-    scaled = vals * SCALE
-    # round half away from zero, unlike np.round's banker's rounding
-    ints = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return Tensor(ints.astype(np.int64) % Q, Dtype.RING64)
+    # round half away from zero, unlike np.round's banker's rounding:
+    # trunc(s + copysign(0.5, s)) is sign(s) * floor(|s| + 0.5)
+    scaled += np.copysign(0.5, scaled, mag)
+    np.trunc(scaled, scaled)
+    # two's complement: a negative int64 read as uint64 is it mod 2**64,
+    # which _own's mask reduces mod Q
+    ints = scaled.astype(np.int64).view(np.uint64)
+    return Tensor._own(ints.reshape(x.shape), Dtype.RING64)
 
 
 def encode_scalar(x: float) -> int:
@@ -60,14 +67,17 @@ def encode_scalar(x: float) -> int:
 
 def decode(r: Tensor) -> Tensor:
     """Ring64 tensor -> Float64; residues above Q/2 read as negative."""
-    signed = to_signed(r)
-    return Tensor(signed / SCALE, Dtype.FLOAT64)
+    return Tensor._own(np.true_divide(to_signed(r), SCALE), Dtype.FLOAT64)
 
 
 def to_signed(r: Tensor) -> np.ndarray:
-    """Residues in [0, Q) -> signed int64 in [-Q/2, Q/2)."""
-    vals = r.data.astype(np.int64)  # safe: residues < 2**62 < 2**63
-    return np.where(vals >= Q // 2, vals - Q, vals)
+    """Residues in [0, Q) -> signed int64 in [-Q/2, Q/2): shifted up by the
+    2 bits above the ring, then arithmetically back down, which copies bit
+    61, the sign of the signed range, into them."""
+    out = np.empty(r.shape, dtype=np.uint64)  # an out array keeps a 0-d result an array
+    np.left_shift(r.data, np.uint64(2), out)
+    signed = out.view(np.int64)
+    return np.right_shift(signed, 2, signed)
 
 
 def truncate(r: Tensor) -> Tensor:
@@ -79,8 +89,8 @@ def truncate(r: Tensor) -> Tensor:
     |x*y| < 2**29.
     """
     signed = to_signed(r)
-    shifted = signed >> FRAC_BITS  # arithmetic shift == floor division
-    return Tensor(shifted % Q, Dtype.RING64)
+    np.right_shift(signed, FRAC_BITS, signed)  # arithmetic shift == floor division
+    return Tensor._own(signed.view(np.uint64), Dtype.RING64)  # masked mod Q in place
 
 
 def truncate_share(share: Tensor, frac_bits: int, role: int) -> Tensor:

@@ -1,13 +1,16 @@
 """SPDZ-style additive secret sharing over Z_Q, orchestrated by the leader.
 
-Shares live on the workers; the leader holds only per-party references. The
-linear layer (`linear`: the add, sub, neg, scale and offset of
-commands.OPS) and local truncation are lazy: each party's share is a small
-expression tree over object ids, and the command that next consumes it (an
-opening, a reconstruction, `materialize`) carries the party's whole tree as
-one `eval_expr` postfix program. Linear operations and truncations
-therefore cross zero transport messages of their own; a truncation is
-folded into the next command.
+Shares live on the workers; the leader holds only per-party references. A
+leader-side `share` is one store_parts execute per party, for one secret or
+for several at once (mpc_forward shares all of its inputs in one call): the
+worker cuts its one inline share into the secrets' parts and stores them
+all or none. The linear layer (`linear`: the add, sub, neg, scale and
+offset of commands.OPS) and local truncation are lazy: each party's share
+is a small expression tree over object ids, and the command that next
+consumes it (an opening, a reconstruction, `materialize`) carries the
+party's whole tree as one `eval_expr` postfix program. Linear operations
+and truncations therefore cross zero transport messages of their own; a
+truncation is folded into the next command.
 
 Every opening is one `_open`: a by-value command per party, whose replies
 the leader sums mod Q. A reconstruction opens the shares themselves; a
@@ -83,19 +86,29 @@ def require_two_parties(parties):
                           f"not {len(parties)}")
 
 
-def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator) -> ShareVector:
-    """Leader-side split of a leader-owned Ring64 tensor."""
+def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator, shapes=None):
+    """Leader-side split of a leader-owned Ring64 tensor: one draw from rng
+    for each party but the last (tensor.split_shares), and one store_parts
+    execute per party. With `shapes`, x holds several secrets, flat and in
+    order, and each party's share is stored as one object per secret: the
+    ShareVectors come back in a list, one per shape. Without, x is one
+    secret."""
     parties = tuple(parties)
     if len(parties) < 2:
         raise ConfigError("need at least 2 parties")
     if x.dtype is not Dtype.RING64:
         raise ConfigError("share expects a Ring64 tensor")
-    exprs = []
-    for party, s in zip(parties, split_shares(rng, x.data, len(parties))):
-        oid = fed.allocate_id()
-        fed.worker(party).store(oid, Tensor(s, Dtype.RING64))
-        exprs.append(("ref", oid))
-    return ShareVector(parties, tuple(exprs), x.shape)
+    parts = [x.shape] if shapes is None else [tuple(s) for s in shapes]
+    ids = [[fed.allocate_id() for _ in parties] for _ in parts]
+    kwargs = {"ranks": [len(s) for s in parts], "dims": [d for s in parts for d in s]}
+    shares = split_shares(rng, x.data.reshape(-1), len(parties))
+    for i, (party, s) in enumerate(zip(parties, shares)):
+        fed.worker(party).execute(Command(
+            "store_parts", (("tensor", Tensor._own(s, Dtype.RING64)),),
+            {**kwargs, "ids": [part_ids[i] for part_ids in ids]}))
+    svs = [ShareVector(parties, tuple(("ref", oid) for oid in part_ids), shape)
+           for part_ids, shape in zip(ids, parts)]
+    return svs[0] if shapes is None else svs
 
 
 def share_remote(owner: str, expr, parties, fed: Federation) -> ShareVector:
@@ -258,12 +271,10 @@ def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federat
         cmds.append(Command("beaver_open", prog.args + (("take", triple.refs[i]),),
                             {**prog.kwargs, "kind": kind, "shape": list(triple.shape),
                              "keep": keep[i]}))
-    nx = math.prod(xs.shape)
-    masked = _open(fed, xs.parties, cmds, (nx + math.prod(ys.shape),)).data
+    masked = _open(fed, xs.parties, cmds, (math.prod(xs.shape) + math.prod(ys.shape),))
     if fed.tap is not None:
         fed.tap.note_opening(2)
-    eps = Tensor(masked[:nx].reshape(xs.shape), Dtype.RING64)
-    delta = Tensor(masked[nx:].reshape(ys.shape), Dtype.RING64)
+    eps, delta = masked.parts((xs.shape, ys.shape))
     for i, party in enumerate(xs.parties):
         cmd = Command(
             "beaver_combine",

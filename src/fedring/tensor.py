@@ -9,6 +9,7 @@ x mod 2**62).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,7 @@ class Dtype(enum.Enum):
     RING64 = "ring64"
 
 
-def _numpy_dtype(dtype: Dtype):
-    return np.float64 if dtype is Dtype.FLOAT64 else np.uint64
+_NUMPY_DTYPES = {Dtype.FLOAT64: np.dtype(np.float64), Dtype.RING64: np.dtype(np.uint64)}
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,24 @@ class Tensor:
     def _own(cls, arr, dtype: Dtype) -> "Tensor":
         """Wrap an array that nobody else holds: Ring64 is masked in place
         and the array is frozen, with no defensive copy."""
-        if not (isinstance(arr, np.ndarray) and arr.dtype == _numpy_dtype(dtype)
-                and arr.flags["C_CONTIGUOUS"]):
+        if not (type(arr) is np.ndarray and arr.dtype == _NUMPY_DTYPES[dtype]
+                and arr.flags.c_contiguous):
             return cls(arr, dtype)  # e.g. a 0-d ufunc result is a numpy scalar
         if dtype is Dtype.RING64:
-            np.bitwise_and(arr, RING_MASK, out=arr)
-        arr.flags.writeable = False
+            np.bitwise_and(arr, RING_MASK, arr)  # out= by position: half the call cost
+        arr.setflags(write=False)
+        return cls._wrap(arr, dtype)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray, dtype: Dtype) -> "Tensor":
+        """A tensor over a frozen array of dtype's elements, checked by the
+        caller (for Ring64, already reduced mod Q)."""
         t = object.__new__(cls)
-        object.__setattr__(t, "data", arr)
-        object.__setattr__(t, "dtype", dtype)
+        t.__dict__.update(data=arr, dtype=dtype)  # frozen: no __setattr__
         return t
 
     def __post_init__(self):
-        want = _numpy_dtype(self.dtype)
+        want = _NUMPY_DTYPES[self.dtype]
         # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
         arr = np.asarray(self.data, dtype=want)
         if not arr.flags["C_CONTIGUOUS"]:
@@ -80,6 +85,24 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    def parts(self, shapes) -> list:
+        """This tensor's elements in row-major order, cut into consecutive
+        tensors of the given shapes, whose sizes must sum to its own. Each
+        part is a view of the frozen data: nothing is copied or reduced
+        again."""
+        shapes = [tuple(int(d) for d in s) for s in shapes]
+        if any(d < 0 for s in shapes for d in s):
+            raise ShapeMismatch(f"part shapes {shapes} have a negative dimension")
+        sizes = [math.prod(s) for s in shapes]
+        if sum(sizes) != self.size:
+            raise ShapeMismatch(f"part sizes {sizes} do not sum to {self.size} elements")
+        flat = self.data.reshape(-1)
+        out, pos = [], 0
+        for shape, n in zip(shapes, sizes):
+            out.append(Tensor._wrap(flat[pos:pos + n].reshape(shape), self.dtype))
+            pos += n
+        return out
 
     def __eq__(self, other):
         return (
@@ -151,18 +174,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def random_ring(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform residues in [0, Q) as uint64."""
-    return rng.integers(0, RING_MODULUS, size=shape, dtype=np.uint64)
+    """Uniform residues in [0, Q) as uint64: the top 62 bits of one raw
+    64-bit word each. Q is a power of two, so these are the values
+    rng.integers(0, Q) draws, and rng ends in the same state."""
+    raw = rng.bit_generator.random_raw(shape)
+    return np.right_shift(raw, 2, raw)
 
 
 def split_shares(rng: np.random.Generator, secret: np.ndarray, n: int) -> list:
     """n additive shares of a Ring64 array: n-1 uniform draws, taken from rng
     in party order, then the residue that completes the sum."""
     shares = [random_ring(rng, secret.shape) for _ in range(n - 1)]
-    total = np.zeros(secret.shape, dtype=np.uint64)
+    last = secret.copy()
     for s in shares:
-        total = (total + s) & RING_MASK
-    return shares + [(secret - total) & RING_MASK]
+        np.subtract(last, s, last)
+    np.bitwise_and(last, RING_MASK, last)
+    return shares + [last]
 
 
 def sigmoid_poly(t: Tensor) -> Tensor:

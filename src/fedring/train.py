@@ -13,6 +13,7 @@ transports: the command sequence, and hence every rng draw, is the same.
 
 from __future__ import annotations
 
+import collections
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import fixedpoint, nn, spdz, tensor as tc
 from .data import FederatedDataset
 from .dp import MomentLedger, PrivacySpec
-from .errors import ConfigError, LotTooLarge
+from .errors import ConfigError, InsufficientTriples, LotTooLarge, ShapeMismatch
 from .nn import TASK_BINARY, TASK_REGRESSION, Model
 from .protocol import Command
 from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
@@ -278,21 +279,32 @@ def provision_triples(fed: Federation, dealer: str, parties, dims, batch: int,
 def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
                 pool: spdz.TriplePool, rng: np.random.Generator) -> np.ndarray:
     """Forward pass on secret-shared weights and inputs; reconstruction plus
-    decode matches fixed_forward within accumulated truncation error. Every
-    object the pass stores or consumes on the parties is deleted by the end:
-    each triple object by its beaver_open, the expanded triple that open
-    keeps by beaver_combine, the input shares and products by one delete
-    frame per party."""
+    decode matches fixed_forward within accumulated truncation error. X's
+    width and the pool's triples are checked before the first message. The
+    inputs (X, w1, tiled b1, w2 and tiled b2) are encoded as one vector and
+    shared with one draw from rng and one store_parts execute per party.
+    Every object the pass stores or consumes on the parties is deleted by
+    the end: each triple object by its beaver_open, the expanded triple that
+    open keeps by beaver_combine, the input shares and products by one
+    delete frame per party."""
     parties = tuple(parties)
     spdz.require_two_parties(parties)
-    w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.dims[0]:
+        raise ShapeMismatch(f"X {X.shape} does not fit dims {tuple(model.dims)}")
     B = X.shape[0]
-
-    def enc_share(a):
-        t = fixedpoint.encode(Tensor(np.asarray(a, dtype=np.float64), Dtype.FLOAT64))
-        return spdz.share(t, parties, fed, rng)
-
-    made = [enc_share(a) for a in (X, w1, np.tile(b1, (B, 1)), w2, np.tile(b2, (B, 1)))]
+    need = collections.Counter()
+    for kind, shape, count in mpc_triple_requirements(model.dims, B, model.task):
+        need[kind, shape] += count
+    for (kind, shape), count in need.items():
+        if pool.count(kind, shape) < count:
+            raise InsufficientTriples(f"a pass needs {count} {kind} triple(s) of shape "
+                                      f"{shape}, the pool holds {pool.count(kind, shape)}")
+    w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)
+    inputs = (X, w1, np.tile(b1, (B, 1)), w2, np.tile(b2, (B, 1)))
+    flat = Tensor._own(np.concatenate([a.ravel() for a in inputs]), Dtype.FLOAT64)
+    made = spdz.share(fixedpoint.encode(flat), parties, fed, rng,
+                      shapes=[a.shape for a in inputs])
     xs, w1s, b1s, w2s, b2s = made
 
     def mul_trunc(kind, x, y):

@@ -185,12 +185,6 @@ class WorkerCore:
                 raise DuplicateObject(f"object {oid} already stored on {self.name}")
             self._objects[oid] = t
 
-    def _get(self, oid: int) -> Tensor:
-        with self._lock:
-            if oid not in self._objects:
-                raise ObjectNotFound(f"object {oid} not on {self.name}")
-            return self._objects[oid]
-
     def delete_object(self, *oids: int):
         """Delete every listed object, or none if one is missing."""
         if not oids:
@@ -248,9 +242,17 @@ class WorkerCore:
         command's pushes and the stored result land all or none. Take
         arguments are deleted only once the command has succeeded."""
         fn = lookup(cmd.name)
-        if dest and dest in self._objects:
-            raise DuplicateObject(f"object {dest} already stored on {self.name}")
-        args = tuple(self._get(val) if tag in ("obj", "take") else val for tag, val in cmd.args)
+        objects = self._objects
+        with self._lock:  # once for the whole argument list
+            if dest and dest in objects:
+                raise DuplicateObject(f"object {dest} already stored on {self.name}")
+            args = []
+            for tag, val in cmd.args:
+                if tag in ("obj", "take"):
+                    if val not in objects:
+                        raise ObjectNotFound(f"object {val} not on {self.name}")
+                    val = objects[val]
+                args.append(val)
         try:
             result = fn(self, args, cmd.kwargs)
         except KeyError as e:  # a command's only lookups that can miss are its kwargs

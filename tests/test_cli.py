@@ -284,8 +284,8 @@ class TestPerfbenchNames:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("workload,expected", [
-        ("mpc-infer", {"workers.msgs_per_step": 30, "spdz.openings_per_step": 8,
-                       "workers.objects_end": -800, "workers.bytes_per_step": 656_920}),
+        ("mpc-infer", {"workers.msgs_per_step": 22, "spdz.openings_per_step": 8,
+                       "workers.objects_end": -800, "workers.bytes_per_step": 656_844}),
         ("dp-calibrated", {"workers.msgs_per_step": 1}),
     ])
     def test_traced_run(self, workload, expected):

@@ -20,6 +20,10 @@ def f64(values):
     return Tensor(np.asarray(values, dtype=np.float64), Dtype.FLOAT64)
 
 
+ULP = 2.0**-FRAC_BITS
+TOP = 2.0**45 - 2.0**-7  # the largest float below 2**45
+
+
 class TestEncode:
     def test_zero(self):
         assert encode(f64([0.0])).data[0] == 0
@@ -62,6 +66,34 @@ class TestEncode:
             assert encode_scalar(v) == int(encode(f64(v)).data), v
         c = np.float32(-1.0 / 48.0)
         assert encode_scalar(c) == int(encode(f64(c)).data)
+
+    @pytest.mark.parametrize("x,want", [
+        *[(s * (k + 0.5) * ULP, s * (k + 1)) for k in (0, 1, 2, 7) for s in (1, -1)],
+        *[(s * 0.49 * ULP, 0) for s in (1, -1)],
+        # just under a tie, the float sum |s| + 0.5 itself rounds up to 1.0
+        *[(np.nextafter(s * 0.5 * ULP, 0.0), s) for s in (1, -1)],
+        *[(s * np.nextafter(2.5 * ULP, 3.0), s * 3) for s in (1, -1)],
+        (-0.0, 0),
+        *[(s * TOP, s * (2**61 - 2**9)) for s in (1, -1)],
+    ])
+    def test_rounding_table(self, x, want):
+        """Ties round away from zero (2.5 ulp to 3, not to even), -0.0 is
+        0, and the largest accepted magnitude encodes exactly, as 0-d and
+        1-d tensors alike."""
+        for shape in ((), (1,)):
+            out = encode(f64(np.full(shape, x)))
+            assert out.dtype is Dtype.RING64 and out.shape == shape
+            assert int(out.data.ravel()[0]) == want % Q
+
+    def test_empty(self):
+        out = encode(f64(np.zeros((0, 3))))
+        assert out.dtype is Dtype.RING64 and out.shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**45, -(2.0**45)])
+    def test_refusals(self, bad):
+        for values in ([bad], [1.0, bad], bad):
+            with pytest.raises(OverflowRangeError, match=r"^magnitude >= 2\*\*45 not representable$"):
+                encode(f64(values))
 
     def test_encode_scalar_overflow(self):
         for bad in (2.0**45, -(2.0**45), float("inf"), float("nan")):

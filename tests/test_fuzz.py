@@ -92,8 +92,9 @@ def test_random_programs_on_a_worker_core():
 def valid_payloads():
     """EXECUTE payloads (destination id, then command) a leader sends, for
     every command: a store, a fetch, by-value and stored arithmetic over
-    objects, a training batch and a DP phase over the partition, share and
-    triple generation, and both Beaver rounds."""
+    objects, a training batch and a DP phase over the partition, share
+    generation, a share's parts stored at once, triple generation, and both
+    Beaver rounds."""
     rng = np.random.default_rng(3)
     params = ("tensor", Tensor(rng.uniform(-0.5, 0.5, 11), Dtype.FLOAT64))
     train = {"dims": [3, 2, 1], "task": "binary"}
@@ -112,6 +113,8 @@ def valid_payloads():
                     {**train, "lot_size": 2, "clip_norm": 1.0, "sigma": 1.5})),
         (0, Command("make_shares", (Command.obj(3),),
                     {"parties": "alice,bob", "ids": [20, 21], "prog": [REF, 0]})),
+        (0, Command("store_parts", (("tensor", ring(rng, 7)),),
+                    {"ids": [27, 28], "ranks": [2, 1], "dims": [2, 3, 1]})),
         (0, Command("gen_triples", (), {**triple, "count": 2, "parties": "alice,bob",
                                         "ids": [22, 23, 24, 25]})),
         (0, Command("beaver_open", (Command.obj(3), Command.obj(7)),

@@ -90,6 +90,31 @@ class TestShareReconstruct:
         assert np.array_equal(got0, s0)
         assert np.array_equal((got0 + got1) & np.uint64(Q - 1), x.data)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_call_matches_sequential_shares(self, seed):
+        """Five secrets shared in one call, as mpc_forward shares its
+        inputs, give each party the same share values, under the same ids,
+        as five share calls from the same rng state; the one call is one
+        store_parts execute per party."""
+        shapes = [(101, 13), (13, 32), (101, 32), (32, 1), (101, 1)]
+        data = np.random.default_rng(100 + seed)
+        secrets = [r64(data.integers(0, Q, size=s, dtype=np.uint64)) for s in shapes]
+        tap = TransportTap()
+        one_fed, one_reg = virtual_federation(["alice", "bob"], seed=7, tap=tap)
+        seq_fed, seq_reg = virtual_federation(["alice", "bob"], seed=7)
+        flat = r64(np.concatenate([s.data.ravel() for s in secrets]))
+        together = share(flat, PARTIES, one_fed, np.random.default_rng(seed), shapes=shapes)
+        rng = np.random.default_rng(seed)
+        apart = [share(s, PARTIES, seq_fed, rng) for s in secrets]
+        assert [(e.op, e.shapes) for e in tap.events] == [("execute", ((flat.size,), (0,)))] * 2
+        assert together == apart
+        for party in PARTIES:
+            one, seq = one_reg.get(party)._objects, seq_reg.get(party)._objects
+            assert sorted(one) == sorted(seq)
+            assert all(bits(one[oid]) == bits(seq[oid]) for oid in one)
+        for sv, secret in zip(together, secrets):
+            assert reconstruct(sv, one_fed) == secret
+
     def test_too_few_parties(self, fed):
         with pytest.raises(ConfigError):
             share(r64([1]), ("alice",), fed, np.random.default_rng(0))

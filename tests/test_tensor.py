@@ -11,8 +11,10 @@ from fedring.tensor import (
     mul,
     neg,
     offset,
+    random_ring,
     scale,
     sigmoid_poly,
+    split_shares,
     sub,
 )
 
@@ -191,3 +193,59 @@ class TestKernelResults:
         out = add(z, z)
         self.check(out, z)
         assert out.shape == () and int(out.data) == Q - 2
+
+
+class TestRandomRing:
+    @pytest.mark.parametrize("shape", [(), (0, 3), (101, 32)])
+    def test_same_draws_and_state_as_integers(self, shape):
+        """Q is a power of two, so the top 62 bits of a raw word are what
+        rng.integers(0, Q) draws, one word per element."""
+        for seed in range(5):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_ring(rng, shape)
+            want = oracle.integers(0, Q, size=shape, dtype=np.uint64)
+            assert type(got) is np.ndarray and got.dtype == np.uint64 and got.shape == shape
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_one_draw_over_concatenated_inputs(self):
+        """One draw over several inputs' total size is the inputs' separate
+        draws, in order: one share call can split them all."""
+        shapes = [(101, 13), (13, 32), (101, 32), (32, 1), (101, 1)]
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            apart = [random_ring(rng, s).ravel() for s in shapes]
+            together = random_ring(np.random.default_rng(seed), sum(a.size for a in apart))
+            assert np.array_equal(together, np.concatenate(apart))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+    def test_split_shares_sum_to_the_secret(self, n, shape):
+        rng = np.random.default_rng(9)
+        secret = rng.integers(0, Q, size=shape, dtype=np.uint64)
+        shares = split_shares(np.random.default_rng(1), secret, n)
+        oracle = np.random.default_rng(1)
+        for s in shares[:-1]:
+            assert np.array_equal(s, oracle.integers(0, Q, size=shape, dtype=np.uint64))
+        assert all(type(s) is np.ndarray and s.shape == shape for s in shares)
+        assert int(shares[-1].max(initial=0)) < Q
+        assert np.array_equal(np.add.reduce(shares) & np.uint64(Q - 1), secret)
+
+
+class TestParts:
+    def test_views_of_the_frozen_data(self):
+        t = r64(np.arange(11) + Q)
+        a, b, c = t.parts([(2, 3), (), (4,)])
+        assert [p.shape for p in (a, b, c)] == [(2, 3), (), (4,)]
+        assert np.array_equal(a.data, np.arange(6).reshape(2, 3))
+        assert int(b.data) == 6 and np.array_equal(c.data, [7, 8, 9, 10])
+        for p in (a, b, c):
+            assert p.dtype is Dtype.RING64 and np.shares_memory(p.data, t.data)
+            assert not p.data.flags.writeable
+
+    def test_sizes_must_sum_and_dims_be_nonnegative(self):
+        t = f64(np.zeros(6))
+        with pytest.raises(ShapeMismatch, match="do not sum to 6 elements"):
+            t.parts([(2,), (3,)])
+        with pytest.raises(ShapeMismatch, match="negative dimension"):
+            t.parts([(-2, -3)])

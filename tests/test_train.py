@@ -9,7 +9,7 @@ import pytest
 from fedring import commands, fixedpoint, nn, protocol, spdz, train
 from fedring.data import bundled_path, load_dataset
 from fedring.dp import PrivacySpec, epsilon_for
-from fedring.errors import ConfigError, LotTooLarge
+from fedring.errors import ConfigError, InsufficientTriples, LotTooLarge, ShapeMismatch
 from fedring.protocol import Command
 from fedring.tensor import Dtype, Tensor
 from fedring.train import (
@@ -335,7 +335,7 @@ class TestMPCForward:
 
 
     def test_pass_budget_boston(self):
-        """One pass over the Boston test set (B=101): at most 30 messages,
+        """One pass over the Boston test set (B=101): at most 22 messages,
         exactly 8 openings, and each party ends with the objects it started
         with minus the 4 triple objects the pass consumed."""
         ds = boston(["solo"])
@@ -350,7 +350,7 @@ class TestMPCForward:
             counts = {n: w.object_count() for n, w in registry.workers.items()}
             messages, openings = tap.messages, tap.openings
             mpc_forward(model, ds.test_X, fed, parties, pool, rng)
-            assert tap.messages - messages <= 30
+            assert tap.messages - messages <= 22
             assert tap.openings - openings == 8
             assert {n: w.object_count() - counts[n] for n, w in registry.workers.items()} == {
                 "alice": -4, "bob": -4, "dealer": 0}
@@ -402,7 +402,7 @@ class TestMPCForward:
     def test_tap_reads_headers_only(self, monkeypatch):
         """Over one Boston pass the tap records the shape and the encoded
         length of every tensor a message carries, by-value results
-        included (30 events, 656,920 B), and record makes no codec
+        included (22 events, 656,844 B), and record makes no codec
         call."""
         ds = boston(["solo"])
         model, _ = train_plain(ds, TrainConfig(seed=1, epochs=2))
@@ -436,8 +436,8 @@ class TestMPCForward:
         mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
         events = tap.events[start:]
         assert events == reference
-        assert len(events) == 30
-        assert sum(e.nbytes for e in events) == 656_920
+        assert len(events) == 22
+        assert sum(e.nbytes for e in events) == 656_844
         assert sum(codec_calls.values()) == 0
 
     CODEC = ("serialize_tensor", "deserialize_tensor", "serialize_chain", "deserialize_chain",
@@ -479,8 +479,9 @@ class TestMPCForward:
         execute, fetch or worker-to-worker push."""
         fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=9)
         calls, codec = self._one_pass_calls(monkeypatch, fed)
-        assert calls["store"] == calls["execute_value"] == 10
-        assert calls["fetch"] == 0
+        # 2 store_parts, 8 beaver_open and 2 reconstruct executes
+        assert calls["execute_value"] == 12
+        assert calls["store"] == calls["fetch"] == 0
         assert calls["execute"] > 0
         assert codec == {}
 
@@ -493,9 +494,38 @@ class TestMPCForward:
                 calls, codec = self._one_pass_calls(monkeypatch, fed)
             finally:
                 fed.close()
-        assert calls["store"] == calls["execute_value"] == 10
+        assert calls["store"] == 0
+        assert calls["execute_value"] == 12
         decodes = {name: n for name, n in codec.items() if name.startswith("de")}
-        assert decodes == {"deserialize_chain": 10, "deserialize_tensor": 10}
+        assert decodes == {"deserialize_chain": 12, "deserialize_tensor": 12}
+
+    @pytest.mark.parametrize("fault", ["pool_lacks_a_triple", "x_too_narrow"])
+    def test_refused_pass_sends_nothing(self, fault):
+        """A pass that cannot complete is refused before its first message,
+        with the error that names the fault, and every worker keeps the
+        objects it had. Before, a pool without the (101, 32, 1) matmul
+        triple raised InsufficientTriples with 5 input shares left on each
+        party, and X of 5 columns stored all 10 input shares, then raised
+        InsufficientTriples."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=1))
+        X = ds.test_X
+        tap = TransportTap()
+        fed, registry = virtual_federation(["alice", "bob", "dealer"], seed=9, tap=tap)
+        parties = ("alice", "bob")
+        pool = provision_triples(fed, "dealer", parties, model.dims, len(X), model.task)
+        if fault == "pool_lacks_a_triple":
+            pool.take("matmul", (len(X), model.dims[1], 1))
+            error = InsufficientTriples
+        else:
+            X = X[:, :5]
+            error = ShapeMismatch
+        counts = {n: w.object_count() for n, w in registry.workers.items()}
+        messages = tap.messages
+        with pytest.raises(error):
+            mpc_forward(model, X, fed, parties, pool, np.random.default_rng(10))
+        assert tap.messages == messages
+        assert {n: w.object_count() for n, w in registry.workers.items()} == counts
 
     def test_three_parties_rejected(self):
         ds = boston(["solo"])

@@ -10,6 +10,7 @@ from fedring import tensor as tc
 from fedring.commands import OPS, identity
 from fedring.errors import (
     ConfigError,
+    DtypeMismatch,
     DuplicateObject,
     EmptyLot,
     MalformedPayload,
@@ -604,6 +605,13 @@ def triples_cmd(**kwargs):
     return Command("gen_triples", (), {**base, **kwargs})
 
 
+def parts_cmd(values=(1, 2, 3, 4, 5), dtype=Dtype.RING64, **kwargs):
+    """store_parts of a 5-element tensor as a (2, 2) part under 50 and a
+    (1,) part under 51."""
+    base = {"ids": [50, 51], "ranks": [2, 1], "dims": [2, 2, 1]}
+    return Command("store_parts", (("tensor", local(values, dtype)),), {**base, **kwargs})
+
+
 BATCH = "batch indices must be a nonempty list in [0, 4)"
 SAME_ERROR = {
     "not_found": (lambda h: h.fetch(99), ObjectNotFound, "object 99 not on alice"),
@@ -661,6 +669,26 @@ SAME_ERROR = {
                      "object 1 already stored on alice"),
     "push_id_zero": (lambda h: h.execute(shares_cmd(ids=[51, 0])), MalformedPayload,
                      "push id 0 is outside [1, 2**64)"),
+    # store_parts stores all of its parts or none
+    "parts_ids_count": (lambda h: h.execute(parts_cmd(ids=[50])), MalformedPayload,
+                        "1 ids for 2 parts"),
+    "parts_ranks": (lambda h: h.execute(parts_cmd(ranks=[2, 2])), MalformedPayload,
+                    "ranks [2, 2] do not cover 3 dims"),
+    "parts_sizes": (lambda h: h.execute(parts_cmd(dims=[2, 2, 2])), ShapeMismatch,
+                    "part sizes [4, 2] do not sum to 5 elements"),
+    "parts_negative_dim": (lambda h: h.execute(parts_cmd(dims=[-2, -2, 1])), ShapeMismatch,
+                           "part shapes [(-2, -2), (1,)] have a negative dimension"),
+    "parts_float": (lambda h: h.execute(parts_cmd(dtype=Dtype.FLOAT64)), DtypeMismatch,
+                    "store_parts expects a Ring64 tensor"),
+    "parts_two_args": (lambda h: h.execute(Command("store_parts", (
+        ("tensor", local([1], Dtype.RING64)), Command.obj(1)), {})),
+                       MalformedPayload, "store_parts takes 1 argument, not 2"),
+    "parts_repeated_id": (lambda h: h.execute(parts_cmd(ids=[50, 50])), DuplicateObject,
+                          "object ids [50, 50] repeat"),
+    "parts_held_id": (lambda h: h.execute(parts_cmd(ids=[50, 2])), DuplicateObject,
+                      "object 2 already stored on alice"),
+    "parts_dest_pushed": (lambda h: h.execute(parts_cmd(), 51), DuplicateObject,
+                          "object 51 is both pushed and the destination"),
     # dp_phase refuses a noise setting it cannot honour
     "negative_sigma": (lambda h: h.execute(train_cmd("dp_phase", sigma=-1.0)),
                        ConfigError, "sigma -1.0 must be >= 0"),
@@ -710,6 +738,21 @@ class TestSameErrorEitherTransport:
         else:
             assert type(info.value) is RemoteError
             assert str(info.value) == "IndexError: index 9 is out of bounds"
+
+
+class TestStoreParts:
+    def test_parts_land_under_the_leader_ids(self, handle_and_core):
+        """A virtual and a socket worker store the same objects: views of
+        the one inline tensor, cut in order, with their shapes; the reply
+        is an empty tensor."""
+        h, core = handle_and_core
+        reply = h.execute(parts_cmd(values=[1, 2, 3, 4, 5], ids=[50, 51, 52],
+                                    ranks=[2, 1, 0], dims=[2, 2, 0]))
+        assert bits(reply) == bits(local(np.zeros(0), Dtype.RING64))
+        assert sorted(core._objects) == [50, 51, 52]
+        assert bits(fetch(core, 50)) == bits(local([[1, 2], [3, 4]], Dtype.RING64))
+        assert bits(fetch(core, 51)) == bits(local(np.zeros(0), Dtype.RING64))
+        assert bits(fetch(core, 52)) == bits(local(np.array(5), Dtype.RING64))
 
 
 @pytest.fixture(params=["virtual", "socket"])
