@@ -41,8 +41,11 @@ FedringError crosses as RemoteError, headed by its type's name.
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,9 +63,15 @@ MSG_RESULT = 5
 MSG_ERROR = 6
 _VALID_TYPES = frozenset((MSG_DELETE, MSG_EXECUTE, MSG_RESULT, MSG_ERROR))
 
+_HEADER = struct.Struct("<4sBBQQ")
+_U64 = struct.Struct("<Q")
+_WIRE_IS_NATIVE = sys.byteorder == "little"
 
-@dataclass(frozen=True)
-class Message:
+
+class Message(NamedTuple):
+    """One frame's contents: a tuple, cheaper to build than a frozen
+    dataclass, and a round trip builds four."""
+
     msg_type: int
     request_id: int
     payload: bytes = b""
@@ -73,11 +82,7 @@ def encode_frame(m: Message) -> bytes:
         raise errors.MalformedPayload(f"bad msg_type {m.msg_type}")
     if len(m.payload) > MAX_PAYLOAD:
         raise errors.MalformedPayload(f"payload of {len(m.payload)} bytes exceeds {MAX_PAYLOAD}")
-    return (
-        MAGIC
-        + struct.pack("<BBQQ", VERSION, m.msg_type, m.request_id, len(m.payload))
-        + m.payload
-    )
+    return _HEADER.pack(MAGIC, VERSION, m.msg_type, m.request_id, len(m.payload)) + m.payload
 
 
 def decode_header(buf: bytes) -> tuple[int, int, int]:
@@ -85,9 +90,9 @@ def decode_header(buf: bytes) -> tuple[int, int, int]:
     request_id, payload_len). Raises before any payload byte is needed."""
     if len(buf) < HEADER_LEN:
         raise errors.MalformedPayload("short header")
-    if buf[:4] != MAGIC:
+    magic, version, msg_type, request_id, payload_len = _HEADER.unpack_from(buf)
+    if magic != MAGIC:
         raise errors.BadMagic("bad magic")
-    version, msg_type, request_id, payload_len = struct.unpack_from("<BBQQ", buf, 4)
     if version != VERSION:
         raise errors.MalformedPayload(f"unsupported version {version}")
     if msg_type not in _VALID_TYPES:
@@ -132,14 +137,17 @@ def raise_error_payload(payload: bytes):
 
 _DTYPE_TO_BYTE = {Dtype.FLOAT64: 0, Dtype.RING64: 1}
 _BYTE_TO_DTYPE = {0: Dtype.FLOAT64, 1: Dtype.RING64}
+_WIRE = {Dtype.FLOAT64: np.dtype("<f8"), Dtype.RING64: np.dtype("<u8")}
+_TENSOR_HEAD = struct.Struct("<BB")
+_DIMS = [struct.Struct(f"<{n}I") for n in range(256)]
 
 
 def _tensor_parts(t: Tensor) -> tuple[bytes, np.ndarray]:
     """The tensor's header and its elements in wire order, uncopied on a
-    little-endian host; joining the two is the encoding's one copy."""
-    head = struct.pack(f"<BB{t.ndim}I", _DTYPE_TO_BYTE[t.dtype], t.ndim, *t.shape)
-    wire = "<f8" if t.dtype is Dtype.FLOAT64 else "<u8"
-    return head, np.ascontiguousarray(t.data).astype(wire, copy=False)
+    little-endian host, where a tensor's frozen C-contiguous array already
+    is; joining the two is the encoding's one copy."""
+    head = _TENSOR_HEAD.pack(_DTYPE_TO_BYTE[t.dtype], t.ndim) + _DIMS[t.ndim].pack(*t.shape)
+    return head, t.data if _WIRE_IS_NATIVE else t.data.astype(_WIRE[t.dtype])
 
 
 def serialize_tensor(t: Tensor) -> bytes:
@@ -155,28 +163,26 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     """Decode a tensor starting at offset, once its header is valid and its
     elements follow; returns (tensor, next offset)."""
     try:
-        dtype_b, ndim = struct.unpack_from("<BB", buf, offset)
+        dtype_b, ndim = _TENSOR_HEAD.unpack_from(buf, offset)
     except struct.error as e:
         raise errors.MalformedPayload(str(e)) from None
-    if dtype_b not in _BYTE_TO_DTYPE:
+    dtype = _BYTE_TO_DTYPE.get(dtype_b)
+    if dtype is None:
         raise errors.MalformedPayload(f"unknown dtype byte {dtype_b}")
-    pos = offset + 2
-    if len(buf) < pos + 4 * ndim:
+    pos = offset + 2 + 4 * ndim
+    if len(buf) < pos:
         raise errors.MalformedPayload("truncated dims")
-    dims = struct.unpack_from(f"<{ndim}I", buf, pos)
-    pos += 4 * ndim
-    count = 1
-    for d in dims:
-        count *= d
-    if len(buf) < pos + 8 * count:
+    dims = _DIMS[ndim].unpack_from(buf, offset + 2)
+    end = pos + 8 * math.prod(dims)
+    if len(buf) < end:
         raise errors.MalformedPayload("truncated data")
-    dtype = _BYTE_TO_DTYPE[dtype_b]
-    wire = "<f8" if dtype is Dtype.FLOAT64 else "<u8"
-    try:  # a zero dim lets the other dims pass the length check above
-        data = np.frombuffer(buf, dtype=wire, count=count, offset=pos).reshape(dims)
-    except ValueError as e:
-        raise errors.MalformedPayload(f"dims {dims}: {e}") from None
-    return Tensor._own(data.copy(), dtype), pos + 8 * count
+    data = np.frombuffer(buf, _WIRE[dtype], (end - pos) >> 3, pos)
+    if ndim != 1:
+        try:  # a zero dim lets the other dims pass the length check above
+            data = data.reshape(dims)
+        except ValueError as e:
+            raise errors.MalformedPayload(f"dims {dims}: {e}") from None
+    return Tensor._own(data.copy(), dtype), end
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +234,43 @@ class Command:
         return ("obj", oid)
 
 
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+_ARG_ID = struct.Struct("<BQ")
+_KW_INT = struct.Struct("<Bq")
+_KW_FLOAT = struct.Struct("<Bd")
+_KW_STR = struct.Struct("<BH")
+_ARG_ID_TAGS = {"obj": ARG_OBJECT, "take": ARG_TAKE}
+_ID_ARG_NAMES = {ARG_OBJECT: "obj", ARG_TAKE: "take"}
+_ARG_TENSOR_BYTE = _U8.pack(ARG_TENSOR)
+
+
 def serialize_command(cmd: Command) -> bytes:
     raw_name = cmd.name.encode("utf-8")
-    out = [struct.pack("<B", len(raw_name)), raw_name, struct.pack("<B", len(cmd.args))]
+    out = [_U8.pack(len(raw_name)), raw_name, _U8.pack(len(cmd.args))]
     for tag, val in cmd.args:
-        if tag == "obj":
-            out.append(struct.pack("<BQ", ARG_OBJECT, val))
-        elif tag == "tensor":
-            out.append(struct.pack("<B", ARG_TENSOR))
+        if tag == "tensor":
+            out.append(_ARG_TENSOR_BYTE)
             out.extend(_tensor_parts(val))
-        elif tag == "take":
-            out.append(struct.pack("<BQ", ARG_TAKE, val))
+        elif tag in _ARG_ID_TAGS:
+            out.append(_ARG_ID.pack(_ARG_ID_TAGS[tag], val))
         else:
             raise errors.MalformedPayload(f"bad arg tag {tag!r}")
-    out.append(struct.pack("<H", len(cmd.kwargs)))
+    out.append(_U16.pack(len(cmd.kwargs)))
     for key, val in cmd.kwargs.items():
         raw_key = key.encode("utf-8")
-        out.append(struct.pack("<B", len(raw_key)))
+        out.append(_U8.pack(len(raw_key)))
         out.append(raw_key)
         if isinstance(val, int):  # a bool too: True packs as 1
-            out.append(struct.pack("<Bq", KW_INT, val))
+            out.append(_KW_INT.pack(KW_INT, val))
         elif isinstance(val, float):
-            out.append(struct.pack("<Bd", KW_FLOAT, val))
+            out.append(_KW_FLOAT.pack(KW_FLOAT, val))
         elif isinstance(val, str):
             raw = val.encode("utf-8")
-            out.append(struct.pack("<BH", KW_STR, len(raw)))
+            out.append(_KW_STR.pack(KW_STR, len(raw)))
             out.append(raw)
         elif isinstance(val, (list, tuple)):
             try:  # struct refuses an element that is not an integer in int64 range
@@ -269,53 +287,43 @@ def deserialize_command(buf: bytes, offset: int = 0) -> Command:
     try:
         pos = offset
         n = buf[pos]
-        pos += 1
-        name = buf[pos : pos + n].decode("utf-8")
-        pos += n
+        name = buf[pos + 1 : pos + 1 + n].decode("utf-8")
+        pos += 1 + n
         nargs = buf[pos]
         pos += 1
         args = []
         for _ in range(nargs):
             tag = buf[pos]
-            pos += 1
-            if tag == ARG_OBJECT:
-                (v,) = struct.unpack_from("<Q", buf, pos)
-                pos += 8
-                args.append(("obj", v))
-            elif tag == ARG_TENSOR:
-                t, pos = deserialize_tensor(buf, pos)
+            if tag == ARG_TENSOR:
+                t, pos = deserialize_tensor(buf, pos + 1)
                 args.append(("tensor", t))
-            elif tag == ARG_TAKE:
-                (v,) = struct.unpack_from("<Q", buf, pos)
-                pos += 8
-                args.append(("take", v))
+            elif tag in _ID_ARG_NAMES:
+                args.append((_ID_ARG_NAMES[tag], _U64.unpack_from(buf, pos + 1)[0]))
+                pos += 9
             else:
                 raise errors.MalformedPayload(f"bad arg tag {tag}")
-        (nkw,) = struct.unpack_from("<H", buf, pos)
+        (nkw,) = _U16.unpack_from(buf, pos)
         pos += 2
         kwargs = {}
         for _ in range(nkw):
             n = buf[pos]
-            pos += 1
-            key = buf[pos : pos + n].decode("utf-8")
-            pos += n
+            key = buf[pos + 1 : pos + 1 + n].decode("utf-8")
+            pos += 1 + n
             tag = buf[pos]
             pos += 1
-            if tag == KW_FLOAT:
-                (v,) = struct.unpack_from("<d", buf, pos)
+            if tag == KW_INT:
+                kwargs[key] = _I64.unpack_from(buf, pos)[0]
                 pos += 8
-                kwargs[key] = v
-            elif tag == KW_INT:
-                (v,) = struct.unpack_from("<q", buf, pos)
+            elif tag == KW_FLOAT:
+                kwargs[key] = _F64.unpack_from(buf, pos)[0]
                 pos += 8
-                kwargs[key] = v
             elif tag == KW_STR:
-                (sl,) = struct.unpack_from("<H", buf, pos)
+                (sl,) = _U16.unpack_from(buf, pos)
                 pos += 2
                 kwargs[key] = buf[pos : pos + sl].decode("utf-8")
                 pos += sl
             elif tag == KW_INT_LIST:
-                (cnt,) = struct.unpack_from("<I", buf, pos)
+                (cnt,) = _U32.unpack_from(buf, pos)
                 pos += 4
                 kwargs[key] = list(struct.unpack_from(f"<{cnt}q", buf, pos))
                 pos += 8 * cnt

@@ -308,28 +308,45 @@ class VirtualHandle(_TappedHandle):
 # socket transport
 
 _RECV_CHUNK = 1 << 20
+_RECV_MIN = 1 << 16
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    # recv(n) allocates n bytes up front; bounded chunks make memory follow
-    # the bytes that actually arrive
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(min(n, _RECV_CHUNK))
-        if not chunk:
-            raise ConnectionError("peer closed")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+class _FrameReader:
+    """Reads frames off one socket. Each recv asks for at least _RECV_MIN
+    bytes, so a small frame, header and payload, arrives in one call; bytes
+    past the frame wait here for the next read. A long payload arrives in
+    chunks of at most _RECV_CHUNK, so memory follows the bytes that actually
+    arrive, not the length a header claims."""
 
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._rest = b""  # received bytes not yet read start at _pos
+        self._pos = 0
 
-def _read_frame(sock: socket.socket) -> Message:
-    """Read one frame; a bad header raises MalformedPayload (BadMagic for a
-    wrong magic) before any payload byte is read."""
-    msg_type, request_id, payload_len = protocol.decode_header(
-        _recv_exact(sock, protocol.HEADER_LEN))
-    payload = _recv_exact(sock, payload_len) if payload_len else b""
-    return Message(msg_type, request_id, payload)
+    def _take(self, n: int) -> bytes:
+        rest, pos = self._rest, self._pos
+        have = len(rest) - pos
+        if have < n:
+            chunks = [rest[pos:]] if have else []
+            while have < n:
+                chunk = self.sock.recv(min(max(n - have, _RECV_MIN), _RECV_CHUNK))
+                if not chunk:
+                    raise ConnectionError("peer closed")
+                chunks.append(chunk)
+                have += len(chunk)
+            rest, pos = chunks[0] if len(chunks) == 1 else b"".join(chunks), 0
+        end = pos + n
+        if end == len(rest):  # hold no bytes between frames
+            self._rest, self._pos = b"", 0
+        else:
+            self._rest, self._pos = rest, end
+        return rest[pos:end]
+
+    def read(self) -> Message:
+        """One frame; a bad header raises MalformedPayload (BadMagic for a
+        wrong magic) before any of its payload is consumed."""
+        msg_type, request_id, payload_len = protocol.decode_header(self._take(protocol.HEADER_LEN))
+        return Message(msg_type, request_id, self._take(payload_len))
 
 
 class SocketClient:
@@ -341,6 +358,14 @@ class SocketClient:
         except OSError as e:
             raise TransportError(f"connect {host}:{port}: {e}") from None
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # The kernel times out a send or recv that waits too long; a Python
+        # timeout would poll before every call, two system calls for one.
+        self.sock.settimeout(None)
+        whole, frac = divmod(timeout, 1.0)
+        limit = struct.pack("ll", int(whole), int(frac * 1e6))
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, limit)
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, limit)
+        self._reader = _FrameReader(self.sock)
         self._req = itertools.count(1)
         self._lock = threading.Lock()
 
@@ -350,7 +375,9 @@ class SocketClient:
         with self._lock:
             try:
                 self.sock.sendall(frame)
-                reply = _read_frame(self.sock)
+                reply = self._reader.read()
+            except BlockingIOError:  # the kernel's send or recv timeout
+                raise TransportError("timed out") from None
             except (OSError, ConnectionError) as e:
                 raise TransportError(str(e)) from None
         if reply.request_id != rid:
@@ -427,9 +454,10 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
     def handle(self):
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         core: WorkerCore = self.server.worker_core
+        reader = _FrameReader(self.request)
         while True:
             try:
-                msg = _read_frame(self.request)
+                msg = reader.read()
             except (ConnectionError, OSError):
                 return
             except MalformedPayload as e:

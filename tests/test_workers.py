@@ -1,14 +1,16 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from fedring import commands, protocol
+from fedring import commands, protocol, workers
 from fedring import tensor as tc
 from fedring.commands import OPS, identity
 from fedring.errors import (
+    BadMagic,
     ConfigError,
     DtypeMismatch,
     DuplicateObject,
@@ -18,6 +20,7 @@ from fedring.errors import (
     OverflowRangeError,
     RemoteError,
     ShapeMismatch,
+    TransportError,
     UnknownCommand,
     WorkerUnknown,
 )
@@ -29,6 +32,7 @@ from fedring.workers import (
     VirtualHandle,
     VirtualRegistry,
     WorkerCore,
+    _FrameReader,
     _LazySocketPeer,
     make_server,
     socket_federation,
@@ -414,6 +418,82 @@ class TestSocketWorker:
             assert head[5] == protocol.MSG_RESULT
             assert struct.unpack("<Q", head[6:14])[0] == rid
         sock.close()
+
+    def test_client_times_out_on_a_silent_worker(self):
+        """The client's timeout is the kernel's, so a call polls nothing
+        first: a worker that accepts and never replies raises TransportError
+        once the timeout has passed."""
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            c = SocketClient(*listener.getsockname(), timeout=0.2)
+            try:
+                assert c.sock.gettimeout() is None
+                t0 = time.monotonic()
+                with pytest.raises(TransportError, match="timed out"):
+                    store(c, 1, X)
+                assert 0.15 < time.monotonic() - t0 < 10
+            finally:
+                c.close()
+
+
+class TestFrameReader:
+    """A frame is read whole however its bytes arrive, with one recv when
+    they arrive together, and memory follows the bytes that arrive."""
+
+    class Chunks:
+        """A socket whose recv returns the given chunks in turn, then b""."""
+
+        def __init__(self, chunks):
+            self.chunks = list(chunks)
+            self.asked = []
+
+        def recv(self, n):
+            self.asked.append(n)
+            chunk = self.chunks.pop(0) if self.chunks else b""
+            assert len(chunk) <= n
+            return chunk
+
+    FRAMES = [Message(protocol.MSG_EXECUTE, 1), Message(protocol.MSG_RESULT, 2, b"abc"),
+              Message(protocol.MSG_EXECUTE, 3, bytes(range(256)) * 40)]
+
+    def test_one_recv_per_frame(self):
+        sock = self.Chunks([protocol.encode_frame(m) for m in self.FRAMES])
+        reader = _FrameReader(sock)
+        assert [reader.read() for _ in self.FRAMES] == self.FRAMES
+        assert len(sock.asked) == len(self.FRAMES)
+        assert reader._rest == b""  # no frame's bytes held between frames
+
+    def test_any_split(self):
+        """Frames cut at every byte, cut at odd places or run together in
+        one recv all read the same."""
+        raw = b"".join(protocol.encode_frame(m) for m in self.FRAMES)
+        for chunks in ([raw], [raw[i:i + 1] for i in range(len(raw))],
+                       [raw[:5], raw[5:30], raw[30:31], raw[31:]]):
+            reader = _FrameReader(self.Chunks(chunks))
+            assert [reader.read() for _ in self.FRAMES] == self.FRAMES
+            with pytest.raises(ConnectionError):
+                reader.read()
+
+    def test_memory_follows_arrival(self):
+        """A header claiming MAX_PAYLOAD bytes asks for at most _RECV_CHUNK
+        a call, and a peer that closes mid-payload raises ConnectionError."""
+        head = protocol.MAGIC + struct.pack("<BBQQ", protocol.VERSION, protocol.MSG_EXECUTE,
+                                            1, protocol.MAX_PAYLOAD)
+        sock = self.Chunks([head, b"x" * 100, b"y" * 100])
+        with pytest.raises(ConnectionError):
+            _FrameReader(sock).read()
+        assert len(sock.asked) == 4
+        assert max(sock.asked) <= workers._RECV_CHUNK
+
+    def test_bad_header_consumes_only_the_header(self):
+        """After bad magic the reader stands at the next frame, as the
+        worker's resync needs."""
+        good = protocol.encode_frame(self.FRAMES[1])
+        reader = _FrameReader(self.Chunks([b"JUNK" + b"\x00" * 18 + good]))
+        with pytest.raises(BadMagic):
+            reader.read()
+        assert reader.read() == self.FRAMES[1]
 
 
 @pytest.fixture(params=["virtual", "socket"])
