@@ -3,9 +3,10 @@ chain of nodes (Local / Pointer / FixedPrecision / Shared), with command
 dispatch forwarded node to node and chain rewrites on send/get.
 
 Chains are kept as top-down node lists, on the leader only; the head is
-implied. A worker holds plain tensors, so the whole chain above a payload,
-and its prefix in particular, stays here. The leaf holds everything the
-leader knows about the payload, and nothing is fetched back to learn it:
+implied. A chain is one leaf, alone or under one fixed_precision node. A
+worker holds plain tensors, so the whole chain above a payload, and its
+prefix in particular, stays here. The leaf holds everything the leader
+knows about the payload, and nothing is fetched back to learn it:
     ('local', Tensor)            the payload itself;
     ('pointer', worker, expr)    the payload on a worker: expr is
                                  ('ref', oid) for a stored object, or a lazy
@@ -22,6 +23,11 @@ carries it as its program, and a shape or dtype error in it surfaces there.
 A lazy result reads its operands when it is consumed, not when it is
 built, so consuming an operand first (say with its own get()) makes the
 later evaluation fail with ObjectNotFound.
+
+A shared mul or matmul is a Beaver multiplication with a triple from the
+`pool` dispatch is given, by kind and operand shapes; under fixed precision
+its truncation stays lazy. The product stays stored until a `with
+fed.scope():` block around it ends, which frees what it stored.
 
 `send` stores the leaf tensor alone and keeps the chain's prefix above the
 pointer, so a sent fixed-precision tensor stays fixed precision on the
@@ -48,29 +54,24 @@ _NOT_DISPATCHED = ("ref", "trunc", "fscale", "foffset", "save", "load")
 
 
 def validate_chain(nodes):
-    """Walk the chain checking the structural invariants."""
-    if not nodes:
-        raise KindMismatch("empty chain")
-    for i, node in enumerate(nodes):
-        last = i == len(nodes) - 1
-        tag = node[0]
-        if tag in ("local", "pointer", "shared"):
-            if not last:
-                raise KindMismatch(f"{tag} node must terminate the chain")
-        elif tag == "fixed_precision":
-            if last:
-                raise KindMismatch("fixed_precision node needs a child")
-        else:
-            raise KindMismatch(f"unknown node kind {tag!r}")
-        if tag == "shared":
-            parties = node[1].parties
-            if len(parties) < 2 or len(set(parties)) != len(parties):
-                raise KindMismatch("shared node needs >= 2 distinct workers")
+    """Check the structural invariants: a local, pointer or shared leaf,
+    last, under at most one fixed_precision node."""
+    kinds = [node[0] for node in nodes]
+    if (not kinds or kinds[-1] not in ("local", "pointer", "shared")
+            or kinds[:-1] not in ([], ["fixed_precision"])):
+        raise KindMismatch(f"{kinds}: a chain is a local, pointer or shared leaf under at "
+                           "most one fixed_precision node")
+    if kinds[-1] == "shared":
+        parties = nodes[-1][1].parties
+        if len(parties) < 2 or len(set(parties)) != len(parties):
+            raise KindMismatch("shared node needs >= 2 distinct workers")
     return True
 
 
 class TensorChain:
     """Head tensor over a node chain, bound to a federation for remote ops."""
+
+    __slots__ = ("nodes", "fed")  # no per-chain dict: a pass makes a chain per op
 
     def __init__(self, nodes, fed: Federation | None = None):
         validate_chain(nodes)
@@ -114,6 +115,7 @@ class TensorChain:
         fed = self._require_fed()
         oid = fed.allocate_id()
         fed.worker(target).store(oid, self.tensor())
+        fed.record(target, stored=(oid,))
         return self._with_leaf(("pointer", target, ("ref", oid)))
 
     def get(self) -> "TensorChain":
@@ -127,6 +129,7 @@ class TensorChain:
                 value = fed.worker(worker).execute(compile_expr([expr]))
             else:
                 value = fed.worker(worker).fetch(expr[1], delete=True)
+                fed.record(worker, taken=(expr[1],))
             return self._with_leaf(("local", value))
         if self.leaf[0] == "shared":
             return self._with_leaf(("local", spdz.reconstruct(self.leaf[1], fed, delete=True)))
@@ -163,103 +166,92 @@ class TensorChain:
         return self._with_leaf(("shared", spdz.share(self.tensor(), parties, fed, rng)))
 
     # -- dispatch ------------------------------------------------------------
-    def dispatch(self, name: str, *others: "TensorChain", **kwargs) -> "TensorChain":
-        return dispatch(name, self, *others, **kwargs)
+    def dispatch(self, name: str, *others: "TensorChain", c=None,
+                 pool: spdz.TriplePool | None = None) -> "TensorChain":
+        """Run a command on this chain and others: under FixedPrecision with
+        the fixed-point calling convention (encode a float constant,
+        truncate after mul, matmul and a float scale), then at the leaf,
+        where Local calls the op's kernel, Pointer builds a lazy expression
+        and Shared runs the SPDZ protocol. Operands must have the same prefix
+        and leaf kind; scale and offset take their public constant as c, and
+        a shared mul or matmul takes its Beaver triple from pool."""
+        row = OPS.get(name)
+        if row is None or name in _NOT_DISPATCHED:
+            raise UnknownCommand(name)
+        if 1 + len(others) != row[1]:
+            raise KindMismatch(f"{name} takes {row[1]} operand(s), not {1 + len(others)}")
+        nodes = self.nodes
+        leaf = nodes[-1]
+        kind = leaf[0]
+        values = [leaf[-1]]  # each leaf's tensor, pointer expression or share vector
+        for other in others:  # a valid prefix is [] or [fixed_precision]: its length tells
+            if len(other.nodes) != len(nodes) or other.nodes[-1][0] != kind:
+                raise KindMismatch(
+                    f"{[n[0] for n in nodes]} vs {[n[0] for n in other.nodes]}: "
+                    "send/share operands explicitly")
+            if kind == "pointer" and other.nodes[-1][1] != leaf[1]:
+                raise KindMismatch("pointer operands live on different workers")
+            values.append(other.nodes[-1][-1])
+        const = (c,) if row[2] else ()
+        truncate = False
+        if len(nodes) == 2:  # fixed precision
+            if name not in ("add", "sub", "neg", "scale", "offset", "mul", "matmul"):
+                raise UnknownCommand(f"{name} under fixed_precision")
+            int_scale = name == "scale" and isinstance(c, (int, np.integer))
+            if const:  # a float scale is a product with the encoded constant
+                const = (int(c),) if int_scale else (fixedpoint.encode_scalar(c),)
+            truncate = name in ("mul", "matmul") or name == "scale" and not int_scale
+            if truncate and kind == "pointer":
+                raise KindMismatch(f"fixed-precision {name} on a pointer needs a truncation "
+                                   "the worker does not run; get() or share() it first")
+            if truncate and kind == "local":
+                _check_local_product(name, values, const)
+        out = _leaf_op(name, leaf, values, const, pool, self.fed)
+        if truncate:
+            out = (kind, (fixedpoint.truncate if kind == "local" else spdz.trunc_shared)(out[1]))
+        chain = object.__new__(TensorChain)  # valid already: the prefix over a leaf of its kind
+        chain.nodes = [nodes[0], out] if len(nodes) == 2 else [out]
+        chain.fed = self.fed
+        return chain
 
 
-def dispatch(name: str, head: TensorChain, *others: TensorChain, **kwargs) -> TensorChain:
-    """Forward a command down the chain: FixedPrecision applies the
-    fixed-point calling convention (truncate after mul/matmul/float scale)
-    then forwards; at the leaf, Local calls the op's kernel,
-    Pointer builds a lazy expression and Shared runs the SPDZ protocol. The
-    name and arity are checked against commands.OPS first. Operands must
-    have the same prefix and the same leaf kind; scale and offset take their
-    public constant as c."""
-    if name not in OPS or name in _NOT_DISPATCHED:
-        raise UnknownCommand(name)
-    _, arity, consts, kernel = OPS[name]
-    if 1 + len(others) != arity:
-        raise KindMismatch(f"{name} takes {arity} operand(s), not {1 + len(others)}")
-    for other in others:
-        if other.nodes[:-1] != head.nodes[:-1] or other.leaf[0] != head.leaf[0]:
-            raise KindMismatch(
-                f"{[n[0] for n in head.nodes]} vs {[n[0] for n in other.nodes]}: "
-                "send/share operands explicitly")
-    if head.kind == "fixed_precision":
-        return _dispatch_fixed(name, head, others, kwargs)
-    chains = (head,) + others
-    const = (kwargs["c"],) if consts else ()
-    if head.kind == "shared":
-        return _dispatch_shared(name, chains, const, kwargs)
-    if head.kind == "local":
-        return head._with_leaf(("local", kernel(*(c.tensor() for c in chains), *const)))
-    worker = head.leaf[1]
-    if any(other.leaf[1] != worker for other in others):
-        raise KindMismatch("pointer operands live on different workers")
-    return head._with_leaf(("pointer", worker, (name,) + tuple(c.leaf[2] for c in chains) + const))
+def dispatch(name: str, head: TensorChain, *others: TensorChain, c=None,
+             pool: spdz.TriplePool | None = None) -> TensorChain:
+    """head.dispatch(name, *others, c=c, pool=pool)."""
+    return head.dispatch(name, *others, c=c, pool=pool)
 
 
-def _dispatch_fixed(name, head, others, kwargs):
-    inner = [TensorChain(c.nodes[1:], c.fed) for c in (head,) + others]
-    c = kwargs.get("c")
-    if name in ("add", "sub", "neg"):
-        out = dispatch(name, *inner)
-    elif name == "scale" and isinstance(c, (int, np.integer)):
-        out = dispatch("scale", *inner, c=int(c))
-    elif name == "offset":
-        out = dispatch("offset", *inner, c=fixedpoint.encode_scalar(c))
-    elif name in ("mul", "matmul", "scale"):
-        if head.leaf[0] == "pointer":
-            raise KindMismatch(f"fixed-precision {name} on a pointer needs a truncation "
-                               "the worker does not run; get() or share() it first")
-        if name == "scale":  # public float: encode the constant, multiply, truncate
-            c = fixedpoint.encode_scalar(c)
-            raw = dispatch("scale", *inner, c=c)
-        else:
-            raw = dispatch(name, *inner, **kwargs)
-        if raw.kind == "local":
-            _check_local_product(name, inner, c)
-        out = _truncate_chain(raw)
+def _leaf_op(name, leaf, values, const, pool, fed):
+    """name on the leaves' values, as a leaf of the head leaf's kind."""
+    if leaf[0] == "local":
+        return ("local", OPS[name][3](*values, *const))
+    if leaf[0] == "pointer":
+        return ("pointer", leaf[1], (name, *values, *const))
+    if name not in ("mul", "matmul"):
+        return ("shared", spdz.linear(name, *values, *const))
+    if pool is None or fed is None:
+        raise ConfigError(f"shared {name} needs a triple pool and a federation")
+    xs, ys = values
+    if name == "mul":
+        triple, fn = pool.take("elementwise", xs.shape), spdz.beaver_mul
     else:
-        raise UnknownCommand(f"{name} under fixed_precision")
-    return TensorChain([("fixed_precision",)] + out.nodes, head.fed)
+        triple, fn = pool.take("matmul", xs.shape + ys.shape[1:]), spdz.matmul_shared
+    try:
+        return ("shared", fn(xs, ys, triple, fed))
+    except BaseException:
+        if not triple.consumed:  # refused before its first message: the triple is unused
+            pool.put(triple)
+        raise
 
 
-def _check_local_product(name, inner, c):
+def _check_local_product(name, values, const):
     """Refuse a local product whose raw encoding wraps the ring. From the
     decoded operands, |x|*|y| bounds it elementwise, |x|*|c| for a float
     scale and |A| @ |B| per matmul output element."""
-    operands = [t.tensor() for t in inner]
-    if name == "scale":
-        operands.append(Tensor(np.array(c, dtype=np.uint64), Dtype.RING64))
+    operands = list(values)
+    if const:
+        operands.append(Tensor(np.array(const[0], dtype=np.uint64), Dtype.RING64))
     a, b = (np.abs(fixedpoint.decode(t).data) for t in operands)
     if not np.all((a @ b if name == "matmul" else a * b) < fixedpoint.MAX_PRODUCT):
         raise OverflowRangeError(f"fixed-precision {name}: product magnitude >= "
                                  f"2**{61 - 2 * fixedpoint.FRAC_BITS} wraps the ring")
-
-
-def _truncate_chain(raw: TensorChain) -> TensorChain:
-    if raw.kind == "local":
-        return TensorChain([("local", fixedpoint.truncate(raw.tensor()))], raw.fed)
-    fed = raw._require_fed()
-    prod = raw.leaf[1]
-    sv = spdz.trunc_shared(prod)
-    if prod.is_materialized():
-        # a Beaver product nothing else refers to: keep only its truncation
-        sv = spdz.materialize(sv, fed)
-        spdz.free([prod], fed)
-    return TensorChain([("shared", sv)], fed)
-
-
-def _dispatch_shared(name, chains, const, kwargs):
-    fed = chains[0]._require_fed()
-    svs = [c.leaf[1] for c in chains]
-    if name in ("mul", "matmul"):
-        triple = kwargs.get("triple")
-        if triple is None:
-            raise ConfigError(f"shared {name} needs a Beaver triple")
-        fn = spdz.beaver_mul if name == "mul" else spdz.matmul_shared
-        out = fn(*svs, triple, fed)
-    else:
-        out = spdz.linear(name, *svs, *const)
-    return TensorChain([("shared", out)], fed)

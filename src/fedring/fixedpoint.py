@@ -41,16 +41,18 @@ def encode(x: Tensor) -> Tensor:
     # flat, so that a 0-d input stays an array through the in-place steps;
     # scaling by a power of two is exact, so the bound applies after it
     scaled = x.data.reshape(-1) * SCALE
-    mag = np.abs(scaled)
-    if not (mag < MAX_MAGNITUDE * SCALE).all():  # NaN is refused too
+    rounded = np.abs(scaled)
+    if not (rounded < MAX_MAGNITUDE * SCALE).all():  # NaN is refused too
         raise OverflowRangeError(_RANGE)
-    # round half away from zero, unlike np.round's banker's rounding:
-    # trunc(s + copysign(0.5, s)) is sign(s) * floor(|s| + 0.5)
-    scaled += np.copysign(0.5, scaled, mag)
-    np.trunc(scaled, scaled)
+    # round half away from zero (np.round rounds to even) by the exact
+    # fraction f = s - trunc(s): trunc(2f) is sign(s) where |f| >= 0.5
+    np.trunc(scaled, rounded)
+    scaled -= rounded
+    scaled += scaled
+    rounded += np.trunc(scaled, scaled)
     # two's complement: a negative int64 read as uint64 is it mod 2**64,
     # which _own's mask reduces mod Q
-    ints = scaled.astype(np.int64).view(np.uint64)
+    ints = rounded.astype(np.int64).view(np.uint64)
     return Tensor._own(ints.reshape(x.shape), Dtype.RING64)
 
 
@@ -60,9 +62,8 @@ def encode_scalar(x: float) -> int:
     x = float(x)
     if not abs(x) < MAX_MAGNITUDE:  # NaN is refused too
         raise OverflowRangeError(_RANGE)
-    scaled = x * SCALE
-    n = math.floor(abs(scaled) + 0.5)
-    return (-n if scaled < 0 else n) % Q
+    n = math.trunc(x * SCALE)
+    return (n + math.trunc(2 * (x * SCALE - n))) % Q
 
 
 def decode(r: Tensor) -> Tensor:

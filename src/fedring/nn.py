@@ -101,6 +101,23 @@ def forward(params: np.ndarray, dims, task: str, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def sigmoid_poly_chain(v, pool=None):
+    """sigmoid_poly over tensor chains: v*v, then (v*v)*v, then
+    v/4 - x3/48 + 1/2, each float constant a fixed-point product."""
+    x3 = v.dispatch("mul", v, pool=pool).dispatch("mul", v, pool=pool)
+    t = v.dispatch("scale", c=0.25).dispatch("add", x3.dispatch("scale", c=-1.0 / 48.0))
+    return t.dispatch("offset", c=0.5)
+
+
+def forward_chain(x, w1, b1, w2, b2, task: str, pool=None):
+    """forward over tensor chains, biases tiled to the batch, through
+    .dispatch alone: on local fixed-precision chains the plaintext oracle,
+    on shared ones, with the pool's triples, the shared pass."""
+    z1 = x.dispatch("matmul", w1, pool=pool).dispatch("add", b1)
+    z2 = sigmoid_poly_chain(z1, pool).dispatch("matmul", w2, pool=pool).dispatch("add", b2)
+    return sigmoid_poly_chain(z2, pool) if task == TASK_BINARY else z2
+
+
 def forward_backward(
     params: np.ndarray,
     dims,

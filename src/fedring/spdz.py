@@ -25,12 +25,16 @@ two openings (eps, delta) regardless of operand size. Each party then runs
 one `beaver_combine` that receives eps and delta inline and takes the
 expanded triple. With two parties that is four messages per
 multiplication.
+
+Nothing here deletes an object but by taking it. Each party's execute
+reports what it stored and took to `Federation.record` once it succeeds,
+so a `with fed.scope():` block frees what it stored, even midway.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,14 +74,6 @@ class ShareVector:
     def n_parties(self) -> int:
         return len(self.parties)
 
-    def is_materialized(self) -> bool:
-        return all(e[0] == "ref" for e in self.exprs)
-
-    def pointers(self):
-        if not self.is_materialized():
-            raise ConfigError("share vector not materialized")
-        return [(p, e[1]) for p, e in zip(self.parties, self.exprs)]
-
 
 def require_two_parties(parties):
     """Local share truncation is sound for exactly two parties."""
@@ -103,9 +99,10 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator, shapes=
     kwargs = {"ranks": [len(s) for s in parts], "dims": [d for s in parts for d in s]}
     shares = split_shares(rng, x.data.reshape(-1), len(parties))
     for i, (party, s) in enumerate(zip(parties, shares)):
+        own = [part_ids[i] for part_ids in ids]
         fed.worker(party).execute(Command(
-            "store_parts", (("tensor", Tensor._own(s, Dtype.RING64)),),
-            {**kwargs, "ids": [part_ids[i] for part_ids in ids]}))
+            "store_parts", (("tensor", Tensor._own(s, Dtype.RING64)),), {**kwargs, "ids": own}))
+        fed.record(party, stored=own)
     svs = [ShareVector(parties, tuple(("ref", oid) for oid in part_ids), shape)
            for part_ids, shape in zip(ids, parts)]
     return svs[0] if shapes is None else svs
@@ -126,6 +123,9 @@ def share_remote(owner: str, expr, parties, fed: Federation) -> ShareVector:
     cmd = Command("make_shares", args,
                   {**prog.kwargs, "parties": ",".join(parties), "ids": ids})
     shape = tuple(int(v) for v in fed.worker(owner).execute(cmd).data)
+    fed.record(owner, taken=[val for tag, val in args if tag == "take"])
+    for party, oid in zip(parties, ids):
+        fed.record(party, stored=(oid,))
     return ShareVector(parties, tuple(("ref", oid) for oid in ids), shape)
 
 
@@ -137,15 +137,18 @@ def materialize(sv: ShareVector, fed: Federation) -> ShareVector:
         if expr[0] != "ref":
             exprs[i] = ("ref", fed.allocate_id())
             fed.worker(party).execute(compile_expr([expr]), exprs[i][1])
-    return replace(sv, exprs=tuple(exprs))
+            fed.record(party, stored=(exprs[i][1],))
+    return ShareVector(sv.parties, tuple(exprs), sv.shape)
 
 
-def _open(fed: Federation, parties, cmds, shape) -> Tensor:
+def _open(fed: Federation, parties, cmds, shape, kept=()) -> Tensor:
     """Open a value through the leader (star topology): send each party its
-    by-value command and sum the replies mod Q. One message per party."""
+    by-value command and sum the replies mod Q. One message per party;
+    kept[i] names the object party i's command stores, if any."""
     total = np.zeros(shape, dtype=np.uint64)
-    for party, cmd in zip(parties, cmds):
+    for i, (party, cmd) in enumerate(zip(parties, cmds)):
         t = fed.worker(party).execute(cmd)
+        fed.record(party, kept[i:i + 1], [val for tag, val in cmd.args if tag == "take"])
         if t.shape != total.shape:
             raise ShapeMismatch(f"{party} replied {t.shape}, not {total.shape}")
         total += t.data
@@ -159,17 +162,6 @@ def reconstruct(sv: ShareVector, fed: Federation, delete: bool = False) -> Tenso
     cmds = [identity(("take", e[1])) if delete and e[0] == "ref" else compile_expr([e])
             for e in sv.exprs]
     return _open(fed, sv.parties, cmds, sv.shape)
-
-
-def free(svs, fed: Federation):
-    """Delete the stored shares of materialized share vectors: one delete
-    frame per party."""
-    oids: dict = {}
-    for sv in svs:
-        for party, oid in sv.pointers():
-            oids.setdefault(party, []).append(oid)
-    for party, ids in oids.items():
-        fed.worker(party).delete(*ids)
 
 
 # -- linear layer (no communication) ----------------------------------------
@@ -194,7 +186,7 @@ def linear(name: str, *operands) -> ShareVector:
     exprs = [(name,) + es + const for es in per_party]
     if name == "offset":
         exprs[1:] = [es[0] for es in per_party[1:]]
-    return replace(svs[0], exprs=tuple(exprs))
+    return ShareVector(svs[0].parties, tuple(exprs), svs[0].shape)
 
 
 # -- Beaver triples ----------------------------------------------------------
@@ -211,10 +203,13 @@ class BeaverTriple:
 
 
 class TriplePool:
-    """Dealer inventory keyed by (kind, shape); triples are take-once."""
+    """Dealer inventory keyed by (kind, shape); triples are take-once. The
+    pool owns its triples' objects, so a scope does not free them."""
 
-    def __init__(self):
+    def __init__(self, triples=()):
         self._pools: dict = {}
+        for triple in triples:
+            self.put(triple)
 
     def put(self, triple: BeaverTriple):
         self._pools.setdefault((triple.kind, triple.shape), []).append(triple)
@@ -271,7 +266,7 @@ def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federat
         cmds.append(Command("beaver_open", prog.args + (("take", triple.refs[i]),),
                             {**prog.kwargs, "kind": kind, "shape": list(triple.shape),
                              "keep": keep[i]}))
-    masked = _open(fed, xs.parties, cmds, (math.prod(xs.shape) + math.prod(ys.shape),))
+    masked = _open(fed, xs.parties, cmds, (math.prod(xs.shape) + math.prod(ys.shape),), keep)
     if fed.tap is not None:
         fed.tap.note_opening(2)
     eps, delta = masked.parts((xs.shape, ys.shape))
@@ -282,6 +277,7 @@ def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federat
             {"kind": kind, "shape": list(triple.shape), "lead": int(i == 0)},
         )
         fed.worker(party).execute(cmd, out[i])
+        fed.record(party, stored=(out[i],), taken=(keep[i],))
     return ShareVector(xs.parties, tuple(("ref", oid) for oid in out), tuple(out_shape))
 
 
@@ -312,4 +308,4 @@ def trunc_shared(sv: ShareVector) -> ShareVector:
     consumes the value, so this sends nothing."""
     require_two_parties(sv.parties)
     exprs = tuple(("trunc", e, FRAC_BITS, role) for role, e in enumerate(sv.exprs))
-    return replace(sv, exprs=exprs)
+    return ShareVector(sv.parties, exprs, sv.shape)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fixedpoint, nn, spdz, tensor as tc
+from . import fixedpoint, nn, spdz
+from .chain import TensorChain
 from .data import FederatedDataset
 from .dp import MomentLedger, PrivacySpec
 from .errors import ConfigError, InsufficientTriples, LotTooLarge, ShapeMismatch
@@ -216,41 +217,19 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 # MPC shared inference
 
-def fixed_forward(model: Model, X: np.ndarray) -> np.ndarray:
-    """Plaintext fixed-point forward pass: the oracle the shared pass must
-    match. Every multiplication truncates immediately, like the MPC path."""
+def _forward_inputs(model: Model, X: np.ndarray):
+    """nn.forward_chain's inputs: X, w1, tiled b1, w2 and tiled b2."""
     w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)
     B = X.shape[0]
-
-    def enc(a):
-        return fixedpoint.encode(Tensor(np.asarray(a, dtype=np.float64), Dtype.FLOAT64))
-
-    def matmul_fp(a, b):
-        return fixedpoint.truncate(tc.matmul(a, b))
-
-    def sigmoid_fp(v):
-        x2 = fixedpoint.truncate(tc.mul(v, v))
-        x3 = fixedpoint.truncate(tc.mul(x2, v))
-        t1 = fixedpoint.truncate(tc.scale(v, fixedpoint.encode_scalar(0.25)))
-        t2 = fixedpoint.truncate(tc.scale(x3, fixedpoint.encode_scalar(-1.0 / 48.0)))
-        return tc.offset(tc.add(t1, t2), fixedpoint.encode_scalar(0.5))
-
-    xs = enc(X)
-    z1 = tc.add(matmul_fp(xs, enc(w1)), enc(np.tile(b1, (B, 1))))
-    a1 = sigmoid_fp(z1)
-    z2 = tc.add(matmul_fp(a1, enc(w2)), enc(np.tile(b2, (B, 1))))
-    if model.task == TASK_BINARY:
-        z2 = sigmoid_fp(z2)
-    return np.asarray(fixedpoint.decode(z2).data)[:, 0]
+    return X, w1, np.tile(b1, (B, 1)), w2, np.tile(b2, (B, 1))
 
 
-def _shared_sigmoid(sv, mul_trunc):
-    x2 = mul_trunc("elementwise", sv, sv)
-    x3 = mul_trunc("elementwise", x2, sv)
-    enc = fixedpoint.encode_scalar
-    t1 = spdz.trunc_shared(spdz.linear("scale", sv, enc(0.25)))
-    t2 = spdz.trunc_shared(spdz.linear("scale", x3, enc(-1.0 / 48.0)))
-    return spdz.linear("offset", spdz.linear("add", t1, t2), enc(0.5))
+def fixed_forward(model: Model, X: np.ndarray) -> np.ndarray:
+    """Plaintext fixed-point forward pass: the oracle the shared pass must
+    match. nn.forward_chain over local fixed-precision chains, so every
+    product truncates where the shared pass truncates its shares."""
+    chains = [TensorChain.local(a).fix_precision() for a in _forward_inputs(model, X)]
+    return nn.forward_chain(*chains, model.task).float_precision().tensor().data[:, 0]
 
 
 def mpc_triple_requirements(dims, batch: int, task: str):
@@ -269,57 +248,38 @@ def mpc_triple_requirements(dims, batch: int, task: str):
 def provision_triples(fed: Federation, dealer: str, parties, dims, batch: int,
                       task: str, passes: int = 1) -> spdz.TriplePool:
     spdz.require_two_parties(tuple(parties))
-    pool = spdz.TriplePool()
-    for kind, shape, count in mpc_triple_requirements(dims, batch, task):
-        for t in spdz.dealer_generate(fed, dealer, kind, shape, parties, count * passes):
-            pool.put(t)
-    return pool
+    return spdz.TriplePool(
+        t for kind, shape, count in mpc_triple_requirements(dims, batch, task)
+        for t in spdz.dealer_generate(fed, dealer, kind, shape, parties, count * passes))
 
 
 def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
                 pool: spdz.TriplePool, rng: np.random.Generator) -> np.ndarray:
-    """Forward pass on secret-shared weights and inputs; reconstruction plus
-    decode matches fixed_forward within accumulated truncation error. X's
-    width and the pool's triples are checked before the first message. The
-    inputs (X, w1, tiled b1, w2 and tiled b2) are encoded as one vector and
-    shared with one draw from rng and one store_parts execute per party.
-    Every object the pass stores or consumes on the parties is deleted by
-    the end: each triple object by its beaver_open, the expanded triple that
-    open keeps by beaver_combine, the input shares and products by one
-    delete frame per party."""
+    """Forward pass on secret-shared weights and inputs: nn.forward_chain
+    over fixed-precision shared chains, with its triples from pool; it
+    matches fixed_forward within accumulated truncation error. X's width
+    and the pool's triples are checked before the first message. The
+    inputs are encoded as one vector and shared with one draw from rng and
+    one store_parts execute per party. The pass runs in one
+    Federation.scope, so it deletes what it stores, even if it fails
+    midway, with one delete per party."""
     parties = tuple(parties)
     spdz.require_two_parties(parties)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise ShapeMismatch(f"X {X.shape} does not fit dims {tuple(model.dims)}")
-    B = X.shape[0]
     need = collections.Counter()
-    for kind, shape, count in mpc_triple_requirements(model.dims, B, model.task):
+    for kind, shape, count in mpc_triple_requirements(model.dims, X.shape[0], model.task):
         need[kind, shape] += count
     for (kind, shape), count in need.items():
         if pool.count(kind, shape) < count:
             raise InsufficientTriples(f"a pass needs {count} {kind} triple(s) of shape "
                                       f"{shape}, the pool holds {pool.count(kind, shape)}")
-    w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)
-    inputs = (X, w1, np.tile(b1, (B, 1)), w2, np.tile(b2, (B, 1)))
+    inputs = _forward_inputs(model, X)
     flat = Tensor._own(np.concatenate([a.ravel() for a in inputs]), Dtype.FLOAT64)
-    made = spdz.share(fixedpoint.encode(flat), parties, fed, rng,
-                      shapes=[a.shape for a in inputs])
-    xs, w1s, b1s, w2s, b2s = made
-
-    def mul_trunc(kind, x, y):
-        if kind == "matmul":
-            prod = spdz.matmul_shared(x, y, pool.take(kind, x.shape + y.shape[1:]), fed)
-        else:
-            prod = spdz.beaver_mul(x, y, pool.take(kind, x.shape), fed)
-        made.append(prod)
-        return spdz.trunc_shared(prod)
-
-    z1 = spdz.linear("add", mul_trunc("matmul", xs, w1s), b1s)
-    a1 = _shared_sigmoid(z1, mul_trunc)
-    z2 = spdz.linear("add", mul_trunc("matmul", a1, w2s), b2s)
-    if model.task == TASK_BINARY:
-        z2 = _shared_sigmoid(z2, mul_trunc)
-    out = spdz.reconstruct(z2, fed)
-    spdz.free(made, fed)
-    return np.asarray(fixedpoint.decode(out).data)[:, 0]
+    with fed.scope():
+        svs = spdz.share(fixedpoint.encode(flat), parties, fed, rng,
+                         shapes=[a.shape for a in inputs])
+        chains = [TensorChain([("fixed_precision",), ("shared", sv)], fed) for sv in svs]
+        out = nn.forward_chain(*chains, model.task, pool=pool).get()
+    return out.float_precision().tensor().data[:, 0]

@@ -515,12 +515,13 @@ def make_server(host: str, port: int, core: WorkerCore) -> _WorkerServer:
 # federation: the leader's view of its workers
 
 class Federation:
-    """Named worker handles plus the one object-id allocator."""
+    """Named worker handles, the one object-id allocator and the open scopes."""
 
     def __init__(self, handles, tap: TransportTap | None = None):
         self.handles = {h.name: h for h in handles}
         self.tap = tap
         self._counter = itertools.count(1)
+        self._scopes: list[dict] = []  # the open scopes' records, innermost last
 
     @property
     def names(self):
@@ -536,6 +537,38 @@ class Federation:
         if oid >= LEADER_ID_SPAN:
             raise MalformedPayload("leader session id space exhausted")
         return oid
+
+    def record(self, party: str, stored=(), taken=()):
+        """Note what one successful execute on `party` stored and took: the
+        innermost open scope remembers a store, every open scope forgets a
+        take."""
+        for held in self._scopes:
+            for oid in taken:
+                held[party].pop(oid, None)
+        if self._scopes:
+            for oid in stored:
+                self._scopes[-1][party][oid] = None
+
+    @contextlib.contextmanager
+    def scope(self):
+        """On exit, delete what the block stored and did not take, with one
+        delete per party. The block's own exception propagates; on a normal
+        exit a failed delete raises once every party has had its own."""
+        held = {name: {} for name in self.handles}  # party -> {oid: None}, in store order
+        self._scopes.append(held)
+        try:
+            yield
+        finally:
+            self._scopes.pop()  # held: scopes nest, so the innermost closes first
+            failed = None
+            for party, oids in held.items():
+                if oids:
+                    try:
+                        self.worker(party).delete(*oids)
+                    except FedringError as e:
+                        failed = failed or e
+        if failed is not None:
+            raise failed
 
     def close(self):
         for h in self.handles.values():

@@ -11,7 +11,14 @@ from fedring import fixedpoint, spdz
 from fedring import tensor as tc
 from fedring.chain import TensorChain, dispatch, validate_chain
 from fedring.commands import OPS, compile_expr
-from fedring.errors import KindMismatch, ObjectNotFound, OverflowRangeError, UnknownCommand
+from fedring.errors import (
+    ConfigError,
+    KindMismatch,
+    ObjectNotFound,
+    OverflowRangeError,
+    ShapeMismatch,
+    UnknownCommand,
+)
 from fedring.spdz import ShareVector
 from fedring.tensor import Dtype, Tensor
 from fedring.workers import (
@@ -65,6 +72,18 @@ class TestValidator:
     def test_fixed_precision_needs_child(self):
         with pytest.raises(KindMismatch):
             validate_chain([("fixed_precision",)])
+
+    def test_nested_fixed_precision_refused(self, fed):
+        """A fixed_precision node stands directly above a leaf. A nested one
+        once passed validation, then mul raised a bare AttributeError and
+        float_precision() decoded once and dropped both prefix nodes."""
+        x = TensorChain.local([1.5], fed=fed).fix_precision()
+        with pytest.raises(KindMismatch):
+            TensorChain([("fixed_precision",)] + x.nodes, fed)
+        with pytest.raises(KindMismatch):
+            validate_chain([("fixed_precision",), ("fixed_precision",), ("local", x.leaf[1])])
+        with pytest.raises(KindMismatch):
+            validate_chain([("local", x.leaf[1]), ("fixed_precision",), ("local", x.leaf[1])])
 
     def test_shared_needs_distinct_workers(self):
         with pytest.raises(KindMismatch):
@@ -382,7 +401,7 @@ class TestSharedChain:
         start = tap.messages
         out = dispatch("add", a, b)
         assert tap.messages == start  # lazy: the leaf holds the expressions
-        assert not out.leaf[1].is_materialized()
+        assert [e[0] for e in out.leaf[1].exprs] == ["add", "add"]
         got = out.get().float_precision().tensor().data
         assert np.array_equal(got, [4.0, 6.5])
 
@@ -410,21 +429,137 @@ class TestSharedChain:
 
     def test_mul_then_get_frees_everything(self, tapped):
         """Each party ends with only its consumed triple object gone: the
-        expanded triple is taken by the combine, the raw Beaver product is
-        freed once its truncation is stored, and the truncation is freed by
-        get(). The operands stay readable."""
+        expanded triple is taken by the combine, the get() reads the lazy
+        truncation of the Beaver product, and the scope frees the product.
+        The operands, shared before the scope, stay readable."""
         fed, _ = tapped
         rng = np.random.default_rng(7)
         x = TensorChain.local([[1.5, -2.0]], fed=fed).fix_precision().share(PARTIES, rng)
         y = TensorChain.local([[0.5, 4.0]], fed=fed).fix_precision().share(PARTIES, rng)
-        (triple,) = spdz.dealer_generate(fed, "dealer", "elementwise", (1, 2), PARTIES, 1)
+        pool = spdz.TriplePool(spdz.dealer_generate(fed, "dealer", "elementwise", (1, 2),
+                                                    PARTIES, 1))
         before = object_counts(fed)
-        z = dispatch("mul", x, y, triple=triple).get().float_precision()
+        with fed.scope():
+            z = dispatch("mul", x, y, pool=pool).get().float_precision()
         after = object_counts(fed)
         assert {p: after[p] - before[p] for p in PARTIES} == {"alice": -1, "bob": -1}
         assert np.allclose(z.tensor().data, [[0.75, -8.0]], atol=2.0**-14)
         assert np.array_equal(x.get().float_precision().tensor().data, [[1.5, -2.0]])
         assert np.array_equal(y.get().float_precision().tensor().data, [[0.5, 4.0]])
+
+
+class TestSharedProducts:
+    def shared(self, fed, values, seed):
+        return TensorChain.local(values, fed=fed).fix_precision().share(
+            PARTIES, np.random.default_rng(seed))
+
+    def test_product_needs_a_pool(self, tapped):
+        fed, tap = tapped
+        x = self.shared(fed, [[1.5, -2.0]], 1)
+        start = tap.messages
+        with pytest.raises(ConfigError):
+            dispatch("mul", x, x)
+        assert tap.messages == start
+
+    def test_triple_taken_by_kind_and_shapes(self, tapped):
+        """mul takes an elementwise triple of the operands' shape, matmul a
+        matmul triple (m, k, n) from the operands' (m, k) and (k, n)."""
+        fed, _ = tapped
+        x = self.shared(fed, [[1.5, -2.0]], 2)
+        w = self.shared(fed, [[0.5], [0.25]], 3)
+        pool = spdz.TriplePool(
+            spdz.dealer_generate(fed, "dealer", "elementwise", (1, 2), PARTIES, 1)
+            + spdz.dealer_generate(fed, "dealer", "matmul", (1, 2, 1), PARTIES, 1))
+        with fed.scope():
+            xx = dispatch("mul", x, x, pool=pool).get().float_precision().tensor().data
+            xw = dispatch("matmul", x, w, pool=pool).get().float_precision().tensor().data
+        assert np.allclose(xx, [[2.25, 4.0]], atol=2.0**-14)
+        assert np.allclose(xw, [[0.25]], atol=2.0**-14)
+        assert pool.count("elementwise", (1, 2)) == pool.count("matmul", (1, 2, 1)) == 0
+
+    def test_refused_product_keeps_its_triple(self, tapped):
+        """A product refused before its first message puts its triple back."""
+        fed, tap = tapped
+        x = self.shared(fed, [[1.5, -2.0]], 4)
+        y = self.shared(fed, [[1.5, -2.0, 3.0]], 5)
+        pool = spdz.TriplePool(spdz.dealer_generate(fed, "dealer", "elementwise", (1, 2),
+                                                    PARTIES, 1))
+        start = tap.messages
+        with pytest.raises(ShapeMismatch):
+            dispatch("mul", x, y, pool=pool)
+        assert tap.messages == start
+        assert pool.count("elementwise", (1, 2)) == 1
+
+
+class TestScope:
+    def test_frees_what_the_block_stored(self, tapped):
+        """Sends, leader and worker shares and Beaver products stored in the
+        block are freed at its end by one delete per party; what the block
+        took (a fetched send, a reconstructed share, the expanded triple)
+        is not deleted twice, and what was stored before stays."""
+        fed, tap = tapped
+        rng = np.random.default_rng(11)
+        kept = TensorChain.local([[2.0, 1.0]], fed=fed).fix_precision().share(PARTIES, rng)
+        pool = spdz.TriplePool(spdz.dealer_generate(fed, "dealer", "elementwise", (1, 2),
+                                                    PARTIES, 1))
+        before = object_counts(fed)
+        with fed.scope():
+            x = TensorChain.local([[1.5, -2.0]], fed=fed).fix_precision().share(PARTIES, rng)
+            y = TensorChain.local([[0.5, 4.0]], fed=fed).fix_precision().send("alice")
+            y = y.share(PARTIES)  # takes the sent tensor
+            z = TensorChain.local([[3.0, 3.0]], fed=fed).send("bob")
+            assert np.array_equal(z.get().tensor().data, [[3.0, 3.0]])
+            TensorChain.local([[1.0, 1.0]], fed=fed).fix_precision().share(
+                PARTIES, rng).get()
+            product = dispatch("mul", x, dispatch("add", y, kept), pool=pool)
+            start = len(tap.events)
+        assert [(e.op, e.worker) for e in tap.events[start:]] == [("delete", "alice"),
+                                                                  ("delete", "bob")]
+        after = object_counts(fed)
+        assert {p: after[p] - before[p] for p in PARTIES} == {"alice": -1, "bob": -1}
+        with pytest.raises(ObjectNotFound):
+            product.get()
+        assert np.array_equal(kept.get().float_precision().tensor().data, [[2.0, 1.0]])
+
+    def test_error_in_block_propagates_after_freeing(self, fed):
+        before = object_counts(fed)
+        with pytest.raises(ValueError, match="the block's own"):
+            with fed.scope():
+                TensorChain.local([[1.5]], fed=fed).send("alice")
+                TensorChain.local([[2.5]], fed=fed).send("bob")
+                raise ValueError("the block's own error")
+        assert object_counts(fed) == before
+
+    def test_failed_delete(self, fed):
+        """A delete that fails raises on a normal exit, once every party has
+        been sent its own; under the block's own error it is dropped."""
+        before = object_counts(fed)
+        with pytest.raises(ObjectNotFound):
+            with fed.scope():
+                a = TensorChain.local([[1.5]], fed=fed).send("alice")
+                TensorChain.local([[2.5]], fed=fed).send("bob")
+                fed.worker("alice").delete(a.leaf[2][1])  # behind the scope's back
+        assert object_counts(fed) == before
+        with pytest.raises(ValueError):
+            with fed.scope():
+                b = TensorChain.local([[1.5]], fed=fed).send("bob")
+                fed.worker("bob").delete(b.leaf[2][1])
+                raise ValueError
+        assert object_counts(fed) == before
+
+    def test_nested(self, fed):
+        """An inner scope frees its own stores on exit; a take inside it of
+        the outer scope's object is forgotten by the outer scope too."""
+        before = object_counts(fed)
+        with fed.scope():
+            outer = TensorChain.local([[1.0]], fed=fed).send("alice")
+            TensorChain.local([[2.0]], fed=fed).send("alice")
+            with fed.scope():
+                TensorChain.local([[3.0]], fed=fed).send("alice")
+                outer.get()
+                assert object_counts(fed)["alice"] == before["alice"] + 2
+            assert object_counts(fed)["alice"] == before["alice"] + 1
+        assert object_counts(fed) == before
 
 
 class TestFixedPrecisionPointer:

@@ -70,8 +70,12 @@ class TestEncode:
     @pytest.mark.parametrize("x,want", [
         *[(s * (k + 0.5) * ULP, s * (k + 1)) for k in (0, 1, 2, 7) for s in (1, -1)],
         *[(s * 0.49 * ULP, 0) for s in (1, -1)],
-        # just under a tie, the float sum |s| + 0.5 itself rounds up to 1.0
-        *[(np.nextafter(s * 0.5 * ULP, 0.0), s) for s in (1, -1)],
+        # just under a tie rounds down: the float sum |s| + 0.5 would itself
+        # round up to 1.0
+        *[(np.nextafter(s * 0.5 * ULP, 0.0), 0) for s in (1, -1)],
+        # an odd integer s in [2**52, 2**53) is exact: s + 0.5 would be a
+        # float tie, rounded to the even s + 1
+        *[(s * (2**52 + 1) * ULP, s * (2**52 + 1)) for s in (1, -1)],
         *[(s * np.nextafter(2.5 * ULP, 3.0), s * 3) for s in (1, -1)],
         (-0.0, 0),
         *[(s * TOP, s * (2**61 - 2**9)) for s in (1, -1)],
@@ -79,11 +83,12 @@ class TestEncode:
     def test_rounding_table(self, x, want):
         """Ties round away from zero (2.5 ulp to 3, not to even), -0.0 is
         0, and the largest accepted magnitude encodes exactly, as 0-d and
-        1-d tensors alike."""
+        1-d tensors alike, and encode_scalar rounds the same way."""
         for shape in ((), (1,)):
             out = encode(f64(np.full(shape, x)))
             assert out.dtype is Dtype.RING64 and out.shape == shape
             assert int(out.data.ravel()[0]) == want % Q
+        assert encode_scalar(x) == want % Q
 
     def test_empty(self):
         out = encode(f64(np.zeros((0, 3))))

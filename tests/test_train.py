@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedring import commands, fixedpoint, nn, protocol, spdz, train
+from fedring import tensor as tc
 from fedring.data import bundled_path, load_dataset
 from fedring.dp import PrivacySpec, epsilon_for
 from fedring.errors import ConfigError, InsufficientTriples, LotTooLarge, ShapeMismatch
@@ -61,6 +62,35 @@ def socket_workers(names, seed):
         for s in servers:
             s.shutdown()
             s.server_close()
+
+
+def reference_fixed_forward(model, X):
+    """The fixed-point forward written out with tensor ops, independently of
+    chain dispatch: every product truncates at once, the sigmoid is
+    v/4 - v**3/48 + 1/2 with v*v, then (v*v)*v."""
+    w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)
+    B = X.shape[0]
+
+    def enc(a):
+        return fixedpoint.encode(Tensor(np.asarray(a, dtype=np.float64), Dtype.FLOAT64))
+
+    def matmul_fp(a, b):
+        return fixedpoint.truncate(tc.matmul(a, b))
+
+    def sigmoid_fp(v):
+        x2 = fixedpoint.truncate(tc.mul(v, v))
+        x3 = fixedpoint.truncate(tc.mul(x2, v))
+        t1 = fixedpoint.truncate(tc.scale(v, fixedpoint.encode_scalar(0.25)))
+        t2 = fixedpoint.truncate(tc.scale(x3, fixedpoint.encode_scalar(-1.0 / 48.0)))
+        return tc.offset(tc.add(t1, t2), fixedpoint.encode_scalar(0.5))
+
+    xs = enc(X)
+    z1 = tc.add(matmul_fp(xs, enc(w1)), enc(np.tile(b1, (B, 1))))
+    a1 = sigmoid_fp(z1)
+    z2 = tc.add(matmul_fp(a1, enc(w2)), enc(np.tile(b2, (B, 1))))
+    if model.task == nn.TASK_BINARY:
+        z2 = sigmoid_fp(z2)
+    return np.asarray(fixedpoint.decode(z2).data)[:, 0]
 
 
 class TestPlain:
@@ -309,6 +339,58 @@ class TestMPCForward:
         plain = nn.forward(model.params, model.dims, model.task, X)
         agree = np.mean((shared > 0.5) == (plain > 0.5))
         assert agree >= 0.99
+
+    @pytest.mark.parametrize("dataset,epochs", [("boston", 2), ("pima", 10)])
+    def test_chain_oracle_matches_reference(self, dataset, epochs):
+        """fixed_forward, nn.forward_chain over local fixed-precision
+        chains, equals the tensor-op reference bit for bit on the whole
+        test set: a regression and a binary model."""
+        ds = load_dataset(bundled_path(dataset), dataset, ["solo"], split_seed=0)
+        model, _ = train_plain(ds, TrainConfig(dataset=dataset, seed=1, epochs=epochs))
+        got = fixed_forward(model, ds.test_X)
+        assert got.tobytes() == reference_fixed_forward(model, ds.test_X).tobytes()
+
+    @pytest.mark.parametrize("transport", ["virtual", "socket"])
+    def test_failed_open_frees_the_pass(self, monkeypatch, transport):
+        """A pass whose second beaver_open fails on bob re-raises bob's
+        error, and its scope frees what the pass stored: the input shares,
+        the first product and the expanded triple alice's second open kept.
+        Each party ends at its start count minus the triple objects its
+        opens took: alice two (the matmul's and the first mul's), bob one."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=1))
+        X = ds.test_X[:16]
+        names = ("alice", "bob", "dealer")
+        beaver_open = commands.REGISTRY["beaver_open"][0]
+        opens = collections.Counter()
+
+        def faulty(core, args, kwargs):
+            opens[core.name] += 1
+            if core.name == "bob" and opens["bob"] == 2:
+                raise ConfigError("injected fault in bob's second open")
+            return beaver_open(core, args, kwargs)
+
+        monkeypatch.setitem(commands.REGISTRY, "beaver_open", (faulty, False))
+
+        def failed_pass(fed, cores):
+            pool = provision_triples(fed, "dealer", names[:2], model.dims, len(X), model.task)
+            counts = {c.name: c.object_count() for c in cores}
+            with pytest.raises(ConfigError, match="injected fault in bob's second open"):
+                mpc_forward(model, X, fed, names[:2], pool, np.random.default_rng(6))
+            return {c.name: c.object_count() - counts[c.name] for c in cores}
+
+        if transport == "virtual":
+            fed, registry = virtual_federation(names, seed=5)
+            delta = failed_pass(fed, list(registry.workers.values()))
+        else:
+            with socket_workers(names, 5) as (endpoints, cores):
+                fed = socket_federation(endpoints)
+                try:
+                    delta = failed_pass(fed, cores)
+                finally:
+                    fed.close()
+        assert opens == {"alice": 2, "bob": 2}
+        assert delta == {"alice": -2, "bob": -1, "dealer": 0}
 
     @pytest.mark.parametrize("dataset,epochs,n_trunc", [("boston", 2, 6), ("pima", 10, 10)])
     def test_truncation_margin(self, monkeypatch, dataset, epochs, n_trunc):
