@@ -26,12 +26,15 @@ later evaluation fail with ObjectNotFound.
 
 A shared mul or matmul is a Beaver multiplication with a triple from the
 `pool` dispatch is given, by kind and operand shapes; under fixed precision
-its truncation stays lazy. The product stays stored until a `with
-fed.scope():` block around it ends, which frees what it stored.
+its combine truncates it, so the product is plain stored shares, and
+only a float scale's truncation stays lazy. A product that needs a
+truncation is refused before its first message unless it has two parties.
+The product stays stored until a `with fed.scope():` block around it ends,
+which frees what it stored.
 
 `send` stores the leaf tensor alone and keeps the chain's prefix above the
 pointer, so a sent fixed-precision tensor stays fixed precision on the
-leader's side and get() restores it. Workers do not truncate, so
+leader's side and get() restores it. Workers truncate only shares, so
 fixed-precision mul, matmul and float scale on a pointer are rejected with
 KindMismatch before anything is sent; get() or share() it first. On local
 chains the same products raise OverflowRangeError when their raw encoding
@@ -206,8 +209,11 @@ class TensorChain:
                                    "the worker does not run; get() or share() it first")
             if truncate and kind == "local":
                 _check_local_product(name, values, const)
-        out = _leaf_op(name, leaf, values, const, pool, self.fed)
-        if truncate:
+        # a shared product is truncated by its Beaver combine, a float scale
+        # of shares lazily, and a local product here
+        shift = fixedpoint.FRAC_BITS if truncate and kind == "shared" and name != "scale" else 0
+        out = _leaf_op(name, leaf, values, const, pool, self.fed, shift)
+        if truncate and not shift:
             out = (kind, (fixedpoint.truncate if kind == "local" else spdz.trunc_shared)(out[1]))
         chain = object.__new__(TensorChain)  # valid already: the prefix over a leaf of its kind
         chain.nodes = [nodes[0], out] if len(nodes) == 2 else [out]
@@ -221,8 +227,9 @@ def dispatch(name: str, head: TensorChain, *others: TensorChain, c=None,
     return head.dispatch(name, *others, c=c, pool=pool)
 
 
-def _leaf_op(name, leaf, values, const, pool, fed):
-    """name on the leaves' values, as a leaf of the head leaf's kind."""
+def _leaf_op(name, leaf, values, const, pool, fed, trunc):
+    """name on the leaves' values, as a leaf of the head leaf's kind; a
+    shared product is truncated by 2**trunc as its combine stores it."""
     if leaf[0] == "local":
         return ("local", OPS[name][3](*values, *const))
     if leaf[0] == "pointer":
@@ -237,7 +244,7 @@ def _leaf_op(name, leaf, values, const, pool, fed):
     else:
         triple, fn = pool.take("matmul", xs.shape + ys.shape[1:]), spdz.matmul_shared
     try:
-        return ("shared", fn(xs, ys, triple, fed))
+        return ("shared", fn(xs, ys, triple, fed, trunc))
     except BaseException:
         if not triple.consumed:  # refused before its first message: the triple is unused
             pool.put(triple)

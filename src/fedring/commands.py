@@ -13,9 +13,12 @@ the workers. `compile_expr` turns expression trees over pointers and shares
 into a program: one `eval_expr` command, or the operand program that
 `beaver_open` and `make_shares` carry. A subexpression reached twice is
 computed once: the program `save`s it in a slot the first time and `load`s
-it after. Commands never see other workers' secrets: share and triple
-generation push shares directly to the peer workers, under ids the leader
-sent, and hand back nothing secret.
+it after. A ring value is reduced mod Q once, where a command stores or
+replies with it or a trunc reads it, not after every op (tensor).
+`beaver_combine` truncates the product it makes when given a shift, so a
+fixed-point product needs no trunc op afterwards. Commands never see other
+workers' secrets: share and triple generation push shares directly to the
+peer workers, under ids the leader sent, and hand back nothing secret.
 
 Beaver triples are seed-compressed. For each triple the dealer draws one
 seed of SEED_WORDS ring words per party from its worker RNG. Each party
@@ -50,10 +53,10 @@ from .errors import (
     ShapeMismatch,
     UnknownCommand,
 )
-from .fixedpoint import truncate_share
+from .fixedpoint import shift_share
 from .protocol import MAX_PAYLOAD, Command
 from .protocol import serialize_chain  # noqa: F401  (perfbench/spans.py wraps this name)
-from .tensor import Dtype, Tensor
+from .tensor import Dtype, Tensor, reduced
 
 REGISTRY: dict = {}
 
@@ -88,12 +91,21 @@ def _bits_float(v: int) -> float:
     return struct.unpack("<d", struct.pack("<q", v))[0]
 
 
-def _trunc(a: Tensor, p: int, role: int) -> Tensor:
-    if not 0 <= p < 62:  # a shift by the ring's 62 bits or more keeps nothing
-        raise MalformedPayload(f"eval_expr trunc shift {p} is outside [0, 62)")
+def _check_shift(command: str, p) -> int:
+    """A truncation shift word: a shift by the ring's 62 bits or more keeps
+    nothing."""
+    if not 0 <= p < 62:
+        raise MalformedPayload(f"{command} trunc shift {p} is outside [0, 62)")
+    return p
+
+
+def _trunc(a: Tensor, p: int, role: int, reduce: bool = True) -> Tensor:
+    """truncate_share as a program op: the shift reads the residue's bits,
+    so a ring intermediate is reduced first."""
+    _check_shift("eval_expr", p)
     if role not in (0, 1):  # local share truncation is sound for two parties
         raise MalformedPayload(f"eval_expr trunc role {role} is not 0 or 1")
-    return truncate_share(a, p, role)
+    return Tensor._own(shift_share(reduced(a).data, p, role), Dtype.RING64, reduce)
 
 
 # The op table: name -> (opcode, operands, constants, kernel). A program is
@@ -103,8 +115,10 @@ def _trunc(a: Tensor, p: int, role: int) -> Tensor:
 # IEEE-754 bit pattern of a float constant, read as an int64; trunc a shift
 # and a party role. ref i (push leaf i), save s (keep the top value in slot
 # s; pops nothing) and load s (push it) have no kernel: the interpreter runs
-# them itself. Opcodes are row numbers: new ops go at the end, so existing
-# programs keep their bytes.
+# them itself. Every kernel takes `reduce`: the interpreter passes False, so
+# a ring value is reduced once, by the command that keeps it. Opcodes
+# are row numbers: new ops go at the end, so existing programs keep their
+# bytes.
 OPS = {name: (code, *row) for code, (name, *row) in enumerate([
     ("ref", 0, 1, None),
     ("add", 2, 0, tc.add),
@@ -116,64 +130,73 @@ OPS = {name: (code, *row) for code, (name, *row) in enumerate([
     ("mul", 2, 0, tc.mul),
     ("matmul", 2, 0, tc.matmul),
     ("sigmoid_poly", 1, 0, tc.sigmoid_poly),
-    ("fscale", 1, 1, lambda a, f: tc.scale(a, _bits_float(f))),
-    ("foffset", 1, 1, lambda a, f: tc.offset(a, _bits_float(f))),
+    ("fscale", 1, 1, lambda a, f, reduce=True: tc.scale(a, _bits_float(f), reduce)),
+    ("foffset", 1, 1, lambda a, f, reduce=True: tc.offset(a, _bits_float(f), reduce)),
     ("save", 0, 1, None),
     ("load", 0, 1, None),
 ])}
 _REF, _SAVE, _LOAD = (OPS[name][0] for name in ("ref", "save", "load"))
 _BY_CODE = list(OPS.values())
+_CODES = {name: row[0] for name, row in OPS.items()}
+_FLOAT_CODES = {"scale": OPS["fscale"][0], "offset": OPS["foffset"][0]}
 
 
 def compile_expr(exprs) -> Command:
     """Expression trees over stored objects as one eval_expr command: each
     distinct leaf object becomes one argument, the trees one postfix program
-    whose values are left on the stack in order. The walk keeps its own
-    stack, so a tree may be deeper than Python's recursion limit. A subtree
-    object reached again is loaded from the slot its first evaluation saved
-    to, so a DAG compiles to a program linear in its distinct nodes.
+    whose values are left on the stack in order (compile_prog)."""
+    args, prog = compile_prog(exprs)
+    return Command("eval_expr", args, {"prog": prog})
+
+
+def compile_prog(exprs) -> tuple:
+    """(args, prog): one ('obj', oid) argument per distinct leaf object, and
+    one postfix program over them that leaves the trees' values in order.
+    The walk keeps its own stack, so a tree may be deeper than Python's
+    recursion limit. A subtree object reached again is loaded from the slot
+    its first evaluation saved to, so a DAG compiles to a program linear in
+    its distinct nodes.
 
     A tree is ('ref', oid) | ('add'|'sub'|'mul'|'matmul', a, b)
     | ('neg'|'sigmoid_poly', a) | ('scale'|'offset', a, c)
     | ('trunc', a, frac_bits, role). An integer c is a ring constant; any
     other c is a float and compiles to fscale or foffset."""
     leaves: dict = {}
-    codes: dict = {}  # id of each tree compiled so far -> its opcode list
+    codes: dict = {}  # id of each op tree compiled so far -> its opcode list
     slots: dict = {}  # id of each tree reached twice -> its save slot
     chunks: list = []
-    todo = list(reversed(exprs))  # trees, and opcode lists that follow their subtrees
+    todo = list(exprs)  # trees, and opcode lists that follow their subtrees
+    todo.reverse()
+    pop, push, emit = todo.pop, todo.append, chunks.append
     while todo:
-        expr = todo.pop()
-        if type(expr) is not tuple:
-            chunks.append(expr)
+        expr = pop()
+        if type(expr) is list:
+            emit(expr)
             continue
         op = expr[0]
         if op == "ref":
-            chunks.append((_REF, leaves.setdefault(expr[1], len(leaves))))
+            emit((_REF, leaves.setdefault(expr[1], len(leaves))))
             continue
         key = id(expr)
-        if key in codes:
+        code = codes.get(key)
+        if code is not None:
             if key not in slots:
                 slots[key] = len(slots)
-                codes[key] += (_SAVE, slots[key])
-            chunks.append((_LOAD, slots[key]))
+                code += (_SAVE, slots[key])
+            emit((_LOAD, slots[key]))
             continue
-        if op not in OPS:
+        if op not in _CODES:
             raise ConfigError(f"unknown expression {op!r}")
-        code = [OPS[op][0]]
-        subtrees = []
-        for v in expr[1:]:
+        code = codes[key] = [_CODES[op]]
+        push(code)
+        for v in expr[:0:-1]:  # operands pushed last to first, constants in order
             if type(v) is tuple:
-                subtrees.append(v)
-            elif op in ("scale", "offset") and not isinstance(v, (int, np.integer)):
-                code = [OPS["f" + op][0], _float_bits(float(v))]
+                push(v)
+            elif op in _FLOAT_CODES and not isinstance(v, (int, np.integer)):
+                code[:] = (_FLOAT_CODES[op], _float_bits(float(v)))
             else:
-                code.append(int(v))
-        codes[key] = code
-        todo.append(code)
-        todo += reversed(subtrees)
-    prog = [word for chunk in chunks for word in chunk]
-    return Command("eval_expr", tuple(Command.obj(oid) for oid in leaves), {"prog": prog})
+                code.insert(1, int(v))
+    return tuple([("obj", oid) for oid in leaves]), list(itertools.chain.from_iterable(chunks))
 
 
 def identity(arg) -> Command:
@@ -185,26 +208,33 @@ def identity(arg) -> Command:
 
 def _run_prog(args, prog) -> list:
     """The values a postfix program over the leaf tensors in args leaves on
-    the stack, in order."""
+    the stack, in order. The kernels run with reduce=False, so a ring value
+    an op computed is left unreduced: the caller reduces what it stores or
+    replies with, once."""
     stack = []
     saved = {}
     pos = 0
+    size, n_ops, n_args = len(prog), len(_BY_CODE), len(args)
     try:
-        while pos < len(prog):
+        while pos < size:
             op = prog[pos]
-            if not 0 <= op < len(_BY_CODE):
+            if not 0 <= op < n_ops:
                 raise MalformedPayload(f"unknown eval_expr opcode {op}")
             _, n_in, n_const, kernel = _BY_CODE[op]
             end = pos + 1 + n_const
-            if end > len(prog) or len(stack) < n_in:
+            if end > size or len(stack) < n_in:
                 raise MalformedPayload(f"eval_expr program is malformed at {pos}: "
                                        f"opcode {op} lacks a word or an operand")
             if kernel is not None:
-                cut = len(stack) - n_in
-                stack[cut:] = [kernel(*stack[cut:], *prog[pos + 1:end])]
+                consts = prog[pos + 1:end] if n_const else ()
+                if n_in == 1:
+                    stack[-1] = kernel(stack[-1], *consts, reduce=False)
+                else:
+                    cut = len(stack) - n_in
+                    stack[cut:] = [kernel(*stack[cut:], *consts, reduce=False)]
             elif op == _REF:
                 i = prog[pos + 1]
-                if not 0 <= i < len(args):
+                if not 0 <= i < n_args:
                     raise MalformedPayload(f"eval_expr ref {i} names no leaf")
                 stack.append(_want_tensor(args[i], i))
             elif op == _SAVE:
@@ -228,7 +258,7 @@ def _eval_expr(ctx, args, kwargs):
     if not stack:
         raise MalformedPayload("eval_expr program leaves no value")
     if len(stack) == 1:
-        return stack[0]
+        return reduced(stack[0])
     return Tensor._own(np.concatenate([t.data.ravel() for t in stack]), Dtype.RING64)
 
 
@@ -255,7 +285,7 @@ def _make_shares(ctx, args, kwargs):
     metadata the leader needs. Pass a stored secret as a take argument so
     it does not outlive its shares."""
     peers, ids = _share_targets(ctx, kwargs)
-    stack = _run_prog(args, kwargs["prog"])
+    stack = _run_prog(args, kwargs["prog"])  # split_shares reduces the shares it makes
     if len(stack) != 1:
         raise MalformedPayload(f"make_shares shares one value, not {len(stack)}")
     (x,) = stack
@@ -311,7 +341,7 @@ class TriplePRG:
 
     def expand(self, seed, count: int) -> np.ndarray:
         """The first `count` ring elements of the stream `seed` selects."""
-        w0, w1, w2, w3 = (int(v) for v in seed)
+        w0, w1, w2, w3 = seed.tolist()
         state = {"bit_generator": "PCG64",
                  "state": {"state": w0 << 62 | w1, "inc": w2 << 62 | w3 | 1},
                  "has_uint32": 0, "uinteger": 0}
@@ -319,15 +349,14 @@ class TriplePRG:
             if self._bitgen is None:
                 self._bitgen = np.random.PCG64(0)
             self._bitgen.state = state
-            out = self._bitgen.random_raw(count)
-        np.bitwise_and(out, tc.RING_MASK, out=out)
-        return out
+            raw = self._bitgen.random_raw(count)
+        return np.bitwise_and(raw, tc.RING_MASK, out=raw)
 
 
 def triple_shapes(kind: str, shape) -> tuple:
     """Shapes of a, b and c: elementwise triples over `shape`, matmul
     triples for shape (m, k, n)."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     if kind == "elementwise":
         return shape, shape, shape
     if kind == "matmul":
@@ -397,12 +426,13 @@ def _beaver_open(ctx, args, kwargs):
     triple object (pass it as a take argument); the others are the leaves of
     a program that leaves the party's shares x_i and y_i. Expands the triple
     once, keeps a_i || b_i || c_i under the leader's id `keep` for
-    beaver_combine to take, and returns x_i - a_i || y_i - b_i."""
+    beaver_combine to take, and returns x_i - a_i || y_i - b_i. The
+    expansion is residues already, so it is kept as it is, frozen."""
     if not args:
         raise MalformedPayload("beaver_open takes its triple object as its last argument")
     shapes = triple_shapes(str(kwargs["kind"]), kwargs["shape"])
     sizes = [math.prod(s) for s in shapes]
-    stack = _run_prog(args[:-1], kwargs["prog"])
+    stack = _run_prog(args[:-1], kwargs["prog"])  # the masked reply is reduced once
     if [t.shape for t in stack] != list(shapes[:2]):
         raise ShapeMismatch(f"operands {[t.shape for t in stack]} vs triple {shapes[:2]}")
     abc = _expand_triple(ctx, _want_tensor(args[-1], len(args) - 1), sizes)
@@ -410,8 +440,9 @@ def _beaver_open(ctx, args, kwargs):
     masked = np.empty(na + nb, dtype=np.uint64)
     np.subtract(stack[0].data.ravel(), abc[:na], out=masked[:na])
     np.subtract(stack[1].data.ravel(), abc[na:na + nb], out=masked[na:])
+    abc.setflags(write=False)
     return (Tensor._own(masked, Dtype.RING64),
-            [(ctx, int(kwargs["keep"]), Tensor._own(abc, Dtype.RING64))])
+            [(ctx, int(kwargs["keep"]), Tensor._wrap(abc, Dtype.RING64))])
 
 
 @register("beaver_combine")
@@ -421,10 +452,14 @@ def _beaver_combine(ctx, args, kwargs):
     the object beaver_open kept) and the opened eps = x - a and
     delta = y - b, passed inline. The lead party computes
     c + eps*(b + delta) + a*delta, two ring products with the same result
-    mod Q."""
+    mod Q. A nonzero shift word `trunc` truncates the fresh share in place
+    before it is stored, as truncate_share does: the lead party is role 0,
+    any other role 1, so with two parties the product is a fixed-point
+    product already."""
     if len(args) != 3:
         raise MalformedPayload(f"beaver_combine takes 3 arguments, not {len(args)}")
-    abc, eps, delta = (_want_tensor(v, i).data for i, v in enumerate(args))
+    shift = _check_shift("beaver_combine", int(kwargs.get("trunc", 0)))
+    abc, eps, delta = [_want_tensor(v, i).data for i, v in enumerate(args)]
     kind = str(kwargs["kind"])
     sa, sb, sc = triple_shapes(kind, kwargs["shape"])
     na, nb, nc = math.prod(sa), math.prod(sb), math.prod(sc)
@@ -433,12 +468,17 @@ def _beaver_combine(ctx, args, kwargs):
                             f"do not fit a {kind} triple {sa}x{sb}")
     a = abc[:na].reshape(sa)
     b = abc[na:na + nb].reshape(sb)
-    if kwargs.get("lead", 0):
+    lead = kwargs.get("lead", 0)
+    if lead:
         b = b + delta
     product = _product(kind)
     z = product(eps, b)
     z += product(a, delta)
     z += abc[na + nb:].reshape(sc)
+    if shift:
+        z = np.asarray(z)  # a 0-d product is a numpy scalar
+        np.bitwise_and(z, tc.RING_MASK, z)
+        shift_share(z, shift, 0 if lead else 1, z)
     return Tensor._own(z, Dtype.RING64)
 
 

@@ -42,7 +42,7 @@ def encode(x: Tensor) -> Tensor:
     # scaling by a power of two is exact, so the bound applies after it
     scaled = x.data.reshape(-1) * SCALE
     rounded = np.abs(scaled)
-    if not (rounded < MAX_MAGNITUDE * SCALE).all():  # NaN is refused too
+    if not rounded.max(initial=0.0) < MAX_MAGNITUDE * SCALE:  # a NaN max is refused too
         raise OverflowRangeError(_RANGE)
     # round half away from zero (np.round rounds to even) by the exact
     # fraction f = s - trunc(s): trunc(2f) is sign(s) where |f| >= 0.5
@@ -106,9 +106,21 @@ def truncate_share(share: Tensor, frac_bits: int, role: int) -> Tensor:
     """
     if role not in (0, 1):
         raise ConfigError(f"local share truncation is sound for two parties only (role {role})")
+    return Tensor._own(shift_share(share.data, frac_bits, role), Dtype.RING64)
+
+
+def shift_share(v: np.ndarray, frac_bits: int, role: int, out=None) -> np.ndarray:
+    """truncate_share's arithmetic on an array of residues, into `out` (v
+    itself, for in place) or a new array, which it returns: role 0 shifts v
+    down, any other role v's ring complement. Shares are < Q = 2^62, so
+    Q - v and its shift fit in uint64; a role-1 zero reads Q until it is
+    reduced."""
     p = np.uint64(frac_bits)
-    v = share.data  # shares are < Q = 2^62, so Q - v and its shift fit in uint64
+    if out is None:
+        out = np.empty(v.shape, dtype=np.uint64)  # so that a 0-d result stays an array
     if role == 0:
-        return Tensor._own(v >> p, Dtype.RING64)
+        return np.right_shift(v, p, out)
     q = np.uint64(Q)
-    return Tensor._own(q - ((q - v) >> p), Dtype.RING64)  # masked mod Q in place
+    np.subtract(q, v, out)
+    np.right_shift(out, p, out)
+    return np.subtract(q, out, out)

@@ -5,12 +5,13 @@ leader-side `share` is one store_parts execute per party, for one secret or
 for several at once (mpc_forward shares all of its inputs in one call): the
 worker cuts its one inline share into the secrets' parts and stores them
 all or none. The linear layer (`linear`: the add, sub, neg, scale and
-offset of commands.OPS) and local truncation are lazy: each party's share
-is a small expression tree over object ids, and the command that next
-consumes it (an opening, a reconstruction, `materialize`) carries the
-party's whole tree as one `eval_expr` postfix program. Linear operations
-and truncations therefore cross zero transport messages of their own; a
-truncation is folded into the next command.
+offset of commands.OPS) and the truncation of a product with a public
+constant (`trunc_shared`) are lazy: each party's share is a small
+expression tree over object ids, and the command that next consumes it (an
+opening, a reconstruction, `materialize`) carries the party's whole tree as
+one `eval_expr` postfix program. They therefore cross zero transport
+messages of their own. A fixed-point Beaver product is truncated where it
+is made: its combine shifts each party's fresh share before storing it.
 
 Every opening is one `_open`: a by-value command per party, whose replies
 the leader sums mod Q. A reconstruction opens the shares themselves; a
@@ -22,8 +23,9 @@ explicit share of c. In the open round each party runs one by-value
 shares of both x - a and y - b, keeps the expanded a, b and c for the
 combine and replies with the masked values, which the leader sums: exactly
 two openings (eps, delta) regardless of operand size. Each party then runs
-one `beaver_combine` that receives eps and delta inline and takes the
-expanded triple. With two parties that is four messages per
+one `beaver_combine` that receives eps and delta inline, takes the
+expanded triple and, given a shift, truncates the product share for the
+party's role. With two parties that is four messages per
 multiplication.
 
 Nothing here deletes an object but by taking it. Each party's execute
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commands import OPS, compile_expr, identity, triple_shapes
+from .commands import OPS, compile_expr, compile_prog, identity, triple_shapes
 from .errors import (
     ConfigError,
     InsufficientTriples,
@@ -58,7 +60,7 @@ from .workers import Federation
 _LINEAR = ("add", "sub", "neg", "scale", "offset")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShareVector:
     """One secret: an ordered party list and one share expression per party."""
 
@@ -103,7 +105,7 @@ def share(x: Tensor, parties, fed: Federation, rng: np.random.Generator, shapes=
         fed.worker(party).execute(Command(
             "store_parts", (("tensor", Tensor._own(s, Dtype.RING64)),), {**kwargs, "ids": own}))
         fed.record(party, stored=own)
-    svs = [ShareVector(parties, tuple(("ref", oid) for oid in part_ids), shape)
+    svs = [ShareVector(parties, tuple([("ref", oid) for oid in part_ids]), shape)
            for part_ids, shape in zip(ids, parts)]
     return svs[0] if shapes is None else svs
 
@@ -117,11 +119,11 @@ def share_remote(owner: str, expr, parties, fed: Federation) -> ShareVector:
     secret does not outlive its shares; a lazy expression's operands stay.
     The owner refuses fewer than two parties."""
     parties = tuple(parties)
-    prog = compile_expr([expr])
-    args = (("take", expr[1]),) if expr[0] == "ref" else prog.args
+    args, prog = compile_prog([expr])
+    if expr[0] == "ref":
+        args = (("take", expr[1]),)
     ids = [fed.allocate_id() for _ in parties]
-    cmd = Command("make_shares", args,
-                  {**prog.kwargs, "parties": ",".join(parties), "ids": ids})
+    cmd = Command("make_shares", args, {"prog": prog, "parties": ",".join(parties), "ids": ids})
     shape = tuple(int(v) for v in fed.worker(owner).execute(cmd).data)
     fed.record(owner, taken=[val for tag, val in args if tag == "take"])
     for party, oid in zip(parties, ids):
@@ -144,15 +146,23 @@ def materialize(sv: ShareVector, fed: Federation) -> ShareVector:
 def _open(fed: Federation, parties, cmds, shape, kept=()) -> Tensor:
     """Open a value through the leader (star topology): send each party its
     by-value command and sum the replies mod Q. One message per party;
-    kept[i] names the object party i's command stores, if any."""
-    total = np.zeros(shape, dtype=np.uint64)
+    kept[i] names the object party i's command stores, if any. The sum
+    starts from the first reply: the second's addition makes the array it
+    accumulates in."""
+    shape = tuple(shape)
+    total = None
     for i, (party, cmd) in enumerate(zip(parties, cmds)):
         t = fed.worker(party).execute(cmd)
         fed.record(party, kept[i:i + 1], [val for tag, val in cmd.args if tag == "take"])
-        if t.shape != total.shape:
-            raise ShapeMismatch(f"{party} replied {t.shape}, not {total.shape}")
-        total += t.data
-    return Tensor._own(total, Dtype.RING64)
+        if t.shape != shape:
+            raise ShapeMismatch(f"{party} replied {t.shape}, not {shape}")
+        if total is None:
+            total = t.data  # a frozen reply: not added into
+        elif i == 1:
+            total = total + t.data
+        else:
+            total += t.data
+    return Tensor._own(total, Dtype.RING64) if len(cmds) > 1 else t
 
 
 def reconstruct(sv: ShareVector, fed: Federation, delete: bool = False) -> Tensor:
@@ -176,17 +186,18 @@ def linear(name: str, *operands) -> ShareVector:
     _, arity, consts, _ = OPS[name]
     if len(operands) != arity + consts:
         raise ConfigError(f"{name} takes {arity} share vector(s) and {consts} constant(s)")
-    svs, const = operands[:arity], tuple(int(c) % Q for c in operands[arity:])
-    for ys in svs[1:]:
-        if ys.parties != svs[0].parties:
-            raise PartyMismatch(f"{svs[0].parties} vs {ys.parties}")
-        if ys.shape != svs[0].shape:
-            raise ShapeMismatch(f"{svs[0].shape} vs {ys.shape}")
-    per_party = list(zip(*(sv.exprs for sv in svs)))
-    exprs = [(name,) + es + const for es in per_party]
+    xs = operands[0]
+    const = tuple([int(c) % Q for c in operands[arity:]])
+    for ys in operands[1:arity]:
+        if ys.parties != xs.parties:
+            raise PartyMismatch(f"{xs.parties} vs {ys.parties}")
+        if ys.shape != xs.shape:
+            raise ShapeMismatch(f"{xs.shape} vs {ys.shape}")
+    per_party = zip(*[sv.exprs for sv in operands[:arity]])
+    exprs = [(name, *es, *const) for es in per_party]
     if name == "offset":
-        exprs[1:] = [es[0] for es in per_party[1:]]
-    return ShareVector(svs[0].parties, tuple(exprs), svs[0].shape)
+        exprs[1:] = xs.exprs[1:]
+    return ShareVector(xs.parties, tuple(exprs), xs.shape)
 
 
 # -- Beaver triples ----------------------------------------------------------
@@ -243,7 +254,7 @@ def dealer_generate(fed: Federation, dealer: str, kind: str, shape, parties, cou
 
 
 def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federation,
-            kind: str, out_shape) -> ShareVector:
+            kind: str, out_shape, trunc: int) -> ShareVector:
     if triple.consumed:
         raise TripleReused("triple already consumed")
     if triple.kind != kind:
@@ -255,49 +266,54 @@ def _beaver(xs: ShareVector, ys: ShareVector, triple: BeaverTriple, fed: Federat
         )
     if xs.parties != triple.parties:
         raise PartyMismatch("triple parties differ from operand parties")
+    if trunc:
+        require_two_parties(xs.parties)
     triple.consumed = True
     keep = [fed.allocate_id() for _ in xs.parties]
     out = [fed.allocate_id() for _ in xs.parties]
+    shape = list(triple.shape)
     # open eps = x - a and delta = y - b: each party's beaver_open keeps its
     # expanded triple under keep[i] and replies with x_i - a_i || y_i - b_i
     cmds = []
     for i, (ex, ey) in enumerate(zip(xs.exprs, ys.exprs)):
-        prog = compile_expr([ex, ey])
-        cmds.append(Command("beaver_open", prog.args + (("take", triple.refs[i]),),
-                            {**prog.kwargs, "kind": kind, "shape": list(triple.shape),
-                             "keep": keep[i]}))
+        args, prog = compile_prog([ex, ey])
+        cmds.append(Command("beaver_open", args + (("take", triple.refs[i]),),
+                            {"prog": prog, "kind": kind, "shape": shape, "keep": keep[i]}))
     masked = _open(fed, xs.parties, cmds, (math.prod(xs.shape) + math.prod(ys.shape),), keep)
     if fed.tap is not None:
         fed.tap.note_opening(2)
     eps, delta = masked.parts((xs.shape, ys.shape))
     for i, party in enumerate(xs.parties):
-        cmd = Command(
-            "beaver_combine",
-            (("take", keep[i]), ("tensor", eps), ("tensor", delta)),
-            {"kind": kind, "shape": list(triple.shape), "lead": int(i == 0)},
-        )
-        fed.worker(party).execute(cmd, out[i])
+        fed.worker(party).execute(Command(
+            "beaver_combine", (("take", keep[i]), ("tensor", eps), ("tensor", delta)),
+            {"kind": kind, "shape": shape, "lead": int(i == 0), "trunc": trunc}), out[i])
         fed.record(party, stored=(out[i],), taken=(keep[i],))
-    return ShareVector(xs.parties, tuple(("ref", oid) for oid in out), tuple(out_shape))
+    return ShareVector(xs.parties, tuple([("ref", oid) for oid in out]), tuple(out_shape))
 
 
 def beaver_mul(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
-               fed: Federation) -> ShareVector:
+               fed: Federation, trunc: int = 0) -> ShareVector:
+    """The shares of x * y, elementwise; with `trunc`, a shift the combine
+    applies to each party's product share (two parties only), so a
+    fixed-point product arrives truncated by 2**trunc."""
     if xs.shape != ys.shape:
         raise ShapeMismatch(f"{xs.shape} vs {ys.shape}")
-    return _beaver(xs, ys, triple, fed, "elementwise", xs.shape)
+    return _beaver(xs, ys, triple, fed, "elementwise", xs.shape, trunc)
 
 
 def matmul_shared(xs: ShareVector, ys: ShareVector, triple: BeaverTriple,
-                  fed: Federation) -> ShareVector:
+                  fed: Federation, trunc: int = 0) -> ShareVector:
+    """The shares of x @ y, truncated as beaver_mul's are."""
     if len(xs.shape) != 2 or len(ys.shape) != 2 or xs.shape[1] != ys.shape[0]:
         raise ShapeMismatch(f"{xs.shape} x {ys.shape}")
     out_shape = (xs.shape[0], ys.shape[1])
-    return _beaver(xs, ys, triple, fed, "matmul", out_shape)
+    return _beaver(xs, ys, triple, fed, "matmul", out_shape, trunc)
 
 
 def trunc_shared(sv: ShareVector) -> ShareVector:
-    """Two-party local truncation by 2**FRAC_BITS: party 0 shifts its share,
+    """Two-party local truncation by 2**FRAC_BITS, for a product with a
+    public constant (a Beaver product truncates in its combine instead):
+    party 0 shifts its share,
     party 1 the ring complement of its share (fixedpoint.truncate_share).
     Within one ulp except with probability ~2^(l+1-62) for an l-bit secret.
     With any other party count the result is wrong, not merely less exact
@@ -307,5 +323,5 @@ def trunc_shared(sv: ShareVector) -> ShareVector:
     Lazy like the linear layer: the shift runs inside the command that next
     consumes the value, so this sends nothing."""
     require_two_parties(sv.parties)
-    exprs = tuple(("trunc", e, FRAC_BITS, role) for role, e in enumerate(sv.exprs))
+    exprs = tuple([("trunc", e, FRAC_BITS, role) for role, e in enumerate(sv.exprs)])
     return ShareVector(sv.parties, exprs, sv.shape)

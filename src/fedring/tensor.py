@@ -3,12 +3,18 @@
 Two dtypes exist: Float64 (plaintext path) and Ring64, residues modulo
 Q = 2**62 stored in uint64. Q is a power of two, so reduction is a mask and
 uint64 wraparound composes correctly with it (x mod 2**64 mod 2**62 ==
-x mod 2**62).
+x mod 2**62). So a chain of ring ops may skip the reduction between them:
+every kernel takes `reduce=False`, which leaves a Ring64 result unreduced
+and writable, and `reduced` finishes such an intermediate in place. The
+program interpreter (commands._run_prog) does this: a command reduces only
+what it stores or replies with, and a truncation its input, the one ring
+op that reads the residue's bits rather than its class.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +33,7 @@ class Dtype(enum.Enum):
 
 
 _NUMPY_DTYPES = {Dtype.FLOAT64: np.dtype(np.float64), Dtype.RING64: np.dtype(np.uint64)}
+_U64, _F64 = _NUMPY_DTYPES[Dtype.RING64], _NUMPY_DTYPES[Dtype.FLOAT64]
 
 
 @dataclass(frozen=True)
@@ -42,23 +49,31 @@ class Tensor:
     dtype: Dtype
 
     @classmethod
-    def _own(cls, arr, dtype: Dtype) -> "Tensor":
+    def _own(cls, arr, dtype: Dtype, reduce: bool = True) -> "Tensor":
         """Wrap an array that nobody else holds: Ring64 is masked in place
-        and the array is frozen, with no defensive copy."""
-        if not (type(arr) is np.ndarray and arr.dtype == _NUMPY_DTYPES[dtype]
+        and the array is frozen, with no defensive copy. With reduce=False a
+        Ring64 array is wrapped as it is, unreduced and writable: a ring
+        intermediate of a program, which `reduced` finishes in place."""
+        ring = dtype is Dtype.RING64  # an identity test: hashing the enum costs more
+        if not (type(arr) is np.ndarray and arr.dtype == (_U64 if ring else _F64)
                 and arr.flags.c_contiguous):
             return cls(arr, dtype)  # e.g. a 0-d ufunc result is a numpy scalar
-        if dtype is Dtype.RING64:
+        if ring:
+            if not reduce:
+                return cls._wrap(arr, dtype)
             np.bitwise_and(arr, RING_MASK, arr)  # out= by position: half the call cost
         arr.setflags(write=False)
         return cls._wrap(arr, dtype)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, dtype: Dtype) -> "Tensor":
-        """A tensor over a frozen array of dtype's elements, checked by the
-        caller (for Ring64, already reduced mod Q)."""
+        """A tensor over an array of dtype's elements, checked by the
+        caller: frozen and, for Ring64, reduced mod Q, unless it is a ring
+        intermediate (`_own`)."""
         t = object.__new__(cls)
-        t.__dict__.update(data=arr, dtype=dtype)  # frozen: no __setattr__
+        fields = t.__dict__  # frozen: no __setattr__
+        fields["data"] = arr
+        fields["dtype"] = dtype
         return t
 
     def __post_init__(self):
@@ -91,16 +106,16 @@ class Tensor:
         tensors of the given shapes, whose sizes must sum to its own. Each
         part is a view of the frozen data: nothing is copied or reduced
         again."""
-        shapes = [tuple(int(d) for d in s) for s in shapes]
-        if any(d < 0 for s in shapes for d in s):
+        shapes = [tuple(map(int, s)) for s in shapes]
+        if min(itertools.chain.from_iterable(shapes), default=0) < 0:
             raise ShapeMismatch(f"part shapes {shapes} have a negative dimension")
         sizes = [math.prod(s) for s in shapes]
         if sum(sizes) != self.size:
             raise ShapeMismatch(f"part sizes {sizes} do not sum to {self.size} elements")
-        flat = self.data.reshape(-1)
+        flat, dtype, wrap = self.data.reshape(-1), self.dtype, Tensor._wrap
         out, pos = [], 0
         for shape, n in zip(shapes, sizes):
-            out.append(Tensor._wrap(flat[pos:pos + n].reshape(shape), self.dtype))
+            out.append(wrap(flat[pos:pos + n].reshape(shape), dtype))
             pos += n
         return out
 
@@ -121,25 +136,35 @@ def _check_same_dtype(a: Tensor, b: Tensor):
         raise DtypeMismatch(f"{a.dtype.value} vs {b.dtype.value}")
 
 
-def _pointwise(ufunc, a: Tensor, b: Tensor) -> Tensor:
+def reduced(t: Tensor) -> Tensor:
+    """t, with a ring intermediate (a kernel's result under reduce=False)
+    reduced mod Q and frozen in place; a finished tensor is frozen already
+    and returned as it is."""
+    if t.data.flags.writeable:
+        np.bitwise_and(t.data, RING_MASK, t.data)
+        t.data.setflags(write=False)
+    return t
+
+
+def _pointwise(ufunc, a: Tensor, b: Tensor, reduce: bool) -> Tensor:
     """A numpy ufunc over two tensors of one dtype and one shape (no
     broadcasting)."""
     _check_same_dtype(a, b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    return Tensor._own(ufunc(a.data, b.data), a.dtype)
+    return Tensor._own(ufunc(a.data, b.data), a.dtype, reduce)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _pointwise(np.add, a, b)
+def add(a: Tensor, b: Tensor, reduce: bool = True) -> Tensor:
+    return _pointwise(np.add, a, b, reduce)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _pointwise(np.subtract, a, b)
+def sub(a: Tensor, b: Tensor, reduce: bool = True) -> Tensor:
+    return _pointwise(np.subtract, a, b, reduce)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _pointwise(np.multiply, a, b)
+def mul(a: Tensor, b: Tensor, reduce: bool = True) -> Tensor:
+    return _pointwise(np.multiply, a, b, reduce)
 
 
 def _public(a: Tensor, c):
@@ -147,21 +172,21 @@ def _public(a: Tensor, c):
     return np.uint64(int(c) % RING_MODULUS) if a.dtype is Dtype.RING64 else float(c)
 
 
-def scale(a: Tensor, c) -> Tensor:
+def scale(a: Tensor, c, reduce: bool = True) -> Tensor:
     """Multiply every element by a public scalar."""
-    return Tensor._own(a.data * _public(a, c), a.dtype)
+    return Tensor._own(a.data * _public(a, c), a.dtype, reduce)
 
 
-def offset(a: Tensor, c) -> Tensor:
+def offset(a: Tensor, c, reduce: bool = True) -> Tensor:
     """Add a public scalar to every element."""
-    return Tensor._own(a.data + _public(a, c), a.dtype)
+    return Tensor._own(a.data + _public(a, c), a.dtype, reduce)
 
 
-def neg(a: Tensor) -> Tensor:
-    return Tensor._own(np.negative(a.data), a.dtype)
+def neg(a: Tensor, reduce: bool = True) -> Tensor:
+    return Tensor._own(np.negative(a.data), a.dtype, reduce)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, reduce: bool = True) -> Tensor:
     """Rank-2 matrix product; Ring64 accumulations wrap mod Q."""
     _check_same_dtype(a, b)
     if a.ndim != 2 or b.ndim != 2:
@@ -169,8 +194,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
     # uint64 matmul wraps mod 2**64 (C semantics), which reduces correctly.
-    out = a.data @ b.data
-    return Tensor._own(out, a.dtype)
+    return Tensor._own(a.data @ b.data, a.dtype, reduce)
 
 
 def random_ring(rng: np.random.Generator, shape) -> np.ndarray:
@@ -192,8 +216,9 @@ def split_shares(rng: np.random.Generator, secret: np.ndarray, n: int) -> list:
     return shares + [last]
 
 
-def sigmoid_poly(t: Tensor) -> Tensor:
-    """sigma(x) ~= 1/2 + x/4 - x**3/48, elementwise (nn.sigmoid_poly)."""
+def sigmoid_poly(t: Tensor, reduce: bool = True) -> Tensor:
+    """sigma(x) ~= 1/2 + x/4 - x**3/48, elementwise (nn.sigmoid_poly);
+    Float64 only, so `reduce` changes nothing."""
     if t.dtype is not Dtype.FLOAT64:
         raise DtypeMismatch("sigmoid_poly operates on Float64")
     return Tensor._own(nn.sigmoid_poly(t.data), Dtype.FLOAT64)

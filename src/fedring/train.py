@@ -14,6 +14,7 @@ transports: the command sequence, and hence every rng draw, is the same.
 from __future__ import annotations
 
 import collections
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -218,17 +219,28 @@ def train_federated_dp(fed: Federation, ds: FederatedDataset, cfg: TrainConfig):
 # MPC shared inference
 
 def _forward_inputs(model: Model, X: np.ndarray):
-    """nn.forward_chain's inputs: X, w1, tiled b1, w2 and tiled b2."""
+    """nn.forward_chain's inputs, X, w1, b1 tiled to X's rows, w2 and b2
+    tiled the same, written straight into one flat vector: (flat, their
+    shapes)."""
     w1, b1, w2, b2 = nn.unflatten(model.params, model.dims)
     B = X.shape[0]
-    return X, w1, np.tile(b1, (B, 1)), w2, np.tile(b2, (B, 1))
+    shapes = [X.shape, w1.shape, (B, b1.size), w2.shape, (B, b2.size)]
+    flat = np.empty(sum(math.prod(s) for s in shapes))
+    pos = 0
+    for a, shape in zip((X, w1, b1, w2, b2), shapes):
+        n = math.prod(shape)
+        flat[pos:pos + n].reshape(shape)[...] = a  # a bias row fills all B rows
+        pos += n
+    return flat, shapes
 
 
 def fixed_forward(model: Model, X: np.ndarray) -> np.ndarray:
     """Plaintext fixed-point forward pass: the oracle the shared pass must
     match. nn.forward_chain over local fixed-precision chains, so every
     product truncates where the shared pass truncates its shares."""
-    chains = [TensorChain.local(a).fix_precision() for a in _forward_inputs(model, X)]
+    flat, shapes = _forward_inputs(model, X)
+    chains = [TensorChain.local(t).fix_precision()
+              for t in Tensor._own(flat, Dtype.FLOAT64).parts(shapes)]
     return nn.forward_chain(*chains, model.task).float_precision().tensor().data[:, 0]
 
 
@@ -275,11 +287,10 @@ def mpc_forward(model: Model, X: np.ndarray, fed: Federation, parties,
         if pool.count(kind, shape) < count:
             raise InsufficientTriples(f"a pass needs {count} {kind} triple(s) of shape "
                                       f"{shape}, the pool holds {pool.count(kind, shape)}")
-    inputs = _forward_inputs(model, X)
-    flat = Tensor._own(np.concatenate([a.ravel() for a in inputs]), Dtype.FLOAT64)
+    flat, shapes = _forward_inputs(model, X)
     with fed.scope():
-        svs = spdz.share(fixedpoint.encode(flat), parties, fed, rng,
-                         shapes=[a.shape for a in inputs])
+        svs = spdz.share(fixedpoint.encode(Tensor._own(flat, Dtype.FLOAT64)), parties, fed,
+                         rng, shapes=shapes)
         chains = [TensorChain([("fixed_precision",), ("shared", sv)], fed) for sv in svs]
         out = nn.forward_chain(*chains, model.task, pool=pool).get()
     return out.float_precision().tensor().data[:, 0]

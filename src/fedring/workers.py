@@ -129,6 +129,7 @@ class _TappedHandle:
         self.name = name
         self.tap = tap
         self._delete, self._execute = ops
+        self.fed = None  # the Federation holding this handle, whose scopes a delete updates
 
     def _record(self, op: str, oid: int, tensors=()):
         if self.tap is not None:
@@ -146,8 +147,12 @@ class _TappedHandle:
         return t
 
     def delete(self, *oids: int):
+        """Delete the objects, all or none; the federation's open scopes
+        forget them, as they forget a take."""
         self._record("delete", oids[0] if oids else 0)
         self._delete(*oids)
+        if self.fed is not None:
+            self.fed.record(self.name, taken=oids)
 
     def execute(self, cmd: Command, dest: int = 0) -> Tensor | None:
         """With dest 0, the result tensor, recorded with the execute that
@@ -243,14 +248,17 @@ class WorkerCore:
         arguments are deleted only once the command has succeeded."""
         fn = lookup(cmd.name)
         objects = self._objects
+        taken = []
         with self._lock:  # once for the whole argument list
             if dest and dest in objects:
                 raise DuplicateObject(f"object {dest} already stored on {self.name}")
             args = []
             for tag, val in cmd.args:
-                if tag in ("obj", "take"):
+                if tag == "obj" or tag == "take":
                     if val not in objects:
                         raise ObjectNotFound(f"object {val} not on {self.name}")
+                    if tag == "take":
+                        taken.append(val)
                     val = objects[val]
                 args.append(val)
         try:
@@ -264,7 +272,6 @@ class WorkerCore:
             self._push_all(pushes + [(self, dest, result)] if dest else pushes)
         elif dest:
             self.push(dest, result)
-        taken = [val for tag, val in cmd.args if tag == "take"]
         if taken:
             self.delete_object(*taken)
         return None if dest else result
@@ -519,6 +526,8 @@ class Federation:
 
     def __init__(self, handles, tap: TransportTap | None = None):
         self.handles = {h.name: h for h in handles}
+        for h in self.handles.values():
+            h.fed = self
         self.tap = tap
         self._counter = itertools.count(1)
         self._scopes: list[dict] = []  # the open scopes' records, innermost last
@@ -539,9 +548,9 @@ class Federation:
         return oid
 
     def record(self, party: str, stored=(), taken=()):
-        """Note what one successful execute on `party` stored and took: the
-        innermost open scope remembers a store, every open scope forgets a
-        take."""
+        """Note what one successful execute on `party` stored and took, or
+        a delete removed: the innermost open scope remembers a store, every
+        open scope forgets a take or a delete."""
         for held in self._scopes:
             for oid in taken:
                 held[party].pop(oid, None)
@@ -551,8 +560,9 @@ class Federation:
 
     @contextlib.contextmanager
     def scope(self):
-        """On exit, delete what the block stored and did not take, with one
-        delete per party. The block's own exception propagates; on a normal
+        """On exit, delete what the block stored and did not take or delete
+        itself, with one delete per party. The block's own exception
+        propagates; on a normal
         exit a failed delete raises once every party has had its own."""
         held = {name: {} for name in self.handles}  # party -> {oid: None}, in store order
         self._scopes.append(held)

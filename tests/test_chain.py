@@ -491,6 +491,61 @@ class TestSharedProducts:
         assert pool.count("elementwise", (1, 2)) == 1
 
 
+    def test_three_party_product_refused_before_sending(self):
+        """A fixed-precision product over three parties needs a truncation
+        that is sound for two only: it is refused before the first message,
+        its triple stays in the pool and no party gains an object (at the
+        parent it sent 6 messages, took the triple and stored the product
+        before trunc_shared refused it)."""
+        tap = TransportTap()
+        fed, _ = virtual_federation(["a", "b", "c"], seed=0, tap=tap)
+        parties = ("a", "b", "c")
+        rng = np.random.default_rng(6)
+        x = TensorChain.local([[1.5, -2.0]], fed=fed).fix_precision().share(parties, rng)
+        y = TensorChain.local([[0.5, 4.0]], fed=fed).fix_precision().share(parties, rng)
+        pool = spdz.TriplePool(spdz.dealer_generate(fed, "c", "elementwise", (1, 2),
+                                                    parties, 1))
+        before, start = object_counts(fed), tap.messages
+        with pytest.raises(ConfigError):
+            x.dispatch("mul", y, pool=pool)
+        assert tap.messages == start
+        assert pool.count("elementwise", (1, 2)) == 1
+        assert object_counts(fed) == before
+
+    @pytest.mark.parametrize("name,xv,yv,kind,shape", [
+        ("mul", [[1.5, -2.25, 3.0], [-0.5, 4.0, -1.0]],
+         [[-0.75, 2.0, 1.25], [3.5, -0.25, -2.0]], "elementwise", (2, 3)),
+        ("matmul", [[1.5, -2.25, 3.0], [-0.5, 4.0, -1.0]],
+         [[0.5, -1.0], [-2.0, 0.25], [1.75, 3.0]], "matmul", (2, 3, 2)),
+    ])
+    def test_product_truncated_where_it_is_made(self, name, xv, yv, kind, shape):
+        """A fixed-precision shared mul or matmul stores, on each party, the
+        bits of the raw Beaver product's share truncated by truncate_share
+        for the party's role: two federations with the same dealer seed and
+        share draws, one through the chain, one through the raw product."""
+        stored = []
+        for through_chain in (True, False):
+            fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=3)
+            rng = np.random.default_rng(8)
+            x = TensorChain.local(xv, fed=fed).fix_precision().share(PARTIES, rng)
+            y = TensorChain.local(yv, fed=fed).fix_precision().share(PARTIES, rng)
+            (triple,) = spdz.dealer_generate(fed, "dealer", kind, shape, PARTIES, 1)
+            if through_chain:
+                sv = x.dispatch(name, y, pool=spdz.TriplePool([triple])).leaf[1]
+            else:
+                product = spdz.beaver_mul if name == "mul" else spdz.matmul_shared
+                sv = product(x.leaf[1], y.leaf[1], triple, fed)
+            assert all(e[0] == "ref" for e in sv.exprs)
+            stored.append([fed.worker(p).fetch(e[1]) for p, e in zip(sv.parties, sv.exprs)])
+        truncated, raw = stored
+        for role, (got, share) in enumerate(zip(truncated, raw)):
+            want = fixedpoint.truncate_share(share, fixedpoint.FRAC_BITS, role)
+            assert got.data.tobytes() == want.data.tobytes()
+        decoded = fixedpoint.decode(tc.add(*truncated)).data
+        want = np.multiply(xv, yv) if name == "mul" else np.matmul(xv, yv)
+        assert np.allclose(decoded, want, atol=2.0**-14)
+
+
 class TestScope:
     def test_frees_what_the_block_stored(self, tapped):
         """Sends, leader and worker shares and Beaver products stored in the
@@ -532,20 +587,36 @@ class TestScope:
 
     def test_failed_delete(self, fed):
         """A delete that fails raises on a normal exit, once every party has
-        been sent its own; under the block's own error it is dropped."""
+        been sent its own; under the block's own error it is dropped. The
+        objects are deleted on the workers themselves, behind the
+        federation's back."""
         before = object_counts(fed)
         with pytest.raises(ObjectNotFound):
             with fed.scope():
                 a = TensorChain.local([[1.5]], fed=fed).send("alice")
                 TensorChain.local([[2.5]], fed=fed).send("bob")
-                fed.worker("alice").delete(a.leaf[2][1])  # behind the scope's back
+                fed.worker("alice").core.delete_object(a.leaf[2][1])
         assert object_counts(fed) == before
         with pytest.raises(ValueError):
             with fed.scope():
                 b = TensorChain.local([[1.5]], fed=fed).send("bob")
-                fed.worker("bob").delete(b.leaf[2][1])
+                fed.worker("bob").core.delete_object(b.leaf[2][1])
                 raise ValueError
         assert object_counts(fed) == before
+
+    def test_handle_delete_is_forgotten(self, fed):
+        """A delete through the federation's handle is forgotten by every
+        open scope, as a take is: the scope exits cleanly and frees the
+        rest (at the parent, the worker refused the whole cleanup with
+        ObjectNotFound and alice kept the second tensor)."""
+        before = object_counts(fed)
+        with fed.scope():
+            with fed.scope():
+                first = TensorChain.local([[1.5]], fed=fed).send("alice")
+                TensorChain.local([[2.5]], fed=fed).send("alice")
+                fed.worker("alice").delete(first.leaf[2][1])
+        assert object_counts(fed) == before
+        assert before["alice"] == 0
 
     def test_nested(self, fed):
         """An inner scope frees its own stores on exit; a take inside it of

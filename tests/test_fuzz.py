@@ -94,7 +94,7 @@ def valid_payloads():
     every command: a store, a fetch, by-value and stored arithmetic over
     objects, a training batch and a DP phase over the partition, share
     generation, a share's parts stored at once, triple generation, and both
-    Beaver rounds."""
+    Beaver rounds, the combine also with a truncation shift."""
     rng = np.random.default_rng(3)
     params = ("tensor", Tensor(rng.uniform(-0.5, 0.5, 11), Dtype.FLOAT64))
     train = {"dims": [3, 2, 1], "task": "binary"}
@@ -121,6 +121,9 @@ def valid_payloads():
                     {**triple, "prog": [REF, 0, REF, 0], "keep": 26})),
         (0, Command("beaver_combine", (Command.obj(9), ("tensor", ring(rng, 3)),
                                        ("tensor", ring(rng, 3))), {**triple, "lead": 1})),
+        (0, Command("beaver_combine", (Command.obj(9), ("tensor", ring(rng, 3)),
+                                       ("tensor", ring(rng, 3))),
+                    {**triple, "lead": 0, "trunc": 16})),
     ]
     return [struct.pack("<Q", dest) + protocol.serialize_command(c) for dest, c in cmds]
 

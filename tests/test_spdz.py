@@ -554,6 +554,43 @@ class TestLazyExpressions:
             w.execute(Command("eval_expr", (Command.obj(1),), {"prog": prog}))
         assert w.object_count() == 1
 
+    def test_reduced_once_matches_per_op(self):
+        """Ring64 programs whose intermediates leave [0, Q) (sums near Q, a
+        scale by Q - 1, neg, mul, matmul, and a trunc after them) give the
+        bits of the same kernels reducing after every op, and each returned
+        value is reduced and frozen."""
+        from fedring.workers import WorkerCore
+
+        rng = np.random.default_rng(26)
+        leaves = {1: r64(Q - 1 - rng.integers(0, 4, size=(3, 3), dtype=np.uint64)),
+                  2: r64(rng.integers(0, Q, size=(3, 3), dtype=np.uint64))}
+        w = WorkerCore("a", 0)
+        for oid, t in leaves.items():
+            w.push(oid, t)
+        a, b = ("ref", 1), ("ref", 2)
+        trees = [
+            ("add", ("add", a, a), ("add", a, b)),
+            ("scale", ("add", a, b), Q - 1),
+            ("neg", ("sub", ("neg", a), b)),
+            ("offset", ("mul", ("neg", a), ("add", b, b)), Q - 3),
+            ("matmul", ("add", a, a), ("scale", b, Q - 1)),
+            ("trunc", ("add", ("scale", a, Q - 1), b), FRAC_BITS, 1),
+        ]
+
+        def per_op(tree):
+            if tree[0] == "ref":
+                return leaves[tree[1]]
+            kernel, n_in = commands.OPS[tree[0]][3], commands.OPS[tree[0]][1]
+            return kernel(*(per_op(t) for t in tree[1:1 + n_in]), *tree[1 + n_in:])
+
+        for tree in trees:
+            got = w.execute(commands.compile_expr([tree]))
+            assert got.data.tobytes() == per_op(tree).data.tobytes(), tree[0]
+            assert not got.data.flags.writeable and int(got.data.max()) < Q
+        want = [(int(x) + int(y)) * (Q - 1) % Q
+                for x, y in zip(leaves[1].data.ravel(), leaves[2].data.ravel())]
+        assert w.execute(commands.compile_expr([trees[1]])).data.ravel().tolist() == want
+
     def test_fused_truncation_rejects_third_party(self):
         from fedring.errors import MalformedPayload
         from fedring.protocol import Command

@@ -460,6 +460,32 @@ class TestMPCForward:
                         "bob": 400 * commands.SEED_WORDS + 100 * c_per_pass}
         assert registry.get("dealer").object_count() == 0
 
+    def test_only_float_scales_truncate_in_programs(self, monkeypatch):
+        """A Boston pass's programs carry exactly 2 trunc ops per party, the
+        sigmoid's two float scales: each Beaver product is truncated by its
+        combine (at the parent they carried 8)."""
+        ds = boston(["solo"])
+        model, _ = train_plain(ds, TrainConfig(seed=1, epochs=1))
+        fed, _ = virtual_federation(["alice", "bob", "dealer"], seed=9)
+        parties = ("alice", "bob")
+        pool = provision_triples(fed, "dealer", parties, model.dims, len(ds.test_X),
+                                 model.task)
+        rows = {row[0]: row for row in commands.OPS.values()}
+        truncs = collections.Counter()
+        for name in ("eval_expr", "beaver_open"):
+            run = commands.REGISTRY[name][0]
+
+            def counted(core, args, kwargs, run=run):
+                prog, pos = kwargs["prog"], 0
+                while pos < len(prog):  # opcodes only, not their constant words
+                    truncs[core.name] += prog[pos] == commands.OPS["trunc"][0]
+                    pos += 1 + rows[prog[pos]][2]
+                return run(core, args, kwargs)
+
+            monkeypatch.setitem(commands.REGISTRY, name, (counted, False))
+        mpc_forward(model, ds.test_X, fed, parties, pool, np.random.default_rng(10))
+        assert truncs == {"alice": 2, "bob": 2}
+
     def test_each_triple_expanded_once_per_use(self, monkeypatch):
         """One Boston pass expands each of its 4 triples once on each party
         (8 expansions), and the dealer expands nothing after provisioning."""

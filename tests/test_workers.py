@@ -783,6 +783,14 @@ SAME_ERROR = {
     "combine_no_args": (lambda h: h.execute(Command("beaver_combine", (), {
         "kind": "elementwise", "shape": [2]})),
                         MalformedPayload, "beaver_combine takes 3 arguments, not 0"),
+    # the combine refuses a truncation shift as eval_expr's trunc does,
+    # before it takes its expanded triple
+    **{f"combine_shift_{p}": (lambda h, p=p: h.execute(Command("beaver_combine", (
+        ("take", 1), ("tensor", local([0, 0], Dtype.RING64)),
+        ("tensor", local([0, 0], Dtype.RING64))),
+        {"kind": "elementwise", "shape": [2], "lead": 1, "trunc": p})),
+        MalformedPayload, f"beaver_combine trunc shift {p} is outside [0, 62)")
+       for p in (62, -1, 70)},
 }
 
 
